@@ -64,8 +64,10 @@ def cmd_solve_cell(args) -> int:
                       scheme=opts.get("scheme", "auto"), n=opts.get("n"))
     print(f"scenario {scenario.name}: scheme {cell.scheme}, "
           f"n {cell.grid.n} per axis")
-    print(f"stationarity residual {np.max(cell.residual_pi):.3e}, "
-          f"corrector residual {np.max(cell.residual_phi):.3e}")
+    its = cell.provenance["krylov_iterations"]
+    print(f"stationarity residual {np.max(cell.residual_pi):.3e} ({its['pi']} GMRES "
+          f"iterations), corrector residual {np.max(cell.residual_phi):.3e} "
+          f"({', '.join(map(str, its['phi']))} GMRES iterations)")
     print(f"centering defect {np.abs(cell.centering).max():.3e}")
     corr = cell.pi_average(np.eye(cell.grid.dim)[None] + cell.grad_phi)
     _print_matrix("pi-average of (I + grad phi):", corr)

@@ -111,7 +111,8 @@ def _w2_1d(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray) -> fl
     ib = np.argsort(xb, kind="stable")
     xa, wa = xa[ia], wa[ia]
     xb, wb = xb[ib], wb[ib]
-    if len(xa) == len(xb) and np.allclose(wa, wa[0]) and np.allclose(wb, wb[0]):
+    # the sorted-pairs shortcut is exact only for exactly uniform weights
+    if len(xa) == len(xb) and np.all(wa == wa[0]) and np.all(wb == wb[0]):
         return float(np.mean((xa - xb) ** 2))
     qa = np.cumsum(wa)
     qb = np.cumsum(wb)

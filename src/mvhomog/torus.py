@@ -9,31 +9,31 @@ grid of the d-torus, solves the stationarity equation L* pi = 0 with unit
 mass, and solves the cell (corrector) problem L phi_l = -f_l with pi-mean
 zero, which is solvable exactly when f is centered against pi.
 
-Two interchangeable discretizations:
-
-* ``"fd"``: 4th-order centered finite differences with periodic wraparound,
-  assembled sparse.  Works in any dimension up to 3 and keeps solves cheap.
-* ``"spectral"``: Fourier differentiation matrices (dense), exponentially
-  accurate for smooth coefficients.  Dense solves limit it to d <= 2.
-
-Both null-space solves use a bordered system instead of pinning a node: the
-normalization row `sum_i w_i pi_i = 1` (or the pi-mean-zero row for phi) is
-appended together with a compatibility column, which keeps the matrix sparse
-and enforces the constraint exactly at quadrature level.
+Derivatives act along one grid axis: ``"fd"`` shifts the nodal array for
+4th-order centered stencils (d <= 3); ``"spectral"`` multiplies Fourier
+symbols with ``numpy.fft`` (d <= 2), d/dy dropping the Nyquist mode of even n
+and d^2/dy^2 keeping it.  L is never assembled: ``GeneratorOperator`` applies
+L and L* from the nodal coefficients.  GMRES solves L* q = -L* 1 for
+pi = 1 + q (then unit mass) and L phi_l = -(f_l - int f_l pi) (then pi-mean
+zero), preconditioned by mean(f) . grad + 1/2 mean(A) : hess inverted in
+Fourier space with its zero mode sent to zero, so iterates never meet
+ker L = constants.  It stops on an absolute residual target, KRYLOV_MARGIN
+times the stationarity gate's form RESIDUAL_TOL |L| |x|: rounding leaves
+eps |L| |x| with |L| ~ n^2, which the target clears by a fixed factor on any
+grid.  Grids above MAX_UNKNOWNS are refused up front.
 """
 from __future__ import annotations
 
+import copy
 import csv
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import toeplitz, lu_factor, lu_solve
 
 from .errors import CenteringError, EllipticityError, SolverError, ValidationError
+from .krylov import RESTART, gmres
 
 DEFAULT_N = {1: 256, 2: 64, 3: 32}
 
@@ -43,6 +43,12 @@ ELLIPTICITY_TOL = 1e-10
 CENTERING_TOL = 1e-6
 # post-solve residual guard, relative to the data scale
 RESIDUAL_TOL = 1e-8
+# GMRES stopping target, as a fraction of the stationarity gate
+KRYLOV_MARGIN = 1e-6
+# most unknowns whose GMRES basis (RESTART + 1 vectors) fits in 128 MiB
+MAX_UNKNOWNS = 128 * 2 ** 20 // (8 * (RESTART + 1))
+# largest operator that toarray() materializes (a 32 MiB matrix)
+MAX_DENSE_UNKNOWNS = 2048
 
 
 class TorusGrid:
@@ -51,16 +57,18 @@ class TorusGrid:
     def __init__(self, dim: int, n: int | None = None):
         if dim not in (1, 2, 3):
             raise ValidationError(f"torus dimension must be 1, 2 or 3, got {dim}")
-        if n is None:
-            n = DEFAULT_N[dim]
+        n = DEFAULT_N[dim] if n is None else n
         if n < 8:
             raise ValidationError(f"need at least 8 nodes per axis, got {n}")
+        if n ** dim > MAX_UNKNOWNS:
+            raise ValidationError(f"{n}^{dim} grid nodes exceed MAX_UNKNOWNS={MAX_UNKNOWNS}, the "
+                                  f"most whose {RESTART + 1}-vector GMRES basis fits in 128 MiB")
         self.dim = dim
         self.n = int(n)
         self.h = 1.0 / self.n
         self.size = self.n ** dim
-        axes = [np.arange(self.n) * self.h] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
+        self.shape = (self.n,) * dim
+        mesh = np.meshgrid(*[np.arange(self.n) * self.h] * dim, indexing="ij")
         self.nodes = np.stack([m.ravel() for m in mesh], axis=1)  # (size, dim)
 
     @property
@@ -73,108 +81,57 @@ class TorusGrid:
         return np.asarray(values).sum(axis=0) * self.weight
 
     def reshape(self, flat: np.ndarray) -> np.ndarray:
-        return np.asarray(flat).reshape((self.n,) * self.dim + flat.shape[1:])
+        return np.asarray(flat).reshape(self.shape + flat.shape[1:])
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional differentiation matrices
+# one-dimensional derivatives
 
-@lru_cache(maxsize=32)
-def _fd_d1(n: int) -> sp.csr_matrix:
-    # (-g[i+2] + 8 g[i+1] - 8 g[i-1] + g[i-2]) / (12 h), periodic
-    h = 1.0 / n
-    out = None
-    for off, c in [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)]:
-        m = sp.eye(n, k=off, format="csr") + sp.eye(n, k=off - np.sign(off) * n, format="csr")
-        out = m * c if out is None else out + m * c
-    return (out / (12.0 * h)).tocsr()
-
-
-@lru_cache(maxsize=32)
-def _fd_d2(n: int) -> sp.csr_matrix:
-    # (-g[i+2] + 16 g[i+1] - 30 g[i] + 16 g[i-1] - g[i-2]) / (12 h^2), periodic
-    h = 1.0 / n
-    diags = [(-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)]
-    out = None
-    for off, c in diags:
-        m = sp.eye(n, k=off, format="csr")
-        if off != 0:
-            m = m + sp.eye(n, k=off - np.sign(off) * n, format="csr")
-        out = m * c if out is None else out + m * c
-    return (out / (12.0 * h * h)).tocsr()
-
-
-@lru_cache(maxsize=32)
-def _spectral_d1(n: int) -> np.ndarray:
+def _symbol(n: int, scheme: str, order: int, half: bool) -> np.ndarray:
+    """Symbol of d^order/dy^order on n nodes of [0,1), at rfft (half) or fft modes."""
+    if scheme not in ("fd", "spectral"):
+        raise ValidationError(f"unknown scheme {scheme!r}, expected 'fd' or 'spectral'")
+    k = np.arange(n // 2 + 1) if half else np.fft.fftfreq(n, 1.0 / n)
+    if scheme == "fd":
+        theta = 2.0 * np.pi * k / n
+        if order == 1:
+            return 1j * (8.0 * np.sin(theta) - np.sin(2.0 * theta)) * (n / 6.0)
+        return (-30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)) * (n * n / 12.0)
     if n % 2 != 0:
         raise ValidationError("spectral scheme needs an even number of nodes")
-    h = 2.0 * np.pi / n
-    j = np.arange(1, n)
-    col = np.zeros(n)
-    col[1:] = 0.5 * (-1.0) ** j / np.tan(j * h / 2.0)
-    # kernel is odd in (i - j); scale from period 2*pi to period 1
-    return toeplitz(col, -col) * (2.0 * np.pi)
+    if order == 1:
+        return np.where(np.abs(k) == n // 2, 0.0, 2j * np.pi * k)
+    return -(2.0 * np.pi * k) ** 2
 
 
-@lru_cache(maxsize=32)
-def _spectral_d2(n: int) -> np.ndarray:
-    if n % 2 != 0:
-        raise ValidationError("spectral scheme needs an even number of nodes")
-    h = 2.0 * np.pi / n
-    j = np.arange(1, n)
-    col = np.zeros(n)
-    col[0] = -np.pi ** 2 / (3.0 * h * h) - 1.0 / 6.0
-    col[1:] = -0.5 * (-1.0) ** j / np.sin(j * h / 2.0) ** 2
-    return toeplitz(col) * (2.0 * np.pi) ** 2
+def _derivative(v: np.ndarray, axis: int, order: int, scheme: str) -> np.ndarray:
+    """d^order/dy^order of periodic nodal values along one array axis."""
+    n = v.shape[axis]
+    if scheme == "fd":  # 4th-order centered stencils, g[i + 1] is p1
+        p1, m1, p2, m2 = (np.roll(v, -j, axis=axis) for j in (1, -1, 2, -2))
+        if order == 1:
+            return (8.0 * (p1 - m1) - (p2 - m2)) * (n / 12.0)
+        return (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * v) * (n * n / 12.0)
+    shape = [1] * v.ndim
+    shape[axis] = -1
+    spec = np.fft.rfft(v, axis=axis) * _symbol(n, scheme, order, True).reshape(shape)
+    return np.fft.irfft(spec, n=n, axis=axis)
 
 
-def d1_matrix(n: int, scheme: str):
+def d1_matrix(n: int, scheme: str) -> np.ndarray:
     """First-derivative matrix on n periodic nodes of [0,1)."""
-    if scheme == "fd":
-        return _fd_d1(n)
-    if scheme == "spectral":
-        return _spectral_d1(n)
-    raise ValidationError(f"unknown scheme {scheme!r}, expected 'fd' or 'spectral'")
+    return _derivative(np.eye(n), 0, 1, scheme)
 
 
-def d2_matrix(n: int, scheme: str):
+def d2_matrix(n: int, scheme: str) -> np.ndarray:
     """Second-derivative matrix on n periodic nodes of [0,1)."""
-    if scheme == "fd":
-        return _fd_d2(n)
-    if scheme == "spectral":
-        return _spectral_d2(n)
-    raise ValidationError(f"unknown scheme {scheme!r}, expected 'fd' or 'spectral'")
-
-
-def _kron_chain(mats, sparse: bool):
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr") if sparse else np.kron(out, m)
-    return out
-
-
-def _axis_operator(one_d, axis: int, grid: TorusGrid, sparse: bool):
-    eye = sp.identity(grid.n, format="csr") if sparse else np.eye(grid.n)
-    return _kron_chain([one_d if k == axis else eye for k in range(grid.dim)], sparse)
-
-
-def _mixed_operator(d1, ax1: int, ax2: int, grid: TorusGrid, sparse: bool):
-    eye = sp.identity(grid.n, format="csr") if sparse else np.eye(grid.n)
-    mats = [d1 if k in (ax1, ax2) else eye for k in range(grid.dim)]
-    return _kron_chain(mats, sparse)
+    return _derivative(np.eye(n), 0, 2, scheme)
 
 
 def apply_axis_derivative(values: np.ndarray, grid: TorusGrid, axis: int,
                           scheme: str, order: int = 1) -> np.ndarray:
-    """Apply the 1-D derivative matrix along one torus axis of nodal values."""
-    mat = d1_matrix(grid.n, scheme) if order == 1 else d2_matrix(grid.n, scheme)
-    extra = values.shape[1:]
-    v = values.reshape((grid.n,) * grid.dim + extra)
-    v = np.moveaxis(v, axis, 0).reshape(grid.n, -1)
-    out = mat @ v
-    out = out.reshape((grid.n,) + (grid.n,) * (grid.dim - 1) + extra)
-    out = np.moveaxis(out, 0, axis)
-    return out.reshape((grid.size,) + extra)
+    """Apply the 1-D derivative along one torus axis of nodal values."""
+    return _derivative(grid.reshape(values), axis, order, scheme).reshape(values.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -227,78 +184,122 @@ def ellipticity_floor(a_vals: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a_vals)[:, 0].min())
 
 
-def assemble_generator(grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray,
-                       scheme: str):
-    """Discretize L = f.grad + 1/2 A:hess on the grid.
+class GeneratorOperator:
+    """Matrix-free L = f.grad + 1/2 A:hess on a torus grid, or its adjoint.
 
-    Returns a CSR matrix for the fd scheme and a dense ndarray for the
-    spectral scheme.  Raises EllipticityError when A degenerates.
+    ``L @ u`` applies L to nodal values of shape (size,) or (size, k) as a sum
+    of terms, coefficient field times a product of axis derivatives; ``L.T``
+    applies sum_k -D1_k(f_k g) + 1/2 D2_k(A_kk g) + D1_k D1_l(A_kl g).  Solves
+    record their GMRES iterations in ``krylov``.
     """
+
+    def __init__(self, grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray, scheme: str):
+        self.grid, self.scheme, self.adjoint = grid, scheme, False
+        self.krylov: dict = {}
+        self._f_vals, self._a_vals, dim = f_vals, a_vals, grid.dim
+        terms = [(f_vals[:, k], ((k, 1),)) for k in range(dim)]
+        terms += [(0.5 * a_vals[:, k, k], ((k, 2),)) for k in range(dim)]
+        # the pair (k, l) carries A_kl d^2/dy_k dy_l in both orders
+        terms += [(a_vals[:, k, l], ((k, 1), (l, 1)))
+                  for k in range(dim) for l in range(k + 1, dim)]
+        # zero fields are dropped; the trailing axis holds operand columns
+        self._terms = [(c.reshape(grid.shape + (1,)), ops) for c, ops in terms if np.any(c)]
+        # mean-coefficient symbol on the rfftn grid, whose last axis is halved
+        sym = {order: np.ix_(*[_symbol(grid.n, scheme, order, k == dim - 1)
+                               for k in range(dim)]) for order in (1, 2)}
+        mean = sum(c.mean() * math.prod(sym[order][k] for k, order in ops)
+                   for c, ops in self._terms)
+        mean[(0,) * dim] = np.inf  # the zero mode goes to zero
+        self._inverse_symbol = 1.0 / mean
+
+    @property
+    def T(self) -> "GeneratorOperator":
+        out = copy.copy(self)
+        out.adjoint = not self.adjoint
+        return out
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        v = u.reshape(self.grid.shape + (-1,))
+        out = np.zeros_like(v)
+        for coef, ops in self._terms:
+            w = coef * v if self.adjoint else v
+            for axis, order in ops:
+                w = _derivative(w, axis, order, self.scheme)
+            # D1* = -D1 and D2* = D2 on the torus
+            out += (-1.0) ** sum(o == 1 for _, o in ops) * w if self.adjoint else coef * w
+        return out.reshape(u.shape)
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """Solve the mean-coefficient equation for r (conjugate symbol for L*)."""
+        inv = np.conj(self._inverse_symbol) if self.adjoint else self._inverse_symbol
+        spec = np.fft.rfftn(r.reshape(self.grid.shape)) * inv
+        return np.fft.irfftn(spec, self.grid.shape, range(self.grid.dim)).reshape(r.shape)
+
+    def abs_max(self) -> float:
+        """Largest |entry| of the matrix of L (or L*), from the coefficients.
+
+        With c1, c2 the circulant columns of D1, D2 (c1[0] = 0), a row holds
+        tr(A) c2[0] / 2 on the diagonal, f_k c1[j] + A_kk c2[j] / 2 along axis
+        k (offsets visited by decreasing bound) and A_kl c1[i] c1[j] off-axis.
+        """
+        a_vals = self._a_vals
+        c1, c2 = (_derivative(np.eye(self.grid.n, 1)[:, 0], 0, o, self.scheme) for o in (1, 2))
+        off_axis = np.abs(a_vals - a_vals * np.eye(self.grid.dim)).max() * np.abs(c1).max() ** 2
+        best = float(max(np.abs(np.trace(a_vals, axis1=1, axis2=2)).max() * 0.5 * abs(c2[0]),
+                         off_axis))
+        for f, a in zip(self._f_vals.T, 0.5 * np.diagonal(a_vals, axis1=1, axis2=2).T):
+            bound = np.abs(f).max() * np.abs(c1) + np.abs(a).max() * np.abs(c2)
+            for j in np.argsort(-bound[1:]) + 1:
+                if bound[j] <= best:
+                    break
+                best = max(best, float(np.abs(f * c1[j] + a * c2[j]).max()))
+        return best
+
+    def solve(self, b: np.ndarray, size: float):
+        """GMRES for self @ x = b, |x| ~ size, to the module's target; (x, iterations)."""
+        target = KRYLOV_MARGIN * RESIDUAL_TOL * self.abs_max() * size
+        return gmres(self.__matmul__, self.precondition, b, target)
+
+    def toarray(self) -> np.ndarray:
+        """Dense matrix, column by column from the matvec; small grids only."""
+        if self.grid.size > MAX_DENSE_UNKNOWNS:
+            raise ValidationError(f"toarray() refused: {self.grid.size} unknowns exceed "
+                                  f"MAX_DENSE_UNKNOWNS={MAX_DENSE_UNKNOWNS}")
+        return np.column_stack([self @ col for col in np.eye(self.grid.size)])
+
+    def __array__(self, dtype=None, copy=None):
+        return self.toarray().astype(dtype or float, copy=False)
+
+
+def assemble_generator(grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray,
+                       scheme: str) -> GeneratorOperator:
+    """Matrix-free L on the grid; raises EllipticityError when A degenerates."""
     if scheme == "spectral" and grid.dim > 2:
         raise ValidationError("spectral scheme is limited to dimensions 1 and 2")
     lam = ellipticity_floor(a_vals)
     if lam < ELLIPTICITY_TOL:
         raise EllipticityError(
             f"diffusion matrix eigenvalue floor {lam:.3e} below {ELLIPTICITY_TOL:.1e}")
-    sparse = scheme == "fd"
-    d1 = d1_matrix(grid.n, scheme)
-    d2 = d2_matrix(grid.n, scheme)
-
-    def dmul(diag_vals, op):
-        if sparse:
-            return sp.diags(diag_vals) @ op
-        return diag_vals[:, None] * op
-
-    L = None
-    for k in range(grid.dim):
-        term = dmul(f_vals[:, k], _axis_operator(d1, k, grid, sparse))
-        term = term + dmul(0.5 * a_vals[:, k, k], _axis_operator(d2, k, grid, sparse))
-        L = term if L is None else L + term
-    for k in range(grid.dim):
-        for l in range(k + 1, grid.dim):
-            # off-diagonal pair contributes A_kl * d^2/dy_k dy_l (both orders)
-            L = L + dmul(a_vals[:, k, l], _mixed_operator(d1, k, l, grid, sparse))
-    return L.tocsr() if sparse else L
+    return GeneratorOperator(grid, f_vals, a_vals, scheme)
 
 
 # ---------------------------------------------------------------------------
 # null-space solves
 
-def _bordered_solve(mat, cols: np.ndarray, rows: np.ndarray, rhs: np.ndarray):
-    """Solve [[mat, cols], [rows^T, 0]] [u; lam] = rhs for possibly many rhs."""
-    m = mat.shape[0]
-    rhs = np.atleast_2d(rhs.T).T  # (m+1, k)
-    if sp.issparse(mat):
-        big = sp.bmat([[mat, cols.reshape(m, 1)],
-                       [rows.reshape(1, m), None]], format="csc")
-        lu = spla.splu(big)
-        sols = np.stack([lu.solve(rhs[:, j]) for j in range(rhs.shape[1])], axis=1)
-    else:
-        big = np.zeros((m + 1, m + 1))
-        big[:m, :m] = mat
-        big[:m, m] = cols
-        big[m, :m] = rows
-        sols = lu_solve(lu_factor(big), rhs)
-    return sols[:m], sols[m]
-
-
-def solve_invariant_measure(L, grid: TorusGrid):
+def solve_invariant_measure(L: GeneratorOperator, grid: TorusGrid):
     """Solve L* pi = 0 with unit mass; returns (pi, sup residual of L* pi).
 
-    The discrete adjoint has a one-dimensional null space under ellipticity;
-    the bordered system appends the quadrature normalization, which selects
-    the density normalized to integrate to exactly 1.
+    Under ellipticity ker L* is spanned by a density of nonzero mean, so
+    pi = 1 + q with q of mean zero solving L* q = -L* 1, then unit mass.
     """
-    m = grid.size
-    LT = L.T.tocsr() if sp.issparse(L) else np.ascontiguousarray(L.T)
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    pi, _ = _bordered_solve(LT, np.ones(m), np.full(m, grid.weight), rhs)
-    pi = pi[:, 0]
+    LT = L.T
+    ones = np.ones(grid.size)
+    q, L.krylov["pi"] = LT.solve(-(LT @ ones), 1.0)
+    pi = (ones + q) / grid.integrate(ones + q)
     resid = float(np.max(np.abs(LT @ pi)))
     scale = max(float(np.max(np.abs(pi))), 1.0)
-    if resid > RESIDUAL_TOL * scale * (np.abs(LT).max() if not sp.issparse(LT)
-                                       else abs(LT).max()):
+    if resid > RESIDUAL_TOL * scale * L.abs_max():
         raise SolverError(f"stationarity residual {resid:.3e} failed the solve check")
     if pi.min() < -1e-10 * max(pi.max(), 1.0):
         raise SolverError(f"invariant density has negative mass {pi.min():.3e}")
@@ -317,15 +318,14 @@ def check_centering(f_vals: np.ndarray, pi: np.ndarray, grid: TorusGrid) -> np.n
     return grid.integrate(f_vals * pi[:, None])
 
 
-def solve_cell_problem(L, pi: np.ndarray, f_vals: np.ndarray, grid: TorusGrid,
-                       centering_tol: float = CENTERING_TOL):
+def solve_cell_problem(L: GeneratorOperator, pi: np.ndarray, f_vals: np.ndarray,
+                       grid: TorusGrid, centering_tol: float = CENTERING_TOL):
     """Solve L phi_l = -f_l with pi-mean zero for each component l.
 
     Raises CenteringError when int f pi is too large relative to sup|f|; the
     residual that remains below the gate is projected out so the discrete
     system is exactly solvable.
     """
-    m, dim = f_vals.shape
     defect = check_centering(f_vals, pi, grid)
     scale = np.maximum(np.abs(f_vals).max(axis=0), 1e-300)
     rel = np.abs(defect) / scale
@@ -335,11 +335,12 @@ def solve_cell_problem(L, pi: np.ndarray, f_vals: np.ndarray, grid: TorusGrid,
             f"fast drift component {worst} has centering defect "
             f"{defect[worst]:.3e} (relative {rel[worst]:.3e} > {centering_tol:.1e}); "
             "the cell problem is not solvable for this coefficient set")
-    rhs = np.zeros((m + 1, dim))
-    rhs[:m] = -(f_vals - defect[None, :])  # project onto the solvable range
-    weights = pi * grid.weight
-    phi, _ = _bordered_solve(L, np.ones(m), weights, rhs)
-    resid = np.max(np.abs(L @ phi + (f_vals - defect[None, :])), axis=0)
+    centered = f_vals - defect[None, :]  # project onto the solvable range
+    # the preconditioned right-hand side gauges the size of phi_l
+    cols, its = zip(*[L.solve(-c, np.abs(L.precondition(c)).max()) for c in centered.T])
+    phi, L.krylov["phi"] = np.stack(cols, axis=1), list(its)
+    phi -= (pi * grid.weight) @ phi  # pi-mean zero; constants span ker L
+    resid = np.max(np.abs(L @ phi + centered), axis=0)
     if np.any(resid > RESIDUAL_TOL * np.maximum(scale, 1.0) * 1e3):
         raise SolverError(f"cell residuals {resid} failed the solve check")
     return phi, resid, defect
@@ -370,13 +371,11 @@ class CellSolution:
     def save_csv(self, path) -> None:
         dim = self.grid.dim
         header = [f"y{k+1}" for k in range(dim)] + ["pi"] + [f"phi{k+1}" for k in range(dim)]
+        rows = np.column_stack([self.grid.nodes, self.pi, self.phi])
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for i in range(self.grid.size):
-                w.writerow([repr(float(v)) for v in self.grid.nodes[i]]
-                           + [repr(float(self.pi[i]))]
-                           + [repr(float(v)) for v in self.phi[i]])
+            w.writerows([repr(float(v)) for v in row] for row in rows)
 
 
 def load_cell_csv(path):
@@ -391,7 +390,7 @@ def load_cell_csv(path):
 
 def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
                n: int | None = None, centering_tol: float = CENTERING_TOL) -> CellSolution:
-    """Full frozen-cell workflow: assemble, stationary measure, corrector, gradient."""
+    """Full frozen-cell workflow: operator, stationary measure, corrector, gradient."""
     if scheme == "auto":
         scheme = "spectral" if coeffs.dim <= 2 else "fd"
     grid = TorusGrid(coeffs.dim, n)
@@ -399,14 +398,14 @@ def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
     L = assemble_generator(grid, f_vals, a_vals, scheme)
     pi, resid_pi = solve_invariant_measure(L, grid)
     phi, resid_phi, defect = solve_cell_problem(L, pi, f_vals, grid, centering_tol)
-    grad_phi = np.stack(
-        [apply_axis_derivative(phi, grid, k, scheme) for k in range(grid.dim)],
-        axis=2)  # (size, l, k)
+    grad_phi = np.stack([apply_axis_derivative(phi, grid, k, scheme) for k in range(grid.dim)], 2)
     return CellSolution(
         grid=grid, scheme=scheme, pi=pi, phi=phi, grad_phi=grad_phi,
         f_vals=f_vals, a_vals=a_vals, centering=defect,
         residual_pi=resid_pi, residual_phi=resid_phi,
         x=None if x is None else np.asarray(x, dtype=float),
         provenance={"n": grid.n, "scheme": scheme,
-                    "centering_tol": centering_tol, "residual_tol": RESIDUAL_TOL},
+                    "centering_tol": centering_tol, "residual_tol": RESIDUAL_TOL,
+                    "krylov_iterations": dict(L.krylov), "residual_pi": resid_pi,
+                    "residual_phi": resid_phi.tolist()},
     )

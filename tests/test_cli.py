@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, flags, exit codes, artifacts."""
 import json
+import re
 import subprocess
 import sys
 
@@ -43,6 +44,13 @@ def test_solve_cell_writes_solution(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stationarity residual" in out
     assert (tmp_path / "cell_cos_rough_1d.csv").exists()
+
+
+def test_solve_cell_reports_gmres_iterations(capsys):
+    assert main(["solve-cell", "--scenario", "nongradient_2d", "--n", "16"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"stationarity residual \S+ \(\d+ GMRES iterations\)", out)
+    assert re.search(r"corrector residual \S+ \(\d+, \d+ GMRES iterations\)", out)
 
 
 def test_effective_cell_route(tmp_path, capsys):

@@ -39,6 +39,16 @@ def test_w2_translation_exact_1d():
     assert wasserstein2(a, b) == pytest.approx(0.7, abs=1e-12)
 
 
+def test_w2_nearly_uniform_weights_use_the_exact_coupling():
+    # weights within 1e-5 of uniform once passed the equal-size shortcut,
+    # which paired sorted atoms and returned 0; moving 4e-6 of mass across
+    # a gap of 1000 costs W2^2 = 4
+    atoms = np.array([0.0, 1000.0])
+    a = EmpiricalMeasure(atoms, np.array([0.5 + 2e-6, 0.5 - 2e-6]))
+    b = EmpiricalMeasure(atoms, np.array([0.5 - 2e-6, 0.5 + 2e-6]))
+    assert wasserstein2(a, b) == pytest.approx(2.0, rel=1e-9)
+
+
 def test_w2_weighted_matches_replication():
     # weights k/N must agree with physically replicated atoms
     atoms = np.array([0.0, 1.0, 3.0])
