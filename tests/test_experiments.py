@@ -65,6 +65,15 @@ def test_expected_artifacts_exist(tiny_run):
     assert report["out_dir"] == str(out)
 
 
+def test_runtimes_cover_every_run_within_the_total(tiny_run):
+    _, report, _ = tiny_run
+    runtimes = report["runtimes"]
+    parts = {"reference", "rung0_seed11", "rung0_seed23"}
+    assert set(runtimes) == parts | {"total"}
+    assert all(runtimes[k] > 0 for k in runtimes)
+    assert sum(runtimes[k] for k in parts) <= runtimes["total"]
+
+
 def test_manifest_hashes_match_files(tiny_run):
     out, _, _ = tiny_run
     manifest = json.loads((out / "manifest.json").read_text())

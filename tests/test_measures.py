@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from mvhomog import rng
 from mvhomog.errors import ValidationError
-from mvhomog.measures import (EmpiricalMeasure, MeasurePath, silverman_bandwidth,
-                              smooth, wasserstein2)
+from mvhomog.measures import (EmpiricalMeasure, MeasurePath, _sorted_sum,
+                              radial_moment, silverman_bandwidth, smooth,
+                              wasserstein2)
 
 atoms_1d = st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=40)
 
@@ -154,3 +155,59 @@ def test_silverman_formula():
     m = EmpiricalMeasure(x)
     h = silverman_bandwidth(m)[0]
     assert h == pytest.approx(1.06 * x.std(ddof=0) * 500 ** (-0.2), rel=1e-10)
+
+
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+def _adversarial_sums():
+    """Arrays whose sums depend on order: ties, signed zeros, subnormals, scales."""
+    tiny = np.nextafter(0.0, 1.0)
+    g = np.random.default_rng(8)
+    return [
+        np.array([-0.0, -0.0, -0.0]),
+        np.array([0.0, -0.0, -0.0, 0.0, -0.0]),
+        np.array([-0.0, 1.0, -1.0, 0.0, -0.0, 1.0, -1.0, -0.0, 0.0]),
+        np.array([tiny, -tiny, 3 * tiny, -0.0, 2.2e-308, -2.2e-308, tiny]),
+        np.array([1e16, 1.0, -1e16, 1.0, 3.0, -0.0, 1e-300, 0.5, 0.5] * 3),
+        np.repeat([2.5, -0.0, 2.5, 0.0, -7.25], 40),
+        g.normal(size=257) * 10.0 ** g.integers(-300, 300, size=257),
+        np.concatenate([g.normal(size=300), np.zeros(50), -np.zeros(50),
+                        np.full(60, 0.1), g.normal(size=300) * 1e-310]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_sorted_sum_matches_stable_sort_reference(case):
+    values = _adversarial_sums()[case]
+    ref = float(np.sort(values, kind="stable").sum())
+    assert _bits(_sorted_sum(values)) == _bits(ref)
+    g = np.random.default_rng(case)
+    for _ in range(20):
+        assert _bits(_sorted_sum(values[g.permutation(len(values))])) == _bits(ref)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                min_size=1, max_size=200), st.randoms(use_true_random=False))
+def test_sorted_sum_is_permutation_exact(values, shuffler):
+    values = np.array(values)
+    perm = np.array(shuffler.sample(range(len(values)), len(values)))
+    ref = float(np.sort(values, kind="stable").sum())
+    assert _bits(_sorted_sum(values)) == _bits(ref)
+    assert _bits(_sorted_sum(values[perm])) == _bits(ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_moment_permutation_exact_and_close_to_pow(dim):
+    g = np.random.default_rng(dim)
+    x = g.normal(size=(999, dim)) * 10.0 ** g.integers(-3, 3, size=(999, 1))
+    w = np.full(999, 1.0 / 999)
+    for order in (1, 2, 3, 4, 6):
+        m = radial_moment(x, w, order)
+        for _ in range(5):
+            perm = g.permutation(999)
+            assert _bits(radial_moment(x[perm], w, order)) == _bits(m)
+        pow_form = np.sum(w * np.linalg.norm(x, axis=1) ** order)
+        assert m == pytest.approx(pow_form, rel=1e-13)
+    assert EmpiricalMeasure(x).moment(4) == radial_moment(x, w, 4)

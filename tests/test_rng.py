@@ -69,3 +69,34 @@ def test_draws_pure_in_key(seed, step):
     b = rng.normals(seed, streams, step, 2)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
+
+
+def _seed_formula_normals(seed, streams, step, ncomp):
+    """The draws as first specified: one hash of (seed, stream, counter) per call."""
+    mix = rng._mix
+    with np.errstate(over="ignore"):
+        s = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
+        c = np.uint64(step) * np.uint64(ncomp) + np.arange(ncomp, dtype=np.uint64)
+        h = mix(mix(mix(np.uint64(seed)) ^ s) ^ c[None, :])
+    w1 = mix(h ^ rng._TAG_A)
+    w2 = mix(h ^ rng._TAG_B)
+    u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (w2 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       step=st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                      st.integers(min_value=2 ** 32 - 8, max_value=2 ** 32 + 8)),
+       ncomp=st.integers(min_value=1, max_value=3),
+       lo=st.integers(min_value=0, max_value=90),
+       width=st.integers(min_value=0, max_value=40),
+       perm_seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cached_keys_reproduce_normals(seed, step, ncomp, lo, width, perm_seed):
+    streams = np.random.default_rng(perm_seed).permutation(97).astype(np.uint64)
+    keys = rng.stream_keys(seed, streams)
+    hi = min(lo + width, 97)
+    chunk = rng.keyed_normals(keys[lo:hi], step, ncomp)
+    assert chunk.shape == (hi - lo, ncomp)
+    assert np.array_equal(chunk, rng.normals(seed, streams[lo:hi], step, ncomp))
+    assert np.array_equal(chunk, _seed_formula_normals(seed, streams[lo:hi], step, ncomp))

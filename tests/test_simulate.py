@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 
 from mvhomog.effective import EffectiveModel
 from mvhomog.errors import SimulationError, ValidationError
-from mvhomog.measures import EmpiricalMeasure
+from mvhomog.measures import EmpiricalMeasure, radial_moment
 from mvhomog.scenarios import DAWSON_KAPPA, get_scenario
-from mvhomog.simulate import (FeedbackControl, SimConfig, constant_control,
-                              load_trajectory_csv, pairwise_interaction,
-                              simulate_averaged)
+from mvhomog.simulate import (FeedbackControl, SimConfig, TrajectoryRecord,
+                              _monitor, _wrap_unit, constant_control,
+                              load_trajectory_csv, simulate_averaged)
 
 
 def _dawson_cfg(n=300, eps=0.1, t_end=0.2, seed=3, threads=1, **kw):
@@ -179,7 +180,9 @@ def test_quadratic_interaction_matches_pairwise_sum():
     fast_path = sc.slow_drift(xs, mu)
     v = xs[:, 0]
     local = (-(v ** 3 - v))[:, None]
-    pair_term = pairwise_interaction(xs, lambda d: DAWSON_KAPPA * d)
+    # (1/N) sum_j kappa (x_i - x_j), summed in sorted order per particle
+    diffs = DAWSON_KAPPA * (xs[:, None, :] - xs[None, :, :])
+    pair_term = np.sort(diffs, axis=1).sum(axis=1) / len(xs)
     assert np.abs(fast_path - (local - pair_term)).max() < 1e-12
 
 
@@ -190,3 +193,56 @@ def test_multiscale_equals_averaged_without_fast_layer():
     a = sc.run_multiscale(cfg_ms)
     b = sc.run_averaged(cfg_av)
     assert np.array_equal(a.positions, b.positions)
+
+
+def _csv_writer_reference(rec, path):
+    """The trajectory CSV as the csv module writes it."""
+    dim = rec.positions.shape[2]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "particle_id"] + [f"x{k+1}" for k in range(dim)])
+        for t, pos in zip(rec.times, rec.positions):
+            for i in range(pos.shape[0]):
+                w.writerow([repr(float(t)), i] + [repr(float(v)) for v in pos[i]])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_save_csv_bytes_match_csv_writer(tmp_path, dim):
+    special = [-0.0, 1e-300, 0.0, -1e-300, 5e-324, 1.0 / 3.0, -123456.789e10]
+    g = np.random.default_rng(dim)
+    positions = g.normal(size=(3, 7, dim))
+    positions[1, :, 0] = special
+    positions[2, :, -1] = special[::-1]
+    rec = TrajectoryRecord(scenario="t", mode="averaged",
+                           config=SimConfig(n_particles=7, dt=0.1, t_end=0.2),
+                           times=np.array([0.0, 0.1, 0.2]), positions=positions)
+    rec.save_csv(tmp_path / "fast.csv")
+    _csv_writer_reference(rec, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_moment_gate_is_permutation_exact():
+    g = np.random.default_rng(6)
+    x = g.normal(size=(1001, 2)) * 10.0 ** g.integers(-4, 2, size=(1001, 1))
+    n = len(x)
+    m = radial_moment(x, np.full(n, 1.0 / n), 4)
+    below = np.nextafter(m, -np.inf)
+    for _ in range(10):
+        xp = x[g.permutation(n)]
+        assert radial_moment(xp, np.full(n, 1.0 / n), 4) == m
+        _monitor(xp, 1, 0.1, (4, m))
+        with pytest.raises(SimulationError):
+            _monitor(xp, 1, 0.1, (4, below))
+
+
+def test_wrap_unit_matches_np_mod_bit_for_bit():
+    g = np.random.default_rng(12)
+    tiny = np.nextafter(0.0, 1.0)
+    z = np.concatenate([
+        g.normal(size=20000) * 10.0 ** g.integers(-20, 20, size=20000),
+        np.arange(-100.0, 100.0, 0.125),
+        np.nextafter(np.arange(-50.0, 50.0), -np.inf),
+        np.nextafter(np.arange(-50.0, 50.0), np.inf),
+        [-0.0, 0.0, tiny, -tiny, -1e-300, 2.0 ** 53, -2.0 ** 53, -2.0 ** 52 - 0.5],
+    ])
+    assert np.array_equal(_wrap_unit(z).view(np.int64), np.mod(z, 1.0).view(np.int64))
