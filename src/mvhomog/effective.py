@@ -177,7 +177,7 @@ class SeparablePotential:
             out = out * np.exp(-2.0 * np.asarray(q(y[:, k])) / self.sigma ** 2) / z[k]
         return out
 
-    def fast_coefficients(self, slow_drift: Callable | None = None) -> FastCoefficients:
+    def fast_coefficients(self) -> FastCoefficients:
         """FastCoefficients with f = -grad V2 and sigma I noise."""
         dim = self.dim
 
@@ -191,8 +191,7 @@ class SeparablePotential:
         def sigma_fn(x, y, mu):
             return sig_mat
 
-        return FastCoefficients(dim=dim, f=f, sigma=sigma_fn, noise_dim=dim,
-                                drift_slow=slow_drift)
+        return FastCoefficients(dim=dim, f=f, sigma=sigma_fn, noise_dim=dim)
 
 
 def gamma_separable(potential: SeparablePotential, quad_points: int = 512) -> np.ndarray:

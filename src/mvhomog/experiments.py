@@ -194,12 +194,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads=None,
                                    epsilon=rung.epsilon,
                                    snapshot_times=snap_times, threads=threads)
                 t0 = time.perf_counter()
-                rec_ms = scenario.run_multiscale(cfg_ms)
-                cfg_pre = SimConfig(n_particles=rung.n_particles, dt=rung.dt,
-                                    t_end=plan.t_end, seed=seed,
-                                    snapshot_times=snap_times, threads=threads)
-                rec_pre = scenario.run_averaged(cfg_pre, mode="pre_averaged",
-                                                model=model)
+                rec_ms, rec_pre = scenario.run_coupled(cfg_ms, model=model)
                 w2_ref = wasserstein2(rec_ms.terminal_measure(), ref_terminal)
                 w2_pre = wasserstein2(rec_ms.terminal_measure(),
                                       rec_pre.terminal_measure())

@@ -20,7 +20,7 @@ Gibbs factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,8 @@ from scipy.special import i0, ndtri
 from . import rng
 from .effective import EffectiveModel, SeparablePotential, homogenize, separable_model
 from .errors import ValidationError
-from .simulate import SimConfig, TrajectoryRecord, simulate_averaged, simulate_multiscale
+from .simulate import (SimConfig, TrajectoryRecord, averaged_lane, multiscale_lane,
+                       simulate_averaged, simulate_lanes, simulate_multiscale)
 from .torus import (FastCoefficients, TorusGrid, assemble_generator,
                     check_centering, ellipticity_floor, solve_invariant_measure)
 
@@ -141,8 +142,7 @@ class Scenario:
             return np.asarray(fast(x, y, mu), dtype=float)
 
         return FastCoefficients(dim=self.dim, f=f, sigma=self._sigma_fn(),
-                                noise_dim=self.noise_dim,
-                                drift_slow=self.slow_drift)
+                                noise_dim=self.noise_dim)
 
     def effective_model(self, route: str = "auto", **overrides) -> EffectiveModel:
         """Homogenized model, closed-form when separable, cell solve otherwise."""
@@ -191,14 +191,17 @@ class Scenario:
             return mean + std * draw
         raise ValidationError(f"unknown initial-condition kind {kind!r}")
 
+    def _multiscale_terms(self) -> tuple:
+        """(fast_drift, fast_sigma, slow_drift, dim, noise_dim) of the prelimit system."""
+        return (self.fast_drift or (lambda x, y, mu: np.zeros_like(y)),
+                self._sigma_fn(), self.slow_drift, self.dim, self.noise_dim)
+
     def run_multiscale(self, config: SimConfig, control=None,
                        streams=None) -> TrajectoryRecord:
         x0 = self.initial_positions(config.n_particles, config.seed)
         return simulate_multiscale(
-            self.fast_drift or (lambda x, y, mu: np.zeros_like(y)),
-            self._sigma_fn(), self.slow_drift, self.dim, self.noise_dim,
-            x0, config, control, moment_cap=self.moment_cap,
-            scenario_name=self.name, streams=streams)
+            *self._multiscale_terms(), x0, config, control,
+            moment_cap=self.moment_cap, scenario_name=self.name, streams=streams)
 
     def run_averaged(self, config: SimConfig, control=None,
                      mode: str = "averaged", model: EffectiveModel | None = None,
@@ -210,6 +213,28 @@ class Scenario:
                                  moment_cap=self.moment_cap,
                                  scenario_name=self.name, mode=mode,
                                  streams=streams)
+
+    def run_coupled(self, config: SimConfig, model: EffectiveModel | None = None,
+                    streams=None) -> tuple[TrajectoryRecord, TrajectoryRecord]:
+        """A multiscale run and its pre-averaged twin, stepped in lockstep.
+
+        Both runs start from the same positions with the same seed, streams
+        and dt, so their noise is identical and is drawn once.  Returns
+        ``(multiscale, pre_averaged)``, bit for bit the records of
+        ``run_multiscale(config)`` and of ``run_averaged`` on ``config``
+        without epsilon in ``pre_averaged`` mode.
+        """
+        if model is None:
+            model = self.effective_model()
+        x0 = self.initial_positions(config.n_particles, config.seed)
+        lanes = [
+            multiscale_lane(*self._multiscale_terms(), x0, config,
+                            moment_cap=self.moment_cap, scenario_name=self.name),
+            averaged_lane(model, x0, replace(config, epsilon=None),
+                          moment_cap=self.moment_cap, scenario_name=self.name,
+                          mode="pre_averaged"),
+        ]
+        return tuple(simulate_lanes(lanes, streams))
 
     # -- validation ----------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Euler-Maruyama simulation of the particle system and its averaged limit.
 
-Three modes share one driver:
+Three modes share one driver, :func:`simulate_lanes`:
 
 * ``multiscale``: the prelimit system with fast drift f(X, X/eps, mu)/eps,
   slow drift b(X, mu) and noise sigma(X, X/eps, mu).  The time step must
@@ -17,12 +17,21 @@ permute exactly with the particle streams.  Feedback controls enter through
 the noise matrix (sigma u dt, or noise u dt in averaged modes) and their
 quadratic cost is accumulated with the trapezoidal rule along the path.
 
+The driver steps a list of lanes, one run each, in lockstep.  Lanes with
+the same particle count, dt, horizon, seed, streams and snapshot grid draw
+the same noise, so the driver draws it once per step and noise width, for
+blocks of steps at a time, and each lane's record equals its run alone bit
+for bit.  ``simulate_multiscale`` and ``simulate_averaged`` are one-lane
+calls; ``Scenario.run_coupled`` steps a multiscale run and its
+pre-averaged twin together.
+
 Cost per particle-step on the benchmark's traced ``ladder_1d`` workload
 (1-d ``dawson_rough``, N from 250 to 8000, one BLAS thread, 2-CPU x86-64 VM):
-167 ns multiscale and 126 ns averaged, down from 408 and 311 ns before the
-stream keys were cached and the sorts, powers and fast-variable wraps were
-made cheap.  At N = 4000 the noise draw is now about a third of a
-multiscale step and the scenario's own fast drift about a fifth.
+105 ns for each run of a coupled multiscale/pre-averaged pair, against
+168 ns multiscale and 121 ns averaged when the runs were stepped one after
+the other (and 408 and 311 ns before the stream keys were cached and the
+sorts, powers and fast-variable wraps were made cheap).  The N = 4000 pair
+takes 3.2 s for 4000 steps coupled and took 4.5 s apart.
 """
 from __future__ import annotations
 
@@ -241,6 +250,11 @@ def load_trajectory_csv(path) -> MeasurePath:
 # ---------------------------------------------------------------------------
 # the driver
 
+# draws per noise block: a block of steps is hashed in one call, and its
+# three uint64 temporaries stay under 1 MB
+_NOISE_BLOCK = 1 << 15
+
+
 def _chunk_ranges(n: int, threads: int):
     bounds = np.linspace(0, n, threads + 1).astype(int)
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -282,103 +296,208 @@ def _apply_noise(sigma: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", sigma, vec)
 
 
-def _drive(dim: int, noise_dim: int, coefficients: Callable,
-           x0: np.ndarray, config: SimConfig, control: FeedbackControl | None,
-           moment_cap, scenario_name: str, mode: str,
-           streams: np.ndarray | None = None) -> TrajectoryRecord:
-    """Shared Euler-Maruyama loop.
+@dataclass
+class Lane:
+    """One run for :func:`simulate_lanes`: dynamics, start, control, labels.
 
-    coefficients(t, X, mu) -> (drift, sigma): the drift (N, dim) and the
-    noise matrix, shared (dim, noise_dim) or per particle (N, dim, noise_dim).
-    The step is X + drift dt + sigma xi sqrt(dt) + sigma u dt.  ``streams``
-    are the per-particle noise keys; permuting them together with the
-    initial positions permutes the computed trajectories exactly.
+    ``coefficients(t, X, mu) -> (drift, sigma)`` gives the drift (N, dim)
+    and the noise matrix, shared (dim, noise_dim) or per particle
+    (N, dim, noise_dim).  ``config`` is the record's; its geometry must match
+    the other lanes of the same call.
     """
+
+    coefficients: Callable
+    dim: int
+    noise_dim: int
+    x0: np.ndarray
+    config: SimConfig
+    control: FeedbackControl | None = None
+    moment_cap: tuple | None = None
+    scenario_name: str = "custom"
+    mode: str = "averaged"
+
+
+class _LaneRun:
+    """Mutable state of one lane while the driver steps it."""
+
+    def __init__(self, lane: Lane):
+        n = lane.config.n_particles
+        self.lane = lane
+        self.x = np.array(lane.x0, dtype=float)
+        if self.x.shape != (n, lane.dim):
+            raise ValidationError(
+                f"initial positions have shape {self.x.shape}, expected {(n, lane.dim)}")
+        self.new_x = np.empty_like(self.x)
+        self.sqrt_dt = np.sqrt(lane.config.dt)
+        self.mu = self.u = self.prev_h = None
+        self.cost = np.zeros(n) if lane.control is not None else None
+        self.ulog = [] if (lane.control is not None and lane.config.log_controls) else None
+        self.times: list[float] = []
+        self.frames: list[np.ndarray] = []
+
+    def freeze(self, t: float) -> None:
+        """Freeze the measure and evaluate the control at the start of a step."""
+        self.mu = EmpiricalMeasure(self.x)
+        control = self.lane.control
+        if control is None:
+            return
+        self.u = control.values(t, self.x, self.mu)
+        h = _half_usq(self.u)
+        if self.prev_h is not None:
+            self.cost += 0.5 * (self.prev_h + h) * self.lane.config.dt
+        self.prev_h = h
+        if self.ulog is not None:
+            self.ulog.append(self.u.copy())
+
+    def step(self, lo: int, hi: int, t: float, xi: np.ndarray) -> None:
+        """Euler-Maruyama update of particles lo:hi into new_x."""
+        dt = self.lane.config.dt
+        xs = self.x[lo:hi]
+        drift, sigma = self.lane.coefficients(t, xs, self.mu)
+        out = xs + drift * dt + _apply_noise(sigma, xi) * self.sqrt_dt
+        if self.u is not None:
+            out += _apply_noise(sigma, self.u[lo:hi]) * dt
+        self.new_x[lo:hi] = out
+
+    def advance(self, step: int, snap_steps) -> None:
+        """Accept new_x as the positions after ``step`` steps."""
+        self.x, self.new_x = self.new_x, self.x
+        self.check(step, snap_steps)
+
+    def check(self, step: int, snap_steps) -> None:
+        """Monitor the positions after ``step`` steps; record them on a snapshot."""
+        t = step * self.lane.config.dt
+        _monitor(self.x, step, t, self.lane.moment_cap)
+        if step in snap_steps:
+            self.times.append(t)
+            self.frames.append(self.x.copy())
+
+    def finish(self) -> TrajectoryRecord:
+        lane, dt = self.lane, self.lane.config.dt
+        if lane.control is not None:
+            # close the trapezoid with a final control evaluation at t_end
+            self.freeze(lane.config.n_steps * dt)
+            lane.control.cost_per_particle = self.cost.copy()
+        return TrajectoryRecord(
+            scenario=lane.scenario_name, mode=lane.mode, config=lane.config,
+            times=np.asarray(self.times), positions=np.stack(self.frames),
+            cost_per_particle=self.cost,
+            control_label=None if lane.control is None else lane.control.label,
+            control_log=None if self.ulog is None else np.stack(self.ulog),
+            control_times=None if self.ulog is None
+            else np.arange(len(self.ulog)) * dt,
+        )
+
+
+def _shared_geometry(config: SimConfig) -> tuple:
+    return (config.n_particles, config.dt, config.n_steps, config.seed,
+            config.threads, tuple(config.snapshot_steps().tolist()))
+
+
+def simulate_lanes(lanes: list[Lane],
+                   streams: np.ndarray | None = None) -> list[TrajectoryRecord]:
+    """Step several runs in lockstep on shared noise; one record per lane.
+
+    The lanes share particle count, dt, horizon, seed, snapshot grid and
+    thread count, and ``streams``, the per-particle noise keys.  Each step
+    draws xi once per distinct noise width and applies it to every lane of
+    that width, so each record equals bit for bit the run of its lane
+    alone.  Each thread chunk draws its noise for blocks of consecutive
+    steps, about _NOISE_BLOCK draws at a time.  The step is
+    X + drift dt + sigma xi sqrt(dt) + sigma u dt; permuting ``streams``
+    together with the initial positions permutes the trajectories exactly.
+    """
+    config = lanes[0].config
+    geometry = _shared_geometry(config)
+    for lane in lanes[1:]:
+        if _shared_geometry(lane.config) != geometry:
+            raise ValidationError(
+                "lanes must share n_particles, dt, t_end, seed, threads and snapshots")
     n = config.n_particles
-    x = np.array(x0, dtype=float)
-    if x.shape != (n, dim):
-        raise ValidationError(f"initial positions have shape {x.shape}, expected {(n, dim)}")
     if streams is None:
         streams = np.arange(n, dtype=np.uint64)
     else:
         streams = np.asarray(streams, dtype=np.uint64)
         if streams.shape != (n,):
             raise ValidationError(f"streams shape {streams.shape} does not match {n} particles")
+    runs = [_LaneRun(lane) for lane in lanes]
     keys = rng.stream_keys(config.seed, streams)
     snap_steps = set(int(s) for s in config.snapshot_steps())
     k_total = config.n_steps
     dt = config.dt
-    sqrt_dt = np.sqrt(dt)
-
-    times = []
-    frames = []
-    ulog = [] if (control is not None and config.log_controls) else None
-    cost = np.zeros(n) if control is not None else None
-    prev_h = None
+    widths = sorted({lane.noise_dim for lane in lanes})
+    chunks = _chunk_ranges(n, config.threads)
+    block = max(1, _NOISE_BLOCK // (max(hi - lo for lo, hi in chunks) * widths[-1]))
+    noise = [dict.fromkeys(widths) for _ in chunks]   # per chunk: width -> block
     pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
 
-    def record(step, pos):
-        times.append(step * dt)
-        frames.append(pos.copy())
+    def work(c, k, t):
+        lo, hi = chunks[c]
+        j = k % block
+        if j == 0:
+            steps = min(block, k_total - k)
+            for m in widths:
+                noise[c][m] = rng.normal_block(keys[lo:hi], k, steps, m)
+        for run in runs:
+            run.step(lo, hi, t, noise[c][run.lane.noise_dim][j])
 
     try:
-        _monitor(x, 0, 0.0, moment_cap)
-        if 0 in snap_steps:
-            record(0, x)
+        for run in runs:
+            run.check(0, snap_steps)
         for k in range(k_total):
             t = k * dt
-            mu = EmpiricalMeasure(x)
-            u = control.values(t, x, mu) if control is not None else None
-            if u is not None:
-                h = _half_usq(u)
-                if prev_h is not None:
-                    cost += 0.5 * (prev_h + h) * dt
-                prev_h = h
-                if ulog is not None:
-                    ulog.append(u.copy())
-            new_x = np.empty_like(x)
-
-            def work(lo, hi):
-                xs = x[lo:hi]
-                xi = rng.keyed_normals(keys[lo:hi], k, noise_dim)
-                drift, sigma = coefficients(t, xs, mu)
-                out = xs + drift * dt + _apply_noise(sigma, xi) * sqrt_dt
-                if u is not None:
-                    out += _apply_noise(sigma, u[lo:hi]) * dt
-                new_x[lo:hi] = out
-
+            for run in runs:
+                run.freeze(t)
             if pool is None:
-                work(0, n)
+                work(0, k, t)
             else:
-                list(pool.map(lambda ab: work(*ab), _chunk_ranges(n, config.threads)))
-            x = new_x
-            _monitor(x, k + 1, (k + 1) * dt, moment_cap)
-            if (k + 1) in snap_steps:
-                record(k + 1, x)
-        if control is not None:
-            # close the trapezoid with a final control evaluation at t_end
-            mu = EmpiricalMeasure(x)
-            u = control.values(k_total * dt, x, mu)
-            h = _half_usq(u)
-            if prev_h is not None:
-                cost += 0.5 * (prev_h + h) * dt
-            if ulog is not None:
-                ulog.append(u.copy())
-            control.cost_per_particle = cost.copy()
+                list(pool.map(lambda c: work(c, k, t), range(len(chunks))))
+            for run in runs:
+                run.advance(k + 1, snap_steps)
+        return [run.finish() for run in runs]
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
 
-    rec = TrajectoryRecord(
-        scenario=scenario_name, mode=mode, config=config,
-        times=np.asarray(times), positions=np.stack(frames),
-        cost_per_particle=None if cost is None else cost,
-        control_label=None if control is None else control.label,
-        control_log=None if ulog is None else np.stack(ulog),
-        control_times=None if ulog is None
-        else np.arange(len(ulog)) * dt,
-    )
-    return rec
+
+def multiscale_lane(fast_drift: Callable, fast_sigma: Callable,
+                    slow_drift: Callable | None, dim: int, noise_dim: int,
+                    x0: np.ndarray, config: SimConfig,
+                    control: FeedbackControl | None = None,
+                    moment_cap=None, scenario_name: str = "custom") -> Lane:
+    """Lane of the prelimit system; checks that dt resolves the fast scale."""
+    config.require_stiffness("multiscale")
+    eps = config.epsilon
+
+    def coefficients(t, xs, mu):
+        ys = _wrap_unit(xs / eps)
+        drift = np.asarray(fast_drift(xs, ys, mu), dtype=float) / eps
+        if slow_drift is not None:
+            drift = drift + np.asarray(slow_drift(xs, mu), dtype=float)
+        return drift, np.asarray(fast_sigma(xs, ys, mu), dtype=float)
+
+    return Lane(coefficients, dim, noise_dim, x0, config, control, moment_cap,
+                scenario_name, "multiscale")
+
+
+def averaged_lane(model: EffectiveModel, x0: np.ndarray, config: SimConfig,
+                  control: FeedbackControl | None = None, moment_cap=None,
+                  scenario_name: str = "custom", mode: str = "averaged") -> Lane:
+    """Lane of the averaged dynamics; ``mode`` is "averaged" or "pre_averaged"."""
+    if mode not in ("averaged", "pre_averaged"):
+        raise ValidationError(f"unknown averaged-mode label {mode!r}")
+
+    if model.constant_diffusion:
+        b_mat = model.noise()
+
+        def coefficients(t, xs, mu):
+            return model.drift_batch(xs, mu), b_mat
+    else:
+        def coefficients(t, xs, mu):
+            return model.drift_batch(xs, mu), model.noise_batch(xs, mu)
+
+    return Lane(coefficients, model.dim, model.dim, x0, config, control, moment_cap,
+                scenario_name, mode)
 
 
 def simulate_multiscale(fast_drift: Callable, fast_sigma: Callable,
@@ -394,18 +513,9 @@ def simulate_multiscale(fast_drift: Callable, fast_sigma: Callable,
     may return a constant (dim, noise_dim) matrix or per-particle
     (N, dim, noise_dim).
     """
-    config.require_stiffness("multiscale")
-    eps = config.epsilon
-
-    def coefficients(t, xs, mu):
-        ys = _wrap_unit(xs / eps)
-        drift = np.asarray(fast_drift(xs, ys, mu), dtype=float) / eps
-        if slow_drift is not None:
-            drift = drift + np.asarray(slow_drift(xs, mu), dtype=float)
-        return drift, np.asarray(fast_sigma(xs, ys, mu), dtype=float)
-
-    return _drive(dim, noise_dim, coefficients, x0, config, control,
-                  moment_cap, scenario_name, "multiscale", streams)
+    lane = multiscale_lane(fast_drift, fast_sigma, slow_drift, dim, noise_dim,
+                           x0, config, control, moment_cap, scenario_name)
+    return simulate_lanes([lane], streams)[0]
 
 
 def simulate_averaged(model: EffectiveModel, x0: np.ndarray, config: SimConfig,
@@ -414,17 +524,5 @@ def simulate_averaged(model: EffectiveModel, x0: np.ndarray, config: SimConfig,
                       mode: str = "averaged",
                       streams: np.ndarray | None = None) -> TrajectoryRecord:
     """Averaged dynamics dX = drift(X, mu) dt + noise(X, mu)(dW + u dt)."""
-    if mode not in ("averaged", "pre_averaged"):
-        raise ValidationError(f"unknown averaged-mode label {mode!r}")
-
-    if model.constant_diffusion:
-        b_mat = model.noise()
-
-        def coefficients(t, xs, mu):
-            return model.drift_batch(xs, mu), b_mat
-    else:
-        def coefficients(t, xs, mu):
-            return model.drift_batch(xs, mu), model.noise_batch(xs, mu)
-
-    return _drive(model.dim, model.dim, coefficients, x0, config, control,
-                  moment_cap, scenario_name, mode, streams)
+    lane = averaged_lane(model, x0, config, control, moment_cap, scenario_name, mode)
+    return simulate_lanes([lane], streams)[0]

@@ -154,7 +154,6 @@ class FastCoefficients:
     noise_dim: int | None = None
     x_dependent: bool = False
     mu_dependent: bool = False
-    drift_slow: Callable | None = None  # b(x, y, mu), used by the simulator
 
     def __post_init__(self):
         if self.noise_dim is None:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -50,11 +51,6 @@ def test_uniforms_in_half_open_interval():
     assert abs(u.mean() - 0.5) < 0.01
 
 
-def test_unit_vectors_normalized():
-    v = rng.unit_vectors(7, 500, 3)
-    assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
-
-
 def test_derive_labels_separate_domains():
     assert rng.derive(0, "alpha") != rng.derive(0, "beta")
     assert rng.derive(0, "alpha") == rng.derive(0, "alpha")
@@ -71,23 +67,43 @@ def test_draws_pure_in_key(seed, step):
     assert np.all(np.isfinite(a))
 
 
-def _seed_formula_normals(seed, streams, step, ncomp):
-    """The draws as first specified: one hash of (seed, stream, counter) per call."""
-    mix = rng._mix
+def _splitmix(z):
+    """SplitMix64 finalizer written out of place, as first specified."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _seed_formula_hash(seed, streams, step, ncomp):
+    """One hash of (seed, stream, counter) per call, shape (len(streams), ncomp)."""
     with np.errstate(over="ignore"):
         s = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
         c = np.uint64(step) * np.uint64(ncomp) + np.arange(ncomp, dtype=np.uint64)
-        h = mix(mix(mix(np.uint64(seed)) ^ s) ^ c[None, :])
-    w1 = mix(h ^ rng._TAG_A)
-    w2 = mix(h ^ rng._TAG_B)
+        return _splitmix(_splitmix(_splitmix(np.uint64(seed)) ^ s) ^ c[None, :])
+
+
+def _seed_formula_normals(seed, streams, step, ncomp):
+    """The draws as first specified: Box-Muller on two tagged words per counter."""
+    h = _seed_formula_hash(seed, streams, step, ncomp)
+    w1 = _splitmix(h ^ rng._TAG_A)
+    w2 = _splitmix(h ^ rng._TAG_B)
     u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
     u2 = (w2 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
+def _seed_formula_uniforms(seed, streams, step, ncomp):
+    h = _seed_formula_hash(seed, streams, step, ncomp)
+    return (_splitmix(h ^ rng._TAG_UNIFORM) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+_STEPS = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                   st.integers(min_value=2 ** 32 - 8, max_value=2 ** 32 + 8))
+
+
 @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
-       step=st.one_of(st.integers(min_value=0, max_value=10 ** 6),
-                      st.integers(min_value=2 ** 32 - 8, max_value=2 ** 32 + 8)),
+       step=_STEPS,
        ncomp=st.integers(min_value=1, max_value=3),
        lo=st.integers(min_value=0, max_value=90),
        width=st.integers(min_value=0, max_value=40),
@@ -100,3 +116,36 @@ def test_cached_keys_reproduce_normals(seed, step, ncomp, lo, width, perm_seed):
     assert chunk.shape == (hi - lo, ncomp)
     assert np.array_equal(chunk, rng.normals(seed, streams[lo:hi], step, ncomp))
     assert np.array_equal(chunk, _seed_formula_normals(seed, streams[lo:hi], step, ncomp))
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       step=_STEPS,
+       steps=st.integers(min_value=1, max_value=9),
+       ncomp=st.integers(min_value=1, max_value=3),
+       n=st.integers(min_value=0, max_value=40),
+       perm_seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_block_rows_equal_per_step_draws(seed, step, steps, ncomp, n, perm_seed):
+    streams = np.random.default_rng(perm_seed).permutation(max(n, 1))[:n].astype(np.uint64)
+    keys = rng.stream_keys(seed, streams)
+    block = rng.normal_block(keys, step, steps, ncomp)
+    hashes = rng.counter_hash(keys, step, steps, ncomp)
+    assert block.shape == hashes.shape == (steps, n, ncomp)
+    for j in range(steps):
+        assert np.array_equal(block[j], rng.keyed_normals(keys, step + j, ncomp))
+        assert np.array_equal(block[j], _seed_formula_normals(seed, streams, step + j, ncomp))
+        assert np.array_equal(hashes[j], _seed_formula_hash(seed, streams, step + j, ncomp))
+        assert np.array_equal(rng.uniforms(seed, streams, step + j, ncomp),
+                              _seed_formula_uniforms(seed, streams, step + j, ncomp))
+
+
+@pytest.mark.parametrize("block", [1, 4, 7, 10, 23, 40])
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_blocks_cover_a_run_that_they_do_not_divide(block, ncomp):
+    n_steps, first = 23, 2 ** 32 - 11
+    streams = np.arange(50, dtype=np.uint64)[::-1]
+    keys = rng.stream_keys(2026, streams)
+    drawn = np.concatenate([rng.normal_block(keys, first + k, min(block, n_steps - k), ncomp)
+                            for k in range(0, n_steps, block)])
+    per_step = np.stack([_seed_formula_normals(2026, streams, first + k, ncomp)
+                         for k in range(n_steps)])
+    assert np.array_equal(drawn, per_step)

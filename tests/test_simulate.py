@@ -8,9 +8,11 @@ from mvhomog.effective import EffectiveModel
 from mvhomog.errors import SimulationError, ValidationError
 from mvhomog.measures import EmpiricalMeasure, radial_moment
 from mvhomog.scenarios import DAWSON_KAPPA, get_scenario
-from mvhomog.simulate import (FeedbackControl, SimConfig, TrajectoryRecord,
-                              _monitor, _wrap_unit, constant_control,
-                              load_trajectory_csv, simulate_averaged)
+from mvhomog import rng
+from mvhomog.simulate import (FeedbackControl, Lane, SimConfig, TrajectoryRecord,
+                              _monitor, _wrap_unit, averaged_lane, constant_control,
+                              load_trajectory_csv, multiscale_lane, simulate_averaged,
+                              simulate_lanes)
 
 
 def _dawson_cfg(n=300, eps=0.1, t_end=0.2, seed=3, threads=1, **kw):
@@ -246,3 +248,113 @@ def test_wrap_unit_matches_np_mod_bit_for_bit():
         [-0.0, 0.0, tiny, -tiny, -1e-300, 2.0 ** 53, -2.0 ** 53, -2.0 ** 52 - 0.5],
     ])
     assert np.array_equal(_wrap_unit(z).view(np.int64), np.mod(z, 1.0).view(np.int64))
+
+
+def _pre_cfg(cfg):
+    return SimConfig(n_particles=cfg.n_particles, dt=cfg.dt, t_end=cfg.t_end,
+                     seed=cfg.seed, snapshot_times=cfg.snapshot_times,
+                     threads=cfg.threads)
+
+
+def _assert_coupled_equals_separate(sc, cfg, streams=None):
+    model = sc.effective_model()
+    ms, pre = sc.run_coupled(cfg, model=model, streams=streams)
+    alone_ms = sc.run_multiscale(cfg, streams=streams)
+    alone_pre = sc.run_averaged(_pre_cfg(cfg), mode="pre_averaged", model=model,
+                                streams=streams)
+    assert ms.position_hash() == alone_ms.position_hash()
+    assert pre.position_hash() == alone_pre.position_hash()
+    assert ms.summary() == alone_ms.summary()
+    assert pre.summary() == alone_pre.summary()
+    assert pre.summary()["config"]["epsilon"] is None
+    assert (ms.mode, pre.mode) == ("multiscale", "pre_averaged")
+    return ms, pre
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_coupled_run_matches_separate_runs(threads):
+    # 200 steps at N=300 span two noise blocks that do not divide the run
+    _assert_coupled_equals_separate(get_scenario("dawson_rough"),
+                                    _dawson_cfg(threads=threads))
+
+
+def test_coupled_run_matches_separate_runs_two_noise_components():
+    sc = get_scenario("nongradient_2d")
+    cfg = SimConfig(n_particles=64, dt=0.004, t_end=0.2, seed=5, epsilon=0.2,
+                    threads=2)
+    ms, _ = _assert_coupled_equals_separate(sc, cfg)
+    assert ms.positions.shape == (len(ms.times), 64, 2)
+
+
+def test_coupled_run_matches_separate_runs_under_permuted_streams():
+    sc = get_scenario("dawson_rough")
+    perm = np.random.default_rng(3).permutation(300).astype(np.uint64)
+    ms, _ = _assert_coupled_equals_separate(sc, _dawson_cfg(), streams=perm)
+    assert ms.position_hash() != sc.run_multiscale(_dawson_cfg()).position_hash()
+
+
+def test_lane_with_a_control_matches_its_separate_run():
+    sc = get_scenario("dawson_rough")
+    model = sc.effective_model()
+    cfg = _dawson_cfg(n=120, log_controls=True)
+    x0 = sc.initial_positions(120, cfg.seed)
+    coupled_control = constant_control([0.4], 1)
+    lanes = [multiscale_lane(sc.fast_drift, sc._sigma_fn(), sc.slow_drift, 1, 1, x0, cfg,
+                             moment_cap=sc.moment_cap),
+             averaged_lane(model, x0, cfg, control=coupled_control,
+                           moment_cap=sc.moment_cap)]
+    ms, controlled = simulate_lanes(lanes)
+    alone_control = constant_control([0.4], 1)
+    alone = simulate_averaged(model, x0, cfg, control=alone_control,
+                              moment_cap=sc.moment_cap)
+    assert controlled.position_hash() == alone.position_hash()
+    assert np.array_equal(controlled.cost_per_particle, alone.cost_per_particle)
+    assert np.array_equal(coupled_control.cost_per_particle, alone_control.cost_per_particle)
+    assert np.array_equal(controlled.control_log, alone.control_log)
+    assert ms.cost_per_particle is None
+    assert ms.position_hash() == sc.run_multiscale(cfg).position_hash()
+
+
+def test_lanes_of_different_noise_widths_draw_their_own_noise():
+    sc = get_scenario("dawson_rough")
+    cfg = _dawson_cfg(n=90)
+    x0 = sc.initial_positions(90, cfg.seed)
+    mixing = np.array([[0.6, 0.8]])
+
+    def two_component(t, xs, mu):
+        return -xs, mixing
+
+    wide = Lane(two_component, 1, 2, x0, cfg)
+    narrow = multiscale_lane(sc.fast_drift, sc._sigma_fn(), sc.slow_drift, 1, 1, x0, cfg,
+                             moment_cap=sc.moment_cap)
+    both = simulate_lanes([wide, narrow])
+    assert both[0].position_hash() == simulate_lanes([wide])[0].position_hash()
+    assert both[1].position_hash() == sc.run_multiscale(cfg).position_hash()
+
+
+def test_driver_noise_blocks_equal_per_step_draws():
+    # 157 steps at N=700: blocks of 46 steps, the last one partial
+    model = EffectiveModel(1, lambda xs, mu: -xs, 0.25 * np.eye(1))
+    n, dt, seed = 700, 0.01, 41
+    cfg = SimConfig(n_particles=n, dt=dt, t_end=157 * dt, seed=seed,
+                    snapshot_times=np.array([0.0, 157 * dt]))
+    x0 = np.linspace(-1.0, 1.0, n)[:, None]
+    rec = simulate_averaged(model, x0, cfg)
+    b_mat, sqrt_dt = model.noise(), np.sqrt(dt)
+    x = x0.copy()
+    for k in range(cfg.n_steps):
+        xi = rng.normals(seed, np.arange(n), k, 1)
+        x = x + model.drift_batch(x, None) * dt + (xi @ b_mat.T) * sqrt_dt
+    assert np.array_equal(rec.positions[-1], x)
+
+
+def test_lanes_must_share_their_geometry():
+    sc = get_scenario("dawson_rough")
+    model = sc.effective_model()
+    cfg = _dawson_cfg(n=50)
+    x0 = sc.initial_positions(50, cfg.seed)
+    for other in (_dawson_cfg(n=50, seed=4), _dawson_cfg(n=50, threads=2),
+                  SimConfig(n_particles=50, dt=cfg.dt / 2, t_end=cfg.t_end)):
+        with pytest.raises(ValidationError):
+            simulate_lanes([averaged_lane(model, x0, cfg),
+                            averaged_lane(model, x0, other)])
