@@ -10,8 +10,7 @@ from .effective import (AveragedCoefficients, EffectiveModel, SeparablePotential
 from .errors import (CenteringError, EllipticityError, NumericalError,
                      SimulationError, SolverError, ValidationError)
 from .experiments import run_experiment, write_effective_table, write_gamma_table
-from .measures import (EmpiricalMeasure, MeasurePath, SmoothedMeasure, smooth,
-                       wasserstein2)
+from .measures import EmpiricalMeasure, MeasurePath, wasserstein2
 from .rate import (RateReport, TestDictionary, control_cost_bound,
                    dictionary_for_path, evaluate_jdg, hermite_dictionary)
 from .scenarios import Scenario, get_scenario, scenario_names
@@ -26,13 +25,13 @@ __all__ = [
     "EllipticityError", "EmpiricalMeasure", "ExperimentPlan", "FastCoefficients",
     "FeedbackControl", "MeasurePath", "NumericalError", "RateReport", "Rung",
     "Scenario", "SeparablePotential", "SimConfig", "SimulationError",
-    "SmoothedMeasure", "SolverError", "TestDictionary", "TorusGrid",
-    "TrajectoryRecord", "ValidationError", "averaged_coefficients",
+    "SolverError", "TestDictionary", "TorusGrid", "TrajectoryRecord",
+    "ValidationError", "averaged_coefficients",
     "constant_control", "control_cost_bound", "dictionary_for_path",
     "evaluate_jdg", "gamma_separable", "get_scenario", "hermite_dictionary",
     "homogenize", "load_cell_csv", "load_plan", "load_trajectory_csv",
     "local_coefficients", "matrix_sqrt_psd", "parse_plan",
     "run_experiment", "scenario_names", "separable_model", "simulate_averaged",
-    "simulate_multiscale", "smooth", "solve_cell", "wasserstein2",
+    "simulate_multiscale", "solve_cell", "wasserstein2",
     "write_effective_table", "write_gamma_table",
 ]

@@ -130,7 +130,7 @@ def cmd_simulate(args) -> int:
     config = SimConfig(n_particles=args.n_particles, dt=args.dt,
                        t_end=args.t_end, seed=args.seed,
                        epsilon=args.epsilon, snapshot_times=snap,
-                       threads=args.threads, log_controls=args.tilt is not None)
+                       log_controls=args.tilt is not None)
     control = None
     if args.tilt is not None:
         control = constant_control(np.full(scenario.noise_dim, args.tilt),
@@ -176,8 +176,7 @@ def cmd_rate(args) -> int:
 
 def cmd_ladder(args) -> int:
     plan = load_plan(args.config)
-    report = run_experiment(plan, out_dir=args.out, threads=args.threads,
-                            echo=print)
+    report = run_experiment(plan, out_dir=args.out, echo=print)
     means = report.get("ladder_means")
     if means is not None:
         print(f"ladder complete: means {[f'{m:.4f}' for m in means]}, "
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshots", type=int, default=None,
                    help="snapshot count including both endpoints")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--tilt", type=float, default=None,
                    help="constant control applied in every noise component")
     p.add_argument("--out", default=None)
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ladder", help="run a JSON experiment plan")
     p.add_argument("--config", required=True, help="plan JSON file")
     p.add_argument("--out", default=None, help="override the plan output dir")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_ladder)
 
     return parser

@@ -18,7 +18,6 @@ Plan schema (JSON object; only ``scenario`` is required)::
       "t_end":     1.0,
       "snapshots": 11,
       "rate_basis": 6,
-      "threads":   1,
       "out_dir":   "runs"
     }
 
@@ -98,7 +97,6 @@ class ExperimentPlan:
     t_end: float = 1.0
     snapshots: int = 11
     rate_basis: int = 6
-    threads: int = 1
     out_dir: str = "runs"
 
     def as_dict(self) -> dict:
@@ -111,7 +109,6 @@ class ExperimentPlan:
             "t_end": self.t_end,
             "snapshots": self.snapshots,
             "rate_basis": self.rate_basis,
-            "threads": self.threads,
             "out_dir": self.out_dir,
         }
 
@@ -164,7 +161,7 @@ def _parse_reference(raw, t_end: float) -> dict:
 
 
 _PLAN_KEYS = ("scenario", "rungs", "seeds", "reference", "metrics", "t_end",
-              "snapshots", "rate_basis", "threads", "out_dir")
+              "snapshots", "rate_basis", "out_dir")
 
 
 def parse_plan(raw: dict) -> ExperimentPlan:
@@ -179,7 +176,6 @@ def parse_plan(raw: dict) -> ExperimentPlan:
     t_end = _as_float(raw.get("t_end", 1.0), "plan.t_end")
     snapshots = _as_int(raw.get("snapshots", 11), "plan.snapshots", minimum=2)
     rate_basis = _as_int(raw.get("rate_basis", 6), "plan.rate_basis", minimum=2)
-    threads = _as_int(raw.get("threads", 1), "plan.threads", minimum=1)
 
     out_dir = raw.get("out_dir", "runs")
     if not isinstance(out_dir, str) or not out_dir:
@@ -217,7 +213,7 @@ def parse_plan(raw: dict) -> ExperimentPlan:
     return ExperimentPlan(scenario=scenario, rungs=rungs, seeds=seeds,
                           reference=reference, metrics=metrics, t_end=t_end,
                           snapshots=snapshots, rate_basis=rate_basis,
-                          threads=threads, out_dir=out_dir)
+                          out_dir=out_dir)
 
 
 def load_plan(path) -> ExperimentPlan:

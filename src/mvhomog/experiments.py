@@ -115,8 +115,7 @@ def _finite_or_tag(value: float):
     return value if np.isfinite(value) else "inf"
 
 
-def run_experiment(plan: ExperimentPlan, out_dir=None, threads=None,
-                   echo=None) -> dict:
+def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     """Execute a plan; returns the report dict (also written to report.json).
 
     The returned ``runtimes`` (seconds, never written to disk) cover the
@@ -127,7 +126,6 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads=None,
     say = echo if echo is not None else (lambda msg: None)
     scenario = get_scenario(plan.scenario)
     checks = scenario.validate()
-    threads = plan.threads if threads is None else threads
     base = Path(out_dir if out_dir is not None else plan.out_dir)
     base.mkdir(parents=True, exist_ok=True)
     snap_times = np.linspace(0.0, plan.t_end, plan.snapshots)
@@ -158,7 +156,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads=None,
         ref = plan.reference
         cfg = SimConfig(n_particles=ref["n_particles"], dt=ref["dt"],
                         t_end=plan.t_end, seed=ref["seed"],
-                        snapshot_times=snap_times, threads=threads)
+                        snapshot_times=snap_times)
         t0 = time.perf_counter()
         reference_rec = scenario.run_averaged(cfg, model=model)
         for suffix, saver in (("csv", reference_rec.save_csv),
@@ -192,7 +190,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads=None,
                 cfg_ms = SimConfig(n_particles=rung.n_particles, dt=rung.dt,
                                    t_end=plan.t_end, seed=seed,
                                    epsilon=rung.epsilon,
-                                   snapshot_times=snap_times, threads=threads)
+                                   snapshot_times=snap_times)
                 t0 = time.perf_counter()
                 rec_ms, rec_pre = scenario.run_coupled(cfg_ms, model=model)
                 w2_ref = wasserstein2(rec_ms.terminal_measure(), ref_terminal)

@@ -1,4 +1,4 @@
-"""Empirical measures, Wasserstein-2 distances, measure paths, smoothing.
+"""Empirical measures, Wasserstein-2 distances and measure paths.
 
 Summations over atoms are performed in sorted order so every statistic is
 exactly invariant under permutations of the atom list; the particle code
@@ -116,11 +116,6 @@ class EmpiricalMeasure:
         return h.hexdigest()
 
 
-def pair(mu: EmpiricalMeasure, func: Callable) -> float:
-    """Duality pairing <mu, func>."""
-    return mu.pair(func)
-
-
 # ---------------------------------------------------------------------------
 # Wasserstein-2
 
@@ -219,50 +214,3 @@ class MeasurePath:
     def pair_series(self, func: Callable) -> np.ndarray:
         """<theta_t, func> at every snapshot time."""
         return np.array([m.pair(func) for m in self.measures])
-
-
-# ---------------------------------------------------------------------------
-# kernel smoothing
-
-def silverman_bandwidth(measure: EmpiricalMeasure) -> np.ndarray:
-    """Per-axis Gaussian bandwidth 1.06 * std * N^(-1/5), floored away from 0."""
-    std = np.sqrt(np.diag(measure.cov()))
-    h = 1.06 * std * measure.size ** (-0.2)
-    return np.maximum(h, 1e-8)
-
-
-class SmoothedMeasure:
-    """Gaussian kernel mixture over the atoms of an empirical measure."""
-
-    def __init__(self, measure: EmpiricalMeasure, bandwidth=None):
-        self.base = measure
-        if bandwidth is None:
-            bw = silverman_bandwidth(measure)
-        else:
-            bw = np.broadcast_to(np.asarray(bandwidth, dtype=float),
-                                 (measure.dim,)).copy()
-            if np.any(bw <= 0):
-                raise ValidationError("bandwidth must be positive")
-        self.bandwidth = bw
-
-    @property
-    def mean(self) -> np.ndarray:
-        # symmetric kernels shift nothing: the mixture mean is the atom mean
-        return self.base.mean()
-
-    def density(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        d = self.base.dim
-        if pts.shape[1] != d:
-            raise ValidationError(f"points have dimension {pts.shape[1]}, expected {d}")
-        z = (pts[:, None, :] - self.base.atoms[None, :, :]) / self.bandwidth
-        log_norm = -0.5 * d * np.log(2.0 * np.pi) - np.log(self.bandwidth).sum()
-        kern = np.exp(-0.5 * np.sum(z * z, axis=2) + log_norm)
-        return kern @ self.base.weights
-
-
-def smooth(measure: EmpiricalMeasure, bandwidth=None) -> SmoothedMeasure:
-    """Gaussian-smoothed view of an empirical measure (Silverman default)."""
-    return SmoothedMeasure(measure, bandwidth)

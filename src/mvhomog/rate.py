@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -205,16 +205,6 @@ def dictionary_for_path(path: MeasurePath, per_axis: int = 6,
     scale = np.sqrt(stds.mean(axis=0) ** 2 + means.var(axis=0)) * 1.5
     scale = np.maximum(scale, 1e-6)
     return hermite_dictionary(path.dim, per_axis, center, scale, verify=verify)
-
-
-def apply_generator(model: EffectiveModel, mu, phi) -> Callable:
-    """x -> drift(x, mu) . grad phi(x) + 1/2 diffusion(x, mu) : hess phi(x)."""
-
-    def gen(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return model.generator_apply(phi.grad(x), phi.hess(x), x, mu)
-
-    return gen
 
 
 @dataclass

@@ -6,7 +6,7 @@ Draws are produced by hashing the key with a 64-bit finalizer and feeding the
 resulting uniforms through Box-Muller.  There is no sequential generator
 state, which buys two properties that matter here:
 
-* reproducibility is independent of chunking and thread count, because the
+* reproducibility is independent of chunking and block length, because the
   value of draw (i, k) never depends on which draws were made before it;
 * permuting particle stream ids permutes their noise paths exactly, so
   exchangeability tests can be made bit-exact.

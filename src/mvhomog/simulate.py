@@ -12,10 +12,11 @@ Three modes share one driver, :func:`simulate_lanes`:
 
 The empirical measure is frozen at the start of every step.  Noise comes
 from the counter-based generator keyed (seed, particle stream, step), so
-trajectories are reproducible bit for bit regardless of thread count and
-permute exactly with the particle streams.  Feedback controls enter through
-the noise matrix (sigma u dt, or noise u dt in averaged modes) and their
-quadratic cost is accumulated with the trapezoidal rule along the path.
+trajectories are reproducible bit for bit however the draws are blocked
+and permute exactly with the particle streams.  Feedback controls enter
+through the noise matrix (sigma u dt, or noise u dt in averaged modes) and
+their quadratic cost is accumulated with the trapezoidal rule along the
+path.
 
 The driver steps a list of lanes, one run each, in lockstep.  Lanes with
 the same particle count, dt, horizon, seed, streams and snapshot grid draw
@@ -23,7 +24,9 @@ the same noise, so the driver draws it once per step and noise width, for
 blocks of steps at a time, and each lane's record equals its run alone bit
 for bit.  ``simulate_multiscale`` and ``simulate_averaged`` are one-lane
 calls; ``Scenario.run_coupled`` steps a multiscale run and its
-pre-averaged twin together.
+pre-averaged twin together.  Each step is whole-array numpy work on one
+thread; splitting the particles over a thread pool made the coupled
+ladder slower (see the README's Performance section).
 
 Cost per particle-step on the benchmark's traced ``ladder_1d`` workload
 (1-d ``dawson_rough``, N from 250 to 8000, one BLAS thread, 2-CPU x86-64 VM):
@@ -38,7 +41,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,7 +63,6 @@ class SimConfig:
     seed: int = 0
     epsilon: float | None = None
     snapshot_times: np.ndarray | None = None
-    threads: int = 1
     stiffness_factor: float = 0.1
     log_controls: bool = False
 
@@ -72,8 +73,6 @@ class SimConfig:
             raise ValidationError(f"dt must be a positive float, got {self.dt}")
         if not (self.t_end > 0 and np.isfinite(self.t_end)):
             raise ValidationError(f"t_end must be a positive float, got {self.t_end}")
-        if self.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {self.threads}")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-6:
             raise ValidationError(
@@ -198,7 +197,6 @@ class TrajectoryRecord:
                 "t_end": self.config.t_end,
                 "seed": self.config.seed,
                 "epsilon": self.config.epsilon,
-                "threads": self.config.threads,
             },
             "snapshots": snaps,
             "w2_consecutive": w2_steps,
@@ -253,11 +251,6 @@ def load_trajectory_csv(path) -> MeasurePath:
 # draws per noise block: a block of steps is hashed in one call, and its
 # three uint64 temporaries stay under 1 MB
 _NOISE_BLOCK = 1 << 15
-
-
-def _chunk_ranges(n: int, threads: int):
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 def _monitor(positions: np.ndarray, step: int, t: float, moment_cap) -> None:
@@ -327,7 +320,6 @@ class _LaneRun:
         if self.x.shape != (n, lane.dim):
             raise ValidationError(
                 f"initial positions have shape {self.x.shape}, expected {(n, lane.dim)}")
-        self.new_x = np.empty_like(self.x)
         self.sqrt_dt = np.sqrt(lane.config.dt)
         self.mu = self.u = self.prev_h = None
         self.cost = np.zeros(n) if lane.control is not None else None
@@ -349,20 +341,14 @@ class _LaneRun:
         if self.ulog is not None:
             self.ulog.append(self.u.copy())
 
-    def step(self, lo: int, hi: int, t: float, xi: np.ndarray) -> None:
-        """Euler-Maruyama update of particles lo:hi into new_x."""
+    def step(self, t: float, xi: np.ndarray) -> None:
+        """Euler-Maruyama update of all particles from the frozen measure."""
         dt = self.lane.config.dt
-        xs = self.x[lo:hi]
-        drift, sigma = self.lane.coefficients(t, xs, self.mu)
-        out = xs + drift * dt + _apply_noise(sigma, xi) * self.sqrt_dt
+        drift, sigma = self.lane.coefficients(t, self.x, self.mu)
+        out = self.x + drift * dt + _apply_noise(sigma, xi) * self.sqrt_dt
         if self.u is not None:
-            out += _apply_noise(sigma, self.u[lo:hi]) * dt
-        self.new_x[lo:hi] = out
-
-    def advance(self, step: int, snap_steps) -> None:
-        """Accept new_x as the positions after ``step`` steps."""
-        self.x, self.new_x = self.new_x, self.x
-        self.check(step, snap_steps)
+            out += _apply_noise(sigma, self.u) * dt
+        self.x = out
 
     def check(self, step: int, snap_steps) -> None:
         """Monitor the positions after ``step`` steps; record them on a snapshot."""
@@ -391,19 +377,19 @@ class _LaneRun:
 
 def _shared_geometry(config: SimConfig) -> tuple:
     return (config.n_particles, config.dt, config.n_steps, config.seed,
-            config.threads, tuple(config.snapshot_steps().tolist()))
+            tuple(config.snapshot_steps().tolist()))
 
 
 def simulate_lanes(lanes: list[Lane],
                    streams: np.ndarray | None = None) -> list[TrajectoryRecord]:
     """Step several runs in lockstep on shared noise; one record per lane.
 
-    The lanes share particle count, dt, horizon, seed, snapshot grid and
-    thread count, and ``streams``, the per-particle noise keys.  Each step
-    draws xi once per distinct noise width and applies it to every lane of
-    that width, so each record equals bit for bit the run of its lane
-    alone.  Each thread chunk draws its noise for blocks of consecutive
-    steps, about _NOISE_BLOCK draws at a time.  The step is
+    The lanes share particle count, dt, horizon, seed and snapshot grid,
+    and ``streams``, the per-particle noise keys.  Each step draws xi once
+    per distinct noise width and applies it to every lane of that width, so
+    each record equals bit for bit the run of its lane alone.  The noise is
+    drawn for blocks of consecutive steps, about _NOISE_BLOCK draws at a
+    time; the block length does not change a single bit.  The step is
     X + drift dt + sigma xi sqrt(dt) + sigma u dt; permuting ``streams``
     together with the initial positions permutes the trajectories exactly.
     """
@@ -412,7 +398,7 @@ def simulate_lanes(lanes: list[Lane],
     for lane in lanes[1:]:
         if _shared_geometry(lane.config) != geometry:
             raise ValidationError(
-                "lanes must share n_particles, dt, t_end, seed, threads and snapshots")
+                "lanes must share n_particles, dt, t_end, seed and snapshots")
     n = config.n_particles
     if streams is None:
         streams = np.arange(n, dtype=np.uint64)
@@ -426,38 +412,22 @@ def simulate_lanes(lanes: list[Lane],
     k_total = config.n_steps
     dt = config.dt
     widths = sorted({lane.noise_dim for lane in lanes})
-    chunks = _chunk_ranges(n, config.threads)
-    block = max(1, _NOISE_BLOCK // (max(hi - lo for lo, hi in chunks) * widths[-1]))
-    noise = [dict.fromkeys(widths) for _ in chunks]   # per chunk: width -> block
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-
-    def work(c, k, t):
-        lo, hi = chunks[c]
+    block = max(1, _NOISE_BLOCK // (n * widths[-1]))
+    noise = {}   # width -> (steps, N, width) block
+    for run in runs:
+        run.check(0, snap_steps)
+    for k in range(k_total):
+        t = k * dt
         j = k % block
         if j == 0:
             steps = min(block, k_total - k)
             for m in widths:
-                noise[c][m] = rng.normal_block(keys[lo:hi], k, steps, m)
+                noise[m] = rng.normal_block(keys, k, steps, m)
         for run in runs:
-            run.step(lo, hi, t, noise[c][run.lane.noise_dim][j])
-
-    try:
-        for run in runs:
-            run.check(0, snap_steps)
-        for k in range(k_total):
-            t = k * dt
-            for run in runs:
-                run.freeze(t)
-            if pool is None:
-                work(0, k, t)
-            else:
-                list(pool.map(lambda c: work(c, k, t), range(len(chunks))))
-            for run in runs:
-                run.advance(k + 1, snap_steps)
-        return [run.finish() for run in runs]
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+            run.freeze(t)
+            run.step(t, noise[run.lane.noise_dim][j])
+            run.check(k + 1, snap_steps)
+    return [run.finish() for run in runs]
 
 
 def multiscale_lane(fast_drift: Callable, fast_sigma: Callable,

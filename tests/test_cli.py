@@ -141,3 +141,15 @@ def test_missing_required_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scenario", "free_brownian"])  # no --dt
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "dawson_rough", "--epsilon", "0.1",
+     "--dt", "0.001", "--threads", "2"],
+    ["ladder", "--config", "plan.json", "--threads", "2"],
+])
+def test_threads_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err

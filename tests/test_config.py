@@ -16,7 +16,8 @@ def test_minimal_plan_gets_defaults():
     assert plan.metrics == ("w2_ladder",)
     assert plan.t_end == 1.0
     assert plan.snapshots == 11
-    assert plan.threads == 1
+    assert plan.rate_basis == 6
+    assert plan.out_dir == "runs"
 
 
 def test_every_registry_scenario_parses_in_a_minimal_plan():
@@ -35,6 +36,8 @@ def test_plan_round_trips_through_as_dict():
 def test_unknown_keys_are_named_by_path():
     with pytest.raises(ValidationError, match=r"plan\.particles"):
         parse_plan({"scenario": "free_brownian", "particles": 10})
+    with pytest.raises(ValidationError, match=r"plan\.threads: unknown key"):
+        parse_plan({"scenario": "dawson_rough", "threads": 2})
     with pytest.raises(ValidationError, match=r"plan\.rungs\[0\]\.eps"):
         parse_plan({"scenario": "free_brownian",
                     "rungs": [{"n_particles": 10, "eps": 0.1}]})

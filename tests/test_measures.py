@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from mvhomog import rng
 from mvhomog.errors import ValidationError
 from mvhomog.measures import (EmpiricalMeasure, MeasurePath, _sorted_sum,
-                              radial_moment, silverman_bandwidth, smooth,
-                              wasserstein2)
+                              radial_moment, wasserstein2)
 
 atoms_1d = st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=40)
 
@@ -124,37 +123,6 @@ def test_pair_series_along_path():
     path = MeasurePath.from_arrays(times, pos)
     series = path.pair_series(lambda v: v[:, 0])
     assert np.allclose(series, [0.0, 1.0, 2.0], atol=1e-15)
-
-
-def test_smoothed_measure_mean_and_mass():
-    x = np.random.default_rng(6).normal(size=200)
-    m = EmpiricalMeasure(x)
-    sm = smooth(m)
-    assert np.array_equal(sm.mean, m.mean())
-    grid = np.linspace(x.min() - 8, x.max() + 8, 4001)[:, None]
-    dens = sm.density(grid)
-    mass = np.trapezoid(dens, grid[:, 0])
-    assert mass == pytest.approx(1.0, abs=1e-6)
-
-
-def test_smoothing_inflates_second_moment_by_bandwidth():
-    # Gaussian kernels add exactly h^2 to the second moment per axis
-    x = np.random.default_rng(7).normal(size=300)
-    m = EmpiricalMeasure(x)
-    h = silverman_bandwidth(m)[0]
-    sm = smooth(m)
-    grid = np.linspace(-12, 12, 8001)[:, None]
-    dens = sm.density(grid)
-    second = np.trapezoid(dens * grid[:, 0] ** 2, grid[:, 0])
-    discrete = m.pair(lambda v: v[:, 0] ** 2)
-    assert second == pytest.approx(discrete + h ** 2, abs=1e-6)
-
-
-def test_silverman_formula():
-    x = np.random.default_rng(8).normal(size=500)
-    m = EmpiricalMeasure(x)
-    h = silverman_bandwidth(m)[0]
-    assert h == pytest.approx(1.06 * x.std(ddof=0) * 500 ** (-0.2), rel=1e-10)
 
 
 def _bits(value: float) -> int:

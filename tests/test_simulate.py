@@ -15,18 +15,9 @@ from mvhomog.simulate import (FeedbackControl, Lane, SimConfig, TrajectoryRecord
                               simulate_lanes)
 
 
-def _dawson_cfg(n=300, eps=0.1, t_end=0.2, seed=3, threads=1, **kw):
+def _dawson_cfg(n=300, eps=0.1, t_end=0.2, seed=3, **kw):
     return SimConfig(n_particles=n, dt=eps * eps / 10, t_end=t_end, seed=seed,
-                     epsilon=eps, threads=threads, **kw)
-
-
-def test_bit_identical_across_thread_counts():
-    sc = get_scenario("dawson_rough")
-    hashes = []
-    for threads in (1, 4, 8):
-        rec = sc.run_multiscale(_dawson_cfg(threads=threads))
-        hashes.append(rec.position_hash())
-    assert hashes[0] == hashes[1] == hashes[2]
+                     epsilon=eps, **kw)
 
 
 def test_exchangeability_under_stream_permutation():
@@ -252,8 +243,7 @@ def test_wrap_unit_matches_np_mod_bit_for_bit():
 
 def _pre_cfg(cfg):
     return SimConfig(n_particles=cfg.n_particles, dt=cfg.dt, t_end=cfg.t_end,
-                     seed=cfg.seed, snapshot_times=cfg.snapshot_times,
-                     threads=cfg.threads)
+                     seed=cfg.seed, snapshot_times=cfg.snapshot_times)
 
 
 def _assert_coupled_equals_separate(sc, cfg, streams=None):
@@ -271,17 +261,14 @@ def _assert_coupled_equals_separate(sc, cfg, streams=None):
     return ms, pre
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-def test_coupled_run_matches_separate_runs(threads):
+def test_coupled_run_matches_separate_runs():
     # 200 steps at N=300 span two noise blocks that do not divide the run
-    _assert_coupled_equals_separate(get_scenario("dawson_rough"),
-                                    _dawson_cfg(threads=threads))
+    _assert_coupled_equals_separate(get_scenario("dawson_rough"), _dawson_cfg())
 
 
 def test_coupled_run_matches_separate_runs_two_noise_components():
     sc = get_scenario("nongradient_2d")
-    cfg = SimConfig(n_particles=64, dt=0.004, t_end=0.2, seed=5, epsilon=0.2,
-                    threads=2)
+    cfg = SimConfig(n_particles=64, dt=0.004, t_end=0.2, seed=5, epsilon=0.2)
     ms, _ = _assert_coupled_equals_separate(sc, cfg)
     assert ms.positions.shape == (len(ms.times), 64, 2)
 
@@ -353,7 +340,7 @@ def test_lanes_must_share_their_geometry():
     model = sc.effective_model()
     cfg = _dawson_cfg(n=50)
     x0 = sc.initial_positions(50, cfg.seed)
-    for other in (_dawson_cfg(n=50, seed=4), _dawson_cfg(n=50, threads=2),
+    for other in (_dawson_cfg(n=50, seed=4),
                   SimConfig(n_particles=50, dt=cfg.dt / 2, t_end=cfg.t_end)):
         with pytest.raises(ValidationError):
             simulate_lanes([averaged_lane(model, x0, cfg),
