@@ -20,16 +20,14 @@ with homogenized drift Gamma b(x, mu) and diffusion s^2 Gamma.
 """
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .torus import (CellSolution, FastCoefficients, TorusGrid,
-                    apply_axis_derivative, solve_cell)
+from .torus import CellSolution, FastCoefficients, apply_axis_derivative, solve_cell
 
 
 def matrix_sqrt_psd(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -204,10 +202,19 @@ def gamma_separable(potential: SeparablePotential, quad_points: int = 512) -> np
 # the homogenized model
 
 def _mu_key(mu):
+    """Cache key of a measure: its content fingerprint.
+
+    A measure without ``fingerprint()`` is refused; keying it by identity
+    would hand back a stale cell solve once its id is reused.
+    """
     if mu is None:
         return None
     fp = getattr(mu, "fingerprint", None)
-    return fp() if callable(fp) else id(mu)
+    if not callable(fp):
+        raise ValidationError(
+            f"cell solves are cached by the measure's fingerprint(); "
+            f"{type(mu).__name__} has no fingerprint method")
+    return fp()
 
 
 def _x_key(x):
@@ -322,24 +329,22 @@ def separable_model(potential: SeparablePotential,
 class _CellCache:
     """Small LRU cache of cell solves keyed by (mu fingerprint, x key).
 
-    Reads are lock-free dict lookups (atomic under the interpreter); inserts
-    take the lock, so concurrent steppers can share a model safely.
+    Not thread-safe: the package steps on one thread, and each worker
+    process of ``run_experiment`` holds its own copy.
     """
 
     def __init__(self, maxsize: int = 32):
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def get_or_compute(self, key, compute):
         hit = self._data.get(key)
         if hit is not None:
             return hit
         value = compute()
-        with self._lock:
-            self._data[key] = value
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+        self._data[key] = value
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
         return value
 
 

@@ -84,7 +84,6 @@ class Scenario:
     fast_sigma: object = None
     noise_dim: int | None = None
     slow_drift: Callable | None = None
-    interaction: dict | None = None
     known_density: Callable | None = None
     moment_cap: tuple | None = None
     second_moment_bound: float | None = None
@@ -414,7 +413,6 @@ def _dawson_rough() -> Scenario:
         init={"kind": "quantile_normal", "mean": 0.0, "std": 0.25},
         potential=pot,
         slow_drift=_dawson_slow,
-        interaction={"kind": "quadratic", "kappa": DAWSON_KAPPA},
         known_density=lambda y: pot.gibbs_density(y),
         moment_cap=(4, 50.0),
         second_moment_bound=4.0,

@@ -26,7 +26,10 @@ for bit.  ``simulate_multiscale`` and ``simulate_averaged`` are one-lane
 calls; ``Scenario.run_coupled`` steps a multiscale run and its
 pre-averaged twin together.  Each step is whole-array numpy work on one
 thread; splitting the particles over a thread pool made the coupled
-ladder slower (see the README's Performance section).
+ladder slower (see the README's Performance section).  Parallelism is over
+whole runs instead: ``run_experiment`` runs a plan's runs in forked worker
+processes, a rung and seed's two runs coupled when the plan has a seed for
+every worker and one lane each when it has fewer.
 
 Cost per particle-step on the benchmark's traced ``ladder_1d`` workload
 (1-d ``dawson_rough``, N from 250 to 8000, one BLAS thread, 2-CPU x86-64 VM):
@@ -34,7 +37,9 @@ Cost per particle-step on the benchmark's traced ``ladder_1d`` workload
 168 ns multiscale and 121 ns averaged when the runs were stepped one after
 the other (and 408 and 311 ns before the stream keys were cached and the
 sorts, powers and fast-variable wraps were made cheap).  The N = 4000 pair
-takes 3.2 s for 4000 steps coupled and took 4.5 s apart.
+takes 3.2 s for 4000 steps coupled and took 4.5 s apart.  Run side by
+side in two worker processes, one run per CPU, its multiscale run takes
+about 1.9 s and its pre-averaged run 1.5 s.
 """
 from __future__ import annotations
 
@@ -392,6 +397,11 @@ def simulate_lanes(lanes: list[Lane],
     time; the block length does not change a single bit.  The step is
     X + drift dt + sigma xi sqrt(dt) + sigma u dt; permuting ``streams``
     together with the initial positions permutes the trajectories exactly.
+
+    A lane whose monitor raises ``SimulationError`` stops while the others
+    go on; at the end the error of the first failed lane, in list order, is
+    raised.  So the error, like each record, is the one its lane raises
+    alone, whichever lanes share the call.
     """
     config = lanes[0].config
     geometry = _shared_geometry(config)
@@ -414,19 +424,33 @@ def simulate_lanes(lanes: list[Lane],
     widths = sorted({lane.noise_dim for lane in lanes})
     block = max(1, _NOISE_BLOCK // (n * widths[-1]))
     noise = {}   # width -> (steps, N, width) block
-    for run in runs:
-        run.check(0, snap_steps)
+    errors: list = [None] * len(runs)   # the SimulationError that stopped each lane
+    for i, run in enumerate(runs):
+        try:
+            run.check(0, snap_steps)
+        except SimulationError as exc:
+            errors[i] = exc
     for k in range(k_total):
+        live = [i for i, exc in enumerate(errors) if exc is None]
+        if not live:
+            break
         t = k * dt
         j = k % block
         if j == 0:
             steps = min(block, k_total - k)
             for m in widths:
                 noise[m] = rng.normal_block(keys, k, steps, m)
-        for run in runs:
-            run.freeze(t)
-            run.step(t, noise[run.lane.noise_dim][j])
-            run.check(k + 1, snap_steps)
+        for i in live:
+            run = runs[i]
+            try:
+                run.freeze(t)
+                run.step(t, noise[run.lane.noise_dim][j])
+                run.check(k + 1, snap_steps)
+            except SimulationError as exc:
+                errors[i] = exc
+    failed = [exc for exc in errors if exc is not None]
+    if failed:
+        raise failed[0]
     return [run.finish() for run in runs]
 
 

@@ -21,9 +21,11 @@ from mvhomog import (
     evaluate_jdg,
     get_scenario,
     matrix_sqrt_psd,
+    parse_plan,
+    run_experiment,
     wasserstein2,
 )
-from mvhomog import simulate
+from mvhomog import experiments, simulate
 from mvhomog.effective import averaged_coefficients, gamma_separable
 from mvhomog.experiments import ladder_inversions
 from mvhomog.torus import TorusGrid, assemble_generator, solve_cell, solve_invariant_measure
@@ -222,7 +224,7 @@ def test_criterion_6_rate_functional(capsys):
               f"{elapsed:.0f} s (limit 120 s)")
 
 
-def test_criterion_7_reproducibility_and_structure(capsys, monkeypatch):
+def test_criterion_7_reproducibility_and_structure(capsys, monkeypatch, tmp_path):
     t0 = time.perf_counter()
 
     # one run alone, coupled with its pre-averaged twin, and with its noise
@@ -235,6 +237,20 @@ def test_criterion_7_reproducibility_and_structure(capsys, monkeypatch):
     monkeypatch.setattr(simulate, "_NOISE_BLOCK", 1)
     hashes.add(sc.run_multiscale(cfg).position_hash())
     batching_ok = len(hashes) == 1
+    monkeypatch.undo()
+
+    # a plan run by one worker (coupled pairs, inline) and by two (one job
+    # per run, forked) must write the same manifest
+    plan = parse_plan({"scenario": "dawson_rough",
+                       "rungs": [{"n_particles": 50, "epsilon": 0.2}],
+                       "seeds": [1], "reference": {"n_particles": 200},
+                       "metrics": ["w2_ladder", "jdg"]})
+    manifests = set()
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        run_experiment(plan, out_dir=tmp_path / f"cpus{cpus}")
+        manifests.add((tmp_path / f"cpus{cpus}" / "manifest.json").read_bytes())
+    workers_ok = len(manifests) == 1
 
     rs = np.random.default_rng(2026)
     metric_worst = 0.0
@@ -269,10 +285,12 @@ def test_criterion_7_reproducibility_and_structure(capsys, monkeypatch):
     mono_ok = all(lo <= hi + 1e-8 for lo, hi in zip(values, values[1:]))
 
     elapsed = time.perf_counter() - t0
-    ok = batching_ok and metric_ok and kill_ok and mono_ok and elapsed <= 300.0
+    ok = (batching_ok and workers_ok and metric_ok and kill_ok and mono_ok
+          and elapsed <= 300.0)
     _announce(capsys, 7, ok,
               f"alone/coupled/per-step-block runs gave {len(hashes)} distinct "
-              f"hash(es); "
+              f"hash(es); 1 and 2 workers gave {len(manifests)} distinct "
+              f"manifest(s); "
               f"metric axiom worst defect {metric_worst:.1e} (limit 1e-10); "
               f"constants killed: limit generator {limit_kill:.1e}, cell "
               f"operator {cell_kill / cell_scale:.1e} relative (limit 1e-13); "

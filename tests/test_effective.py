@@ -5,7 +5,7 @@ from scipy.special import i0
 from mvhomog.effective import (SeparablePotential, averaged_coefficients,
                                gamma_separable, homogenize, matrix_sqrt_psd,
                                separable_model, solve_with_x_derivatives)
-from mvhomog.errors import SolverError
+from mvhomog.errors import SolverError, ValidationError
 from mvhomog.measures import EmpiricalMeasure
 from mvhomog.scenarios import DAWSON_KAPPA, get_scenario
 from mvhomog.torus import FastCoefficients, solve_cell
@@ -158,6 +158,20 @@ def test_mu_dependent_route_uses_fingerprint_cache():
     db = model.diffusion_batch(xs, mu_b)[0]
     assert abs(da[0, 0] - db[0, 0]) > 1e-4
     assert model.averaged_at(None, mu_a) is model.averaged_at(None, mu_a)
+
+
+def test_mu_dependent_route_refuses_a_measure_without_fingerprint():
+    coeffs = FastCoefficients(
+        dim=1, f=lambda x, y, mu: np.zeros_like(np.atleast_2d(y)),
+        sigma=lambda x, y, mu: np.eye(1), mu_dependent=True)
+    model = homogenize(coeffs, scheme="spectral", n=16)
+
+    class BareMeasure:
+        def mean(self):
+            return np.zeros(1)
+
+    with pytest.raises(ValidationError, match="BareMeasure has no fingerprint method"):
+        model.drift_batch(np.zeros((2, 1)), BareMeasure())
 
 
 def test_gamma_separable_quadrature_converges():

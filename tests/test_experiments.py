@@ -1,18 +1,24 @@
 """Experiment driver: artifacts, manifests, and recomputable reports."""
+import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvhomog import (
+    experiments,
     get_scenario,
     load_trajectory_csv,
     parse_plan,
     run_experiment,
     wasserstein2,
 )
+from mvhomog.cli import main
+from mvhomog.errors import SimulationError
 from mvhomog.experiments import (
     gamma_table_rows,
     ladder_inversions,
@@ -70,8 +76,10 @@ def test_runtimes_cover_every_run_within_the_total(tiny_run):
     runtimes = report["runtimes"]
     parts = {"reference", "rung0_seed11", "rung0_seed23"}
     assert set(runtimes) == parts | {"total"}
-    assert all(runtimes[k] > 0 for k in runtimes)
-    assert sum(runtimes[k] for k in parts) <= runtimes["total"]
+    assert all(0 < runtimes[k] <= runtimes["total"] for k in parts)
+    # jobs in different workers overlap in time
+    workers = min(experiments._usable_cpus(), 5)
+    assert sum(runtimes[k] for k in parts) <= workers * runtimes["total"]
 
 
 def test_manifest_hashes_match_files(tiny_run):
@@ -132,6 +140,107 @@ def test_rerun_is_byte_identical(tiny_run):
     run_experiment(parse_plan(TINY_PLAN), out_dir=out)
     after = _hash_tree(out)
     assert before == after
+
+
+def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    manifests = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        run_experiment(parse_plan(TINY_PLAN), out_dir=out)
+        manifests.add((out / "manifest.json").read_bytes())
+    assert len(manifests) == 1
+
+
+# the originals, for wrappers that tests monkeypatch in
+_EXECUTE = experiments._execute
+_RUN_JOBS = experiments._run_jobs
+
+
+@pytest.mark.parametrize("cpus, seeds, coupled, workers",
+                         [(1, [11], True, 1), (2, [11], False, 2),
+                          (2, [11, 23], True, 2), (3, [11, 23], False, 3),
+                          (8, [11, 23], False, 5)])
+def test_pairs_are_coupled_when_the_seeds_cover_the_workers(
+        tmp_path, monkeypatch, cpus, seeds, coupled, workers):
+    seen = {}
+
+    def run_jobs(jobs, base, n):
+        seen.update(stems=[job.stems for job in jobs], workers=n)
+        return _RUN_JOBS(jobs, base, n)
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_run_jobs", run_jobs)
+    run_experiment(parse_plan(dict(TINY_PLAN, seeds=seeds)), out_dir=tmp_path)
+    pairs = [("rung0_seed%d_multiscale" % s, "rung0_seed%d_pre_averaged" % s)
+             for s in seeds]
+    expect = pairs if coupled else [(stem,) for pair in pairs for stem in pair]
+    assert seen == {"stems": [("reference_averaged",)] + expect, "workers": workers}
+
+
+def _capped_dawson(name):
+    # a fourth-moment cap below that of the initial positions: every run
+    # fails at step 0, the reference first in plan order
+    return dataclasses.replace(get_scenario(name), moment_cap=(4, 1e-3))
+
+
+def test_a_worker_error_reaches_the_caller_unchanged(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "get_scenario", _capped_dawson)
+    messages = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        with pytest.raises(SimulationError, match="cap 0.001 at step 0") as info:
+            run_experiment(parse_plan(TINY_PLAN), out_dir=tmp_path / f"cpus{cpus}")
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(TINY_PLAN))
+    assert main(["ladder", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 3
+    assert f"numerical failure: {messages[1]}" in capsys.readouterr().err
+
+
+def _dying_execute(monkeypatch, stem=None):
+    # the job that writes ``stem`` (every job when None) kills its worker
+    parent = os.getpid()
+
+    def dying(job, base):
+        if stem is None or stem in job.stems:
+            assert os.getpid() != parent, "jobs should run in the workers"
+            os._exit(1)
+        return _EXECUTE(job, base)
+
+    monkeypatch.setattr(experiments, "_execute", dying)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_dead_worker_raises_a_simulation_error_naming_its_job(
+        tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    _dying_execute(monkeypatch)
+    with pytest.raises(SimulationError, match="worker process died; these runs "
+                       "did not finish: reference_averaged, rung0_seed11_multiscale"):
+        run_experiment(parse_plan(TINY_PLAN), out_dir=tmp_path / "all")
+
+    # one run in the middle of the plan dies: the error names it, whichever
+    # runs finished before the pool broke
+    _dying_execute(monkeypatch, "rung0_seed23_multiscale")
+    with pytest.raises(SimulationError, match="worker process died") as info:
+        run_experiment(parse_plan(TINY_PLAN), out_dir=tmp_path / "one")
+    assert "rung0_seed23_multiscale" in str(info.value)
+
+
+def _run_tiny_plan(out: Path) -> bytes:
+    run_experiment(parse_plan(TINY_PLAN), out_dir=out)
+    return (out / "manifest.json").read_bytes()
+
+
+def test_a_daemonic_process_runs_its_plan_inline(tmp_path, monkeypatch):
+    # a daemonic process may not have children, so it must not start a pool
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.apply(_run_tiny_plan, (tmp_path / "daemon",))
+    assert inside == _run_tiny_plan(tmp_path / "main")
 
 
 def test_state_grid_shapes():

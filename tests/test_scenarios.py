@@ -154,4 +154,3 @@ def test_dawson_slow_drift_reads_measure_mean():
     centered = sc.slow_drift(x, None)
     want0 = (-(v ** 3 - v) - 0.5 * v)[:, None]
     assert np.max(np.abs(centered - want0)) < 1e-12
-    assert sc.interaction == {"kind": "quadratic", "kappa": 0.5}

@@ -345,3 +345,23 @@ def test_lanes_must_share_their_geometry():
         with pytest.raises(ValidationError):
             simulate_lanes([averaged_lane(model, x0, cfg),
                             averaged_lane(model, x0, other)])
+
+
+def test_a_failed_lane_stops_alone_and_the_first_failure_is_raised():
+    # x grows by 10 % a step: the second moment passes 1.2 at step 1, 2.0 at step 4
+    cfg = SimConfig(n_particles=4, dt=0.1, t_end=1.0, seed=1)
+
+    def growth(t, xs, mu):
+        return xs, np.zeros((1, 1))
+
+    late, early = (Lane(growth, 1, 1, np.ones((4, 1)), cfg, moment_cap=(2, cap))
+                   for cap in (2.0, 1.2))
+    errors = {}
+    for name, lanes in (("late", [late]), ("early", [early]),
+                        ("late_early", [late, early]), ("early_late", [early, late])):
+        with pytest.raises(SimulationError) as info:
+            simulate_lanes(lanes)
+        errors[name] = str(info.value)
+    assert "at step 4" in errors["late"] and "at step 1" in errors["early"]
+    assert errors["late_early"] == errors["late"]
+    assert errors["early_late"] == errors["early"]
