@@ -25,19 +25,29 @@ def _sorted_sum(values: np.ndarray) -> float:
     return float(np.sort(values).sum())
 
 
-def radial_moment(atoms: np.ndarray, weights: np.ndarray, order: int) -> float:
-    """sum_i w_i |x_i|^order, exactly invariant under permutations of the rows.
+def _moment_terms(atoms: np.ndarray, weights, order: int) -> np.ndarray:
+    """The terms w_i |x_i|^order that :func:`radial_moment` sums, a fresh array.
 
-    Even integer orders multiply |x|^2 by itself instead of calling pow.
+    ``weights`` is an (N,) array, or one float for uniform weights, which
+    gives the same bits.  Even integer orders multiply |x|^2 by itself
+    instead of calling pow; with one column |x|^2 is the square itself,
+    which is what the row sum of a single entry returns.
     """
-    r2 = np.sum(atoms * atoms, axis=1)
+    sq = atoms * atoms
+    r2 = sq[:, 0] if sq.shape[1] == 1 else np.sum(sq, axis=1)
     if order > 0 and order % 2 == 0:
         power = r2
         for _ in range(order // 2 - 1):
             power = power * r2
     else:
         power = np.sqrt(r2) ** order
-    return _sorted_sum(weights * power)
+    power *= weights
+    return power
+
+
+def radial_moment(atoms: np.ndarray, weights, order: int) -> float:
+    """sum_i w_i |x_i|^order, exactly invariant under permutations of the rows."""
+    return _sorted_sum(_moment_terms(atoms, weights, order))
 
 
 class EmpiricalMeasure:
@@ -70,6 +80,21 @@ class EmpiricalMeasure:
         self.atoms = atoms
         self.weights = weights
         self._mean: np.ndarray | None = None
+
+    @classmethod
+    def _trusted(cls, atoms: np.ndarray, weights: np.ndarray) -> "EmpiricalMeasure":
+        """A measure on atoms and weights its caller has already checked.
+
+        ``atoms`` must be a finite float (N, d) array and ``weights`` valid
+        for it; neither is copied or checked.  ``simulate_lanes`` freezes
+        every step's measure this way, right after its monitor has checked
+        the positions.
+        """
+        self = cls.__new__(cls)
+        self.atoms = atoms
+        self.weights = weights
+        self._mean = None
+        return self
 
     @property
     def dim(self) -> int:

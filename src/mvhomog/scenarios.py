@@ -55,6 +55,11 @@ SEAM_TOL = 1e-9
 CENTERING_REL_TOL = 1e-6
 
 
+def _no_fast_drift(x, y, mu):
+    """Fast drift of a scenario with neither a potential nor a fast drift."""
+    return np.zeros_like(y)
+
+
 def _unit_grid(dim: int, per_axis: int = 13) -> np.ndarray:
     """Deterministic off-lattice sample of the unit cell, (per_axis^dim, dim)."""
     t = (np.arange(per_axis) + 0.37) / per_axis
@@ -71,7 +76,8 @@ class Scenario:
     scenario ignores ``x``, which lets the same callables serve the frozen
     cell problem and the particle stepper.  When ``potential`` is set the
     fast layer is derived from it and the closed-form homogenization route
-    becomes available.
+    becomes available; with neither a potential nor a fast drift the fast
+    drift is zero.
     """
 
     name: str
@@ -99,15 +105,9 @@ class Scenario:
             raise ValidationError(f"scenario {self.name!r} must declare flags {missing}")
         if self.noise_dim is None:
             self.noise_dim = self.dim
-        if self.potential is not None and self.fast_drift is None:
-            comps = self.potential.components
-
-            def fast_drift(x, y, mu):
-                y = np.atleast_2d(np.asarray(y, dtype=float))
-                return np.stack([-np.asarray(dq(y[:, k]))
-                                 for k, (_, dq) in enumerate(comps)], axis=1)
-
-            self.fast_drift = fast_drift
+        if self.fast_drift is None:
+            self.fast_drift = (_no_fast_drift if self.potential is None
+                               else self.potential.fast_drift)
         if self.fast_sigma is None:
             if self.potential is None:
                 raise ValidationError(
@@ -132,15 +132,7 @@ class Scenario:
         return sigma_fn
 
     def fast_coefficients(self) -> FastCoefficients:
-        fast = self.fast_drift
-
-        def f(x, y, mu):
-            y = np.atleast_2d(np.asarray(y, dtype=float))
-            if fast is None:
-                return np.zeros_like(y)
-            return np.asarray(fast(x, y, mu), dtype=float)
-
-        return FastCoefficients(dim=self.dim, f=f, sigma=self._sigma_fn(),
+        return FastCoefficients(dim=self.dim, f=self.fast_drift, sigma=self._sigma_fn(),
                                 noise_dim=self.noise_dim)
 
     def effective_model(self, route: str = "auto", **overrides) -> EffectiveModel:
@@ -192,8 +184,8 @@ class Scenario:
 
     def _multiscale_terms(self) -> tuple:
         """(fast_drift, fast_sigma, slow_drift, dim, noise_dim) of the prelimit system."""
-        return (self.fast_drift or (lambda x, y, mu: np.zeros_like(y)),
-                self._sigma_fn(), self.slow_drift, self.dim, self.noise_dim)
+        return (self.fast_drift, self._sigma_fn(), self.slow_drift, self.dim,
+                self.noise_dim)
 
     def run_multiscale(self, config: SimConfig, control=None,
                        streams=None) -> TrajectoryRecord:
@@ -311,12 +303,20 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # registry
 
+def _scaled_wave(wave, scale: float, y) -> np.ndarray:
+    """scale * wave(2 pi y) for an array y, in one new array updated in place."""
+    out = np.multiply(TWO_PI, y)
+    wave(out, out=out)
+    out *= scale
+    return out
+
+
 def _cos_component(amplitude: float = 1.0):
     def q(y):
         return amplitude * np.cos(TWO_PI * np.asarray(y))
 
     def dq(y):
-        return -amplitude * TWO_PI * np.sin(TWO_PI * np.asarray(y))
+        return _scaled_wave(np.sin, -amplitude * TWO_PI, y)
 
     return q, dq
 
@@ -326,7 +326,7 @@ def _sin_component(amplitude: float = 1.0):
         return amplitude * np.sin(TWO_PI * np.asarray(y))
 
     def dq(y):
-        return amplitude * TWO_PI * np.cos(TWO_PI * np.asarray(y))
+        return _scaled_wave(np.cos, amplitude * TWO_PI, y)
 
     return q, dq
 
@@ -395,7 +395,15 @@ def _dawson_slow(x, mu):
     """
     v = np.asarray(x, dtype=float)[:, 0]
     m = 0.0 if mu is None else float(mu.mean()[0])
-    return (-(v * v * v - v) - DAWSON_KAPPA * (v - m))[:, None]
+    # -(v^3 - v) - kappa (v - m), in place in that operation order
+    out = v * v
+    out *= v
+    out -= v
+    np.negative(out, out=out)
+    pull = v - m
+    pull *= DAWSON_KAPPA
+    out -= pull
+    return out[:, None]
 
 
 def _dawson_rough() -> Scenario:
@@ -455,13 +463,16 @@ def _skew_fast_drift(x, y, mu):
     density keeps the product Gibbs form even though no potential generates
     the full drift.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    du1 = -TWO_PI * np.sin(TWO_PI * y[:, 0])
-    du2 = TWO_PI * np.cos(TWO_PI * y[:, 1])
+    du1 = _scaled_wave(np.sin, -TWO_PI, y[:, 0])
+    du2 = _scaled_wave(np.cos, TWO_PI, y[:, 1])
     half_a = 0.5 * _SKEW_SIGMA2
-    f1 = -half_a * du1 - _SKEW_C * du2
-    f2 = -half_a * du2 + _SKEW_C * du1
-    return np.stack([f1, f2], axis=1)
+    out = np.empty((len(y), 2))
+    # f1 = -a/2 du1 - c du2 and f2 = -a/2 du2 + c du1, column by column
+    np.multiply(-half_a, du1, out=out[:, 0])
+    out[:, 0] -= _SKEW_C * du2
+    np.multiply(-half_a, du2, out=out[:, 1])
+    out[:, 1] += _SKEW_C * du1
+    return out
 
 
 def _skew_density(y: np.ndarray) -> np.ndarray:

@@ -31,15 +31,18 @@ whole runs instead: ``run_experiment`` runs a plan's runs in forked worker
 processes, a rung and seed's two runs coupled when the plan has a seed for
 every worker and one lane each when it has fewer.
 
-Cost per particle-step on the benchmark's traced ``ladder_1d`` workload
-(1-d ``dawson_rough``, N from 250 to 8000, one BLAS thread, 2-CPU x86-64 VM):
-105 ns for each run of a coupled multiscale/pre-averaged pair, against
-168 ns multiscale and 121 ns averaged when the runs were stepped one after
-the other (and 408 and 311 ns before the stream keys were cached and the
-sorts, powers and fast-variable wraps were made cheap).  The N = 4000 pair
-takes 3.2 s for 4000 steps coupled and took 4.5 s apart.  Run side by
-side in two worker processes, one run per CPU, its multiscale run takes
-about 1.9 s and its pre-averaged run 1.5 s.
+Every step is bit for bit the plain Euler-Maruyama step, with less work
+around the numerics: the measure is frozen without re-checking positions the
+monitor has just checked, the moment cap is certified by an unsorted sum
+and a rounding bound (sorting only when the bound cannot decide), a
+single-column noise matrix multiplies by broadcast, and the wrap, the
+drifts and the update run in place in their operation order.  Cost per
+particle-step of each N = 4000 run of the benchmark's ``ladder_1d`` plan
+(1-d ``dawson_rough``, eps = 0.05, 4000 steps) timed alone, one BLAS thread,
+2-CPU x86-64 VM, medians of ten alternating runs: 61 ns multiscale and
+42 ns pre-averaged, against 79 and 58 ns before that work was cut, and
+38 ns for each run of a coupled pair (53 ns before).  The noise draw and
+the fast-drift sine are about 70 % of a multiscale step.
 """
 from __future__ import annotations
 
@@ -47,15 +50,16 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from . import __version__, rng
-from .effective import EffectiveModel
+from .effective import EffectiveModel, _times_transpose
 from .errors import SimulationError, ValidationError
-from .measures import (EmpiricalMeasure, MeasurePath, _sorted_sum, radial_moment,
-                       wasserstein2)
+from .measures import (EmpiricalMeasure, MeasurePath, _moment_terms, _sorted_sum,
+                       radial_moment, wasserstein2)
 
 
 @dataclass
@@ -212,15 +216,21 @@ class TrajectoryRecord:
         return out
 
     def save_csv(self, path) -> None:
-        """One row per particle and snapshot, repr floats, CRLF line ends."""
-        dim = self.positions.shape[2]
+        """One row per particle and snapshot, repr floats, CRLF line ends.
+
+        A snapshot's rows are joined at C level from its repr-mapped columns.
+        """
+        n, dim = self.positions.shape[1:]
         header = ["t", "particle_id"] + [f"x{k+1}" for k in range(dim)]
+        ids = [str(i) for i in range(n)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
+            if n == 0:
+                return
             for t, pos in zip(self.times, self.positions):
-                ts = repr(float(t))
-                fh.write("".join([f"{ts},{i},{','.join(map(repr, row))}\r\n"
-                                  for i, row in enumerate(pos.tolist())]))
+                cols = [map(repr, col) for col in pos.T.tolist()]
+                rows = zip(repeat(repr(float(t))), ids, *cols)
+                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
     def save_summary_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -258,16 +268,37 @@ def load_trajectory_csv(path) -> MeasurePath:
 _NOISE_BLOCK = 1 << 15
 
 
+# unit roundoff of float64
+_U = 2.0 ** -53
+
+
 def _monitor(positions: np.ndarray, step: int, t: float, moment_cap) -> None:
+    """Raise SimulationError on non-finite positions or a moment over the cap.
+
+    The cap is checked against the sorted (order-independent) moment, as
+    ``radial_moment`` returns it, but that sort is made only when a cheap
+    bound cannot decide.  Any summation order of n nonnegative terms is
+    within gamma_{n-1} = (n-1)u / (1 - (n-1)u) of the exact sum (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, sec. 4.2), so the
+    sorted sum is at most S (1 + gamma) / (1 - gamma) = S / (1 - 2(n-1)u)
+    for the unsorted sum S; 1 + 4nu bounds that together with the rounding
+    of the product.  For order > 0 a finite S also means every position is
+    finite.  Decisions and messages are those of the sorted moment.
+    """
+    n = len(positions)
+    if moment_cap is not None:
+        order, cap = moment_cap
+        if order > 0:
+            total = float(_moment_terms(positions, 1.0 / n, order).sum())
+            if total < np.inf and total * (1.0 + 4 * n * _U) <= cap:
+                return
     bad = ~np.isfinite(positions)
     if bad.any():
         raise SimulationError(
             f"non-finite positions at step {step} (t={t:g}): "
             f"{int(bad.any(axis=1).sum())} particles")
     if moment_cap is not None:
-        order, cap = moment_cap
-        n = len(positions)
-        m = radial_moment(positions, np.full(n, 1.0 / n), order)
+        m = radial_moment(positions, 1.0 / n, order)
         if m > cap:
             raise SimulationError(
                 f"empirical moment of order {order} hit {m:.3g} > cap {cap:g} "
@@ -279,18 +310,23 @@ def _half_usq(u: np.ndarray) -> np.ndarray:
 
 
 def _wrap_unit(z: np.ndarray) -> np.ndarray:
-    """z mod 1, bit for bit equal to np.mod(z, 1.0) and several times faster.
+    """z mod 1 in place, bit for bit equal to np.mod(z, 1.0) and several times faster.
 
     z - floor(z) is the exact fractional part, rounded once, which is what
     np.mod computes from fmod; both map -0.0 and negative integers to +0.0.
     """
-    return z - np.floor(z)
+    z -= np.floor(z)
+    return z
 
 
 def _apply_noise(sigma: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """sigma vec per particle, for a shared (dim, m) or a per-particle (N, dim, m) sigma."""
+    """sigma vec per particle, for a shared (dim, m) or a per-particle (N, dim, m) sigma.
+
+    Returns a new array.  A shared single-column sigma takes a broadcast
+    multiply with the matmul's bits.
+    """
     if sigma.ndim == 2:
-        return vec @ sigma.T
+        return _times_transpose(vec, sigma)
     return np.einsum("nij,nj->ni", sigma, vec)
 
 
@@ -326,6 +362,8 @@ class _LaneRun:
             raise ValidationError(
                 f"initial positions have shape {self.x.shape}, expected {(n, lane.dim)}")
         self.sqrt_dt = np.sqrt(lane.config.dt)
+        self.weights = np.full(n, 1.0 / n)
+        self.weights.flags.writeable = False
         self.mu = self.u = self.prev_h = None
         self.cost = np.zeros(n) if lane.control is not None else None
         self.ulog = [] if (lane.control is not None and lane.config.log_controls) else None
@@ -333,8 +371,12 @@ class _LaneRun:
         self.frames: list[np.ndarray] = []
 
     def freeze(self, t: float) -> None:
-        """Freeze the measure and evaluate the control at the start of a step."""
-        self.mu = EmpiricalMeasure(self.x)
+        """Freeze the measure and evaluate the control at the start of a step.
+
+        The positions passed the monitor at the end of the last step, so the
+        measure is built without re-checking them.
+        """
+        self.mu = EmpiricalMeasure._trusted(self.x, self.weights)
         control = self.lane.control
         if control is None:
             return
@@ -347,12 +389,23 @@ class _LaneRun:
             self.ulog.append(self.u.copy())
 
     def step(self, t: float, xi: np.ndarray) -> None:
-        """Euler-Maruyama update of all particles from the frozen measure."""
+        """Euler-Maruyama update of all particles from the frozen measure.
+
+        x + drift dt + (sigma xi) sqrt(dt) [+ (sigma u) dt], summed in that
+        order into one new array; the arrays the coefficients return are
+        only read, and the frozen measure keeps the old positions.
+        """
         dt = self.lane.config.dt
         drift, sigma = self.lane.coefficients(t, self.x, self.mu)
-        out = self.x + drift * dt + _apply_noise(sigma, xi) * self.sqrt_dt
+        out = np.multiply(drift, dt, out=np.empty_like(self.x))
+        out += self.x
+        noise = _apply_noise(sigma, xi)
+        noise *= self.sqrt_dt
+        out += noise
         if self.u is not None:
-            out += _apply_noise(sigma, self.u) * dt
+            push = _apply_noise(sigma, self.u)
+            push *= dt
+            out += push
         self.x = out
 
     def check(self, step: int, snap_steps) -> None:
@@ -467,7 +520,7 @@ def multiscale_lane(fast_drift: Callable, fast_sigma: Callable,
         ys = _wrap_unit(xs / eps)
         drift = np.asarray(fast_drift(xs, ys, mu), dtype=float) / eps
         if slow_drift is not None:
-            drift = drift + np.asarray(slow_drift(xs, mu), dtype=float)
+            drift += slow_drift(xs, mu)
         return drift, np.asarray(fast_sigma(xs, ys, mu), dtype=float)
 
     return Lane(coefficients, dim, noise_dim, x0, config, control, moment_cap,

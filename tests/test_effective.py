@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from mvhomog.effective import (SeparablePotential, averaged_coefficients,
+from mvhomog.effective import (SeparablePotential, _CellCache, averaged_coefficients,
                                gamma_separable, homogenize, matrix_sqrt_psd,
                                separable_model, solve_with_x_derivatives)
 from mvhomog.errors import SolverError, ValidationError
@@ -189,3 +189,19 @@ def test_separable_model_without_slow_drift_has_zero_drift():
     model = separable_model(sc.potential)
     xs = np.random.default_rng(0).normal(size=(6, 2))
     assert np.abs(model.drift_batch(xs, None)).max() == 0.0
+
+
+def test_cell_cache_evicts_the_least_recently_used_key():
+    cache = _CellCache(maxsize=2)
+    computed = []
+
+    def get(key):
+        return cache.get_or_compute(key, lambda: computed.append(key) or key.upper())
+
+    for key in "abac":
+        get(key)
+    assert computed == ["a", "b", "c"]
+    assert (get("a"), get("c")) == ("A", "C")   # both survive: no new solve
+    assert computed == ["a", "b", "c"]
+    get("b")                                     # evicted, solved again
+    assert computed == ["a", "b", "c", "b"]

@@ -7,12 +7,13 @@ import pytest
 from mvhomog.effective import EffectiveModel
 from mvhomog.errors import SimulationError, ValidationError
 from mvhomog.measures import EmpiricalMeasure, radial_moment
-from mvhomog.scenarios import DAWSON_KAPPA, get_scenario
+from mvhomog.scenarios import (_DAWSON_FAST_AMP, _SKEW_C, _SKEW_SIGMA2, DAWSON_KAPPA,
+                               TWO_PI, get_scenario)
 from mvhomog import rng
 from mvhomog.simulate import (FeedbackControl, Lane, SimConfig, TrajectoryRecord,
-                              _monitor, _wrap_unit, averaged_lane, constant_control,
-                              load_trajectory_csv, multiscale_lane, simulate_averaged,
-                              simulate_lanes)
+                              _apply_noise, _monitor, _wrap_unit, averaged_lane,
+                              constant_control, load_trajectory_csv, multiscale_lane,
+                              simulate_averaged, simulate_lanes)
 
 
 def _dawson_cfg(n=300, eps=0.1, t_end=0.2, seed=3, **kw):
@@ -212,6 +213,10 @@ def test_save_csv_bytes_match_csv_writer(tmp_path, dim):
     rec.save_csv(tmp_path / "fast.csv")
     _csv_writer_reference(rec, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    loaded = load_trajectory_csv(tmp_path / "fast.csv")
+    assert np.array_equal(np.asarray(loaded.times), rec.times)
+    for k, m in enumerate(loaded.measures):
+        assert np.array_equal(m.atoms.view(np.int64), positions[k].view(np.int64))
 
 
 def test_moment_gate_is_permutation_exact():
@@ -238,7 +243,10 @@ def test_wrap_unit_matches_np_mod_bit_for_bit():
         np.nextafter(np.arange(-50.0, 50.0), np.inf),
         [-0.0, 0.0, tiny, -tiny, -1e-300, 2.0 ** 53, -2.0 ** 53, -2.0 ** 52 - 0.5],
     ])
-    assert np.array_equal(_wrap_unit(z).view(np.int64), np.mod(z, 1.0).view(np.int64))
+    want = np.mod(z, 1.0)
+    got = _wrap_unit(z)
+    assert got is z   # wrapped in place
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _pre_cfg(cfg):
@@ -365,3 +373,164 @@ def test_a_failed_lane_stops_alone_and_the_first_failure_is_raised():
     assert "at step 4" in errors["late"] and "at step 1" in errors["early"]
     assert errors["late_early"] == errors["late"]
     assert errors["early_late"] == errors["early"]
+
+
+# ---------------------------------------------------------------------------
+# simulate_lanes against its step written out plainly
+
+def _reference_run(x0, cfg, drift, sigma, moment_cap, control=None, streams=None):
+    """Euler-Maruyama as first written: a validated measure and the sorted
+    moment every step, one noise draw per step, and ``vec @ sigma.T``.
+
+    Returns (positions at the snapshot steps, cost, control log), or the
+    SimulationError message that stops the run.
+    """
+    n, dt = cfg.n_particles, cfg.dt
+    streams = np.arange(n) if streams is None else streams
+    snaps = set(cfg.snapshot_steps().tolist())
+    x, frames, cost, prev_h, ulog = x0.copy(), [], np.zeros(n), None, []
+    for k in range(cfg.n_steps + 1):
+        t = k * dt
+        if moment_cap is not None:
+            order, cap = moment_cap
+            m = radial_moment(x, np.full(n, 1.0 / n), order)
+            if m > cap:
+                return (f"empirical moment of order {order} hit {m:.3g} > cap {cap:g} "
+                        f"at step {k} (t={t:g})")
+        if k in snaps:
+            frames.append(x.copy())
+        mu = EmpiricalMeasure(x)
+        u = None
+        if control is not None:
+            u = np.asarray(control.func(t, x, mu), dtype=float)
+            h = 0.5 * np.sum(u * u, axis=1)
+            if prev_h is not None:
+                cost += 0.5 * (prev_h + h) * dt
+            prev_h = h
+            ulog.append(u.copy())
+        if k == cfg.n_steps:
+            break
+        xi = rng.normals(cfg.seed, streams, k, sigma.shape[1])
+        new = x + drift(x, mu) * dt + (xi @ sigma.T) * np.sqrt(dt)
+        if u is not None:
+            new += (u @ sigma.T) * dt
+        x = new
+    return np.stack(frames), cost, np.stack(ulog) if ulog else None
+
+
+def _dawson_slow_reference(x, mu):
+    v = x[:, 0]
+    m = float(mu.mean()[0])
+    return (-(v * v * v - v) - DAWSON_KAPPA * (v - m))[:, None]
+
+
+def _dawson_multiscale_reference(eps):
+    def drift(x, mu):
+        y = np.mod(x / eps, 1.0)
+        dq = -_DAWSON_FAST_AMP * TWO_PI * np.sin(TWO_PI * y[:, 0])
+        fast = np.stack([-dq], axis=1)
+        return fast / eps + _dawson_slow_reference(x, mu)
+    return drift
+
+
+def _skew_multiscale_reference(eps):
+    def drift(x, mu):
+        y = np.mod(x / eps, 1.0)
+        du1 = -TWO_PI * np.sin(TWO_PI * y[:, 0])
+        du2 = TWO_PI * np.cos(TWO_PI * y[:, 1])
+        half_a = 0.5 * _SKEW_SIGMA2
+        fast = np.stack([-half_a * du1 - _SKEW_C * du2,
+                         -half_a * du2 + _SKEW_C * du1], axis=1)
+        return fast / eps
+    return drift
+
+
+def _dawson_pre_averaged_reference(model):
+    return lambda x, mu: _dawson_slow_reference(x, mu) @ model.gamma.T
+
+
+def _hash(cfg, positions):
+    times = cfg.snapshot_steps() * cfg.dt
+    return TrajectoryRecord(scenario="", mode="", config=cfg, times=times,
+                            positions=positions).position_hash()
+
+
+def test_dawson_runs_equal_their_plain_reference_steps():
+    # 300 steps at N=300: noise blocks of 109 steps, the last one partial
+    sc = get_scenario("dawson_rough")
+    model = sc.effective_model()
+    cfg = _dawson_cfg(t_end=0.3)
+    pre_cfg = _pre_cfg(cfg)
+    x0 = sc.initial_positions(cfg.n_particles, cfg.seed)
+    sigma_ms = np.asarray(sc.fast_sigma, dtype=float)
+    ms_ref, _, _ = _reference_run(x0, cfg, _dawson_multiscale_reference(cfg.epsilon),
+                                  sigma_ms, sc.moment_cap)
+    pre_ref, _, _ = _reference_run(x0, pre_cfg, _dawson_pre_averaged_reference(model),
+                                   model.noise(), sc.moment_cap)
+    ms_hash, pre_hash = _hash(cfg, ms_ref), _hash(cfg, pre_ref)
+    assert sc.run_multiscale(cfg).position_hash() == ms_hash
+    assert sc.run_averaged(pre_cfg, mode="pre_averaged", model=model).position_hash() == pre_hash
+    ms, pre = sc.run_coupled(cfg, model=model)
+    assert (ms.position_hash(), pre.position_hash()) == (ms_hash, pre_hash)
+
+
+def test_nongradient_run_equals_its_plain_reference_step():
+    # a 2x2 noise matrix: the shared-sigma matmul branch
+    sc = get_scenario("nongradient_2d")
+    cfg = SimConfig(n_particles=64, dt=0.004, t_end=0.2, seed=5, epsilon=0.2)
+    x0 = sc.initial_positions(64, cfg.seed)
+    ref, _, _ = _reference_run(x0, cfg, _skew_multiscale_reference(cfg.epsilon),
+                               np.asarray(sc.fast_sigma, dtype=float), None)
+    assert sc.run_multiscale(cfg).position_hash() == _hash(cfg, ref)
+
+
+def test_controlled_run_equals_its_plain_reference_step():
+    sc = get_scenario("dawson_rough")
+    model = sc.effective_model()
+    cfg = SimConfig(n_particles=150, dt=0.01, t_end=0.5, seed=8, log_controls=True)
+    x0 = sc.initial_positions(150, cfg.seed)
+    control = constant_control([0.4], 1)
+    ref, cost, ulog = _reference_run(x0, cfg, _dawson_pre_averaged_reference(model),
+                                     model.noise(), sc.moment_cap, control=control)
+    rec = sc.run_averaged(cfg, control, model=model)
+    assert rec.position_hash() == _hash(cfg, ref)
+    assert np.array_equal(rec.cost_per_particle, cost)
+    assert np.array_equal(rec.control_log, ulog)
+
+
+def test_moment_cap_boundary_decides_as_the_sorted_moment():
+    sc = get_scenario("dawson_rough")
+    model = sc.effective_model()
+    cfg = SimConfig(n_particles=200, dt=0.01, t_end=0.5, seed=2)
+    x0 = sc.initial_positions(200, cfg.seed)
+    drift = _dawson_pre_averaged_reference(model)
+    every_step = SimConfig(n_particles=200, dt=0.01, t_end=0.5, seed=2,
+                           snapshot_times=np.arange(51) * 0.01)
+    frames, _, _ = _reference_run(x0, every_step, drift, model.noise(), None)
+    moments = [radial_moment(p, np.full(200, 1.0 / 200), 4) for p in frames]
+    peak = max(moments)
+    step = moments.index(peak)
+    assert step > 0
+    below = (4, float(np.nextafter(peak, -np.inf)))
+    want = _reference_run(x0, cfg, drift, model.noise(), below)
+    assert want.startswith(f"empirical moment of order 4 hit {peak:.3g} > cap")
+    assert f"at step {step} " in want
+    perm = np.random.default_rng(9).permutation(200)
+    for streams, start in ((None, x0), (perm.astype(np.uint64), x0[perm])):
+        lane = averaged_lane(model, start, cfg, moment_cap=(4, peak))
+        simulate_lanes([lane], streams)   # equal to the peak: no error
+        lane = averaged_lane(model, start, cfg, moment_cap=below)
+        with pytest.raises(SimulationError) as err:
+            simulate_lanes([lane], streams)
+        assert str(err.value) == want
+
+
+def test_single_column_noise_has_the_matmul_bits():
+    tiny = np.nextafter(0.0, 1.0)
+    vec = np.array([[-0.0], [0.0], [tiny], [-tiny], [1e-300], [3.5], [-np.inf], [2.0 ** 1000]])
+    for sigma in (np.array([[0.5]]), np.array([[-0.0]]), np.array([[1e-20], [-3.0]])):
+        with np.errstate(invalid="ignore"):   # -inf * -0.0
+            want = vec @ sigma.T
+            got = _apply_noise(sigma, vec)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
