@@ -12,14 +12,21 @@ disk, so rerunning a plan reproduces every byte.
 
 The plan's particle runs are independent, so they run as jobs in a pool
 of forked worker processes, up to one per usable CPU (see
-``run_experiment``).  Fork hands the workers the job table, whose models
-and coefficients are closures that cannot be pickled.  Fork copies only
-the calling thread, so a lock that another thread holds at that moment
-stays held in the child; Python 3.12 and later warn at every fork from a
-process with other threads.  The package starts no threads of its own,
-but numpy's BLAS may keep a pool and a caller may run threads beside the
-plan; the jobs take no lock of theirs.  A daemonic process, which may not
-have children, runs its plans inline.
+``run_experiment``).  Fork hands the workers the job table and the
+effective model, whose coefficients are closures that cannot be pickled;
+the rung actions evaluated there later get only picklable inputs
+(snapshot times, positions and the test dictionary).  Fork also shares,
+on purpose, memory and locks: each split rung/seed pair has a
+:class:`~mvhomog.noise_ring.NoiseRing`, two anonymous shared mappings, a
+lock and two semaphores made before the fork, through which its two jobs
+draw every noise block once.  This process never takes a ring's lock,
+and the workers take it with a timeout.  Fork copies only the calling
+thread, so a lock that another thread holds at that moment stays held in
+the child; Python 3.12 and later warn at every fork from a process with
+other threads.  The package starts no threads of its own, but numpy's
+BLAS may keep a pool and a caller may run threads beside the plan; the
+jobs take no lock of theirs but the rings'.  A daemonic process, which
+may not have children, runs its plans inline.
 """
 from __future__ import annotations
 
@@ -29,9 +36,12 @@ import json
 import multiprocessing
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -41,10 +51,11 @@ from . import __version__
 from .config import ExperimentPlan
 from .effective import gamma_separable
 from .errors import SimulationError
-from .measures import wasserstein2
+from .measures import MeasurePath, wasserstein2
+from .noise_ring import NoiseRing, RingSide
 from .rate import dictionary_for_path, evaluate_jdg
 from .scenarios import Scenario, get_scenario
-from .simulate import SimConfig
+from .simulate import Lane, SimConfig, noise_block, simulate_lanes
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -127,9 +138,14 @@ def ladder_inversions(values) -> int:
     return int(np.sum(v[1:] > v[:-1]))
 
 
-def _finite_or_tag(value: float):
-    """JSON-safe scalar: finite floats pass through, infinities become 'inf'."""
+def _json_scalar(value: float):
+    """JSON-safe scalar: finite floats pass through, infinities become 'inf'.
+
+    NaN, which stands for no value, becomes None (null).
+    """
     value = float(value)
+    if np.isnan(value):
+        return None
     return value if np.isfinite(value) else "inf"
 
 
@@ -158,17 +174,35 @@ def _execute(job: _Job, base: Path) -> tuple:
     return records, time.perf_counter() - t0
 
 
-_WORKER_TABLE: tuple = ()   # (jobs, base), set in each forked worker
+_WORKER_TABLE: tuple = ()   # (jobs, base, model), set in each forked worker
 
 
-def _adopt_table(jobs: list, base: Path) -> None:
+def _adopt_table(jobs: list, base: Path, model) -> None:
     global _WORKER_TABLE
-    _WORKER_TABLE = (jobs, base)
+    _WORKER_TABLE = (jobs, base, model)
 
 
 def _execute_in_worker(index: int) -> tuple:
-    jobs, base = _WORKER_TABLE
+    jobs, base, _ = _WORKER_TABLE
     return _execute(jobs[index], base)
+
+
+def _action(path: MeasurePath, model, dictionary) -> tuple:
+    """``evaluate_jdg`` on a path: (report, seconds, warnings).
+
+    The warnings it raised come back as (category, message) pairs, for the
+    caller to re-emit, so that one from a worker reaches the caller too.
+    """
+    t0 = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = evaluate_jdg(path, model, dictionary)
+    return rep, time.perf_counter() - t0, [(w.category, str(w.message)) for w in caught]
+
+
+def _action_in_worker(times: np.ndarray, positions: np.ndarray, dictionary) -> tuple:
+    return _action(MeasurePath.from_arrays(times, positions), _WORKER_TABLE[2],
+                   dictionary)
 
 
 def _usable_cpus() -> int:
@@ -178,17 +212,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_jobs(jobs: list, base: Path, workers: int) -> list:
-    """Each job's (records, seconds), in job order.
+@contextmanager
+def _run_jobs(jobs: list, base: Path, workers: int, model):
+    """Run the jobs; yields (each job's (records, seconds) in job order, pool).
 
-    One worker runs the jobs inline, in order.  More run them in a pool of
-    that many forked processes, longest job first; the results are read in
-    job order, so the first failing job in that order raises, as inline.
+    One worker runs the jobs inline, in order, and the pool is None.  More
+    run them in a pool of that many forked processes, longest job first;
+    the results are read in job order, so the first failing job in that
+    order raises, as inline.  The pool, whose workers also hold ``model``,
+    stays open inside the ``with`` block for the plan's actions.
     """
     if workers == 1:
-        return [_execute(job, base) for job in jobs]
+        yield [_execute(job, base) for job in jobs], None
+        return
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt_table, initargs=(jobs, base))
+                               initializer=_adopt_table, initargs=(jobs, base, model))
     try:
         by_size = sorted(range(len(jobs)), key=lambda k: -jobs[k].size)
         futures = {k: pool.submit(_execute_in_worker, k) for k in by_size}
@@ -206,18 +244,28 @@ def _run_jobs(jobs: list, base: Path, workers: int) -> list:
                 raise SimulationError(
                     "a worker process died; these runs did not finish: "
                     + ", ".join(lost)) from exc
-        return results
+        yield results, pool
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _run_lane(lane: Lane, side: RingSide | None) -> list:
+    """One lane's record, drawing its noise through a ring side if it has one."""
+    if side is None:
+        return simulate_lanes([lane])
+    with side:
+        return simulate_lanes([lane], draw=side)
+
+
 def _plan_jobs(plan: ExperimentPlan, scenario: Scenario, model,
-               snap_times: np.ndarray, coupled: bool) -> list:
-    """The reference run, then every rung and seed, in plan order.
+               snap_times: np.ndarray, coupled: bool) -> tuple:
+    """(jobs, rings): the reference run, then every rung and seed, in plan order.
 
     A coupled rung/seed is one job stepping its multiscale run and its
-    pre-averaged twin on shared noise; otherwise each is a job of its own.
-    Either way the records are the same bit for bit.
+    pre-averaged twin on shared noise; otherwise each is a job of its own,
+    and when the two draw noise of one width they draw it through a
+    :class:`NoiseRing`, one per rung/seed tag in ``rings``.  Either way the
+    records are the same bit for bit.
     """
     ref = plan.reference
     ref_cfg = SimConfig(n_particles=ref["n_particles"], dt=ref["dt"],
@@ -226,6 +274,7 @@ def _plan_jobs(plan: ExperimentPlan, scenario: Scenario, model,
     jobs = [_Job("reference", ("reference_averaged",),
                  ref_cfg.n_particles * ref_cfg.n_steps,
                  lambda: [scenario.run_averaged(ref_cfg, model=model)])]
+    rings = {}
     for i, rung in enumerate(plan.rungs):
         for seed in plan.seeds:
             tag = f"rung{i}_seed{seed}"
@@ -238,15 +287,127 @@ def _plan_jobs(plan: ExperimentPlan, scenario: Scenario, model,
                                  2 * size,
                                  lambda cfg=cfg: scenario.run_coupled(cfg, model=model)))
                 continue
-            pre_cfg = replace(cfg, epsilon=None)
-            jobs += [
-                _Job(tag, (f"{tag}_multiscale",), size,
-                     lambda cfg=cfg: [scenario.run_multiscale(cfg)]),
-                _Job(tag, (f"{tag}_pre_averaged",), size,
-                     lambda cfg=pre_cfg: [scenario.run_averaged(
-                         cfg, mode="pre_averaged", model=model)]),
-            ]
-    return jobs
+            lanes = scenario.ladder_lanes(cfg, model)
+            sides = (None, None)
+            width = lanes[0].noise_dim
+            if lanes[1].noise_dim == width:
+                n = cfg.n_particles
+                rings[tag] = NoiseRing(n, width, noise_block(n, width), cfg.n_steps)
+                sides = rings[tag].sides()
+            jobs += [_Job(tag, (f"{tag}_{lane.mode}",), size, partial(_run_lane, lane, side))
+                     for lane, side in zip(lanes, sides)]
+    return jobs, rings
+
+
+def _rate_row(run: str, rep) -> list:
+    """rate_table.csv row: run, action, basis size, Gram condition.
+
+    The condition is the largest over the times whose Gram matrix is not
+    degenerate, and NaN when every one is.
+    """
+    cond = rep.gram_condition
+    peak = np.nan if np.isnan(cond).all() else float(np.nanmax(cond))
+    return [run, rep.total, rep.basis_size, peak]
+
+
+def _ladder(plan: ExperimentPlan, scenario: Scenario, model, base: Path,
+            snap_times: np.ndarray, artifacts: list, runtimes: dict, say) -> tuple:
+    """The plan's runs, distances and actions: (ladder rows, rate rows, noise sharing).
+
+    After the runs, each rung and seed's action is submitted to the
+    still-open pool while this process evaluates the reference's, and the
+    results are read in plan order.
+    """
+    workers = 1 if multiprocessing.current_process().daemon else _usable_cpus()
+    # a pair is split only when there are fewer seeds than workers, so a
+    # ring is only ever made for a plan that runs in the pool
+    jobs, rings = _plan_jobs(plan, scenario, model, snap_times,
+                             coupled=len(plan.seeds) >= workers)
+    workers = min(workers, len(jobs))
+    runs: dict[str, tuple] = {}   # runtime key -> (records, seconds)
+    ladder_rows, rate_rows = [], []
+    try:
+        with _run_jobs(jobs, base, workers, model) as (results, pool):
+            for job, (records, seconds) in zip(jobs, results):
+                done, spent = runs.get(job.key, ([], 0.0))
+                runs[job.key] = (done + records, spent + seconds)
+                for stem in job.stems:
+                    artifacts += [base / f"{stem}.csv", base / f"{stem}.summary.json"]
+            sharing = {}
+            for tag, ring in rings.items():
+                ms, pre = ring.counts()
+                sharing[tag] = {"blocks": ring.n_blocks, "multiscale": ms,
+                                "pre_averaged": pre}
+                say(f"{tag}: {ring.n_blocks} noise blocks; multiscale "
+                    f"{_counted(ms)}; pre-averaged {_counted(pre)}")
+
+            (reference_rec,), runtimes["reference"] = runs["reference"]
+            say(f"reference ensemble: N={plan.reference['n_particles']} "
+                f"({runtimes['reference']:.1f}s)")
+            ref_terminal = reference_rec.terminal_measure()
+            actions = {}
+            if "jdg" in plan.metrics:
+                ref_path = reference_rec.measure_path()
+                dictionary = dictionary_for_path(ref_path, plan.rate_basis)
+                for tag, (records, _) in runs.items():
+                    if tag == "reference":
+                        continue
+                    rec = records[0]
+                    if pool is None:
+                        actions[tag] = partial(_action, rec.measure_path(), model,
+                                               dictionary)
+                    else:
+                        future = pool.submit(_action_in_worker, rec.times,
+                                             rec.positions, dictionary)
+                        actions[tag] = partial(_collect_action, tag, future)
+                rep, _, caught = _action(ref_path, model, dictionary)
+                _reemit(caught)
+                rate_rows.append(_rate_row("reference_averaged", rep))
+                p = base / "rate_reference.json"
+                rep.save_json(p)
+                artifacts.append(p)
+                say(f"rate functional on the reference path: {rep.total:.4g}")
+
+            for i, rung in enumerate(plan.rungs):
+                for seed in plan.seeds:
+                    tag = f"rung{i}_seed{seed}"
+                    t0 = time.perf_counter()
+                    (rec_ms, rec_pre), seconds = runs[tag]
+                    w2_ref = wasserstein2(rec_ms.terminal_measure(), ref_terminal)
+                    w2_pre = wasserstein2(rec_ms.terminal_measure(),
+                                          rec_pre.terminal_measure())
+                    ladder_rows.append([i, rung.n_particles, rung.epsilon, rung.dt,
+                                        seed, w2_ref, w2_pre])
+                    seconds += time.perf_counter() - t0
+                    if tag in actions:
+                        rep, spent, caught = actions[tag]()
+                        _reemit(caught)
+                        rate_rows.append(_rate_row(tag, rep))
+                        seconds += spent
+                    runtimes[tag] = seconds
+                    say(f"{tag}: W2 to reference {w2_ref:.4f}, "
+                        f"to pre-averaged {w2_pre:.4f} ({runtimes[tag]:.1f}s)")
+    finally:
+        for ring in rings.values():
+            ring.close()
+    return ladder_rows, rate_rows, sharing
+
+
+def _collect_action(tag: str, future) -> tuple:
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        raise SimulationError(
+            f"a worker process died; the action of {tag} did not finish") from exc
+
+
+def _counted(counts: dict) -> str:
+    return ", ".join(f"{what} {n}" for what, n in counts.items())
+
+
+def _reemit(caught: list) -> None:
+    for category, message in caught:
+        warnings.warn(message, category, stacklevel=3)
 
 
 def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
@@ -268,16 +429,31 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     process, the jobs run inline, in plan order.  Otherwise they run in a
     pool of forked workers, one per CPU or per job, whichever is fewer,
     longest job (particles times steps) first.  Every job writes its own
-    CSV and summary, and the results are collected in plan order.  The
-    distances, actions, tables, report and manifest are then computed from
-    them as before.  So every artifact byte, and every error a run raises,
-    is the same at any worker count.
+    CSV and summary, and the results are collected in plan order.  The two
+    runs of a split pair draw the same noise, so when their noise widths
+    match they draw it through one shared ring: whichever reaches a block
+    first draws it, the other reads it, and every block is drawn once.  On
+    the benchmark's ``ladder_1d`` plan the top pair's two jobs then end
+    together, at a median 1.02 s against 1.32 and 1.61 s drawing
+    separately (2-CPU VM, five alternating runs).  Once
+    the runs are done, each rung and seed's action goes to the still-open
+    pool while this process evaluates the reference's.  The distances,
+    actions, tables, report and manifest are computed from the same arrays
+    by the same functions, and read in plan order: a worker's exception is
+    raised with its type and message, and a warning it raised is raised
+    again here.  So every artifact byte, and every error a run or an action
+    raises, is the same at any worker count.
 
     The returned ``runtimes`` (seconds, never written to disk) cover the
     reference run with its artifacts, each rung and seed with both of its
-    runs, artifacts, distances and action, and the ``total`` call.  Jobs in
-    different workers overlap, so the parts sum to at most the worker count
-    times the total, and to at most the total with one worker.
+    runs, artifacts, distances and action, and the ``total`` call.  Jobs and
+    actions in different workers overlap, and this process computes
+    distances meanwhile, so the parts sum to at most the worker count plus
+    one times the total, and to at most the total with one worker.  The
+    returned ``noise_sharing`` (never written either, as it depends on the
+    schedule) holds, for each split pair with a ring, its block count and,
+    for each run, how many blocks it drew, drew ahead, read from the ring
+    and drew locally; see :meth:`NoiseRing.counts`.
     """
     t_start = time.perf_counter()
     say = echo if echo is not None else (lambda msg: None)
@@ -308,57 +484,10 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
         artifacts.append(p)
         say(f"wrote {p.name}")
 
-    runs: dict[str, tuple] = {}   # runtime key -> (records, seconds)
+    ladder_rows, rate_rows, sharing = [], [], {}
     if plan.rungs and set(plan.metrics) & {"w2_ladder", "jdg"}:
-        workers = 1 if multiprocessing.current_process().daemon else _usable_cpus()
-        jobs = _plan_jobs(plan, scenario, model, snap_times,
-                          coupled=len(plan.seeds) >= workers)
-        workers = min(workers, len(jobs))
-        for job, (records, seconds) in zip(jobs, _run_jobs(jobs, base, workers)):
-            done, spent = runs.get(job.key, ([], 0.0))
-            runs[job.key] = (done + records, spent + seconds)
-            for stem in job.stems:
-                artifacts += [base / f"{stem}.csv", base / f"{stem}.summary.json"]
-
-    reference_rec = None
-    if runs:
-        (reference_rec,), runtimes["reference"] = runs["reference"]
-        say(f"reference ensemble: N={plan.reference['n_particles']} "
-            f"({runtimes['reference']:.1f}s)")
-
-    ladder_rows = []
-    rate_rows = []
-    if reference_rec is not None:
-        ref_terminal = reference_rec.terminal_measure()
-        dictionary = None
-        if "jdg" in plan.metrics:
-            ref_path = reference_rec.measure_path()
-            dictionary = dictionary_for_path(ref_path, plan.rate_basis)
-            rep = evaluate_jdg(ref_path, model, dictionary)
-            rate_rows.append(["reference_averaged", rep.total,
-                              rep.basis_size, float(np.max(rep.gram_condition))])
-            p = base / "rate_reference.json"
-            rep.save_json(p)
-            artifacts.append(p)
-            say(f"rate functional on the reference path: {rep.total:.4g}")
-
-        for i, rung in enumerate(plan.rungs):
-            for seed in plan.seeds:
-                tag = f"rung{i}_seed{seed}"
-                t0 = time.perf_counter()
-                (rec_ms, rec_pre), seconds = runs[tag]
-                w2_ref = wasserstein2(rec_ms.terminal_measure(), ref_terminal)
-                w2_pre = wasserstein2(rec_ms.terminal_measure(),
-                                      rec_pre.terminal_measure())
-                ladder_rows.append([i, rung.n_particles, rung.epsilon, rung.dt,
-                                    seed, w2_ref, w2_pre])
-                if "jdg" in plan.metrics:
-                    rep = evaluate_jdg(rec_ms.measure_path(), model, dictionary)
-                    rate_rows.append([tag, rep.total, rep.basis_size,
-                                      float(np.max(rep.gram_condition))])
-                runtimes[tag] = seconds + time.perf_counter() - t0
-                say(f"{tag}: W2 to reference {w2_ref:.4f}, "
-                    f"to pre-averaged {w2_pre:.4f} ({runtimes[tag]:.1f}s)")
+        ladder_rows, rate_rows, sharing = _ladder(plan, scenario, model, base, snap_times,
+                                                  artifacts, runtimes, say)
 
     if ladder_rows:
         p = base / "ladder.csv"
@@ -381,7 +510,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
 
     report["ladder"] = [[r[0], r[1], r[2], r[3], r[4], float(r[5]), float(r[6])]
                         for r in ladder_rows]
-    report["rate"] = [[r[0], _finite_or_tag(r[1]), int(r[2]), _finite_or_tag(r[3])]
+    report["rate"] = [[r[0], _json_scalar(r[1]), int(r[2]), _json_scalar(r[3])]
                       for r in rate_rows]
     p = base / "report.json"
     with open(p, "w", encoding="utf-8") as fh:
@@ -403,5 +532,6 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
 
     runtimes["total"] = time.perf_counter() - t_start
     report["runtimes"] = runtimes
+    report["noise_sharing"] = sharing
     report["out_dir"] = str(base)
     return report

@@ -16,7 +16,10 @@ A run hashes the step-independent (seed, stream) prefix once with
 counters, a block of consecutive steps, in one call with in-place uint64
 operations, and :func:`normal_block` turns the block into normals; it is
 the only hash path, and :func:`keyed_normals`, :func:`normals` and
-:func:`uniforms` are its one-step cases.  Timed as ``rng.ns_per_draw``
+:func:`uniforms` are its one-step cases.  A block is a pure function of
+its keys and steps, so any process can draw it for another:
+``noise_ring`` shares the blocks of two runs on the same noise between
+the two processes that step them.  Timed as ``rng.ns_per_draw``
 (span time over draws) on the benchmark's traced ``ladder_1d`` workload
 (N from 250 to 8000, one component, one BLAS thread, 2-CPU x86-64 VM), with
 the tracer pointed at the function that draws: 51 ns per draw in the

@@ -29,8 +29,9 @@ from scipy.special import i0, ndtri
 from . import rng
 from .effective import EffectiveModel, SeparablePotential, homogenize, separable_model
 from .errors import ValidationError
-from .simulate import (SimConfig, TrajectoryRecord, averaged_lane, multiscale_lane,
-                       simulate_averaged, simulate_lanes, simulate_multiscale)
+from .simulate import (Lane, SimConfig, TrajectoryRecord, averaged_lane,
+                       multiscale_lane, simulate_averaged, simulate_lanes,
+                       simulate_multiscale)
 from .torus import (FastCoefficients, TorusGrid, assemble_generator,
                     check_centering, ellipticity_floor, solve_invariant_measure)
 
@@ -205,12 +206,13 @@ class Scenario:
                                  scenario_name=self.name, mode=mode,
                                  streams=streams)
 
-    def run_coupled(self, config: SimConfig, model: EffectiveModel | None = None,
-                    streams=None) -> tuple[TrajectoryRecord, TrajectoryRecord]:
-        """A multiscale run and its pre-averaged twin, stepped in lockstep.
+    def ladder_lanes(self, config: SimConfig,
+                     model: EffectiveModel | None = None) -> tuple[Lane, Lane]:
+        """The lanes of a multiscale run and its pre-averaged twin.
 
-        Both runs start from the same positions with the same seed, streams
-        and dt, so their noise is identical and is drawn once.  Returns
+        Both start from the same positions with the same seed and dt, so
+        with the same streams their noise is identical.  Stepped by
+        :func:`simulate_lanes`, alone or together, they give
         ``(multiscale, pre_averaged)``, bit for bit the records of
         ``run_multiscale(config)`` and of ``run_averaged`` on ``config``
         without epsilon in ``pre_averaged`` mode.
@@ -218,14 +220,21 @@ class Scenario:
         if model is None:
             model = self.effective_model()
         x0 = self.initial_positions(config.n_particles, config.seed)
-        lanes = [
+        return (
             multiscale_lane(*self._multiscale_terms(), x0, config,
                             moment_cap=self.moment_cap, scenario_name=self.name),
             averaged_lane(model, x0, replace(config, epsilon=None),
                           moment_cap=self.moment_cap, scenario_name=self.name,
                           mode="pre_averaged"),
-        ]
-        return tuple(simulate_lanes(lanes, streams))
+        )
+
+    def run_coupled(self, config: SimConfig, model: EffectiveModel | None = None,
+                    streams=None) -> tuple[TrajectoryRecord, TrajectoryRecord]:
+        """A multiscale run and its pre-averaged twin, stepped in lockstep.
+
+        The two :meth:`ladder_lanes` share their noise, which is drawn once.
+        """
+        return tuple(simulate_lanes(list(self.ladder_lanes(config, model)), streams))
 
     # -- validation ----------------------------------------------------------
 

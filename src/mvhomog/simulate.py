@@ -29,7 +29,10 @@ thread; splitting the particles over a thread pool made the coupled
 ladder slower (see the README's Performance section).  Parallelism is over
 whole runs instead: ``run_experiment`` runs a plan's runs in forked worker
 processes, a rung and seed's two runs coupled when the plan has a seed for
-every worker and one lane each when it has fewer.
+every worker and one lane each when it has fewer.  Two such lanes still
+draw each noise block once: :func:`simulate_lanes` takes its blocks from a
+``draw`` function, for them one side each of a shared
+:class:`~mvhomog.noise_ring.NoiseRing`.
 
 Every step is bit for bit the plain Euler-Maruyama step, with less work
 around the numerics: the measure is frozen without re-checking positions the
@@ -268,6 +271,11 @@ def load_trajectory_csv(path) -> MeasurePath:
 _NOISE_BLOCK = 1 << 15
 
 
+def noise_block(n_particles: int, width: int) -> int:
+    """Steps per noise block of a run: about _NOISE_BLOCK draws, at least one step."""
+    return max(1, _NOISE_BLOCK // (n_particles * width))
+
+
 # unit roundoff of float64
 _U = 2.0 ** -53
 
@@ -438,8 +446,8 @@ def _shared_geometry(config: SimConfig) -> tuple:
             tuple(config.snapshot_steps().tolist()))
 
 
-def simulate_lanes(lanes: list[Lane],
-                   streams: np.ndarray | None = None) -> list[TrajectoryRecord]:
+def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
+                   draw: Callable | None = None) -> list[TrajectoryRecord]:
     """Step several runs in lockstep on shared noise; one record per lane.
 
     The lanes share particle count, dt, horizon, seed and snapshot grid,
@@ -447,7 +455,11 @@ def simulate_lanes(lanes: list[Lane],
     per distinct noise width and applies it to every lane of that width, so
     each record equals bit for bit the run of its lane alone.  The noise is
     drawn for blocks of consecutive steps, about _NOISE_BLOCK draws at a
-    time; the block length does not change a single bit.  The step is
+    time; the block length does not change a single bit.  ``draw(keys,
+    step, steps, width)`` supplies each block; by default
+    :func:`rng.normal_block` draws it here.  Any other supplier must return
+    the bits that call would, as a side of a
+    :class:`~mvhomog.noise_ring.NoiseRing` does.  The step is
     X + drift dt + sigma xi sqrt(dt) + sigma u dt; permuting ``streams``
     together with the initial positions permutes the trajectories exactly.
 
@@ -475,7 +487,9 @@ def simulate_lanes(lanes: list[Lane],
     k_total = config.n_steps
     dt = config.dt
     widths = sorted({lane.noise_dim for lane in lanes})
-    block = max(1, _NOISE_BLOCK // (n * widths[-1]))
+    block = noise_block(n, widths[-1])
+    if draw is None:
+        draw = rng.normal_block
     noise = {}   # width -> (steps, N, width) block
     errors: list = [None] * len(runs)   # the SimulationError that stopped each lane
     for i, run in enumerate(runs):
@@ -492,7 +506,7 @@ def simulate_lanes(lanes: list[Lane],
         if j == 0:
             steps = min(block, k_total - k)
             for m in widths:
-                noise[m] = rng.normal_block(keys, k, steps, m)
+                noise[m] = draw(keys, k, steps, m)
         for i in live:
             run = runs[i]
             try:

@@ -4,12 +4,17 @@ import hashlib
 import json
 import multiprocessing
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvhomog import (
+    EffectiveModel,
+    MeasurePath,
+    TestDictionary,
+    evaluate_jdg,
     experiments,
     get_scenario,
     load_trajectory_csv,
@@ -18,7 +23,8 @@ from mvhomog import (
     wasserstein2,
 )
 from mvhomog.cli import main
-from mvhomog.errors import SimulationError
+from mvhomog.errors import SimulationError, ValidationError
+from mvhomog.rate import HermiteFunction
 from mvhomog.experiments import (
     gamma_table_rows,
     ladder_inversions,
@@ -152,6 +158,107 @@ def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert len(manifests) == 1
 
 
+# one seed, three rungs: on two or more workers every pair is split and
+# draws its noise through a ring
+ONE_SEED_PLAN = {
+    "scenario": "dawson_rough",
+    "rungs": [{"n_particles": 100, "epsilon": 0.2}, {"n_particles": 300, "epsilon": 0.1},
+              {"n_particles": 600, "epsilon": 0.1}],
+    "seeds": [7],
+    "reference": {"n_particles": 500, "dt": 0.01, "seed": 5},
+    "metrics": ["w2_ladder", "jdg"],
+    "t_end": 0.5,
+    "snapshots": 6,
+    "rate_basis": 4,
+}
+
+
+def test_split_pairs_share_noise_and_keep_every_byte(tmp_path, monkeypatch):
+    manifests, reports = set(), set()
+    for cpus in (1, 2, 3, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"run{len(reports)}"
+        messages = []
+        report = run_experiment(parse_plan(ONE_SEED_PLAN), out_dir=out,
+                                echo=messages.append)
+        manifests.add((out / "manifest.json").read_bytes())
+        reports.add((out / "report.json").read_bytes())
+        sharing = report["noise_sharing"]
+        if cpus == 1:
+            assert sharing == {}
+            continue
+        assert sorted(sharing) == ["rung0_seed7", "rung1_seed7", "rung2_seed7"]
+        for tag, pair in sharing.items():
+            sides = [pair["multiscale"], pair["pre_averaged"]]
+            for side in sides:
+                assert side["drew"] + side["read"] + side["local"] == pair["blocks"]
+            assert sum(c["drew"] + c["ahead"] + c["local"] for c in sides) >= pair["blocks"]
+            assert sum(m.startswith(f"{tag}: {pair['blocks']} noise blocks")
+                       for m in messages) == 1
+    assert len(manifests) == 1 and len(reports) == 1
+    assert b"noise_sharing" not in reports.pop()
+
+
+def _warning_jdg(original):
+    def evaluate(path, model, dictionary, **kw):
+        warnings.warn(f"degenerate at N={path.measures[0].size}", RuntimeWarning)
+        return original(path, model, dictionary, **kw)
+    return evaluate
+
+
+def test_an_action_warning_in_a_worker_reaches_the_caller(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "evaluate_jdg", _warning_jdg(experiments.evaluate_jdg))
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        with pytest.warns(RuntimeWarning) as caught:
+            run_experiment(parse_plan(TINY_PLAN), out_dir=tmp_path / f"cpus{cpus}")
+        assert sorted(str(w.message) for w in caught) == [
+            "degenerate at N=200", "degenerate at N=60", "degenerate at N=60"]
+
+
+def _failing_jdg(original):
+    def evaluate(path, model, dictionary, **kw):
+        if path.measures[0].size == 60:
+            raise ValidationError(f"no action at t={path.times[-1]}")
+        return original(path, model, dictionary, **kw)
+    return evaluate
+
+
+def test_an_action_error_in_a_worker_keeps_its_type_and_message(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "evaluate_jdg", _failing_jdg(experiments.evaluate_jdg))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValidationError) as info:
+            run_experiment(parse_plan(TINY_PLAN), out_dir=tmp_path / f"cpus{cpus}")
+        assert str(info.value) == "no action at t=0.2"
+
+
+def test_one_degenerate_time_does_not_hide_the_gram_condition():
+    # {he0, he2} at 0 has zero gradients at 0: the first snapshot, five atoms
+    # at 0, has a degenerate Gram matrix, the other two do not
+    dictionary = TestDictionary([HermiteFunction([k], np.zeros(1), np.ones(1))
+                                 for k in (0, 2)])
+    spread = np.linspace(-1.0, 1.0, 5)[:, None]
+    path = MeasurePath.from_arrays(np.array([0.0, 0.5, 1.0]),
+                                   np.stack([0.0 * spread, spread, 1.5 * spread]))
+    model = EffectiveModel(1, lambda xs, mu: np.zeros_like(xs), np.eye(1))
+    with pytest.warns(RuntimeWarning, match="degenerate at 1 time"):
+        rep = evaluate_jdg(path, model, dictionary)
+    cond = rep.gram_condition
+    assert np.isnan(cond[0]) and np.all(np.isfinite(cond[1:]))
+    row = experiments._rate_row("run", rep)
+    assert row[3] == max(cond[1:])
+    assert experiments._json_scalar(row[3]) == row[3]
+
+    # every time degenerate: no condition at all, null in report.json
+    still = MeasurePath.from_arrays(path.times, np.zeros((3, 5, 1)))
+    with pytest.warns(RuntimeWarning, match="degenerate at 3 time"):
+        rep = evaluate_jdg(still, model, dictionary)
+    row = experiments._rate_row("run", rep)
+    assert np.isnan(row[3]) and experiments._json_scalar(row[3]) is None
+    assert experiments._json_scalar(np.inf) == "inf"
+
+
 # the originals, for wrappers that tests monkeypatch in
 _EXECUTE = experiments._execute
 _RUN_JOBS = experiments._run_jobs
@@ -165,9 +272,9 @@ def test_pairs_are_coupled_when_the_seeds_cover_the_workers(
         tmp_path, monkeypatch, cpus, seeds, coupled, workers):
     seen = {}
 
-    def run_jobs(jobs, base, n):
+    def run_jobs(jobs, base, n, *rest):
         seen.update(stems=[job.stems for job in jobs], workers=n)
-        return _RUN_JOBS(jobs, base, n)
+        return _RUN_JOBS(jobs, base, n, *rest)
 
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(experiments, "_run_jobs", run_jobs)
