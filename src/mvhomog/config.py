@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
-from .scenarios import scenario_names
+from .rate import MAX_BASIS
+from .scenarios import get_scenario, scenario_names
 
 DEFAULT_LADDER = ((250, 0.2), (1000, 0.1), (4000, 0.05))
 DEFAULT_SEEDS = (101, 211, 307)
@@ -176,6 +177,12 @@ def parse_plan(raw: dict) -> ExperimentPlan:
     t_end = _as_float(raw.get("t_end", 1.0), "plan.t_end")
     snapshots = _as_int(raw.get("snapshots", 11), "plan.snapshots", minimum=2)
     rate_basis = _as_int(raw.get("rate_basis", 6), "plan.rate_basis", minimum=2)
+    dim = get_scenario(scenario).dim
+    if rate_basis ** dim > MAX_BASIS:
+        raise ValidationError(
+            f"plan.rate_basis: {rate_basis}^{dim} = {rate_basis ** dim} functions "
+            f"for the {dim}-d scenario {scenario!r} is more than the limit of "
+            f"{MAX_BASIS}; lower rate_basis")
 
     out_dir = raw.get("out_dir", "runs")
     if not isinstance(out_dir, str) or not out_dir:

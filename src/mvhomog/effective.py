@@ -31,20 +31,24 @@ from .torus import CellSolution, FastCoefficients, apply_axis_derivative, solve_
 
 
 def matrix_sqrt_psd(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+    """Symmetric PSD square root of a matrix or a (..., d, d) stack, from one
+    batched eigendecomposition (the same bits as one call per matrix).
 
     Eigenvalues in [-tol * lam_max, 0) are clipped to zero; anything more
-    negative raises, since the input was supposed to be PSD.
+    negative raises, naming the matrix, since the input was supposed to be PSD.
     """
     m = np.asarray(m, dtype=float)
-    m = 0.5 * (m + m.T)
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
     lam, vec = np.linalg.eigh(m)
-    floor = -tol * max(lam[-1], 0.0) - 1e-300
-    if lam[0] < floor:
+    floor = -tol * np.maximum(lam[..., -1], 0.0) - 1e-300
+    bad = lam[..., 0] < floor
+    if np.any(bad):
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
         raise SolverError(
-            f"matrix is not PSD: eigenvalue {lam[0]:.6e} below clip floor {floor:.1e}")
+            f"matrix{f' at index {at}' if at else ''} is not PSD: eigenvalue "
+            f"{lam[at][0]:.6e} below clip floor {floor[at]:.1e}")
     lam = np.clip(lam, 0.0, None)
-    return (vec * np.sqrt(lam)) @ vec.T
+    return (vec * np.sqrt(lam)[..., None, :]) @ np.swapaxes(vec, -1, -2)
 
 
 def _times_transpose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -305,17 +309,17 @@ class EffectiveModel:
     def noise_batch(self, xs: np.ndarray, mu=None) -> np.ndarray:
         if self._const_noise is not None:
             return np.broadcast_to(self._const_noise, (len(xs), self.dim, self.dim))
-        diff = self.diffusion_batch(xs, mu)
-        return np.stack([matrix_sqrt_psd(d) for d in diff])
+        return matrix_sqrt_psd(self.diffusion_batch(xs, mu))
 
     def generator_apply(self, grad_vals: np.ndarray, hess_vals: np.ndarray,
                         xs: np.ndarray, mu=None) -> np.ndarray:
-        """Apply the limiting generator to a test function given its
-        gradient (N, dim) and Hessian (N, dim, dim) at the points xs."""
+        """Apply the limiting generator to test functions given their
+        gradients (N, ..., dim) and Hessians (N, ..., dim, dim) at the
+        points xs; the result has shape (N, ...)."""
         drift = self.drift_batch(xs, mu)
         diff = self.diffusion_batch(xs, mu)
-        return np.einsum("ni,ni->n", drift, grad_vals) \
-            + 0.5 * np.einsum("nij,nij->n", diff, hess_vals)
+        return np.einsum("ni,n...i->n...", drift, grad_vals) \
+            + 0.5 * np.einsum("nij,n...ij->n...", diff, hess_vals)
 
 
 def separable_model(potential: SeparablePotential,

@@ -131,9 +131,14 @@ class EmpiricalMeasure:
                 f"test function returned shape {vals.shape}, expected {(self.size,)}")
         return _sorted_sum(self.weights * vals)
 
+    def canonical_order(self) -> np.ndarray:
+        """Atom indices sorted by coordinates, ties by weight: the same
+        sequence of (atom, weight) pairs whatever order the atoms are in."""
+        return np.lexsort(np.vstack([self.weights, self.atoms.T[::-1]]))
+
     def fingerprint(self) -> str:
         """Hash of the measure, invariant under atom permutations."""
-        order = np.lexsort(self.atoms.T[::-1])
+        order = self.canonical_order()
         h = hashlib.sha1()
         h.update(np.ascontiguousarray(self.atoms[order]).tobytes())
         h.update(np.ascontiguousarray(self.weights[order]).tobytes())

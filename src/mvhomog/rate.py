@@ -17,16 +17,31 @@ evaluated in weak form only (the adjoint never acts on measures).  Because
 the dictionary spans a subspace of the admissible test functions, the
 reported value is a lower bound of the true functional; refining the
 dictionary can only increase it.
+
+The dictionary is one tensor object: row j of an integer orders array
+(B, d) names prod_a psi_{k_a}(u_a), psi_k = He_k(u) exp(-u^2/2),
+u = (x - center)/scale.  The recurrence He_{k+1} = u He_k - k He_{k-1} gives
+psi_k' = -psi_{k+1} and psi_k'' = psi_{k+2}, so one table of psi_k per axis
+yields all values, gradients and Hessians as products of its columns.
+
+Permutation exactness: each snapshot's atoms and weights are first put in
+one canonical order (``EmpiricalMeasure.canonical_order``), so every array
+evaluated from them has the same bits whatever the atoms' order.  Every
+weighted sum is a matrix product over rows in that order: w @ V (gemv) for
+the paired series and the generator term, and H^T H for the Gram, with rows
+H_(n,e) = sqrt(w_n) (S_n^T grad phi(x_n))_e and Dbar = S S^T.  H^T H is a
+symmetric rank-k update (syrk); it and gemv give the same bits at one and
+two OpenBLAS threads, where a general matmul does not, so manifests do not
+depend on the BLAS thread count.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
 from .effective import EffectiveModel
 from .errors import ValidationError
@@ -34,144 +49,116 @@ from .measures import EmpiricalMeasure, MeasurePath, wasserstein2
 
 # Gram eigenvalues below this fraction of the largest are treated as null
 GRAM_CUTOFF = 1e-9
+# most functions a Hermite dictionary may hold (per_axis ** dim), which also
+# bounds a plan's rate_basis ** dim
+MAX_BASIS = 64
 
 
-def _herme_basis(k: int) -> np.ndarray:
-    c = np.zeros(k + 1)
-    c[k] = 1.0
-    return c
+def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
+    """psi_k(u) = He_k(u) exp(-u^2/2) for k = 0..count-1 (count >= 2), (N, count)."""
+    he = np.empty((len(u), count))
+    he[:, 0] = 1.0
+    he[:, 1] = u
+    for k in range(1, count - 1):
+        he[:, k + 1] = u * he[:, k] - k * he[:, k - 1]
+    return he * np.exp(-0.5 * u * u)[:, None]
 
 
-class HermiteFunction:
-    """Tensor Hermite function He_k(u) exp(-|u|^2/2), u = (x - center)/scale.
-
-    Value, gradient and Hessian are analytic; the Gaussian envelope keeps
-    everything integrable against heavy-tailed empirical measures, standing
-    in for compactly supported test functions.
-    """
-
-    def __init__(self, orders: Sequence[int], center: np.ndarray, scale: np.ndarray):
-        self.orders = tuple(int(k) for k in orders)
-        if any(k < 0 for k in self.orders):
-            raise ValidationError(f"negative Hermite order in {self.orders}")
-        self.center = np.asarray(center, dtype=float)
-        self.scale = np.asarray(scale, dtype=float)
-        if np.any(self.scale <= 0):
-            raise ValidationError("dictionary scale must be positive")
-        self.dim = len(self.orders)
-        self.label = "he" + "".join(str(k) for k in self.orders)
-
-    def _axis_parts(self, x: np.ndarray):
-        """Per-axis (psi, psi', psi'') at u = (x - c)/s, shape (N,) each."""
-        u = (x - self.center) / self.scale
-        env = np.exp(-0.5 * u * u)
-        parts = []
-        for a, k in enumerate(self.orders):
-            ua = u[:, a]
-            he = hermite_e.hermeval(ua, _herme_basis(k))
-            he1 = hermite_e.hermeval(ua, _herme_basis(k - 1)) if k >= 1 else 0.0
-            he2 = hermite_e.hermeval(ua, _herme_basis(k - 2)) if k >= 2 else 0.0
-            e = env[:, a]
-            psi = he * e
-            dpsi = (k * he1 - ua * he) * e
-            ddpsi = (k * (k - 1) * he2 - 2.0 * ua * k * he1 + (ua * ua - 1.0) * he) * e
-            parts.append((psi, dpsi, ddpsi))
-        return parts
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        parts = self._axis_parts(np.atleast_2d(x))
-        out = np.ones(len(np.atleast_2d(x)))
-        for psi, _, _ in parts:
-            out = out * psi
-        return out
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        parts = self._axis_parts(x)
-        vals = [p[0] for p in parts]
-        out = np.empty((len(x), self.dim))
-        for a in range(self.dim):
-            g = parts[a][1] / self.scale[a]
-            for b in range(self.dim):
-                if b != a:
-                    g = g * vals[b]
-            out[:, a] = g
-        return out
-
-    def hess(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        parts = self._axis_parts(x)
-        vals = [p[0] for p in parts]
-        out = np.empty((len(x), self.dim, self.dim))
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                if a == b:
-                    h = parts[a][2] / self.scale[a] ** 2
-                    rest = [c for c in range(self.dim) if c != a]
-                else:
-                    h = (parts[a][1] / self.scale[a]) * (parts[b][1] / self.scale[b])
-                    rest = [c for c in range(self.dim) if c not in (a, b)]
-                for c in rest:
-                    h = h * vals[c]
-                out[:, a, b] = out[:, b, a] = h
-        return out
-
-
-@dataclass
+@dataclass(eq=False)
 class TestDictionary:
-    """Finite family of smooth test functions with analytic derivatives."""
+    """Tensor Hermite functions He_k(u) exp(-|u|^2/2), u = (x - center)/scale.
+
+    Row j of ``orders`` (B, d) holds function j's per-axis orders; center
+    and scale are (d,) or scalars broadcast to it.  Value, gradient and
+    Hessian are analytic; the Gaussian envelope keeps everything integrable
+    against heavy-tailed empirical measures, standing in for compactly
+    supported test functions.
+    """
 
     __test__ = False  # "test function" in the variational sense, not pytest's
 
-    basis: list
-    labels: list[str] = field(default_factory=list)
+    orders: np.ndarray
+    center: np.ndarray
+    scale: np.ndarray
 
     def __post_init__(self):
-        if len(self.basis) < 2:
+        self.orders = np.array(self.orders, dtype=np.intp, ndmin=2)
+        if self.orders.ndim != 2 or len(self.orders) < 2:
             raise ValidationError("a test dictionary needs at least 2 functions")
-        if not self.labels:
-            self.labels = [getattr(b, "label", f"phi{j}") for j, b in enumerate(self.basis)]
+        if np.any(self.orders < 0):
+            raise ValidationError(f"negative Hermite order in {self.orders.tolist()}")
+        shape = (self.orders.shape[1],)
+        self.center = np.broadcast_to(np.asarray(self.center, dtype=float), shape).copy()
+        self.scale = np.broadcast_to(np.asarray(self.scale, dtype=float), shape).copy()
+        if not np.all(self.scale > 0):
+            raise ValidationError("dictionary scale must be positive")
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.orders)
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([b.value(x) for b in self.basis], axis=1)
+    @property
+    def dim(self) -> int:
+        return self.orders.shape[1]
 
-    def grads(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([b.grad(x) for b in self.basis], axis=1)
+    @property
+    def labels(self) -> list[str]:
+        return ["he" + "".join(str(k) for k in row) for row in self.orders.tolist()]
 
-    def hessians(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([b.hess(x) for b in self.basis], axis=1)
+    def evaluate(self, x: np.ndarray):
+        """Values (N, B), gradients (N, B, d) and Hessians (N, B, d, d) at x."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        u = (x - self.center) / self.scale
+        count = int(self.orders.max()) + 3
+        # per axis and number of derivatives taken along it: (N, B) factors
+        factors = [[], [], []]
+        for a in range(self.dim):
+            table = _hermite_functions(u[:, a], count)
+            s = self.scale[a]
+            for hits, factor in enumerate((1.0, -1.0 / s, 1.0 / (s * s))):
+                factors[hits].append((factor * table)[:, self.orders[:, a] + hits])
+
+        def product(hits):  # hits[c]: derivatives taken along axis c
+            out = factors[hits[0]][0]
+            for c in range(1, self.dim):
+                out = out * factors[hits[c]][c]
+            return out
+
+        eye = np.eye(self.dim, dtype=int)
+        values = product(np.zeros(self.dim, dtype=int))
+        grads = np.empty(values.shape + (self.dim,))
+        hessians = np.empty(values.shape + (self.dim, self.dim))
+        for a in range(self.dim):
+            grads[:, :, a] = product(eye[a])
+            for b in range(a, self.dim):
+                hessians[:, :, a, b] = hessians[:, :, b, a] = product(eye[a] + eye[b])
+        return values, grads, hessians
 
     def head(self, size: int) -> "TestDictionary":
         """Nested sub-dictionary with the first ``size`` functions."""
-        return TestDictionary(self.basis[:size], self.labels[:size])
+        return TestDictionary(self.orders[:size], self.center, self.scale)
 
     def verify_derivatives(self, seed: int = 0, points: int = 16,
                            rel_tol: float = 1e-6) -> None:
         """Spot-check analytic gradients/Hessians against central differences."""
-        dim = self.basis[0].dim
         rs = np.random.default_rng(seed)
-        x = rs.normal(scale=1.5, size=(points, dim))
+        x = rs.normal(scale=1.5, size=(points, self.dim))
         h = 1e-5
-        for b in self.basis:
-            g = b.grad(x)
-            hess = b.hess(x)
-            scale_g = max(np.abs(g).max(), 1e-10)
-            scale_h = max(np.abs(hess).max(), 1e-10)
-            for a in range(dim):
-                e = np.zeros(dim)
-                e[a] = h
-                fd_g = (b.value(x + e) - b.value(x - e)) / (2 * h)
-                if np.max(np.abs(fd_g - g[:, a])) > rel_tol * scale_g * 10:
-                    raise ValidationError(
-                        f"gradient of {b.label} disagrees with finite differences")
-                fd_h = (b.grad(x + e) - b.grad(x - e)) / (2 * h)
-                if np.max(np.abs(fd_h - hess[:, a, :])) > rel_tol * scale_h * 100:
-                    raise ValidationError(
-                        f"Hessian of {b.label} disagrees with finite differences")
+        _, grads, hessians = self.evaluate(x)
+        # per-function scales, as each function is checked on its own
+        scale_g = np.maximum(np.abs(grads).max(axis=(0, 2)), 1e-10)
+        scale_h = np.maximum(np.abs(hessians).max(axis=(0, 2, 3)), 1e-10)
+        for a in range(self.dim):
+            e = h * np.eye(self.dim)[a]
+            (v_up, g_up, _), (v_down, g_down, _) = self.evaluate(x + e), self.evaluate(x - e)
+            for what, diff, exact, tol in (
+                    ("gradient", v_up - v_down, grads[:, :, a], 10 * rel_tol * scale_g),
+                    ("Hessian", g_up - g_down, hessians[:, :, a], 100 * rel_tol * scale_h)):
+                err = np.abs(diff / (2 * h) - exact).reshape(points, self.size, -1)
+                bad = err.max(axis=(0, 2)) > tol
+                if np.any(bad):
+                    raise ValidationError(f"{what} of {self.labels[np.argmax(bad)]} "
+                                          "disagrees with finite differences")
 
 
 def hermite_dictionary(dim: int, per_axis: int = 6, center=0.0, scale=1.0,
@@ -179,17 +166,14 @@ def hermite_dictionary(dim: int, per_axis: int = 6, center=0.0, scale=1.0,
     """Tensor-product Hermite-function dictionary, per_axis functions per axis."""
     if per_axis < 2:
         raise ValidationError("per_axis must be at least 2")
-    center = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), (dim,))
-    if per_axis ** dim > 64:
+    if per_axis ** dim > MAX_BASIS:
         raise ValidationError(
-            f"{per_axis}^{dim} basis functions is too many; lower per_axis")
-    orders = [()]
-    for _ in range(dim):
-        orders = [o + (k,) for o in orders for k in range(per_axis)]
+            f"{per_axis}^{dim} = {per_axis ** dim} basis functions is more than "
+            f"the limit of {MAX_BASIS}; lower per_axis")
     # sort by total degree so nested heads are refinement-ordered
-    orders.sort(key=lambda o: (sum(o), o))
-    d = TestDictionary([HermiteFunction(o, center, scale) for o in orders])
+    orders = sorted(itertools.product(range(per_axis), repeat=dim),
+                    key=lambda o: (sum(o), o))
+    d = TestDictionary(orders, center, scale)
     if verify:
         d.verify_derivatives()
     return d
@@ -240,7 +224,7 @@ class RateReport:
 
 
 def _ma3(series: np.ndarray) -> np.ndarray:
-    """Moving average, window 3, endpoints kept."""
+    """Moving average along axis 0, window 3, endpoints kept."""
     out = series.copy()
     out[1:-1] = (series[:-2] + series[1:-1] + series[2:]) / 3.0
     return out
@@ -255,7 +239,8 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
     starts further than ``nu0_tol`` from it in Wasserstein-2, the action is
     +infinity by definition and no integration is attempted.
     ``series_filter="ma3"`` smooths the paired time series before
-    differentiating, for noisy finite-N paths.
+    differentiating, for noisy finite-N paths.  ``dictionary`` needs only
+    ``size`` and ``evaluate(x)``, as on ``TestDictionary``.
     """
     if len(path) < 3:
         raise ValidationError("rate evaluation needs at least 3 snapshots")
@@ -273,31 +258,29 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
                 basis_size=nbasis, gram_condition=np.full(len(times), np.nan),
                 initial_distance=init_dist)
 
-    # paired series <theta_t, phi_j> and its time derivative
+    # per snapshot, over atoms in canonical order: the paired series
+    # <theta_t, phi_j>, the generator term <theta_t, Lbar phi_j> and the Gram
     paired = np.empty((len(times), nbasis))
+    lbar = np.empty((len(times), nbasis))
+    grams = np.empty((len(times), nbasis, nbasis))
     for i, m in enumerate(path.measures):
-        vals = dictionary.values(m.atoms)
-        paired[i] = np.sort(vals * m.weights[:, None], axis=0).sum(axis=0)
+        order = m.canonical_order()
+        atoms, w = m.atoms[order], m.weights[order]
+        mu = EmpiricalMeasure._trusted(atoms, w)
+        values, grads, hessians = dictionary.evaluate(atoms)
+        paired[i] = w @ values
+        lbar[i] = w @ model.generator_apply(grads, hessians, atoms, mu)
+        rows = np.einsum("nbd,nde->neb", grads, model.noise_batch(atoms, mu))
+        rows = (rows * np.sqrt(w)[:, None, None]).reshape(-1, nbasis)
+        grams[i] = rows.T @ rows
     if series_filter == "ma3":
-        paired = np.apply_along_axis(_ma3, 0, paired)
-    dpaired = np.gradient(paired, times, axis=0)
+        paired = _ma3(paired)
+    a_all = np.gradient(paired, times, axis=0) - lbar
 
     integrand = np.empty(len(times))
     condition = np.empty(len(times))
     degenerate = []
-    for i, m in enumerate(path.measures):
-        atoms = m.atoms
-        w = m.weights
-        grads = dictionary.grads(atoms)        # (N, B, d)
-        hessians = dictionary.hessians(atoms)  # (N, B, d, d)
-        drift = model.drift_batch(atoms, m)
-        diff = model.diffusion_batch(atoms, m)
-        gen_vals = np.einsum("nd,nbd->nb", drift, grads) \
-            + 0.5 * np.einsum("nde,nbde->nb", diff, hessians)
-        lbar = np.sort(gen_vals * w[:, None], axis=0).sum(axis=0)
-        a = dpaired[i] - lbar
-        gram = np.einsum("nbd,nde,nce,n->bc", grads, diff, grads, w)
-        gram = 0.5 * (gram + gram.T)
+    for i, (a, gram) in enumerate(zip(a_all, grams)):
         lam, vec = np.linalg.eigh(gram)
         keep = lam > cutoff * max(lam[-1], 0.0)
         if not np.any(keep):

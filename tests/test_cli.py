@@ -130,6 +130,19 @@ def test_ladder_runs_plan_and_honors_exit_codes(tmp_path, capsys):
     assert "suggested dt" in capsys.readouterr().err
 
 
+def test_oversize_rate_basis_stops_the_ladder_before_any_run(tmp_path, capsys):
+    plan = {"scenario": "separable_2d",
+            "rungs": [{"n_particles": 400, "epsilon": 0.2}],
+            "seeds": [1], "reference": {"n_particles": 2000},
+            "metrics": ["w2_ladder", "jdg"], "rate_basis": 9}
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(plan))
+    out_dir = tmp_path / "runs"
+    assert main(["ladder", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert "plan.rate_basis" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_console_script_reports_version():
     result = subprocess.run([sys.executable, "-m", "mvhomog.cli", "--version"],
                             capture_output=True, text=True)

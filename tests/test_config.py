@@ -117,3 +117,12 @@ def test_load_plan_reports_bad_json(tmp_path):
     p.write_text('{"scenario": "free_brownian", "rungs": []}')
     plan = load_plan(p)
     assert plan.scenario == "free_brownian"
+
+
+def test_oversize_rate_basis_is_refused_up_front():
+    plan = {"scenario": "separable_2d", "rate_basis": 9}
+    with pytest.raises(ValidationError,
+                       match=r"plan\.rate_basis: 9\^2 = 81 .*2-d .*limit of 64"):
+        parse_plan(plan)
+    assert parse_plan(dict(plan, rate_basis=8)).rate_basis == 8
+    assert parse_plan({"scenario": "dawson_rough", "rate_basis": 64}).rate_basis == 64

@@ -68,6 +68,23 @@ def test_matrix_sqrt_rejects_indefinite():
         matrix_sqrt_psd(np.array([[1.0, 0.0], [0.0, -0.5]]))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stacked_matrix_sqrt_matches_one_call_per_matrix(dim):
+    rs = np.random.default_rng(dim)
+    a = rs.normal(size=(40, dim, dim))
+    stack = a @ np.swapaxes(a, -1, -2)
+    stack[7] = np.outer(a[7, :, 0], a[7, :, 0])  # rank one
+    roots = matrix_sqrt_psd(stack)
+    assert np.array_equal(roots, np.stack([matrix_sqrt_psd(m) for m in stack]))
+    assert np.allclose(roots[7] @ roots[7], stack[7], atol=1e-12)
+    stack[12] = -stack[12] - np.eye(dim)
+    with pytest.raises(SolverError,
+                       match=r"matrix at index \(12,\) is not PSD: eigenvalue -"):
+        matrix_sqrt_psd(stack)
+    with pytest.raises(SolverError, match=r"index \(1, 2\)"):
+        matrix_sqrt_psd(stack.reshape(4, 10, dim, dim))
+
+
 def test_separable_route_matches_cell_route():
     for name in ("cos_rough_1d", "separable_2d"):
         sc = get_scenario(name)

@@ -24,7 +24,6 @@ from mvhomog import (
 )
 from mvhomog.cli import main
 from mvhomog.errors import SimulationError, ValidationError
-from mvhomog.rate import HermiteFunction
 from mvhomog.experiments import (
     gamma_table_rows,
     ladder_inversions,
@@ -236,8 +235,7 @@ def test_an_action_error_in_a_worker_keeps_its_type_and_message(tmp_path, monkey
 def test_one_degenerate_time_does_not_hide_the_gram_condition():
     # {he0, he2} at 0 has zero gradients at 0: the first snapshot, five atoms
     # at 0, has a degenerate Gram matrix, the other two do not
-    dictionary = TestDictionary([HermiteFunction([k], np.zeros(1), np.ones(1))
-                                 for k in (0, 2)])
+    dictionary = TestDictionary([[0], [2]], 0.0, 1.0)
     spread = np.linspace(-1.0, 1.0, 5)[:, None]
     path = MeasurePath.from_arrays(np.array([0.0, 0.5, 1.0]),
                                    np.stack([0.0 * spread, spread, 1.5 * spread]))

@@ -1,8 +1,12 @@
 """Rate functional: oracles, bounds, and dictionary mechanics."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 from scipy.special import ndtri
 
 from mvhomog import (
@@ -19,7 +23,6 @@ from mvhomog import (
     get_scenario,
     hermite_dictionary,
 )
-from mvhomog.rate import HermiteFunction
 
 
 def gaussian_shift_path(v: float, s0: float = 1.0, n: int = 512,
@@ -47,8 +50,10 @@ def test_dictionary_heads_are_nested():
     sub = d.head(3)
     assert sub.size == 3
     assert sub.labels == d.labels[:3]
-    for a, b in zip(sub.basis, d.basis):
-        assert a is b
+    assert np.array_equal(sub.orders, d.orders[:3])
+    x = np.linspace(-2.0, 2.0, 9)[:, None]
+    for part, full in zip(sub.evaluate(x), d.evaluate(x)):
+        assert np.array_equal(part, full[:, :3])
     with pytest.raises(ValidationError):
         d.head(1)
 
@@ -56,12 +61,59 @@ def test_dictionary_heads_are_nested():
 def test_dictionary_validation():
     with pytest.raises(ValidationError):
         hermite_dictionary(1, per_axis=1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="limit of 64"):
         hermite_dictionary(3, per_axis=5)  # 125 functions
-    with pytest.raises(ValidationError):
-        HermiteFunction([-1], np.zeros(1), np.ones(1))
-    with pytest.raises(ValidationError):
-        HermiteFunction([2], np.zeros(1), np.zeros(1))
+    with pytest.raises(ValidationError, match="negative Hermite order"):
+        TestDictionary([[-1], [2]], 0.0, 1.0)
+    with pytest.raises(ValidationError, match="scale must be positive"):
+        TestDictionary([[0], [2]], 0.0, 0.0)
+    with pytest.raises(ValidationError, match="scale must be positive"):
+        TestDictionary([[0, 1], [2, 0]], 0.0, [1.0, -1.0])
+
+
+class _WrongHessian(TestDictionary):
+    """Hermite dictionary whose Hessians are off by a factor of two."""
+
+    def evaluate(self, x):
+        values, grads, hessians = super().evaluate(x)
+        return values, grads, 2.0 * hessians
+
+
+def test_derivative_check_catches_a_wrong_hessian():
+    d = _WrongHessian([[0, 0], [1, 0], [0, 2]], 0.0, 1.0)
+    with pytest.raises(ValidationError, match="Hessian of he00"):
+        d.verify_derivatives()
+
+
+def test_dictionary_matches_hermeval_products():
+    # reference: each function as a product of per-axis numpy Hermite series,
+    # with psi' = (k He_{k-1} - u He_k) e and
+    # psi'' = (k (k-1) He_{k-2} - 2 u k He_{k-1} + (u^2 - 1) He_k) e
+    center, scale = np.array([0.3, -0.5]), np.array([1.5, 0.7])
+    d = hermite_dictionary(2, per_axis=5, center=center, scale=scale)
+    x = np.random.default_rng(1).normal(scale=1.5, size=(40, 2))
+    u = (x - center) / scale
+    env = np.exp(-0.5 * u * u)
+
+    def he(k):
+        return hermite_e.hermeval(u, np.eye(k + 1)[k]) if k >= 0 else 0.0 * u
+
+    parts = []
+    for k in range(5):
+        parts.append([he(k) * env,
+                      (k * he(k - 1) - u * he(k)) * env / scale,
+                      (k * (k - 1) * he(k - 2) - 2.0 * u * k * he(k - 1)
+                       + (u * u - 1.0) * he(k)) * env / scale ** 2])
+    values, grads, hessians = d.evaluate(x)
+    for j, (k0, k1) in enumerate(d.orders):
+        (p0, dp0, ddp0), (p1, dp1, ddp1) = parts[k0], parts[k1]
+        expect = [p0[:, 0] * p1[:, 1],
+                  np.stack([dp0[:, 0] * p1[:, 1], p0[:, 0] * dp1[:, 1]], axis=1),
+                  np.array([[ddp0[:, 0] * p1[:, 1], dp0[:, 0] * dp1[:, 1]],
+                            [dp0[:, 0] * dp1[:, 1], p0[:, 0] * ddp1[:, 1]]]
+                           ).transpose(2, 0, 1)]
+        for got, want in zip((values[:, j], grads[:, j], hessians[:, j]), expect):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
 
 def test_generator_kills_constants_exactly():
@@ -77,11 +129,15 @@ def test_generator_kills_constants_exactly():
 def test_apply_generator_matches_direct_formula():
     # Ornstein-Uhlenbeck: L phi = -x phi' + 1/2 phi''
     model = EffectiveModel(1, lambda xs, mu: -xs, np.eye(1))
-    phi = HermiteFunction([2], np.zeros(1), np.ones(1))
     xs = np.linspace(-2.0, 2.0, 17)[:, None]
-    gen = model.generator_apply(phi.grad(xs), phi.hess(xs), xs, None)
-    direct = -xs[:, 0] * phi.grad(xs)[:, 0] + 0.5 * phi.hess(xs)[:, 0, 0]
+    _, grads, hessians = TestDictionary([[0], [2]], 0.0, 1.0).evaluate(xs)
+    gen = model.generator_apply(grads[:, 1], hessians[:, 1], xs, None)
+    direct = -xs[:, 0] * grads[:, 1, 0] + 0.5 * hessians[:, 1, 0, 0]
     assert np.max(np.abs(gen - direct)) < 1e-12
+    # a whole dictionary at once: (N, B, d) gradients give (N, B) values
+    whole = model.generator_apply(grads, hessians, xs, None)
+    assert whole.shape == (17, 2)
+    assert np.array_equal(whole[:, 1], gen)
 
 
 def test_gaussian_shift_action_matches_half_v_squared():
@@ -102,30 +158,22 @@ def test_pure_heat_flow_has_near_zero_action():
 
 
 class _Scaled:
-    """Same test function multiplied by a constant factor."""
+    """The same test functions multiplied by a constant factor."""
 
     def __init__(self, base, factor: float):
         self.base = base
         self.factor = factor
-        self.dim = base.dim
-        self.label = f"{base.label}x{factor}"
+        self.size = base.size
 
-    def value(self, x):
-        return self.factor * self.base.value(x)
-
-    def grad(self, x):
-        return self.factor * self.base.grad(x)
-
-    def hess(self, x):
-        return self.factor * self.base.hess(x)
+    def evaluate(self, x):
+        return tuple(self.factor * part for part in self.base.evaluate(x))
 
 
 def test_action_invariant_under_dictionary_rescaling():
     path = gaussian_shift_path(v=1.0, n=128, snapshots=9)
     d = dictionary_for_path(path, per_axis=4)
-    scaled = TestDictionary([_Scaled(b, 3.0) for b in d.basis])
     r1 = evaluate_jdg(path, heat_model(), d)
-    r2 = evaluate_jdg(path, heat_model(), scaled)
+    r2 = evaluate_jdg(path, heat_model(), _Scaled(d, 3.0))
     assert abs(r1.total - r2.total) < 1e-10
 
 
@@ -162,24 +210,18 @@ def test_initial_condition_mismatch_gives_infinity():
 
 
 class _Flat:
-    """Constant test function: zero gradient makes the Gram matrix null."""
+    """Two constant test functions: zero gradients make the Gram matrix null."""
 
-    dim = 1
-    label = "flat"
+    size = 2
 
-    def value(self, x):
-        return np.ones(len(np.atleast_2d(x)))
-
-    def grad(self, x):
-        return np.zeros((len(np.atleast_2d(x)), 1))
-
-    def hess(self, x):
-        return np.zeros((len(np.atleast_2d(x)), 1, 1))
+    def evaluate(self, x):
+        n = len(np.atleast_2d(x))
+        return np.ones((n, 2)), np.zeros((n, 2, 1)), np.zeros((n, 2, 1, 1))
 
 
 def test_degenerate_dictionary_warns_and_stays_finite():
     path = gaussian_shift_path(v=1.0, n=32, snapshots=5)
-    d = TestDictionary([_Flat(), _Flat()])
+    d = _Flat()
     with pytest.warns(RuntimeWarning):
         rep = evaluate_jdg(path, heat_model(), d)
     assert np.isfinite(rep.total)
@@ -229,3 +271,63 @@ def test_control_cost_bound_on_tilted_run():
     assert report.margin >= 0.0
     # the measured action should also be positive: the path is genuinely tilted
     assert report.rate_value > 0.05
+
+
+def _averaged_path(name: str, n: int) -> MeasurePath:
+    sc = get_scenario(name)
+    config = SimConfig(n_particles=n, dt=0.01, t_end=1.0, seed=3,
+                       snapshot_times=np.linspace(0.0, 1.0, 11))
+    return sc.run_averaged(config).measure_path()
+
+
+@pytest.mark.parametrize("name, n", [("dawson_rough", 600), ("separable_2d", 400)])
+def test_action_is_bit_identical_under_atom_permutations(name, n):
+    path = _averaged_path(name, n)
+    # ties with unequal weights: equal atoms must sort the same way too
+    rs = np.random.default_rng(9)
+    weights = rs.uniform(0.5, 1.5, size=n)
+    tied = MeasurePath(path.times, [
+        EmpiricalMeasure(np.round(m.atoms, 1), weights / weights.sum())
+        for m in path.measures])
+    model = get_scenario(name).effective_model()
+    for base in (path, tied):
+        d = dictionary_for_path(base, per_axis=6)
+        ref = evaluate_jdg(base, model, d)
+        for _ in range(10):
+            measures = []
+            for m in base.measures:
+                p = rs.permutation(m.size)
+                measures.append(EmpiricalMeasure(m.atoms[p], m.weights[p]))
+            rep = evaluate_jdg(MeasurePath(base.times, measures), model, d)
+            assert rep.total == ref.total
+            assert np.array_equal(rep.integrand, ref.integrand)
+            assert np.array_equal(rep.gram_condition, ref.gram_condition)
+
+
+_BITS_SCRIPT = """
+import json
+import numpy as np
+from mvhomog import MeasurePath, dictionary_for_path, evaluate_jdg, get_scenario
+rs = np.random.default_rng(4)
+base = rs.normal(size=(4000, 2))
+times = np.linspace(0.0, 1.0, 11)
+path = MeasurePath.from_arrays(
+    times, np.stack([(1.0 + t) * base + [0.5 * t, -t] for t in times]))
+model = get_scenario("separable_2d").effective_model()
+rep = evaluate_jdg(path, model, dictionary_for_path(path, 6))
+print(json.dumps([float(v).hex() for v in
+                  [rep.total, *rep.integrand, *rep.gram_condition]]))
+"""
+
+
+def test_action_bits_do_not_depend_on_the_blas_thread_count():
+    # the Gram matrix is H^T H (syrk) and the weighted sums w @ V (gemv);
+    # with OpenBLAS both give the same bits at one and two threads, where a
+    # plain gemm of the Gram's shape does not
+    bits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", _BITS_SCRIPT], env=env,
+                                capture_output=True, text=True, check=True)
+        bits.append(json.loads(result.stdout))
+    assert bits[0] == bits[1]
