@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .config import load_plan
 from .errors import NumericalError, ValidationError
-from .experiments import run_experiment, write_effective_table, write_gamma_table
+from .experiments import (gamma_table_rows, run_experiment, write_effective_table,
+                          write_gamma_table)
 from .rate import dictionary_for_path, evaluate_jdg
 from .scenarios import get_scenario, scenario_names
 from .simulate import SimConfig, constant_control, load_trajectory_csv
@@ -84,15 +85,10 @@ def cmd_gamma(args) -> int:
         raise ValidationError(
             f"scenario {args.scenario!r} is not separable; "
             "use solve-cell / effective for the general route")
-    z, zhat = scenario.potential.z_factors(args.quad_points)
-    from .effective import gamma_separable
-    gamma = np.diag(gamma_separable(scenario.potential, args.quad_points))
-    ref = scenario.reference.get("gamma_diag", {}).get("value")
-    for k in range(scenario.dim):
-        line = (f"axis {k}: z {z[k]:.12f}  z_hat {zhat[k]:.12f}  "
-                f"gamma {gamma[k]:.12f}")
-        if ref is not None:
-            line += f"  reference {ref[k]:.12f}  diff {abs(gamma[k]-ref[k]):.3e}"
+    for k, z, zhat, gamma, *ref in gamma_table_rows(scenario, args.quad_points):
+        line = f"axis {k}: z {z:.12f}  z_hat {zhat:.12f}  gamma {gamma:.12f}"
+        if ref:
+            line += f"  reference {ref[0]:.12f}  diff {ref[1]:.3e}"
         print(line)
     if args.out:
         out = _ensure_dir(args.out) / f"gamma_{scenario.name}.csv"
@@ -129,8 +125,7 @@ def cmd_simulate(args) -> int:
         snap = np.linspace(0.0, args.t_end, args.snapshots)
     config = SimConfig(n_particles=args.n_particles, dt=args.dt,
                        t_end=args.t_end, seed=args.seed,
-                       epsilon=args.epsilon, snapshot_times=snap,
-                       log_controls=args.tilt is not None)
+                       epsilon=args.epsilon, snapshot_times=snap)
     control = None
     if args.tilt is not None:
         control = constant_control(np.full(scenario.noise_dim, args.tilt),

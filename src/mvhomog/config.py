@@ -4,8 +4,9 @@ A plan names a registry scenario and a ladder of prelimit resolutions
 (particle count, scale separation, step size), plus the reference run and
 the metrics to evaluate.  Validation is deliberately strict: unknown keys
 are rejected, every diagnostic names the offending field by its path
-(``plan.rungs[1].dt``), and stiffness violations come back with the largest
-admissible step so configs can be fixed without consulting the code.
+(``plan.rungs[1].dt``), and every run's geometry is checked up front by
+SimConfig's own rules on the configs the runs use; a stiffness violation
+comes back with an admissible step.
 
 Plan schema (JSON object; only ``scenario`` is required)::
 
@@ -22,24 +23,28 @@ Plan schema (JSON object; only ``scenario`` is required)::
     }
 
 Omitted rungs default to the standard ladder (250, 0.2), (1000, 0.1),
-(4000, 0.05) with dt = eps^2 / 10; an explicit empty list is allowed and
-means "produce the manifest and tables only, no particle runs".
+(4000, 0.05) at the stiffness limit dt = eps^2 / 10; an explicit empty list
+is allowed and means "produce the manifest and tables only, no particle
+runs".
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ValidationError
 from .rate import MAX_BASIS
 from .scenarios import get_scenario, scenario_names
+from .simulate import SimConfig, stiffness_limit
 
 DEFAULT_LADDER = ((250, 0.2), (1000, 0.1), (4000, 0.05))
 DEFAULT_SEEDS = (101, 211, 307)
 DEFAULT_REFERENCE = {"n_particles": 8000, "dt": 0.0025, "seed": 977}
 KNOWN_METRICS = ("w2_ladder", "jdg", "gamma_table", "effective_table")
-STIFFNESS_FACTOR = 0.1
 
 
 def _reject_unknown(mapping: dict, allowed, path: str):
@@ -57,12 +62,15 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _as_float(value, path: str, positive: bool = True) -> float:
+def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if positive and value <= 0.0:
-        raise ValidationError(f"{path}: must be positive, got {value}")
+    try:
+        value = float(value)
+    except OverflowError:   # an integer beyond the float range
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{path}: must be positive and finite, got {value}")
     return value
 
 
@@ -113,16 +121,41 @@ class ExperimentPlan:
             "out_dir": self.out_dir,
         }
 
+    def run_configs(self) -> tuple:
+        """(reference config, [(rung index, config) for every rung and seed]).
 
-def _check_step(dt: float, t_end: float, path: str):
-    steps = t_end / dt
-    if abs(steps - round(steps)) > 1e-6 * max(steps, 1.0):
-        raise ValidationError(
-            f"{path}: dt={dt!r} does not divide the horizon t_end={t_end!r} "
-            f"into whole steps")
+        Every run records on linspace(0, t_end, snapshots), and a rung's run
+        must resolve the fast scale.  A refusal by SimConfig's rules names the
+        plan field it comes from.
+        """
+        snap_times = np.linspace(0.0, self.t_end, self.snapshots)
+        ref = self.reference
+        reference = _run_config("plan.reference", snap_times, n_particles=ref["n_particles"],
+                                dt=ref["dt"], t_end=self.t_end, seed=ref["seed"])
+        rungs = [(i, _run_config(f"plan.rungs[{i}]", snap_times, n_particles=rung.n_particles,
+                                 dt=rung.dt, t_end=self.t_end, seed=seed,
+                                 epsilon=rung.epsilon))
+                 for i, rung in enumerate(self.rungs) for seed in self.seeds]
+        return reference, rungs
 
 
-def _parse_rung(raw, idx: int, t_end: float) -> Rung:
+def _run_config(path: str, snapshot_times: np.ndarray, **geometry) -> SimConfig:
+    """A run's SimConfig.  Its step is checked first, and a refusal named
+    ``{path}.dt``; then its snapshots, a refusal named ``plan.snapshots``.
+    """
+    try:
+        config = SimConfig(**geometry)
+        if config.epsilon is not None:
+            config.require_stiffness("multiscale")
+    except ValidationError as exc:
+        raise ValidationError(f"{path}.dt: {exc}") from None
+    try:
+        return replace(config, snapshot_times=snapshot_times)
+    except ValidationError as exc:
+        raise ValidationError(f"plan.snapshots: {exc}") from None
+
+
+def _parse_rung(raw, idx: int) -> Rung:
     path = f"plan.rungs[{idx}]"
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected an object, got {raw!r}")
@@ -131,21 +164,11 @@ def _parse_rung(raw, idx: int, t_end: float) -> Rung:
         raise ValidationError(f"{path}: needs n_particles and epsilon")
     n = _as_int(raw["n_particles"], f"{path}.n_particles", minimum=1)
     eps = _as_float(raw["epsilon"], f"{path}.epsilon")
-    limit = STIFFNESS_FACTOR * eps * eps
-    dt = _as_float(raw["dt"], f"{path}.dt") if "dt" in raw else limit
-    if dt > limit * (1 + 1e-12):
-        suggested = float(f"{limit:.6g}")
-        if suggested > limit:
-            suggested = limit
-        raise ValidationError(
-            f"{path}.dt: dt={dt!r} violates the stiffness rule "
-            f"dt <= {STIFFNESS_FACTOR} * epsilon^2 = {limit:.6g}; "
-            f"suggested dt: {suggested!r}")
-    _check_step(dt, t_end, f"{path}.dt")
+    dt = _as_float(raw["dt"], f"{path}.dt") if "dt" in raw else stiffness_limit(eps)
     return Rung(n, eps, dt)
 
 
-def _parse_reference(raw, t_end: float) -> dict:
+def _parse_reference(raw) -> dict:
     path = "plan.reference"
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected an object, got {raw!r}")
@@ -157,7 +180,6 @@ def _parse_reference(raw, t_end: float) -> dict:
         out["dt"] = _as_float(raw["dt"], f"{path}.dt")
     if "seed" in raw:
         out["seed"] = _as_int(raw["seed"], f"{path}.seed", 0)
-    _check_step(out["dt"], t_end, f"{path}.dt")
     return out
 
 
@@ -191,9 +213,9 @@ def parse_plan(raw: dict) -> ExperimentPlan:
     if "rungs" in raw:
         if not isinstance(raw["rungs"], list):
             raise ValidationError(f"plan.rungs: expected a list, got {raw['rungs']!r}")
-        rungs = [_parse_rung(r, i, t_end) for i, r in enumerate(raw["rungs"])]
+        rungs = [_parse_rung(r, i) for i, r in enumerate(raw["rungs"])]
     else:
-        rungs = [_parse_rung({"n_particles": n, "epsilon": e}, i, t_end)
+        rungs = [_parse_rung({"n_particles": n, "epsilon": e}, i)
                  for i, (n, e) in enumerate(DEFAULT_LADDER)]
 
     if "seeds" in raw:
@@ -215,12 +237,14 @@ def parse_plan(raw: dict) -> ExperimentPlan:
     else:
         metrics = ("w2_ladder",)
 
-    reference = _parse_reference(raw.get("reference", {}), t_end)
+    reference = _parse_reference(raw.get("reference", {}))
 
-    return ExperimentPlan(scenario=scenario, rungs=rungs, seeds=seeds,
+    plan = ExperimentPlan(scenario=scenario, rungs=rungs, seeds=seeds,
                           reference=reference, metrics=metrics, t_end=t_end,
                           snapshots=snapshots, rate_basis=rate_basis,
                           out_dir=out_dir)
+    plan.run_configs()   # every run's geometry, by the rules the runs obey
+    return plan
 
 
 def load_plan(path) -> ExperimentPlan:

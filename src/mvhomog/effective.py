@@ -29,18 +29,26 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .torus import CellSolution, FastCoefficients, apply_axis_derivative, solve_cell
 
+# eigenvalues in [-PSD_CLIP_TOL * lam_max, 0) are rounding and clip to zero
+PSD_CLIP_TOL = 1e-10
+# slow-state step of the centered x-derivative cell solves
+X_STEP = 1e-4
+# cell solves a homogenized model keeps, most recently used first
+CELL_CACHE_SIZE = 32
 
-def matrix_sqrt_psd(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+
+def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of a matrix or a (..., d, d) stack, from one
     batched eigendecomposition (the same bits as one call per matrix).
 
-    Eigenvalues in [-tol * lam_max, 0) are clipped to zero; anything more
-    negative raises, naming the matrix, since the input was supposed to be PSD.
+    Eigenvalues in [-PSD_CLIP_TOL * lam_max, 0) are clipped to zero; anything
+    more negative raises, naming the matrix, since the input was supposed to
+    be PSD.
     """
     m = np.asarray(m, dtype=float)
     m = 0.5 * (m + np.swapaxes(m, -1, -2))
     lam, vec = np.linalg.eigh(m)
-    floor = -tol * np.maximum(lam[..., -1], 0.0) - 1e-300
+    floor = -PSD_CLIP_TOL * np.maximum(lam[..., -1], 0.0) - 1e-300
     bad = lam[..., 0] < floor
     if np.any(bad):
         at = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -134,12 +142,11 @@ def averaged_coefficients(cell: CellSolution, b_vals: np.ndarray | None = None,
 
 
 def solve_with_x_derivatives(coeffs: FastCoefficients, x, mu=None,
-                             scheme: str = "auto", n: int | None = None,
-                             x_step: float = 1e-4):
+                             scheme: str = "auto", n: int | None = None):
     """Cell solution at x plus centered x-derivatives of the corrector.
 
     Returns (cell, (grad_x_phi, mixed_xy_phi)).  The extra solves at
-    x +/- h e_j share the grid and scheme of the base solve.
+    x +/- X_STEP e_j share the grid and scheme of the base solve.
     """
     x = np.asarray(x, dtype=float)
     cell = solve_cell(coeffs, x=x, mu=mu, scheme=scheme, n=n)
@@ -147,10 +154,10 @@ def solve_with_x_derivatives(coeffs: FastCoefficients, x, mu=None,
     grad_x = np.empty((cell.grid.size, dim, dim))
     for j in range(dim):
         step = np.zeros_like(x)
-        step[j] = x_step
+        step[j] = X_STEP
         plus = solve_cell(coeffs, x=x + step, mu=mu, scheme=cell.scheme, n=cell.grid.n)
         minus = solve_cell(coeffs, x=x - step, mu=mu, scheme=cell.scheme, n=cell.grid.n)
-        grad_x[:, :, j] = (plus.phi - minus.phi) / (2.0 * x_step)
+        grad_x[:, :, j] = (plus.phi - minus.phi) / (2.0 * X_STEP)
     mixed = np.stack(
         [apply_axis_derivative(grad_x, cell.grid, k, cell.scheme) for k in range(dim)],
         axis=3)  # (size, l, j, k)
@@ -280,9 +287,6 @@ class EffectiveModel:
     def constant_diffusion(self) -> bool:
         return self._const_diff is not None
 
-    def drift(self, x, mu=None) -> np.ndarray:
-        return self.drift_batch(np.atleast_2d(np.asarray(x, dtype=float)), mu)[0]
-
     def drift_batch(self, xs: np.ndarray, mu=None) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         out = np.asarray(self._drift_fn(xs, mu), dtype=float)
@@ -357,7 +361,7 @@ class _CellCache:
     process of ``run_experiment`` holds its own copy.
     """
 
-    def __init__(self, maxsize: int = 32):
+    def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()
 
@@ -375,7 +379,6 @@ class _CellCache:
 
 def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
                scheme: str = "auto", n: int | None = None,
-               x_step: float = 1e-4, cache_size: int = 32,
                description: str = "") -> EffectiveModel:
     """Homogenized model via cell solves of the fast generator.
 
@@ -383,17 +386,17 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
     case); the homogenized drift is then C(mu) b(x, mu) with
     C = pi-average of (I + grad phi).  When the fast coefficients depend on
     x the corrector is re-solved per slow state (with centered x-derivative
-    solves for the extra drift terms) and results are LRU-cached on the
-    rounded slow state and the measure fingerprint.
+    solves for the extra drift terms) and the last CELL_CACHE_SIZE results
+    are LRU-cached on the rounded slow state and the measure fingerprint.
     """
     dim = coeffs.dim
-    cache = _CellCache(cache_size)
+    cache = _CellCache(CELL_CACHE_SIZE)
 
     def averaged_at(x, mu):
         def compute():
             if coeffs.x_dependent:
-                cell, derivs = solve_with_x_derivatives(
-                    coeffs, x, mu=mu, scheme=scheme, n=n, x_step=x_step)
+                cell, derivs = solve_with_x_derivatives(coeffs, x, mu=mu,
+                                                        scheme=scheme, n=n)
             else:
                 cell, derivs = solve_cell(coeffs, x=None, mu=mu, scheme=scheme, n=n), None
             avg = averaged_coefficients(cell, None, derivs, coeffs.x_dependent)
@@ -418,7 +421,7 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
 
         model = EffectiveModel(dim, drift_fn, diffusion_fn,
                                provenance={"route": "cell", "x_dependent": True,
-                                           "scheme": scheme, "n": n, "x_step": x_step},
+                                           "scheme": scheme, "n": n, "x_step": X_STEP},
                                description=description)
         model.averaged_at = averaged_at
         return model

@@ -55,7 +55,7 @@ from .measures import MeasurePath, wasserstein2
 from .noise_ring import NoiseRing, RingSide
 from .rate import dictionary_for_path, evaluate_jdg
 from .scenarios import Scenario, get_scenario
-from .simulate import Lane, SimConfig, noise_block, simulate_lanes
+from .simulate import Lane, noise_block, simulate_lanes
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -257,9 +257,8 @@ def _run_lane(lane: Lane, side: RingSide | None) -> list:
         return simulate_lanes([lane], draw=side)
 
 
-def _plan_jobs(plan: ExperimentPlan, scenario: Scenario, model,
-               snap_times: np.ndarray, coupled: bool) -> tuple:
-    """(jobs, rings): the reference run, then every rung and seed, in plan order.
+def _plan_jobs(configs: tuple, scenario: Scenario, model, coupled: bool) -> tuple:
+    """(jobs, rings): the runs of ``configs``, ``plan.run_configs()``, in plan order.
 
     A coupled rung/seed is one job stepping its multiscale run and its
     pre-averaged twin on shared noise; otherwise each is a job of its own,
@@ -267,35 +266,28 @@ def _plan_jobs(plan: ExperimentPlan, scenario: Scenario, model,
     :class:`NoiseRing`, one per rung/seed tag in ``rings``.  Either way the
     records are the same bit for bit.
     """
-    ref = plan.reference
-    ref_cfg = SimConfig(n_particles=ref["n_particles"], dt=ref["dt"],
-                        t_end=plan.t_end, seed=ref["seed"],
-                        snapshot_times=snap_times)
+    ref_cfg, rung_cfgs = configs
     jobs = [_Job("reference", ("reference_averaged",),
                  ref_cfg.n_particles * ref_cfg.n_steps,
                  lambda: [scenario.run_averaged(ref_cfg, model=model)])]
     rings = {}
-    for i, rung in enumerate(plan.rungs):
-        for seed in plan.seeds:
-            tag = f"rung{i}_seed{seed}"
-            cfg = SimConfig(n_particles=rung.n_particles, dt=rung.dt,
-                            t_end=plan.t_end, seed=seed, epsilon=rung.epsilon,
-                            snapshot_times=snap_times)
-            size = cfg.n_particles * cfg.n_steps
-            if coupled:
-                jobs.append(_Job(tag, (f"{tag}_multiscale", f"{tag}_pre_averaged"),
-                                 2 * size,
-                                 lambda cfg=cfg: scenario.run_coupled(cfg, model=model)))
-                continue
-            lanes = scenario.ladder_lanes(cfg, model)
-            sides = (None, None)
-            width = lanes[0].noise_dim
-            if lanes[1].noise_dim == width:
-                n = cfg.n_particles
-                rings[tag] = NoiseRing(n, width, noise_block(n, width), cfg.n_steps)
-                sides = rings[tag].sides()
-            jobs += [_Job(tag, (f"{tag}_{lane.mode}",), size, partial(_run_lane, lane, side))
-                     for lane, side in zip(lanes, sides)]
+    for i, cfg in rung_cfgs:
+        tag = f"rung{i}_seed{cfg.seed}"
+        size = cfg.n_particles * cfg.n_steps
+        if coupled:
+            jobs.append(_Job(tag, (f"{tag}_multiscale", f"{tag}_pre_averaged"),
+                             2 * size,
+                             lambda cfg=cfg: scenario.run_coupled(cfg, model=model)))
+            continue
+        lanes = scenario.ladder_lanes(cfg, model)
+        sides = (None, None)
+        width = lanes[0].noise_dim
+        if lanes[1].noise_dim == width:
+            n = cfg.n_particles
+            rings[tag] = NoiseRing(n, width, noise_block(n, width), cfg.n_steps)
+            sides = rings[tag].sides()
+        jobs += [_Job(tag, (f"{tag}_{lane.mode}",), size, partial(_run_lane, lane, side))
+                 for lane, side in zip(lanes, sides)]
     return jobs, rings
 
 
@@ -310,8 +302,8 @@ def _rate_row(run: str, rep) -> list:
     return [run, rep.total, rep.basis_size, peak]
 
 
-def _ladder(plan: ExperimentPlan, scenario: Scenario, model, base: Path,
-            snap_times: np.ndarray, artifacts: list, runtimes: dict, say) -> tuple:
+def _ladder(plan: ExperimentPlan, configs: tuple, scenario: Scenario, model, base: Path,
+            artifacts: list, runtimes: dict, say) -> tuple:
     """The plan's runs, distances and actions: (ladder rows, rate rows, noise sharing).
 
     After the runs, each rung and seed's action is submitted to the
@@ -321,8 +313,7 @@ def _ladder(plan: ExperimentPlan, scenario: Scenario, model, base: Path,
     workers = 1 if multiprocessing.current_process().daemon else _usable_cpus()
     # a pair is split only when there are fewer seeds than workers, so a
     # ring is only ever made for a plan that runs in the pool
-    jobs, rings = _plan_jobs(plan, scenario, model, snap_times,
-                             coupled=len(plan.seeds) >= workers)
+    jobs, rings = _plan_jobs(configs, scenario, model, coupled=len(plan.seeds) >= workers)
     workers = min(workers, len(jobs))
     runs: dict[str, tuple] = {}   # runtime key -> (records, seconds)
     ladder_rows, rate_rows = [], []
@@ -458,10 +449,10 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     t_start = time.perf_counter()
     say = echo if echo is not None else (lambda msg: None)
     scenario = get_scenario(plan.scenario)
+    configs = plan.run_configs()   # a bad run geometry is refused before any file
     checks = scenario.validate()
     base = Path(out_dir if out_dir is not None else plan.out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    snap_times = np.linspace(0.0, plan.t_end, plan.snapshots)
     artifacts: list[Path] = []
     runtimes: dict[str, float] = {}
     report: dict = {"scenario": plan.scenario, "version": __version__}
@@ -486,7 +477,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
 
     ladder_rows, rate_rows, sharing = [], [], {}
     if plan.rungs and set(plan.metrics) & {"w2_ladder", "jdg"}:
-        ladder_rows, rate_rows, sharing = _ladder(plan, scenario, model, base, snap_times,
+        ladder_rows, rate_rows, sharing = _ladder(plan, configs, scenario, model, base,
                                                   artifacts, runtimes, say)
 
     if ladder_rows:

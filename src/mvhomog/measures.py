@@ -7,7 +7,7 @@ relies on this for bit-exact exchangeability checks.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,14 +123,6 @@ class EmpiricalMeasure:
         """int |x|^order dmu."""
         return radial_moment(self.atoms, self.weights, order)
 
-    def pair(self, func: Callable) -> float:
-        """<mu, func>, with func vectorized over atom rows."""
-        vals = np.asarray(func(self.atoms), dtype=float)
-        if vals.shape != (self.size,):
-            raise ValidationError(
-                f"test function returned shape {vals.shape}, expected {(self.size,)}")
-        return _sorted_sum(self.weights * vals)
-
     def canonical_order(self) -> np.ndarray:
         """Atom indices sorted by coordinates, ties by weight: the same
         sequence of (atom, weight) pairs whatever order the atoms are in."""
@@ -240,7 +232,3 @@ class MeasurePath:
     def from_arrays(cls, times, positions) -> "MeasurePath":
         """Build from times (T,) and particle positions (T, N, d)."""
         return cls(times, [EmpiricalMeasure(p) for p in positions])
-
-    def pair_series(self, func: Callable) -> np.ndarray:
-        """<theta_t, func> at every snapshot time."""
-        return np.array([m.pair(func) for m in self.measures])

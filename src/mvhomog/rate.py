@@ -223,29 +223,19 @@ class RateReport:
             fh.write("\n")
 
 
-def _ma3(series: np.ndarray) -> np.ndarray:
-    """Moving average along axis 0, window 3, endpoints kept."""
-    out = series.copy()
-    out[1:-1] = (series[:-2] + series[1:-1] + series[2:]) / 3.0
-    return out
-
-
 def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDictionary,
                  *, nu0: EmpiricalMeasure | None = None, nu0_tol: float = 0.05,
-                 cutoff: float = GRAM_CUTOFF, series_filter: str = "none") -> RateReport:
+                 cutoff: float = GRAM_CUTOFF) -> RateReport:
     """Finite-dictionary evaluation of the path action (a certified lower bound).
 
     ``nu0`` optionally pins the required initial condition: when the path
     starts further than ``nu0_tol`` from it in Wasserstein-2, the action is
     +infinity by definition and no integration is attempted.
-    ``series_filter="ma3"`` smooths the paired time series before
-    differentiating, for noisy finite-N paths.  ``dictionary`` needs only
+    ``dictionary`` needs only
     ``size`` and ``evaluate(x)``, as on ``TestDictionary``.
     """
     if len(path) < 3:
         raise ValidationError("rate evaluation needs at least 3 snapshots")
-    if series_filter not in ("none", "ma3"):
-        raise ValidationError(f"unknown series filter {series_filter!r}")
     nbasis = dictionary.size
     times = path.times
 
@@ -273,8 +263,6 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
         rows = np.einsum("nbd,nde->neb", grads, model.noise_batch(atoms, mu))
         rows = (rows * np.sqrt(w)[:, None, None]).reshape(-1, nbasis)
         grams[i] = rows.T @ rows
-    if series_filter == "ma3":
-        paired = _ma3(paired)
     a_all = np.gradient(paired, times, axis=0) - lbar
 
     integrand = np.empty(len(times))

@@ -4,7 +4,7 @@ Three modes share one driver, :func:`simulate_lanes`:
 
 * ``multiscale``: the prelimit system with fast drift f(X, X/eps, mu)/eps,
   slow drift b(X, mu) and noise sigma(X, X/eps, mu).  The time step must
-  resolve the fast layer (dt <= stiffness_factor * eps^2 is enforced).
+  resolve the fast layer (dt <= STIFFNESS_FACTOR * eps^2 is enforced).
 * ``averaged``: the homogenized dynamics drift(X, mu) dt + noise(X, mu) dW.
 * ``pre_averaged``: identical dynamics to ``averaged``; the label marks runs
   where the scale separation was removed before the particle limit, so they
@@ -65,9 +65,24 @@ from .measures import (EmpiricalMeasure, MeasurePath, _moment_terms, _sorted_sum
                        radial_moment, wasserstein2)
 
 
+# dt <= STIFFNESS_FACTOR * epsilon^2 resolves the fast scale
+STIFFNESS_FACTOR = 0.1
+# largest miss of t_end / dt from a whole number of steps
+STEP_TOL = 1e-6
+
+
+def stiffness_limit(epsilon: float) -> float:
+    """Largest step that resolves the fast scale epsilon."""
+    return STIFFNESS_FACTOR * epsilon * epsilon
+
+
 @dataclass
 class SimConfig:
-    """Run geometry: particle count, step size, horizon, seed, snapshots."""
+    """Run geometry: particle count, step size, horizon, seed, snapshots.
+
+    The one home of the run-geometry rules: whole steps, distinct snapshot
+    steps, and the stiffness rule of ``require_stiffness``.
+    """
 
     n_particles: int
     dt: float
@@ -75,8 +90,6 @@ class SimConfig:
     seed: int = 0
     epsilon: float | None = None
     snapshot_times: np.ndarray | None = None
-    stiffness_factor: float = 0.1
-    log_controls: bool = False
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -86,9 +99,10 @@ class SimConfig:
         if not (self.t_end > 0 and np.isfinite(self.t_end)):
             raise ValidationError(f"t_end must be a positive float, got {self.t_end}")
         steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-6:
+        if abs(steps - round(steps)) > STEP_TOL:
             raise ValidationError(
-                f"t_end/dt = {steps!r} is not an integer number of steps")
+                f"dt={self.dt!r} does not divide the horizon t_end={self.t_end!r} "
+                f"into whole steps (t_end/dt = {steps!r})")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         if self.snapshot_times is not None:
@@ -107,34 +121,37 @@ class SimConfig:
         if np.any(times < -1e-12) or np.any(times > self.t_end + 1e-12):
             raise ValidationError("snapshot times must lie in [0, t_end]")
         steps = np.unique(np.round(times / self.dt).astype(int))
-        if len(steps) != len(np.asarray(times)):
-            raise ValidationError("snapshot times collide on the step grid")
+        if len(steps) != len(times):
+            raise ValidationError(
+                f"snapshot times collide on the step grid: {len(times)} times on "
+                f"{self.n_steps} steps of dt={self.dt!r}")
         return steps
 
     def require_stiffness(self, label: str) -> None:
+        """Refuse a dt above the limit; suggest the limit to six digits, never above it."""
         if self.epsilon is None:
             raise ValidationError(f"mode {label!r} needs epsilon in the config")
-        limit = self.stiffness_factor * self.epsilon ** 2
+        limit = stiffness_limit(self.epsilon)
         if self.dt > limit * (1 + 1e-12):
+            suggested = min(float(f"{limit:.6g}"), limit)
             raise ValidationError(
-                f"dt={self.dt:g} does not resolve the fast scale: need "
-                f"dt <= {self.stiffness_factor:g} * eps^2 = {limit:g} "
-                f"(suggested dt {limit:g})")
+                f"dt={self.dt!r} does not resolve the fast scale: need "
+                f"dt <= {STIFFNESS_FACTOR:g} * epsilon^2 = {limit:.6g}; "
+                f"suggested dt: {suggested!r}")
 
 
 class FeedbackControl:
     """Feedback control u(t, X, mu), vectorized over particles.
 
-    ``func(t, X, mu)`` must return (N, noise_dim).  After a run the
-    accumulated quadratic cost (trapezoidal 1/2 int |u|^2 dt per particle)
-    is available on ``cost_per_particle``.
+    ``func(t, X, mu)`` must return (N, noise_dim).  The run's record
+    carries the accumulated quadratic cost (trapezoidal 1/2 int |u|^2 dt per
+    particle) on ``cost_per_particle``.
     """
 
     def __init__(self, func: Callable, noise_dim: int, label: str = ""):
         self.func = func
         self.noise_dim = noise_dim
         self.label = label
-        self.cost_per_particle: np.ndarray | None = None
 
     def values(self, t: float, positions: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
         u = np.asarray(self.func(t, positions, mu), dtype=float)
@@ -165,8 +182,6 @@ class TrajectoryRecord:
     positions: np.ndarray          # (T, N, d)
     cost_per_particle: np.ndarray | None = None
     control_label: str | None = None
-    control_log: np.ndarray | None = None    # (K+1, N, m) if logged
-    control_times: np.ndarray | None = None
     version: str = field(default=__version__)
 
     @property
@@ -374,7 +389,6 @@ class _LaneRun:
         self.weights.flags.writeable = False
         self.mu = self.u = self.prev_h = None
         self.cost = np.zeros(n) if lane.control is not None else None
-        self.ulog = [] if (lane.control is not None and lane.config.log_controls) else None
         self.times: list[float] = []
         self.frames: list[np.ndarray] = []
 
@@ -393,8 +407,6 @@ class _LaneRun:
         if self.prev_h is not None:
             self.cost += 0.5 * (self.prev_h + h) * self.lane.config.dt
         self.prev_h = h
-        if self.ulog is not None:
-            self.ulog.append(self.u.copy())
 
     def step(self, t: float, xi: np.ndarray) -> None:
         """Euler-Maruyama update of all particles from the frozen measure.
@@ -425,19 +437,15 @@ class _LaneRun:
             self.frames.append(self.x.copy())
 
     def finish(self) -> TrajectoryRecord:
-        lane, dt = self.lane, self.lane.config.dt
+        lane = self.lane
         if lane.control is not None:
             # close the trapezoid with a final control evaluation at t_end
-            self.freeze(lane.config.n_steps * dt)
-            lane.control.cost_per_particle = self.cost.copy()
+            self.freeze(lane.config.n_steps * lane.config.dt)
         return TrajectoryRecord(
             scenario=lane.scenario_name, mode=lane.mode, config=lane.config,
             times=np.asarray(self.times), positions=np.stack(self.frames),
             cost_per_particle=self.cost,
             control_label=None if lane.control is None else lane.control.label,
-            control_log=None if self.ulog is None else np.stack(self.ulog),
-            control_times=None if self.ulog is None
-            else np.arange(len(self.ulog)) * dt,
         )
 
 

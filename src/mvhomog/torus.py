@@ -318,21 +318,21 @@ def check_centering(f_vals: np.ndarray, pi: np.ndarray, grid: TorusGrid) -> np.n
 
 
 def solve_cell_problem(L: GeneratorOperator, pi: np.ndarray, f_vals: np.ndarray,
-                       grid: TorusGrid, centering_tol: float = CENTERING_TOL):
+                       grid: TorusGrid):
     """Solve L phi_l = -f_l with pi-mean zero for each component l.
 
-    Raises CenteringError when int f pi is too large relative to sup|f|; the
+    Raises CenteringError when int f pi exceeds CENTERING_TOL sup|f|; the
     residual that remains below the gate is projected out so the discrete
     system is exactly solvable.
     """
     defect = check_centering(f_vals, pi, grid)
     scale = np.maximum(np.abs(f_vals).max(axis=0), 1e-300)
     rel = np.abs(defect) / scale
-    if np.any(rel > centering_tol):
+    if np.any(rel > CENTERING_TOL):
         worst = int(np.argmax(rel))
         raise CenteringError(
             f"fast drift component {worst} has centering defect "
-            f"{defect[worst]:.3e} (relative {rel[worst]:.3e} > {centering_tol:.1e}); "
+            f"{defect[worst]:.3e} (relative {rel[worst]:.3e} > {CENTERING_TOL:.1e}); "
             "the cell problem is not solvable for this coefficient set")
     centered = f_vals - defect[None, :]  # project onto the solvable range
     # the preconditioned right-hand side gauges the size of phi_l
@@ -388,7 +388,7 @@ def load_cell_csv(path):
 
 
 def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
-               n: int | None = None, centering_tol: float = CENTERING_TOL) -> CellSolution:
+               n: int | None = None) -> CellSolution:
     """Full frozen-cell workflow: operator, stationary measure, corrector, gradient."""
     if scheme == "auto":
         scheme = "spectral" if coeffs.dim <= 2 else "fd"
@@ -396,7 +396,7 @@ def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
     f_vals, a_vals = coeffs.fields(grid, x, mu)
     L = assemble_generator(grid, f_vals, a_vals, scheme)
     pi, resid_pi = solve_invariant_measure(L, grid)
-    phi, resid_phi, defect = solve_cell_problem(L, pi, f_vals, grid, centering_tol)
+    phi, resid_phi, defect = solve_cell_problem(L, pi, f_vals, grid)
     grad_phi = np.stack([apply_axis_derivative(phi, grid, k, scheme) for k in range(grid.dim)], 2)
     return CellSolution(
         grid=grid, scheme=scheme, pi=pi, phi=phi, grad_phi=grad_phi,
@@ -404,7 +404,7 @@ def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
         residual_pi=resid_pi, residual_phi=resid_phi,
         x=None if x is None else np.asarray(x, dtype=float),
         provenance={"n": grid.n, "scheme": scheme,
-                    "centering_tol": centering_tol, "residual_tol": RESIDUAL_TOL,
+                    "centering_tol": CENTERING_TOL, "residual_tol": RESIDUAL_TOL,
                     "krylov_iterations": dict(L.krylov), "residual_pi": resid_pi,
                     "residual_phi": resid_phi.tolist()},
     )

@@ -143,6 +143,23 @@ def test_oversize_rate_basis_stops_the_ladder_before_any_run(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("plan, field", [
+    ({"scenario": "dawson_rough", "seeds": [1], "metrics": ["effective_table", "w2_ladder"],
+      "rungs": [{"n_particles": 10, "epsilon": 0.0317, "dt": 1 / 10000.005}]},
+     "plan.rungs[0].dt"),
+    ({"scenario": "dawson_rough", "seeds": [1], "metrics": ["gamma_table", "w2_ladder"],
+      "snapshots": 300},
+     "plan.snapshots"),
+])
+def test_run_geometry_stops_the_ladder_before_any_file(plan, field, tmp_path, capsys):
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps(plan))
+    out_dir = tmp_path / "runs"
+    assert main(["ladder", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_console_script_reports_version():
     result = subprocess.run([sys.executable, "-m", "mvhomog.cli", "--version"],
                             capture_output=True, text=True)

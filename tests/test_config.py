@@ -1,4 +1,5 @@
 """Plan parsing: strict keys, field-path diagnostics, stiffness gate."""
+import numpy as np
 import pytest
 
 from mvhomog import ValidationError, load_plan, parse_plan, scenario_names
@@ -82,6 +83,15 @@ def test_booleans_are_not_integers():
         parse_plan({"scenario": "free_brownian", "snapshots": True})
 
 
+def test_numbers_must_be_finite():
+    for value in (float("nan"), float("inf"), 10 ** 400):
+        with pytest.raises(ValidationError, match=r"plan\.t_end: must be positive and finite"):
+            parse_plan({"scenario": "free_brownian", "t_end": value})
+    with pytest.raises(ValidationError, match=r"plan\.rungs\[0\]\.dt: must be positive"):
+        parse_plan({"scenario": "free_brownian",
+                    "rungs": [{"n_particles": 10, "epsilon": 0.5, "dt": float("nan")}]})
+
+
 def test_metrics_choices_enforced():
     with pytest.raises(ValidationError, match=r"plan\.metrics\[1\]"):
         parse_plan({"scenario": "free_brownian",
@@ -95,6 +105,38 @@ def test_step_must_divide_horizon():
     with pytest.raises(ValidationError, match=r"plan\.reference\.dt"):
         parse_plan({"scenario": "free_brownian",
                     "reference": {"dt": 0.3}})
+
+
+def test_step_tolerance_is_the_runs_own():
+    # t_end/dt = 10000.005 is 0.005 off a whole step count: the run refuses it
+    raw = {"scenario": "dawson_rough",
+           "rungs": [{"n_particles": 10, "epsilon": 0.0317, "dt": 1 / 10000.005}]}
+    with pytest.raises(ValidationError,
+                       match=r"^plan\.rungs\[0\]\.dt: .*whole steps"):
+        parse_plan(raw)
+    raw["rungs"][0]["dt"] = 1e-4
+    assert parse_plan(raw).rungs[0].dt == 1e-4
+
+
+def test_snapshot_collisions_are_refused_by_the_plan():
+    # 300 snapshots cannot land on distinct steps of the 250-step eps = 0.2 rung
+    with pytest.raises(ValidationError,
+                       match=r"^plan\.snapshots: snapshot times collide .*250 steps"):
+        parse_plan({"scenario": "dawson_rough", "snapshots": 300})
+    assert parse_plan({"scenario": "dawson_rough", "snapshots": 251}).snapshots == 251
+
+
+def test_plan_configs_are_the_runs_configs():
+    plan = parse_plan({"scenario": "dawson_rough", "seeds": [5, 6], "t_end": 0.5,
+                       "snapshots": 6})
+    reference, rungs = plan.run_configs()
+    assert (reference.n_particles, reference.dt, reference.seed, reference.epsilon) \
+        == (8000, 0.0025, 977, None)
+    assert [(i, c.n_particles, c.epsilon, c.seed) for i, c in rungs] == [
+        (i, n, e, s) for i, (n, e) in enumerate(DEFAULT_LADDER) for s in (5, 6)]
+    for cfg in [reference] + [c for _, c in rungs]:
+        assert cfg.t_end == 0.5
+        assert np.array_equal(cfg.snapshot_times, np.linspace(0.0, 0.5, 6))
 
 
 def test_empty_rungs_mean_tables_only():

@@ -348,6 +348,15 @@ def test_a_daemonic_process_runs_its_plan_inline(tmp_path, monkeypatch):
     assert inside == _run_tiny_plan(tmp_path / "main")
 
 
+def test_a_built_plan_with_colliding_snapshots_writes_no_file(tmp_path):
+    # bypasses parse_plan: the run configs still refuse it before any artifact
+    plan = dataclasses.replace(parse_plan(TINY_PLAN), snapshots=100)
+    out = tmp_path / "runs"
+    with pytest.raises(ValidationError, match=r"^plan\.snapshots: snapshot times collide"):
+        run_experiment(plan, out_dir=out)
+    assert not out.exists()
+
+
 def test_state_grid_shapes():
     assert state_grid(1).shape == (41, 1)
     g2 = state_grid(2, count=41)

@@ -78,20 +78,6 @@ def test_sliced_seed_agreement_on_gaussian_pairs():
         assert abs(w_one - w_two) <= 0.05 * w_one
 
 
-def test_pair_is_linear():
-    x = np.random.default_rng(3).normal(size=64)
-    m = EmpiricalMeasure(x)
-
-    def phi(v):
-        return v[:, 0] ** 2
-
-    def psi(v):
-        return np.sin(v[:, 0])
-
-    combo = m.pair(lambda v: 2.0 * phi(v) + 3.0 * psi(v))
-    assert combo == pytest.approx(2.0 * m.pair(phi) + 3.0 * m.pair(psi), abs=1e-12)
-
-
 def test_statistics_permutation_invariant():
     x = np.random.default_rng(4).normal(size=(257, 2))
     perm = np.random.default_rng(5).permutation(257)
@@ -120,14 +106,6 @@ def test_measure_path_validation():
         MeasurePath.from_arrays(np.array([0.0]), x[:1])
     path = MeasurePath.from_arrays(np.array([0.0, 0.5, 1.0]), x)
     assert len(path.measures) == 3
-
-
-def test_pair_series_along_path():
-    times = np.array([0.0, 0.5, 1.0])
-    pos = np.stack([np.full((4, 1), v) for v in (0.0, 1.0, 2.0)])
-    path = MeasurePath.from_arrays(times, pos)
-    series = path.pair_series(lambda v: v[:, 0])
-    assert np.allclose(series, [0.0, 1.0, 2.0], atol=1e-15)
 
 
 def _bits(value: float) -> int:

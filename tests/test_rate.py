@@ -229,15 +229,11 @@ def test_degenerate_dictionary_warns_and_stays_finite():
     assert len(rep.degenerate_times) == len(path)
 
 
-def test_series_filter_smoke_and_validation():
+def test_action_needs_three_snapshots():
     path = gaussian_shift_path(v=1.0, n=128, snapshots=9)
     d = dictionary_for_path(path, per_axis=4)
-    rep = evaluate_jdg(path, heat_model(), d, series_filter="ma3")
-    assert np.isfinite(rep.total)
-    with pytest.raises(ValidationError):
-        evaluate_jdg(path, heat_model(), d, series_filter="boxcar")
     short = MeasurePath(path.times[:2], path.measures[:2])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="at least 3 snapshots"):
         evaluate_jdg(short, heat_model(), d)
 
 
