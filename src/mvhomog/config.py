@@ -126,33 +126,38 @@ class ExperimentPlan:
 
         Every run records on linspace(0, t_end, snapshots), and a rung's run
         must resolve the fast scale.  A refusal by SimConfig's rules names the
-        plan field it comes from.
+        plan field it comes from.  Every step is checked first; then the
+        snapshot count against the shortest run, before the times are built;
+        then the times on each run.
         """
-        snap_times = np.linspace(0.0, self.t_end, self.snapshots)
         ref = self.reference
-        reference = _run_config("plan.reference", snap_times, n_particles=ref["n_particles"],
+        reference = _run_config("plan.reference", n_particles=ref["n_particles"],
                                 dt=ref["dt"], t_end=self.t_end, seed=ref["seed"])
-        rungs = [(i, _run_config(f"plan.rungs[{i}]", snap_times, n_particles=rung.n_particles,
+        rungs = [(i, _run_config(f"plan.rungs[{i}]", n_particles=rung.n_particles,
                                  dt=rung.dt, t_end=self.t_end, seed=seed,
                                  epsilon=rung.epsilon))
                  for i, rung in enumerate(self.rungs) for seed in self.seeds]
+        shortest = min([reference] + [config for _, config in rungs],
+                       key=lambda config: config.n_steps)
+        try:
+            shortest.require_snapshot_count(self.snapshots)
+            times = np.linspace(0.0, self.t_end, self.snapshots)
+            reference = replace(reference, snapshot_times=times)
+            rungs = [(i, replace(config, snapshot_times=times)) for i, config in rungs]
+        except ValidationError as exc:
+            raise ValidationError(f"plan.snapshots: {exc}") from None
         return reference, rungs
 
 
-def _run_config(path: str, snapshot_times: np.ndarray, **geometry) -> SimConfig:
-    """A run's SimConfig.  Its step is checked first, and a refusal named
-    ``{path}.dt``; then its snapshots, a refusal named ``plan.snapshots``.
-    """
+def _run_config(path: str, **geometry) -> SimConfig:
+    """A run's SimConfig without snapshots; a refusal is named ``{path}.dt``."""
     try:
         config = SimConfig(**geometry)
         if config.epsilon is not None:
             config.require_stiffness("multiscale")
     except ValidationError as exc:
         raise ValidationError(f"{path}.dt: {exc}") from None
-    try:
-        return replace(config, snapshot_times=snapshot_times)
-    except ValidationError as exc:
-        raise ValidationError(f"plan.snapshots: {exc}") from None
+    return config
 
 
 def _parse_rung(raw, idx: int) -> Rung:

@@ -183,6 +183,8 @@ class SeparablePotential:
 
     def z_factors(self, quad_points: int = 512) -> tuple[np.ndarray, np.ndarray]:
         """Normalizers (Z_k, Zhat_k) by midpoint quadrature on the circle."""
+        if quad_points < 1:
+            raise ValidationError(f"quadrature needs at least 1 point, got {quad_points}")
         s = (np.arange(quad_points) + 0.5) / quad_points
         z = np.empty(self.dim)
         zhat = np.empty(self.dim)
@@ -320,10 +322,26 @@ class EffectiveModel:
         """Apply the limiting generator to test functions given their
         gradients (N, ..., dim) and Hessians (N, ..., dim, dim) at the
         points xs; the result has shape (N, ...)."""
+        return _generator(self.drift_batch(xs, mu), self.diffusion_batch(xs, mu),
+                          grad_vals, hess_vals)
+
+    def generator_and_noise(self, grad_vals: np.ndarray, hess_vals: np.ndarray,
+                            xs: np.ndarray, mu=None) -> tuple:
+        """(generator_apply, noise_batch) at xs, the diffusion evaluated once."""
         drift = self.drift_batch(xs, mu)
         diff = self.diffusion_batch(xs, mu)
-        return np.einsum("ni,n...i->n...", drift, grad_vals) \
-            + 0.5 * np.einsum("nij,n...ij->n...", diff, hess_vals)
+        if self._const_noise is not None:
+            noise = np.broadcast_to(self._const_noise, diff.shape)
+        else:
+            noise = matrix_sqrt_psd(diff)
+        return _generator(drift, diff, grad_vals, hess_vals), noise
+
+
+def _generator(drift: np.ndarray, diff: np.ndarray, grad_vals: np.ndarray,
+               hess_vals: np.ndarray) -> np.ndarray:
+    """b . grad + 1/2 D : hess of test functions, from the coefficient values."""
+    return np.einsum("ni,n...i->n...", drift, grad_vals) \
+        + 0.5 * np.einsum("nij,n...ij->n...", diff, hess_vals)
 
 
 def separable_model(potential: SeparablePotential,

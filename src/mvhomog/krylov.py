@@ -10,6 +10,7 @@ orthogonal.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -24,8 +25,10 @@ MAX_ITER = 600
 def gmres(apply: Callable, precondition: Callable, b: np.ndarray, target: float):
     """Solve apply(x) = b until the rms residual is at most ``target``.
 
-    Returns (x, iterations).  The Arnoldi estimate of the residual ends a
-    cycle; the recomputed true residual decides whether another one runs.
+    Returns (x, iterations).  The Arnoldi estimate of the residual, updated
+    by one Givens rotation per iteration, ends a cycle; the cycle's update
+    then comes from one least-squares solve, and the recomputed true
+    residual decides whether another cycle runs.
     """
     m = b.size
     x, r, its = np.zeros(m), b, 0
@@ -39,6 +42,9 @@ def gmres(apply: Callable, precondition: Callable, b: np.ndarray, target: float)
         rhs = np.zeros(RESTART + 1)
         rhs[0] = res * np.sqrt(m)
         basis[0] = r / rhs[0]
+        # Givens rotations (cs, sn) reduce hess to triangular form; after
+        # column j, |g| is the least-squares residual of the first j + 1
+        cs, sn, g = [], [], float(rhs[0])
         for j in range(RESTART):
             w = apply(precondition(basis[j]))
             w_norm = np.linalg.norm(w)
@@ -48,11 +54,19 @@ def gmres(apply: Callable, precondition: Callable, b: np.ndarray, target: float)
                 hess[:j + 1, j] += h
             hess[j + 1, j] = np.linalg.norm(w)
             its += 1
-            y = np.linalg.lstsq(hess[:j + 2, :j + 1], rhs[:j + 2], rcond=None)[0]
-            est = np.linalg.norm(hess[:j + 2, :j + 1] @ y - rhs[:j + 2]) / np.sqrt(m)
-            if est <= target or its >= MAX_ITER or hess[j + 1, j] <= 1e-14 * w_norm:
+            col = hess[:j + 2, j].tolist()
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            diag = math.hypot(col[j], col[j + 1])
+            cs.append(col[j] / diag if diag else 1.0)
+            sn.append(col[j + 1] / diag if diag else 0.0)
+            g = -sn[j] * g
+            if abs(g) / np.sqrt(m) <= target or its >= MAX_ITER \
+                    or hess[j + 1, j] <= 1e-14 * w_norm:
                 break  # converged, capped, or the Krylov space is invariant
             basis[j + 1] = w / hess[j + 1, j]
+        y = np.linalg.lstsq(hess[:j + 2, :j + 1], rhs[:j + 2], rcond=None)[0]
         x = x + precondition(y @ basis[:j + 1])
         r = b - apply(x)
     return x, its

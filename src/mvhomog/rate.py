@@ -259,8 +259,10 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
         mu = EmpiricalMeasure._trusted(atoms, w)
         values, grads, hessians = dictionary.evaluate(atoms)
         paired[i] = w @ values
-        lbar[i] = w @ model.generator_apply(grads, hessians, atoms, mu)
-        rows = np.einsum("nbd,nde->neb", grads, model.noise_batch(atoms, mu))
+        generated, noise = model.generator_and_noise(grads, hessians, atoms, mu)
+        lbar[i] = w @ generated
+        del generated  # free before the Gram rows, which are as large
+        rows = np.einsum("nbd,nde->neb", grads, noise)
         rows = (rows * np.sqrt(w)[:, None, None]).reshape(-1, nbasis)
         grams[i] = rows.T @ rows
     a_all = np.gradient(paired, times, axis=0) - lbar

@@ -122,10 +122,18 @@ class SimConfig:
             raise ValidationError("snapshot times must lie in [0, t_end]")
         steps = np.unique(np.round(times / self.dt).astype(int))
         if len(steps) != len(times):
-            raise ValidationError(
-                f"snapshot times collide on the step grid: {len(times)} times on "
-                f"{self.n_steps} steps of dt={self.dt!r}")
+            raise self._collision(len(times))
         return steps
+
+    def require_snapshot_count(self, count: int) -> None:
+        """Refuse more snapshot times than the run has steps plus one, before
+        any time is built: so many cannot land on distinct steps."""
+        if count > self.n_steps + 1:
+            raise self._collision(count)
+
+    def _collision(self, count: int) -> ValidationError:
+        return ValidationError(f"snapshot times collide on the step grid: {count} times on "
+                               f"{self.n_steps} steps of dt={self.dt!r}")
 
     def require_stiffness(self, label: str) -> None:
         """Refuse a dt above the limit; suggest the limit to six digits, never above it."""

@@ -9,11 +9,16 @@ grid of the d-torus, solves the stationarity equation L* pi = 0 with unit
 mass, and solves the cell (corrector) problem L phi_l = -f_l with pi-mean
 zero, which is solvable exactly when f is centered against pi.
 
-Derivatives act along one grid axis: ``"fd"`` shifts the nodal array for
-4th-order centered stencils (d <= 3); ``"spectral"`` multiplies Fourier
-symbols with ``numpy.fft`` (d <= 2), d/dy dropping the Nyquist mode of even n
-and d^2/dy^2 keeping it.  L is never assembled: ``GeneratorOperator`` applies
-L and L* from the nodal coefficients.  GMRES solves L* q = -L* 1 for
+Derivatives act along one grid axis: ``"fd"`` applies 4th-order centered
+stencils (d <= 3) to four shifts of the nodal array, views of one copy
+wrapped by two cells at each end; ``"spectral"`` multiplies Fourier symbols
+with ``numpy.fft`` (d <= 2), d/dy dropping the Nyquist mode of even n and
+d^2/dy^2 keeping it.  L is never assembled: ``GeneratorOperator`` applies L
+and L* from the nodal coefficients.  L @ u takes the shifts (or the rfft) of
+u once per axis and shares them between the D1 and D2 terms.  A constant
+sigma gives one A, broadcast over the nodes with stride 0, so the
+ellipticity check sees one matrix; the operator's largest entry is computed
+once, when it is built.  GMRES solves L* q = -L* 1 for
 pi = 1 + q (then unit mass) and L phi_l = -(f_l - int f_l pi) (then pi-mean
 zero), preconditioned by mean(f) . grad + 1/2 mean(A) : hess inverted in
 Fourier space with its zero mode sent to zero, so iterates never meet
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -87,35 +93,84 @@ class TorusGrid:
 # ---------------------------------------------------------------------------
 # one-dimensional derivatives
 
+@functools.lru_cache(maxsize=64)
 def _symbol(n: int, scheme: str, order: int, half: bool) -> np.ndarray:
-    """Symbol of d^order/dy^order on n nodes of [0,1), at rfft (half) or fft modes."""
+    """Symbol of d^order/dy^order on n nodes of [0,1), at rfft (half) or fft modes.
+
+    Computed once per argument tuple and returned read-only.
+    """
     if scheme not in ("fd", "spectral"):
         raise ValidationError(f"unknown scheme {scheme!r}, expected 'fd' or 'spectral'")
     k = np.arange(n // 2 + 1) if half else np.fft.fftfreq(n, 1.0 / n)
     if scheme == "fd":
         theta = 2.0 * np.pi * k / n
         if order == 1:
-            return 1j * (8.0 * np.sin(theta) - np.sin(2.0 * theta)) * (n / 6.0)
-        return (-30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)) * (n * n / 12.0)
-    if n % 2 != 0:
+            sym = 1j * (8.0 * np.sin(theta) - np.sin(2.0 * theta)) * (n / 6.0)
+        else:
+            sym = (-30.0 + 32.0 * np.cos(theta) - 2.0 * np.cos(2.0 * theta)) * (n * n / 12.0)
+    elif n % 2 != 0:
         raise ValidationError("spectral scheme needs an even number of nodes")
+    elif order == 1:
+        sym = np.where(np.abs(k) == n // 2, 0.0, 2j * np.pi * k)
+    else:
+        sym = -(2.0 * np.pi * k) ** 2
+    sym.flags.writeable = False
+    return sym
+
+
+def _shifts(v: np.ndarray, axis: int) -> tuple:
+    """(m2, m1, p1, p2): v shifted periodically along one axis, p1[i] = v[i + 1].
+
+    All four are views of one wrapped copy: v with its last two and first
+    two slices along the axis added at the other end.
+    """
+    n = v.shape[axis]
+    lead = (slice(None),) * axis
+    wrapped = np.concatenate((v[lead + (slice(n - 2, n),)], v, v[lead + (slice(0, 2),)]),
+                             axis=axis)
+    return tuple(wrapped[lead + (slice(j, j + n),)] for j in (0, 1, 3, 4))
+
+
+def _stencil(v: np.ndarray, shifts: tuple, n: int, order: int) -> np.ndarray:
+    """4th-order centered d^order/dy^order on n nodes from v's shifts.
+
+    Computed in place, in the operation order of
+    (8 (p1 - m1) - (p2 - m2)) n / 12 and (16 (p1 + m1) - (p2 + m2) - 30 v) n^2 / 12.
+    """
+    m2, m1, p1, p2 = shifts
     if order == 1:
-        return np.where(np.abs(k) == n // 2, 0.0, 2j * np.pi * k)
-    return -(2.0 * np.pi * k) ** 2
+        out, far = p1 - m1, p2 - m2
+        out *= 8.0
+        out -= far
+        out *= n / 12.0
+        return out
+    out, far = p1 + m1, p2 + m2
+    out *= 16.0
+    out -= far
+    out -= np.multiply(30.0, v, out=far)
+    out *= n * n / 12.0
+    return out
+
+
+def _axis_derivatives(v: np.ndarray, axis: int, orders, scheme: str) -> list:
+    """d^o/dy^o of periodic nodal values along one array axis, for each o in orders.
+
+    The orders share one set of shifts (fd) or one rfft (spectral) of v.
+    """
+    n = v.shape[axis]
+    if scheme == "fd":
+        shifts = _shifts(v, axis)
+        return [_stencil(v, shifts, n, order) for order in orders]
+    shape = [1] * v.ndim
+    shape[axis] = -1
+    spec = np.fft.rfft(v, axis=axis)
+    return [np.fft.irfft(spec * _symbol(n, scheme, order, True).reshape(shape), n=n, axis=axis)
+            for order in orders]
 
 
 def _derivative(v: np.ndarray, axis: int, order: int, scheme: str) -> np.ndarray:
     """d^order/dy^order of periodic nodal values along one array axis."""
-    n = v.shape[axis]
-    if scheme == "fd":  # 4th-order centered stencils, g[i + 1] is p1
-        p1, m1, p2, m2 = (np.roll(v, -j, axis=axis) for j in (1, -1, 2, -2))
-        if order == 1:
-            return (8.0 * (p1 - m1) - (p2 - m2)) * (n / 12.0)
-        return (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * v) * (n * n / 12.0)
-    shape = [1] * v.ndim
-    shape[axis] = -1
-    spec = np.fft.rfft(v, axis=axis) * _symbol(n, scheme, order, True).reshape(shape)
-    return np.fft.irfft(spec, n=n, axis=axis)
+    return _axis_derivatives(v, axis, (order,), scheme)[0]
 
 
 def d1_matrix(n: int, scheme: str) -> np.ndarray:
@@ -160,27 +215,54 @@ class FastCoefficients:
             self.noise_dim = self.dim
 
     def fields(self, grid: TorusGrid, x=None, mu=None):
-        """Evaluate (f, A) on the grid; A = sigma sigma^T, symmetrized."""
+        """Evaluate (f, A) on the grid; A = sigma sigma^T, symmetrized.
+
+        A constant sigma (one matrix) gives one A, broadcast over the nodes
+        as a read-only field of stride 0.
+        """
         y = grid.nodes
         fv = np.asarray(self.f(x, y, mu), dtype=float)
         if fv.shape != (grid.size, self.dim):
             raise ValidationError(
                 f"fast drift returned shape {fv.shape}, expected {(grid.size, self.dim)}")
         sv = np.asarray(self.sigma(x, y, mu), dtype=float)
-        if sv.ndim == 2:  # constant matrix, broadcast over nodes
-            sv = np.broadcast_to(sv, (grid.size,) + sv.shape)
-        if sv.shape != (grid.size, self.dim, self.noise_dim):
-            raise ValidationError(
-                f"fast diffusion returned shape {sv.shape}, "
-                f"expected {(grid.size, self.dim, self.noise_dim)}")
+        constant = sv.ndim == 2
+        want = (self.dim, self.noise_dim) if constant else (grid.size, self.dim, self.noise_dim)
+        if sv.shape != want:
+            raise ValidationError(f"fast diffusion returned shape {sv.shape}, expected {want}")
+        if constant:
+            sv = sv[None]
         a = np.einsum("nik,njk->nij", sv, sv)
         a = 0.5 * (a + np.swapaxes(a, 1, 2))
-        return fv, a
+        return fv, np.broadcast_to(a, (grid.size, self.dim, self.dim)) if constant else a
 
 
 def ellipticity_floor(a_vals: np.ndarray) -> float:
-    """Smallest eigenvalue of A over the grid."""
+    """Smallest eigenvalue of A over the grid; a field of stride 0 is one matrix."""
+    if a_vals.strides[0] == 0:
+        a_vals = a_vals[:1]
     return float(np.linalg.eigvalsh(a_vals)[:, 0].min())
+
+
+def _largest_entry(grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray,
+                   scheme: str) -> float:
+    """Largest |entry| of the matrix of L, and of L*, from the coefficients.
+
+    With c1, c2 the circulant columns of D1, D2 (c1[0] = 0), a row holds
+    tr(A) c2[0] / 2 on the diagonal, f_k c1[j] + A_kk c2[j] / 2 along axis
+    k (offsets visited by decreasing bound) and A_kl c1[i] c1[j] off-axis.
+    """
+    c1, c2 = (_derivative(np.eye(grid.n, 1)[:, 0], 0, o, scheme) for o in (1, 2))
+    off_axis = np.abs(a_vals - a_vals * np.eye(grid.dim)).max() * np.abs(c1).max() ** 2
+    best = float(max(np.abs(np.trace(a_vals, axis1=1, axis2=2)).max() * 0.5 * abs(c2[0]),
+                     off_axis))
+    for f, a in zip(f_vals.T, 0.5 * np.diagonal(a_vals, axis1=1, axis2=2).T):
+        bound = np.abs(f).max() * np.abs(c1) + np.abs(a).max() * np.abs(c2)
+        for j in np.argsort(-bound[1:]) + 1:
+            if bound[j] <= best:
+                break
+            best = max(best, float(np.abs(f * c1[j] + a * c2[j]).max()))
+    return best
 
 
 class GeneratorOperator:
@@ -195,7 +277,8 @@ class GeneratorOperator:
     def __init__(self, grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray, scheme: str):
         self.grid, self.scheme, self.adjoint = grid, scheme, False
         self.krylov: dict = {}
-        self._f_vals, self._a_vals, dim = f_vals, a_vals, grid.dim
+        dim = grid.dim
+        self._abs_max = _largest_entry(grid, f_vals, a_vals, scheme)
         terms = [(f_vals[:, k], ((k, 1),)) for k in range(dim)]
         terms += [(0.5 * a_vals[:, k, k], ((k, 2),)) for k in range(dim)]
         # the pair (k, l) carries A_kl d^2/dy_k dy_l in both orders
@@ -203,6 +286,12 @@ class GeneratorOperator:
                   for k in range(dim) for l in range(k + 1, dim)]
         # zero fields are dropped; the trailing axis holds operand columns
         self._terms = [(c.reshape(grid.shape + (1,)), ops) for c, ops in terms if np.any(c)]
+        # the derivatives of the operand that the terms start from, by axis
+        self._first_orders: dict = {}
+        for _, ((axis, order), *_) in self._terms:
+            orders = self._first_orders.setdefault(axis, [])
+            if order not in orders:
+                orders.append(order)
         # mean-coefficient symbol on the rfftn grid, whose last axis is halved
         sym = {order: np.ix_(*[_symbol(grid.n, scheme, order, k == dim - 1)
                                for k in range(dim)]) for order in (1, 2)}
@@ -221,12 +310,25 @@ class GeneratorOperator:
         u = np.asarray(u, dtype=float)
         v = u.reshape(self.grid.shape + (-1,))
         out = np.zeros_like(v)
+        if self.adjoint:
+            for coef, ops in self._terms:
+                w = coef * v
+                for axis, order in ops:
+                    w = _derivative(w, axis, order, self.scheme)
+                # D1* = -D1 and D2* = D2 on the torus
+                if sum(o == 1 for _, o in ops) % 2:
+                    out -= w
+                else:
+                    out += w
+            return out.reshape(u.shape)
+        # every term starts from a derivative of v, each taken once
+        first = {(axis, o): d for axis, orders in self._first_orders.items()
+                 for o, d in zip(orders, _axis_derivatives(v, axis, orders, self.scheme))}
         for coef, ops in self._terms:
-            w = coef * v if self.adjoint else v
-            for axis, order in ops:
+            w = first[ops[0]]
+            for axis, order in ops[1:]:
                 w = _derivative(w, axis, order, self.scheme)
-            # D1* = -D1 and D2* = D2 on the torus
-            out += (-1.0) ** sum(o == 1 for _, o in ops) * w if self.adjoint else coef * w
+            out += coef * w
         return out.reshape(u.shape)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
@@ -236,24 +338,8 @@ class GeneratorOperator:
         return np.fft.irfftn(spec, self.grid.shape, range(self.grid.dim)).reshape(r.shape)
 
     def abs_max(self) -> float:
-        """Largest |entry| of the matrix of L (or L*), from the coefficients.
-
-        With c1, c2 the circulant columns of D1, D2 (c1[0] = 0), a row holds
-        tr(A) c2[0] / 2 on the diagonal, f_k c1[j] + A_kk c2[j] / 2 along axis
-        k (offsets visited by decreasing bound) and A_kl c1[i] c1[j] off-axis.
-        """
-        a_vals = self._a_vals
-        c1, c2 = (_derivative(np.eye(self.grid.n, 1)[:, 0], 0, o, self.scheme) for o in (1, 2))
-        off_axis = np.abs(a_vals - a_vals * np.eye(self.grid.dim)).max() * np.abs(c1).max() ** 2
-        best = float(max(np.abs(np.trace(a_vals, axis1=1, axis2=2)).max() * 0.5 * abs(c2[0]),
-                         off_axis))
-        for f, a in zip(self._f_vals.T, 0.5 * np.diagonal(a_vals, axis1=1, axis2=2).T):
-            bound = np.abs(f).max() * np.abs(c1) + np.abs(a).max() * np.abs(c2)
-            for j in np.argsort(-bound[1:]) + 1:
-                if bound[j] <= best:
-                    break
-                best = max(best, float(np.abs(f * c1[j] + a * c2[j]).max()))
-        return best
+        """Largest |entry| of the matrix of L (or L*), computed at construction."""
+        return self._abs_max
 
     def solve(self, b: np.ndarray, size: float):
         """GMRES for self @ x = b, |x| ~ size, to the module's target; (x, iterations)."""

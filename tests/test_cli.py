@@ -25,6 +25,14 @@ def test_gamma_reports_reference_agreement(capsys):
     assert "diff" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gamma_refuses_an_empty_quadrature(capsys, count):
+    assert main(["gamma", "--scenario", "cos_rough_1d", "--quad-points", count]) == 2
+    captured = capsys.readouterr()
+    assert "at least 1 point" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_gamma_rejects_nonseparable_scenario(capsys):
     assert main(["gamma", "--scenario", "nongradient_2d"]) == 2
     assert "not separable" in capsys.readouterr().err

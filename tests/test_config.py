@@ -1,4 +1,6 @@
 """Plan parsing: strict keys, field-path diagnostics, stiffness gate."""
+import time
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,15 @@ def test_snapshot_collisions_are_refused_by_the_plan():
                        match=r"^plan\.snapshots: snapshot times collide .*250 steps"):
         parse_plan({"scenario": "dawson_rough", "snapshots": 300})
     assert parse_plan({"scenario": "dawson_rough", "snapshots": 251}).snapshots == 251
+
+
+def test_an_oversized_snapshot_count_is_refused_before_the_times_are_built():
+    # 10^9 times would be an 8 GB array; the count alone decides
+    start = time.perf_counter()
+    with pytest.raises(ValidationError,
+                       match=r"^plan\.snapshots: .*1000000000 times on 250 steps"):
+        parse_plan({"scenario": "dawson_rough", "snapshots": 10 ** 9})
+    assert time.perf_counter() - start < 0.5
 
 
 def test_plan_configs_are_the_runs_configs():

@@ -199,6 +199,10 @@ def test_gamma_separable_quadrature_converges():
     coarse = gamma_separable(pot, quad_points=128)[0, 0]
     fine = gamma_separable(pot, quad_points=1024)[0, 0]
     assert abs(coarse - fine) < 1e-12
+    for count in (0, -1):
+        with pytest.raises(ValidationError, match="at least 1 point, got"):
+            pot.z_factors(count)
+    assert np.all(np.isfinite(pot.z_factors(1)))
 
 
 def test_separable_model_without_slow_drift_has_zero_drift():

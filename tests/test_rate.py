@@ -140,6 +140,38 @@ def test_apply_generator_matches_direct_formula():
     assert np.array_equal(whole[:, 1], gen)
 
 
+def _tilted_diffusion(calls):
+    """An x-dependent 2x2 diffusion that records the atoms it is called on."""
+    def diffusion(xs, mu):
+        calls.append(len(xs))
+        scale = 1.0 + 0.2 * np.tanh(xs[:, 0])
+        return scale[:, None, None] * np.array([[1.0, 0.3], [0.3, 0.8]])
+    return diffusion
+
+
+def test_action_evaluates_the_diffusion_once_per_snapshot():
+    calls = []
+    model = EffectiveModel(2, lambda xs, mu: -0.5 * xs, _tilted_diffusion(calls))
+    rs = np.random.default_rng(3)
+    times = np.linspace(0.0, 1.0, 5)
+    path = MeasurePath(times, [EmpiricalMeasure(rs.normal(size=(50, 2)) * (1.0 + t))
+                               for t in times])
+    report = evaluate_jdg(path, model, dictionary_for_path(path, 3))
+    assert calls == [50] * 5
+    assert np.isfinite(report.total)
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_generator_and_noise_are_the_separate_calls_bits(constant):
+    diffusion = np.array([[1.0, 0.3], [0.3, 0.8]]) if constant else _tilted_diffusion([])
+    model = EffectiveModel(2, lambda xs, mu: np.sin(xs), diffusion)
+    xs = np.random.default_rng(4).normal(size=(40, 2))
+    _, grads, hessians = TestDictionary([[0, 1], [2, 0], [1, 2]], 0.0, 1.0).evaluate(xs)
+    generated, noise = model.generator_and_noise(grads, hessians, xs, None)
+    assert np.array_equal(generated, model.generator_apply(grads, hessians, xs, None))
+    assert np.array_equal(noise, model.noise_batch(xs, None))
+
+
 def test_gaussian_shift_action_matches_half_v_squared():
     path = gaussian_shift_path(v=1.0)
     d = dictionary_for_path(path, per_axis=6)

@@ -9,7 +9,7 @@ from mvhomog.effective import SeparablePotential, averaged_coefficients, gamma_s
 from mvhomog.errors import CenteringError, EllipticityError, SolverError, ValidationError
 from mvhomog.scenarios import get_scenario
 from mvhomog.torus import (DEFAULT_N, MAX_DENSE_UNKNOWNS, MAX_UNKNOWNS, FastCoefficients,
-                           GeneratorOperator, TorusGrid, apply_axis_derivative,
+                           GeneratorOperator, TorusGrid, _derivative, apply_axis_derivative,
                            assemble_generator, d1_matrix, d2_matrix,
                            load_cell_csv, solve_cell, solve_invariant_measure)
 
@@ -322,3 +322,127 @@ def test_default_three_dimensional_grid_matches_closed_form():
     err = np.abs(averaged_coefficients(cell).diffusion - closed).max() / np.abs(closed).max()
     assert err < 1e-4
     assert elapsed < 10.0
+
+
+# ---------------------------------------------------------------------------
+# the shared, roll-free stencils and the Givens stop test keep every bit
+
+def _roll_derivative(v, axis, order, scheme):
+    """The derivative as four np.roll copies (fd) or one rfft per order."""
+    n = v.shape[axis]
+    if scheme == "fd":
+        p1, m1, p2, m2 = (np.roll(v, -j, axis=axis) for j in (1, -1, 2, -2))
+        if order == 1:
+            return (8.0 * (p1 - m1) - (p2 - m2)) * (n / 12.0)
+        return (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * v) * (n * n / 12.0)
+    k = np.arange(n // 2 + 1)
+    sym = np.where(k == n // 2, 0.0, 2j * np.pi * k) if order == 1 else -(2.0 * np.pi * k) ** 2
+    shape = [1] * v.ndim
+    shape[axis] = -1
+    return np.fft.irfft(np.fft.rfft(v, axis=axis) * sym.reshape(shape), n=n, axis=axis)
+
+
+def _roll_apply(grid, f_vals, a_vals, scheme, u, adjoint):
+    """L @ u or L.T @ u term by term, every derivative taken afresh."""
+    dim = grid.dim
+    terms = [(f_vals[:, k], ((k, 1),)) for k in range(dim)]
+    terms += [(0.5 * a_vals[:, k, k], ((k, 2),)) for k in range(dim)]
+    terms += [(a_vals[:, k, l], ((k, 1), (l, 1)))
+              for k in range(dim) for l in range(k + 1, dim)]
+    v = u.reshape(grid.shape + (-1,))
+    out = np.zeros_like(v)
+    for c, ops in terms:
+        if not np.any(c):
+            continue
+        coef = c.reshape(grid.shape + (1,))
+        w = coef * v if adjoint else v
+        for axis, order in ops:
+            w = _roll_derivative(w, axis, order, scheme)
+        out += (-1.0) ** sum(o == 1 for _, o in ops) * w if adjoint else coef * w
+    return out.reshape(u.shape)
+
+
+def _sigma_kind(kind, dim, rs):
+    """sigma per node (full A), one constant non-diagonal matrix, or a
+    constant diagonal one (no mixed terms)."""
+    mix = np.eye(dim) + 0.3 * rs.standard_normal((dim, dim))
+    if kind == "node":
+        return lambda x, y, mu: (1.0 + 0.3 * np.sin(TWO_PI * y[:, :1]))[:, :, None] * mix
+    if kind == "constant":
+        return lambda x, y, mu: mix
+    return lambda x, y, mu: np.diag(np.linspace(1.0, 1.5, dim))
+
+
+@pytest.mark.parametrize("scheme, dim", [("fd", 1), ("fd", 2), ("fd", 3),
+                                         ("spectral", 1), ("spectral", 2)])
+@pytest.mark.parametrize("kind", ["node", "constant", "diagonal"])
+def test_operator_bits_equal_the_roll_reference(scheme, dim, kind):
+    rs = np.random.default_rng(10 * dim + len(kind))
+    grid = TorusGrid(dim, {1: 32, 2: 16, 3: 8}[dim])
+    f, _ = _general_fields(grid)
+    if kind == "diagonal" and dim > 1:
+        f[:, 0] = 0.0  # a dropped drift term: axis 0 starts from D2 alone
+    coeffs = FastCoefficients(dim=dim, f=lambda x, y, mu: f, sigma=_sigma_kind(kind, dim, rs))
+    f_vals, a_vals = coeffs.fields(grid)
+    # the field a per-node sigma of the same matrix gives, in full
+    sv = np.broadcast_to(coeffs.sigma(None, grid.nodes, None), (grid.size, dim, dim))
+    a_full = np.einsum("nik,njk->nij", sv, sv)
+    a_full = 0.5 * (a_full + np.swapaxes(a_full, 1, 2))
+    assert np.array_equal(a_vals, a_full)
+    assert (a_vals.strides[0] == 0) == (kind != "node")
+    L = GeneratorOperator(grid, f_vals, a_vals, scheme)
+    for cols in ((), (3,)):
+        u = rs.normal(size=(grid.size,) + cols)
+        for op, adjoint in ((L, False), (L.T, True)):
+            want = _roll_apply(grid, f_vals, a_full, scheme, u, adjoint)
+            assert np.array_equal(op @ u, want)
+        for axis in range(dim):
+            for order in (1, 2):
+                v = grid.reshape(u)
+                assert np.array_equal(_derivative(v, axis, order, scheme),
+                                      _roll_derivative(v, axis, order, scheme))
+
+
+def _lstsq_gmres(apply, precondition, b, target):
+    """GMRES whose stop test solves the least-squares problem every iteration."""
+    m = b.size
+    x, r, its = np.zeros(m), b, 0
+    basis = np.empty((krylov.RESTART + 1, m))
+    while (res := float(np.linalg.norm(r)) / np.sqrt(m)) > target:
+        hess = np.zeros((krylov.RESTART + 1, krylov.RESTART))
+        rhs = np.zeros(krylov.RESTART + 1)
+        rhs[0] = res * np.sqrt(m)
+        basis[0] = r / rhs[0]
+        for j in range(krylov.RESTART):
+            w = apply(precondition(basis[j]))
+            w_norm = np.linalg.norm(w)
+            for _ in range(2):
+                h = basis[:j + 1] @ w
+                w -= h @ basis[:j + 1]
+                hess[:j + 1, j] += h
+            hess[j + 1, j] = np.linalg.norm(w)
+            its += 1
+            y = np.linalg.lstsq(hess[:j + 2, :j + 1], rhs[:j + 2], rcond=None)[0]
+            est = np.linalg.norm(hess[:j + 2, :j + 1] @ y - rhs[:j + 2]) / np.sqrt(m)
+            if est <= target or its >= krylov.MAX_ITER or hess[j + 1, j] <= 1e-14 * w_norm:
+                break
+            basis[j + 1] = w / hess[j + 1, j]
+        x = x + precondition(y @ basis[:j + 1])
+        r = b - apply(x)
+    return x, its
+
+
+@pytest.mark.parametrize("name, scheme, n", [("cos_rough_1d", "fd", 256),
+                                             ("nongradient_2d", "spectral", 32),
+                                             ("separable_2d", "fd", 32)])
+def test_givens_stop_test_keeps_the_iterates_bits(name, scheme, n):
+    grid = TorusGrid(get_scenario(name).dim, n)
+    f_vals, a_vals = get_scenario(name).fast_coefficients().fields(grid)
+    L = assemble_generator(grid, f_vals, a_vals, scheme)
+    for op, b in ((L.T, -(L.T @ np.ones(grid.size))), (L, -f_vals[:, 0])):
+        for margin in (1e-6, 1e-3, 1.0):
+            target = margin * 1e-8 * op.abs_max()
+            got = krylov.gmres(op.__matmul__, op.precondition, b, target)
+            want = _lstsq_gmres(op.__matmul__, op.precondition, b, target)
+            assert got[1] == want[1]
+            assert np.array_equal(got[0], want[0])
