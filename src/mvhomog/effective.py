@@ -111,8 +111,40 @@ def local_coefficients(cell: CellSolution, b_vals: np.ndarray | None = None,
     ga = np.einsum("nlk,nkm->nlm", g, a)
     fphi = f[:, :, None] * cell.phi[:, None, :]
     big_d = ga + np.swapaxes(ga, 1, 2) + fphi + np.swapaxes(fphi, 1, 2) + a
-    d_tilde = np.einsum("nlk,nkm,npm->nlp", corr, a, corr)
-    return beta, big_d, d_tilde
+    return beta, big_d, _sandwich(corr, a)
+
+
+def _sandwich(corr: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """corr A corr^T per node, (n, d, d), with the bits of the einsum.
+
+    ``np.einsum("nlk,nkm,npm->nlp", corr, a, corr)`` (numpy 2.4) adds the
+    terms (corr_lk a_km) corr_pm to a zero total in k, then m order: for
+    d = 2 each k's two terms are summed before they are added, for other d
+    the terms are added one by one.  Here each term is one whole-array
+    product over a chunk of nodes, the sums run in that order, and adding
+    0.0 last turns a -0.0 into the zero total's +0.0.  About a quarter of
+    the einsum's time on a 128^2 grid; ``a`` may be broadcast over the
+    nodes with stride 0.  Chunks of 1024 nodes keep each temporary under
+    80 kB up to d = 3, so little memory is needed beyond the output.
+    """
+    n, d = corr.shape[:2]
+    out = np.empty((n, d, d))
+    for lo in range(0, n, 1024):
+        nodes = slice(lo, lo + 1024)
+        c, ac, acc = corr[nodes], a[nodes], out[nodes]
+        terms = ((c[:, :, k] * ac[:, k, m, None])[:, :, None] * c[:, None, :, m]
+                 for k in range(d) for m in range(d))
+        if d == 2:
+            t00, t01, t10, t11 = terms
+            np.add(t00, t01, out=acc)
+            t10 += t11
+            acc += t10
+        else:
+            np.copyto(acc, next(terms))
+            for term in terms:
+                acc += term
+        acc += 0.0
+    return out
 
 
 @dataclass

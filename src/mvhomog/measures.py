@@ -142,14 +142,19 @@ class EmpiricalMeasure:
 # Wasserstein-2
 
 def _w2_1d(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray) -> float:
-    """Exact squared W2 between weighted atoms on the line (quantile coupling)."""
+    """Exact squared W2 between weighted atoms on the line (quantile coupling).
+
+    Equal counts with exactly uniform weights pair the sorted samples; the
+    sorted sequence is unique up to the order of signed zeros, whose squared
+    differences are the same, so a plain sort gives the bits of the stable
+    argsort and gather that other weights need.
+    """
+    if len(xa) == len(xb) and np.all(wa == wa[0]) and np.all(wb == wb[0]):
+        return float(np.mean((np.sort(xa) - np.sort(xb)) ** 2))
     ia = np.argsort(xa, kind="stable")
     ib = np.argsort(xb, kind="stable")
     xa, wa = xa[ia], wa[ia]
     xb, wb = xb[ib], wb[ib]
-    # the sorted-pairs shortcut is exact only for exactly uniform weights
-    if len(xa) == len(xb) and np.all(wa == wa[0]) and np.all(wb == wb[0]):
-        return float(np.mean((xa - xb) ** 2))
     qa = np.cumsum(wa)
     qb = np.cumsum(wb)
     edges = np.union1d(qa, qb)

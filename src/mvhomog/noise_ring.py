@@ -40,6 +40,18 @@ A side that needs block b records its progress, then looks at slot
 * it holds a later block (the other side ran a whole ring ahead): the
   side draws b locally, without publishing it.
 
+Blocks are drawn in place: a side draws a claimed block straight into its
+slot, and a local block into a block buffer of its own, both through the
+two uint64 scratch words it keeps for the run, so no draw allocates
+block-sized memory.  Each side makes these three buffers in its own
+process on its first draw.  A side that allocated its Box-Muller
+temporaries per block and copied the result into the slot faulted fresh
+pages in block after block, as if the freed heap were trimmed: in a fresh
+worker the two sides of the benchmark's ``ladder_1d`` top pair (N = 4000,
+500 blocks of 256 kB) took 63-65 k and 18-19 k minor page faults, against
+about 1 k each with the buffers they own, and 0.54 s of CPU per side
+against 0.49-0.50 s (three fresh runs each, 2-CPU x86-64 VM).
+
 Every lock acquire and every wait has a timeout.  A side whose wait times
 out, or that cannot get the lock, takes the other side for dead or stuck:
 it draws every remaining block locally and no longer waits.  So no call
@@ -126,9 +138,11 @@ class NoiseRing:
 class RingSide:
     """One process's end of a :class:`NoiseRing`.
 
-    Called like :func:`rng.normal_block` with the block's first step; used
-    as a context manager around the run, whose exit tells the other side
-    that this one will ask for nothing more.
+    Called like :func:`rng.normal_block` with the block's first step; the
+    block it returns, a slot of the ring or the side's own buffer, is
+    valid until the side's next request.  Used as a context manager around
+    the run, whose exit tells the other side that this one will ask for
+    nothing more.
     """
 
     def __init__(self, ring: NoiseRing, me: int):
@@ -138,6 +152,8 @@ class RingSide:
         self._solo = False        # draw everything locally from now on
         self._lock_lost = False   # the lock timed out; never take it again
         self._slots = None
+        self._scratch = None      # Box-Muller words, for every block it draws
+        self._local = None        # the block it draws without publishing
 
     def __enter__(self) -> "RingSide":
         return self
@@ -165,7 +181,10 @@ class RingSide:
                 return self._view(b)
             if action == "draw":
                 view = self._view(j)
-                np.copyto(view, rng.normal_block(keys, j * ring.block, view.shape[0], ncomp))
+                # positional: rng.normal_block is looked up at call time, and
+                # a stand-in for it takes the same arguments
+                rng.normal_block(keys, j * ring.block, view.shape[0], ncomp, view,
+                                 self._buffers()[0])
                 self._publish(j)
                 if j == b:
                     self._count("drew")
@@ -177,7 +196,8 @@ class RingSide:
             else:   # "local"
                 break
         self._count("local")
-        return rng.normal_block(keys, step, steps, ncomp)
+        scratch, local = self._buffers()
+        return rng.normal_block(keys, step, steps, ncomp, local[:steps], scratch)
 
     # -- under the lock ------------------------------------------------------
 
@@ -275,6 +295,14 @@ class RingSide:
             self._slots = np.frombuffer(ring._data, dtype=np.float64).reshape(
                 (ring.slots,) + ring.shape)
         return self._slots[j % ring.slots, :ring.steps_of(j)]
+
+    def _buffers(self) -> tuple:
+        """The side's scratch and local block, made in its own process on first use."""
+        if self._scratch is None:
+            shape = self.ring.shape
+            self._scratch = np.empty(2 * int(np.prod(shape)), dtype=np.uint64)
+            self._local = np.empty(shape)
+        return self._scratch, self._local
 
     def _count(self, what: str) -> None:
         self.ring._counts[self.me, COUNTS.index(what)] += 1

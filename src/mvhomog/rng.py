@@ -14,12 +14,13 @@ state, which buys two properties that matter here:
 A run hashes the step-independent (seed, stream) prefix once with
 :func:`stream_keys`.  :func:`counter_hash` then hashes a whole range of
 counters, a block of consecutive steps, in one call with in-place uint64
-operations, and :func:`normal_block` turns the block into normals; it is
-the only hash path, and :func:`keyed_normals`, :func:`normals` and
+operations, and :func:`normal_block` hashes a block the same way and
+turns it into normals, in buffers the caller may own; that is the only
+hash path, and :func:`keyed_normals`, :func:`normals` and
 :func:`uniforms` are its one-step cases.  A block is a pure function of
-its keys and steps, so any process can draw it for another:
-``noise_ring`` shares the blocks of two runs on the same noise between
-the two processes that step them.  Timed as ``rng.ns_per_draw``
+its keys and steps, so any process can draw it for another, into any
+buffer: ``noise_ring`` shares the blocks of two runs on the same noise
+between the two processes that step them.  Timed as ``rng.ns_per_draw``
 (span time over draws) on the benchmark's traced ``ladder_1d`` workload
 (N from 250 to 8000, one component, one BLAS thread, 2-CPU x86-64 VM), with
 the tracer pointed at the function that draws: 51 ns per draw in the
@@ -70,40 +71,76 @@ def stream_keys(seed: int, streams) -> np.ndarray:
         return _mix(_mix(np.uint64(seed)) ^ np.asarray(streams, dtype=np.uint64))
 
 
+def _keyed_counters(keys, step: int, steps: int, ncomp: int, out=None) -> np.ndarray:
+    """Counters ``step*ncomp`` on, xor each key, shape ``(steps, len(keys), ncomp)``."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        c = np.uint64(step) * np.uint64(ncomp) + np.arange(steps * ncomp, dtype=np.uint64)
+    c = c.reshape(steps, ncomp)
+    if out is None:
+        out = np.empty((steps, len(keys), ncomp), dtype=np.uint64)
+    # one 2-d broadcast per component: a 3-d one takes numpy's buffered
+    # path, up to four times slower at two or three components
+    for comp in range(ncomp):
+        np.bitwise_xor(c[:, comp, None], keys, out=out[:, :, comp])
+    return out
+
+
 def counter_hash(keys: np.ndarray, step: int, steps: int, ncomp: int) -> np.ndarray:
     """Hashes of counters ``step*ncomp`` to ``(step+steps)*ncomp - 1`` per key.
 
     Returns a uint64 array of shape ``(steps, len(keys), ncomp)``; entry
     (j, i, c) is the hash of key i at counter ``(step+j)*ncomp + c``, the
-    same whatever range a call covers.  Every draw of this module goes
-    through here.
+    same whatever range a call covers.  Every draw of this module hashes
+    its counters this way.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        c = np.uint64(step) * np.uint64(ncomp) + np.arange(steps * ncomp, dtype=np.uint64)
-    h = c.reshape(steps, 1, ncomp) ^ keys.reshape(1, -1, 1)
+    h = _keyed_counters(keys, step, steps, ncomp)
     return _mix_into(h, np.empty_like(h))
 
 
-def normal_block(keys: np.ndarray, step: int, steps: int, ncomp: int) -> np.ndarray:
+def normal_block(keys: np.ndarray, step: int, steps: int, ncomp: int,
+                 out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """Standard normals for ``steps`` consecutive steps from :func:`stream_keys`.
 
     Returns shape ``(steps, len(keys), ncomp)``; row j is the draw of step
     ``step + j``, bit for bit.  Box-Muller runs on two tagged words per
-    counter in three uint64 buffers of the block's size, reused in place.
+    counter in two uint64 buffers of the block's size, reused in place,
+    and the output's bytes serve as the mixer's shift scratch.
+
+    ``out``, a C-contiguous float64 array of the block's shape, receives
+    the normals and is returned; ``scratch``, a 1-d uint64 array of at
+    least twice the block's size, holds the two words.  A caller that
+    draws block after block passes the same buffers each time, so no call
+    allocates block-sized memory; the bits are those of a call without
+    them, which allocates all three.
     """
-    h = counter_hash(keys, step, steps, ncomp)
-    tmp = np.empty_like(h)
-    w = _mix_into(h ^ _TAG_A, tmp)
+    shape = (steps, len(keys), ncomp)
+    size = steps * len(keys) * ncomp
+    if out is None:
+        out = np.empty(shape)
+    if scratch is None:
+        scratch = np.empty(2 * size, dtype=np.uint64)
+    h = scratch[:size].reshape(shape)
+    w = scratch[size:2 * size].reshape(shape)
+    tmp = out.view(np.uint64)
+    _mix_into(_keyed_counters(keys, step, steps, ncomp, h), tmp)
+    _mix_into(np.bitwise_xor(h, _TAG_A, out=w), tmp)
     _mix_into(np.bitwise_xor(h, _TAG_B, out=h), tmp)
     w >>= np.uint64(11)
     h >>= np.uint64(11)
-    radius = np.add(w, 1.0, out=tmp.view(np.float64))
+    # words to floats by copyto, which casts in place; a ufunc that casts
+    # allocates a 64 kB buffer per call
+    radius = out
+    np.copyto(radius, w)
+    radius += 1.0
     radius *= _INV53                                # u1 in (0, 1]
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    angle = np.multiply(h, _INV53, out=w.view(np.float64))  # u2 in [0, 1)
+    angle = w.view(np.float64)
+    np.copyto(angle, h)
+    angle *= _INV53                                 # u2 in [0, 1)
     angle *= 2.0 * np.pi
     np.cos(angle, out=angle)
     radius *= angle

@@ -290,7 +290,7 @@ def load_trajectory_csv(path) -> MeasurePath:
 # the driver
 
 # draws per noise block: a block of steps is hashed in one call, and its
-# three uint64 temporaries stay under 1 MB
+# three block-sized buffers (the normals and two uint64 words) stay under 1 MB
 _NOISE_BLOCK = 1 << 15
 
 
@@ -472,9 +472,10 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
     each record equals bit for bit the run of its lane alone.  The noise is
     drawn for blocks of consecutive steps, about _NOISE_BLOCK draws at a
     time; the block length does not change a single bit.  ``draw(keys,
-    step, steps, width)`` supplies each block; by default
-    :func:`rng.normal_block` draws it here.  Any other supplier must return
-    the bits that call would, as a side of a
+    step, steps, width)`` supplies each block, which needs to stay valid
+    only until the next call; by default :func:`rng.normal_block` draws it
+    here, into one buffer per width that every block reuses.  Any other
+    supplier must return the bits that call would, as a side of a
     :class:`~mvhomog.noise_ring.NoiseRing` does.  The step is
     X + drift dt + sigma xi sqrt(dt) + sigma u dt; permuting ``streams``
     together with the initial positions permutes the trajectories exactly.
@@ -505,7 +506,12 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
     widths = sorted({lane.noise_dim for lane in lanes})
     block = noise_block(n, widths[-1])
     if draw is None:
-        draw = rng.normal_block
+        # one block buffer per width and one scratch, reused every block
+        buffers = {m: np.empty((block, n, m)) for m in widths}
+        scratch = np.empty(2 * block * n * widths[-1], dtype=np.uint64)
+
+        def draw(keys, step, steps, m):
+            return rng.normal_block(keys, step, steps, m, buffers[m][:steps], scratch)
     noise = {}   # width -> (steps, N, width) block
     errors: list = [None] * len(runs)   # the SimulationError that stopped each lane
     for i, run in enumerate(runs):

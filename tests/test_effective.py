@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from mvhomog.effective import (SeparablePotential, _CellCache, averaged_coefficients,
+from mvhomog.effective import (SeparablePotential, _CellCache, _sandwich, averaged_coefficients,
                                gamma_separable, homogenize, matrix_sqrt_psd,
                                separable_model, solve_with_x_derivatives)
 from mvhomog.errors import SolverError, ValidationError
@@ -19,6 +19,25 @@ def test_gamma_bessel_oracle():
     want = 1.0 / i0(1.0) ** 2
     assert abs(gamma[0, 0] - want) <= 1e-10 * want
 
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 1025])
+def test_sandwich_equals_the_three_operand_einsum(dim, n):
+    # bit for bit at the numpy it was written against; other numpy versions
+    # may order the einsum's sum differently, hence the relative bound
+    gen = np.random.default_rng(dim * n)
+    corr = gen.normal(size=(n, dim, dim))
+    s = gen.normal(size=(n, dim, dim))
+    per_node = s @ np.swapaxes(s, 1, 2)
+    for a in (per_node, np.broadcast_to(per_node[0], (n, dim, dim))):
+        want = np.einsum("nlk,nkm,npm->nlp", corr, a, corr)
+        got = _sandwich(corr, a)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    # a sum of signed zeros is +0.0, as from the einsum's zero total
+    corr = np.where(np.arange(dim)[:, None] == 0, 0.0, -1.0) * np.ones((n, dim, dim))
+    assert not np.signbit(_sandwich(corr, np.broadcast_to(np.eye(dim), corr.shape))).any()
 
 def test_gamma_range_and_flat_case():
     # flat potential gives exactly 1; any nonconstant potential strictly less

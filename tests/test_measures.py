@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mvhomog import rng
 from mvhomog.errors import ValidationError
-from mvhomog.measures import (EmpiricalMeasure, MeasurePath, _sorted_sum,
+from mvhomog.measures import (EmpiricalMeasure, MeasurePath, _sorted_sum, _w2_1d,
                               radial_moment, wasserstein2)
 
 atoms_1d = st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=40)
@@ -23,6 +23,21 @@ def test_w2_triangle_inequality(a, b, c):
     ma, mb, mc = (EmpiricalMeasure(np.array(v)) for v in (a, b, c))
     assert wasserstein2(ma, mc) <= wasserstein2(ma, mb) + wasserstein2(mb, mc) + 1e-10
 
+
+
+_tied = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 3.0]), st.floats(-50, 50))
+
+
+@given(pairs=st.lists(st.tuples(_tied, _tied), min_size=1, max_size=60))
+def test_w2_1d_sort_shortcut_equals_stable_argsort(pairs):
+    # ties and signed zeros: a plain sort may order them differently from a
+    # stable argsort, but the squared differences, and so the bits, agree
+    xa, xb = (np.array(v) for v in zip(*pairs))
+    w = np.full(len(xa), 1.0 / len(xa))
+    by_argsort = np.mean((xa[np.argsort(xa, kind="stable")]
+                          - xb[np.argsort(xb, kind="stable")]) ** 2)
+    assert _w2_1d(xa, w, xb, w) == float(by_argsort)
+    assert _w2_1d(xa, w, xb, w) == _w2_1d(xa[::-1], w, xb, w)
 
 def test_w2_zero_iff_sorted_atoms_coincide():
     a = EmpiricalMeasure(np.array([3.0, 1.0, 2.0]))

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,3 +146,52 @@ def test_a_request_off_the_block_grid_is_refused():
         with pytest.raises(ValueError, match="not a block of this ring"):
             side(_keys(), step, steps, width)
     ring.close()
+
+
+def _traced_growth(warm, rest) -> int:
+    """Traced peak while ``rest()`` runs, over what ``warm()`` left held, in bytes."""
+    tracemalloc.start()
+    try:
+        warm()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rest()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def _ring_growth(sides, ring, warm: int) -> int:
+    """Traced growth while the sides ask for every block after the first ``warm``.
+
+    Block j is asked for by each side in ``sides[j % len(sides)]`` in turn.
+    """
+    keys = rng.stream_keys(11, np.arange(ring.shape[1]))
+
+    def blocks(js):
+        for j in js:
+            for side in sides[j % len(sides)]:
+                side(keys, j * ring.block, ring.steps_of(j), 1)
+
+    return _traced_growth(lambda: blocks(range(warm)), lambda: blocks(range(warm, ring.n_blocks)))
+
+
+def test_sides_draw_into_the_ring_and_their_own_buffers():
+    # 16 blocks of 256 kB, and numpy reports its buffers to tracemalloc:
+    # once a side has drawn a block, its later blocks allocate less than one
+    n, block = 500, 64
+    block_bytes = block * n * 8
+    ring = NoiseRing(n, 1, block, 16 * block)
+    a, b = ring.sides()
+    # the two sides take turns to draw, the other one reads
+    assert _ring_growth([(a, b), (b, a)], ring, warm=2) < block_bytes
+    assert [c["drew"] + c["read"] for c in ring.counts()] == [16, 16]
+    alone, _ = NoiseRing(n, 1, block, 16 * block).sides()
+    # one side, its partner not started: eight blocks drawn into the ring,
+    # then eight into its own buffer
+    assert _ring_growth([(alone,)], alone.ring, warm=1) < block_bytes
+    assert alone.ring.counts()[0]["local"] == 16 - alone.ring.slots
+    for side in (a, b, alone):
+        side._slots = None   # a view of the slots pins the mapping
+    ring.close()
+    alone.ring.close()

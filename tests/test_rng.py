@@ -149,3 +149,19 @@ def test_blocks_cover_a_run_that_they_do_not_divide(block, ncomp):
     per_step = np.stack([_seed_formula_normals(2026, streams, first + k, ncomp)
                          for k in range(n_steps)])
     assert np.array_equal(drawn, per_step)
+
+
+@pytest.mark.parametrize("ncomp", [1, 2, 3])
+def test_blocks_into_owned_buffers_equal_allocating_draws(ncomp):
+    # the driver's and the ring's reuse: one out and one scratch for every
+    # block, the last block shorter, the buffers dirty from the block before
+    n, block, n_steps, first = 70, 9, 40, 2 ** 33 - 20
+    keys = rng.stream_keys(77, np.arange(n, dtype=np.uint64)[::-1])
+    out = np.full((block, n, ncomp), np.nan)
+    scratch = np.full(2 * block * n * ncomp, 0xFFFF, dtype=np.uint64)
+    for k in range(0, n_steps, block):
+        steps = min(block, n_steps - k)
+        got = rng.normal_block(keys, first + k, steps, ncomp, out[:steps], scratch)
+        want = rng.normal_block(keys, first + k, steps, ncomp)
+        assert np.shares_memory(got, out)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

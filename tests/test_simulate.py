@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,41 @@ def test_driver_noise_blocks_equal_per_step_draws():
         xi = rng.normals(seed, np.arange(n), k, 1)
         x = x + model.drift_batch(x, None) * dt + (xi @ b_mat.T) * sqrt_dt
     assert np.array_equal(rec.positions[-1], x)
+
+
+def test_the_driver_reuses_its_noise_buffers(monkeypatch):
+    # widths 2 and 1 at N=200: 16 blocks of 81 steps, the width-2 block
+    # 259 kB.  Once each width has drawn a block, no block may add that
+    # much to the traced peak (numpy reports its buffers to tracemalloc).
+    n, dt, n_steps = 200, 0.01, 16 * 81
+    cfg = SimConfig(n_particles=n, dt=dt, t_end=n_steps * dt, seed=5,
+                    snapshot_times=np.array([0.0, n_steps * dt]))
+    x0 = np.linspace(-1.0, 1.0, n)[:, None]
+    mixing = np.array([[0.6, 0.8]])
+    lanes = [Lane(lambda t, xs, mu: (-xs, mixing), 1, 2, x0, cfg),
+             Lane(lambda t, xs, mu: (-xs, np.ones((1, 1))), 1, 1, x0, cfg)]
+    real, widths, held = rng.normal_block, [], []
+
+    def traced(*args):
+        block = real(*args)
+        widths.append(args[3])
+        if len(widths) == 2:
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return block
+
+    monkeypatch.setattr(rng, "normal_block", traced)
+    tracemalloc.start()
+    try:
+        records = simulate_lanes(lanes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths == [1, 2] * 16
+    assert peak - held[0] < 81 * n * 2 * 8
+    monkeypatch.setattr(rng, "normal_block", real)
+    assert [r.position_hash() for r in records] == [
+        simulate_lanes([lane])[0].position_hash() for lane in lanes]
 
 
 def test_lanes_must_share_their_geometry():
