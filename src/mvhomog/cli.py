@@ -6,13 +6,15 @@ the frozen cell problem (``solve-cell``), tabulate homogenized coefficients
 the action of a recorded path (``rate``), and execute a full comparison
 ladder from a JSON plan (``ladder``).
 
-Exit codes: 0 on success, 2 for configuration and validation errors, 3 for
-numerical failures (solver diagnostics, divergence gates).
+Exit codes: 0 on success, 2 for configuration and validation errors
+(unreadable input files among them), 3 for numerical failures (solver
+diagnostics, divergence gates).
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,14 @@ def _print_matrix(label: str, mat: np.ndarray) -> None:
     mat = np.atleast_2d(mat)
     rows = "; ".join(" ".join(f"{v: .6f}" for v in row) for row in mat)
     print(f"{label} [{rows}]")
+
+
+def _read_input(load, path):
+    """``load(path)``, with a file that cannot be read refused as invalid input."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def cmd_list(args) -> int:
@@ -120,12 +130,18 @@ def cmd_effective(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = get_scenario(args.scenario)
     scenario.validate()
-    snap = None
-    if args.snapshots is not None:
-        snap = np.linspace(0.0, args.t_end, args.snapshots)
     config = SimConfig(n_particles=args.n_particles, dt=args.dt,
-                       t_end=args.t_end, seed=args.seed,
-                       epsilon=args.epsilon, snapshot_times=snap)
+                       t_end=args.t_end, seed=args.seed, epsilon=args.epsilon)
+    if args.snapshots is not None:
+        # the count is checked before its times are built
+        try:
+            if args.snapshots < 2:
+                raise ValidationError(f"must be >= 2, got {args.snapshots}")
+            config.require_snapshot_count(args.snapshots)
+            config = replace(config, snapshot_times=np.linspace(
+                0.0, args.t_end, args.snapshots))
+        except ValidationError as exc:
+            raise ValidationError(f"--snapshots: {exc}") from None
     control = None
     if args.tilt is not None:
         control = constant_control(np.full(scenario.noise_dim, args.tilt),
@@ -152,7 +168,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_rate(args) -> int:
     scenario = get_scenario(args.scenario)
-    path = load_trajectory_csv(args.trajectory)
+    path = _read_input(load_trajectory_csv, args.trajectory)
     model = scenario.effective_model()
     dictionary = dictionary_for_path(path, args.basis)
     report = evaluate_jdg(path, model, dictionary)
@@ -170,7 +186,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_ladder(args) -> int:
-    plan = load_plan(args.config)
+    plan = _read_input(load_plan, args.config)
     report = run_experiment(plan, out_dir=args.out, echo=print)
     means = report.get("ladder_means")
     if means is not None:

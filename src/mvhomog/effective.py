@@ -20,7 +20,6 @@ with homogenized drift Gamma b(x, mu) and diffusion s^2 Gamma.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,8 +32,6 @@ from .torus import CellSolution, FastCoefficients, apply_axis_derivative, solve_
 PSD_CLIP_TOL = 1e-10
 # slow-state step of the centered x-derivative cell solves
 X_STEP = 1e-4
-# cell solves a homogenized model keeps, most recently used first
-CELL_CACHE_SIZE = 32
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -77,15 +74,16 @@ def _times_transpose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # corrected local fields and their averages
 
-def local_coefficients(cell: CellSolution, b_vals: np.ndarray | None = None,
-                       x_derivatives: tuple | None = None,
+def local_coefficients(cell: CellSolution, x_derivatives: tuple | None = None,
                        x_dependent: bool = False):
     """Pointwise corrected fields (beta, D, Dt) on the cell grid.
 
-    ``b_vals``: slow drift evaluated on the grid, (size, dim); zero if None.
-    ``x_derivatives``: pair (grad_x_phi, mixed_xy_phi) with shapes
-    (size, l, j) and (size, l, j, k); required when the fast coefficients
-    depend on the slow variable, meaningless otherwise.
+    beta holds the fast terms only (zero unless the fast coefficients depend
+    on the slow variable); a y-independent slow drift b enters the
+    homogenized drift as (pi-average of (I + grad phi)) b, see
+    :func:`homogenize`.  ``x_derivatives``: pair (grad_x_phi, mixed_xy_phi)
+    with shapes (size, l, j) and (size, l, j, k); required when the fast
+    coefficients depend on the slow variable, meaningless otherwise.
     """
     g = cell.grad_phi                      # (n, l, k)
     a = cell.a_vals
@@ -93,10 +91,7 @@ def local_coefficients(cell: CellSolution, b_vals: np.ndarray | None = None,
     eye = np.eye(cell.grid.dim)
     corr = eye[None, :, :] + g
 
-    if b_vals is None:
-        beta = np.zeros((cell.grid.size, cell.grid.dim))
-    else:
-        beta = np.einsum("nlk,nk->nl", corr, b_vals)
+    beta = np.zeros((cell.grid.size, cell.grid.dim))
     if x_dependent:
         if x_derivatives is None:
             raise ValidationError(
@@ -157,15 +152,14 @@ class AveragedCoefficients:
     form_gap: float            # sup |diffusion - diffusion_raw|
 
 
-def averaged_coefficients(cell: CellSolution, b_vals: np.ndarray | None = None,
-                          x_derivatives: tuple | None = None,
+def averaged_coefficients(cell: CellSolution, x_derivatives: tuple | None = None,
                           x_dependent: bool = False) -> AveragedCoefficients:
     """Average the corrected fields against the invariant measure.
 
     The PSD form is the primary diffusion; the raw form must agree with it
     up to quadrature error, which ``form_gap`` reports.
     """
-    beta, big_d, d_tilde = local_coefficients(cell, b_vals, x_derivatives, x_dependent)
+    beta, big_d, d_tilde = local_coefficients(cell, x_derivatives, x_dependent)
     drift = cell.pi_average(beta)
     diffusion = cell.pi_average(d_tilde)
     diffusion_raw = cell.pi_average(big_d)
@@ -266,35 +260,17 @@ def gamma_separable(potential: SeparablePotential, quad_points: int = 512) -> np
 # ---------------------------------------------------------------------------
 # the homogenized model
 
-def _mu_key(mu):
-    """Cache key of a measure: its content fingerprint.
-
-    A measure without ``fingerprint()`` is refused; keying it by identity
-    would hand back a stale cell solve once its id is reused.
-    """
-    if mu is None:
-        return None
-    fp = getattr(mu, "fingerprint", None)
-    if not callable(fp):
-        raise ValidationError(
-            f"cell solves are cached by the measure's fingerprint(); "
-            f"{type(mu).__name__} has no fingerprint method")
-    return fp()
-
-
-def _x_key(x):
-    if x is None:
-        return None
-    return tuple(np.round(np.asarray(x, dtype=float), 9).tolist())
-
-
 class EffectiveModel:
     """Homogenized slow dynamics: drift(x, mu), diffusion(x, mu), noise(x, mu).
 
     ``drift_fn(X, mu)`` must be vectorized over rows of X (shape (N, dim)).
     ``diffusion`` is either a constant (dim, dim) matrix or a callable with
     the same batch signature returning (N, dim, dim).  ``noise`` is the
-    symmetric PSD square root of the diffusion.
+    symmetric PSD square root of the diffusion.  :meth:`drift_and_diffusion`
+    gives both coefficients from one evaluation; the stepper and the action
+    call it once per step or snapshot, so a model whose coefficients come
+    from cell solves at each slow state (see :func:`homogenize`) solves each
+    state once.
     """
 
     def __init__(self, dim: int, drift_fn: Callable,
@@ -339,6 +315,10 @@ class EffectiveModel:
             return np.broadcast_to(self._const_diff, (len(xs), self.dim, self.dim))
         return np.asarray(self._diffusion_fn(xs, mu), dtype=float)
 
+    def drift_and_diffusion(self, xs: np.ndarray, mu=None) -> tuple:
+        """(drift_batch, diffusion_batch) at xs, from one evaluation."""
+        return self.drift_batch(xs, mu), self.diffusion_batch(xs, mu)
+
     def noise(self, x=None, mu=None) -> np.ndarray:
         if self._const_noise is not None:
             return self._const_noise
@@ -354,19 +334,31 @@ class EffectiveModel:
         """Apply the limiting generator to test functions given their
         gradients (N, ..., dim) and Hessians (N, ..., dim, dim) at the
         points xs; the result has shape (N, ...)."""
-        return _generator(self.drift_batch(xs, mu), self.diffusion_batch(xs, mu),
-                          grad_vals, hess_vals)
+        return _generator(*self.drift_and_diffusion(xs, mu), grad_vals, hess_vals)
 
     def generator_and_noise(self, grad_vals: np.ndarray, hess_vals: np.ndarray,
                             xs: np.ndarray, mu=None) -> tuple:
-        """(generator_apply, noise_batch) at xs, the diffusion evaluated once."""
-        drift = self.drift_batch(xs, mu)
-        diff = self.diffusion_batch(xs, mu)
+        """(generator_apply, noise_batch) at xs, the coefficients evaluated once."""
+        drift, diff = self.drift_and_diffusion(xs, mu)
         if self._const_noise is not None:
             noise = np.broadcast_to(self._const_noise, diff.shape)
         else:
             noise = matrix_sqrt_psd(diff)
         return _generator(drift, diff, grad_vals, hess_vals), noise
+
+
+class _SlowStateModel(EffectiveModel):
+    """Model whose ``coefficients(X, mu)`` returns the drift (N, dim) and the
+    diffusion (N, dim, dim) together, from one cell solve per slow state."""
+
+    def __init__(self, dim: int, coefficients: Callable, provenance: dict,
+                 description: str):
+        super().__init__(dim, lambda xs, mu: coefficients(xs, mu)[0],
+                         lambda xs, mu: coefficients(xs, mu)[1], provenance, description)
+        self._coefficients = coefficients
+
+    def drift_and_diffusion(self, xs: np.ndarray, mu=None) -> tuple:
+        return self._coefficients(np.asarray(xs, dtype=float), mu)
 
 
 def _generator(drift: np.ndarray, diff: np.ndarray, grad_vals: np.ndarray,
@@ -404,111 +396,67 @@ def separable_model(potential: SeparablePotential,
     return model
 
 
-class _CellCache:
-    """Small LRU cache of cell solves keyed by (mu fingerprint, x key).
-
-    Not thread-safe: the package steps on one thread, and each worker
-    process of ``run_experiment`` holds its own copy.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-
-    def get_or_compute(self, key, compute):
-        hit = self._data.get(key)
-        if hit is not None:
-            self._data.move_to_end(key)
-            return hit
-        value = compute()
-        self._data[key] = value
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-        return value
-
-
 def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
                scheme: str = "auto", n: int | None = None,
                description: str = "") -> EffectiveModel:
     """Homogenized model via cell solves of the fast generator.
 
     ``slow_drift(X, mu)`` is the y-independent slow drift b (the common
-    case); the homogenized drift is then C(mu) b(x, mu) with
-    C = pi-average of (I + grad phi).  When the fast coefficients depend on
-    x the corrector is re-solved per slow state (with centered x-derivative
-    solves for the extra drift terms) and the last CELL_CACHE_SIZE results
-    are LRU-cached on the rounded slow state and the measure fingerprint.
+    case); the homogenized drift is the pi-average of the fast terms plus
+    C b(x, mu), with C = pi-average of (I + grad phi).  Fast coefficients
+    that read neither x nor mu are solved once, here, and give a constant
+    diffusion.  Otherwise the model solves the cell problem on every
+    evaluation: once per measure when the fast layer reads only mu, and
+    once per particle when it reads x, with 2 dim centered x-derivative
+    solves for the extra drift terms.  Nothing is cached:
+    :meth:`EffectiveModel.drift_and_diffusion` gets both coefficients of a
+    slow state from one solve, and the measure changes every step.
     """
     dim = coeffs.dim
-    cache = _CellCache(CELL_CACHE_SIZE)
 
     def averaged_at(x, mu):
-        def compute():
-            if coeffs.x_dependent:
-                cell, derivs = solve_with_x_derivatives(coeffs, x, mu=mu,
-                                                        scheme=scheme, n=n)
-            else:
-                cell, derivs = solve_cell(coeffs, x=None, mu=mu, scheme=scheme, n=n), None
-            avg = averaged_coefficients(cell, None, derivs, coeffs.x_dependent)
-            eye_corr = np.eye(dim)[None] + cell.grad_phi
-            corr_avg = cell.pi_average(eye_corr)
-            return cell, avg, corr_avg
-        key = (_mu_key(mu), _x_key(x) if coeffs.x_dependent else None)
-        return cache.get_or_compute(key, compute)
+        """Cell solve at one slow state, its averages and that of (I + grad phi)."""
+        if coeffs.x_dependent:
+            cell, derivs = solve_with_x_derivatives(coeffs, x, mu=mu, scheme=scheme, n=n)
+        else:
+            cell, derivs = solve_cell(coeffs, x=None, mu=mu, scheme=scheme, n=n), None
+        avg = averaged_coefficients(cell, derivs, coeffs.x_dependent)
+        return cell, avg, cell.pi_average(np.eye(dim)[None] + cell.grad_phi)
 
-    if coeffs.x_dependent:
-        def drift_fn(xs, mu):
-            out = np.empty_like(xs)
-            for i, x in enumerate(xs):
-                _, avg, corr = averaged_at(x, mu)
-                out[i] = avg.drift
-                if slow_drift is not None:
-                    out[i] += corr @ np.asarray(slow_drift(x[None, :], mu))[0]
-            return out
-
-        def diffusion_fn(xs, mu):
-            return np.stack([averaged_at(x, mu)[1].diffusion for x in xs])
-
-        model = EffectiveModel(dim, drift_fn, diffusion_fn,
-                               provenance={"route": "cell", "x_dependent": True,
-                                           "scheme": scheme, "n": n, "x_step": X_STEP},
-                               description=description)
-        model.averaged_at = averaged_at
-        return model
-
-    if coeffs.mu_dependent:
-        def drift_fn(xs, mu):
-            _, avg, corr = averaged_at(None, mu)
-            base = avg.drift[None, :]
-            if slow_drift is None:
-                return np.broadcast_to(base, xs.shape).copy()
-            return base + np.asarray(slow_drift(xs, mu), dtype=float) @ corr.T
-
-        def diffusion_fn(xs, mu):
-            diff = averaged_at(None, mu)[1].diffusion
-            return np.broadcast_to(diff, (len(xs), dim, dim))
-
-        model = EffectiveModel(dim, drift_fn, diffusion_fn,
-                               provenance={"route": "cell", "mu_dependent": True,
-                                           "scheme": scheme, "n": n},
-                               description=description)
-        model.averaged_at = averaged_at
-        return model
-
-    cell, avg, corr = averaged_at(None, None)
-
-    def drift_fn(xs, mu):
+    def drift_of(avg, corr, xs, mu):
+        """Drift at the rows of xs from a cell solve that does not read x."""
         base = np.broadcast_to(avg.drift, xs.shape)
         if slow_drift is None:
             return base.copy()
         return base + np.asarray(slow_drift(xs, mu), dtype=float) @ corr.T
 
+    if coeffs.x_dependent or coeffs.mu_dependent:
+        def coefficients(xs, mu):
+            if not coeffs.x_dependent:
+                _, avg, corr = averaged_at(None, mu)
+                return (drift_of(avg, corr, xs, mu),
+                        np.broadcast_to(avg.diffusion, (len(xs), dim, dim)))
+            drift = np.empty_like(xs)
+            diffusion = np.empty((len(xs), dim, dim))
+            for i, x in enumerate(xs):
+                _, avg, corr = averaged_at(x, mu)
+                drift[i] = avg.drift
+                if slow_drift is not None:
+                    drift[i] += corr @ np.asarray(slow_drift(x[None, :], mu))[0]
+                diffusion[i] = avg.diffusion
+            return drift, diffusion
+
+        provenance = {"route": "cell", "x_dependent": coeffs.x_dependent,
+                      "mu_dependent": coeffs.mu_dependent, "scheme": scheme, "n": n}
+        if coeffs.x_dependent:
+            provenance["x_step"] = X_STEP
+        return _SlowStateModel(dim, coefficients, provenance, description)
+
+    cell, avg, corr = averaged_at(None, None)
     model = EffectiveModel(
-        dim, drift_fn, avg.diffusion,
+        dim, lambda xs, mu: drift_of(avg, corr, xs, mu), avg.diffusion,
         provenance={"route": "cell", "scheme": cell.scheme, "n": cell.grid.n,
                     "form_gap": avg.form_gap, **cell.provenance},
         description=description)
     model.cell = cell
-    model.averaged = avg
-    model.corrector_average = corr
     return model

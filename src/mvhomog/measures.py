@@ -6,7 +6,6 @@ relies on this for bit-exact exchangeability checks.
 """
 from __future__ import annotations
 
-import hashlib
 from typing import Sequence
 
 import numpy as np
@@ -127,15 +126,6 @@ class EmpiricalMeasure:
         """Atom indices sorted by coordinates, ties by weight: the same
         sequence of (atom, weight) pairs whatever order the atoms are in."""
         return np.lexsort(np.vstack([self.weights, self.atoms.T[::-1]]))
-
-    def fingerprint(self) -> str:
-        """Hash of the measure, invariant under atom permutations."""
-        order = self.canonical_order()
-        h = hashlib.sha1()
-        h.update(np.ascontiguousarray(self.atoms[order]).tobytes())
-        h.update(np.ascontiguousarray(self.weights[order]).tobytes())
-        h.update(str(self.atoms.shape).encode())
-        return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, rng
-from .effective import EffectiveModel, _times_transpose
+from .effective import EffectiveModel, _times_transpose, matrix_sqrt_psd
 from .errors import SimulationError, ValidationError
 from .measures import (EmpiricalMeasure, MeasurePath, _moment_terms, _sorted_sum,
                        radial_moment, wasserstein2)
@@ -118,6 +118,8 @@ class SimConfig:
         if times is None:
             times = np.linspace(0.0, self.t_end, min(20, self.n_steps) + 1)
         times = np.asarray(times, dtype=float)
+        if times.size == 0:
+            raise ValidationError("snapshot_times is empty: give at least one time in [0, t_end]")
         if np.any(times < -1e-12) or np.any(times > self.t_end + 1e-12):
             raise ValidationError("snapshot times must lie in [0, t_end]")
         steps = np.unique(np.round(times / self.dt).astype(int))
@@ -270,7 +272,9 @@ def load_trajectory_csv(path) -> MeasurePath:
     frames: list[list[list[float]]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"trajectory file {path} is empty")
         dim = len(header) - 2
         if header[:2] != ["t", "particle_id"] or dim < 1:
             raise ValidationError(f"unrecognized trajectory header {header}")
@@ -577,7 +581,8 @@ def averaged_lane(model: EffectiveModel, x0: np.ndarray, config: SimConfig,
             return model.drift_batch(xs, mu), b_mat
     else:
         def coefficients(t, xs, mu):
-            return model.drift_batch(xs, mu), model.noise_batch(xs, mu)
+            drift, diffusion = model.drift_and_diffusion(xs, mu)
+            return drift, matrix_sqrt_psd(diffusion)
 
     return Lane(coefficients, model.dim, model.dim, x0, config, control, moment_cap,
                 scenario_name, mode)

@@ -120,6 +120,38 @@ def test_stiffness_violation_exits_2(capsys):
     assert "fast scale" in err and "suggested" in err
 
 
+@pytest.mark.parametrize("count, message", [
+    ("0", "must be >= 2, got 0"),
+    ("1", "must be >= 2, got 1"),
+    ("1000000", "snapshot times collide on the step grid: 1000000 times on 10 steps"),
+])
+def test_simulate_refuses_a_bad_snapshot_count_before_the_run(count, message, capsys):
+    code = main(["simulate", "--scenario", "free_brownian", "--mode", "averaged",
+                 "--n-particles", "10", "--dt", "0.1", "--snapshots", count])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"error: --snapshots: {message}" in captured.err
+    assert "terminal" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ladder", "--config", "missing.json"],
+    ["rate", "--scenario", "free_brownian", "--trajectory", "missing.csv"],
+])
+def test_a_missing_input_file_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {argv[-1]}: ")
+
+
+def test_an_empty_trajectory_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert main(["rate", "--scenario", "free_brownian", "--trajectory", str(path)]) == 2
+    assert "empty" in capsys.readouterr().err
+
+
 def test_ladder_runs_plan_and_honors_exit_codes(tmp_path, capsys):
     plan = {"scenario": "free_brownian",
             "rungs": [{"n_particles": 40, "epsilon": 0.5, "dt": 0.02}],

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from mvhomog.effective import (SeparablePotential, _CellCache, _sandwich, averaged_coefficients,
+from mvhomog import effective
+from mvhomog.effective import (SeparablePotential, _sandwich, averaged_coefficients,
                                gamma_separable, homogenize, matrix_sqrt_psd,
                                separable_model, solve_with_x_derivatives)
 from mvhomog.errors import SolverError, ValidationError
-from mvhomog.measures import EmpiricalMeasure
+from mvhomog.measures import EmpiricalMeasure, MeasurePath
+from mvhomog.rate import dictionary_for_path, evaluate_jdg
 from mvhomog.scenarios import DAWSON_KAPPA, get_scenario
+from mvhomog.simulate import SimConfig, averaged_lane, simulate_lanes
 from mvhomog.torus import FastCoefficients, solve_cell
 
 TWO_PI = 2.0 * np.pi
@@ -151,32 +154,8 @@ def _x_dependent_coeffs():
     return FastCoefficients(dim=1, f=f, sigma=sigma, x_dependent=True)
 
 
-def test_x_dependent_route_consistent_with_direct_solves():
-    coeffs = _x_dependent_coeffs()
-    model = homogenize(coeffs, scheme="spectral", n=64)
-    for xv in (-0.5, 0.8):
-        x = np.array([xv])
-        _, avg, _ = model.averaged_at(x, None)
-        direct = averaged_coefficients(solve_cell(coeffs, x=x, scheme="spectral", n=64))
-        assert np.abs(avg.diffusion - direct.diffusion).max() < 1e-10
-    # cached: the same slow state returns the identical object
-    a1 = model.averaged_at(np.array([0.8]), None)
-    a2 = model.averaged_at(np.array([0.8]), None)
-    assert a1 is a2
-
-
-def test_x_derivative_solves_are_finite_and_centered():
-    coeffs = _x_dependent_coeffs()
-    cell, (grad_x, mixed) = solve_with_x_derivatives(
-        coeffs, np.array([0.3]), scheme="spectral", n=64)
-    assert np.all(np.isfinite(grad_x))
-    assert np.all(np.isfinite(mixed))
-    avg = averaged_coefficients(cell, None, (grad_x, mixed), True)
-    assert np.all(np.isfinite(avg.drift))
-    assert np.linalg.eigvalsh(avg.diffusion).min() > 0
-
-
-def test_mu_dependent_route_uses_fingerprint_cache():
+def _mu_dependent_coeffs():
+    # fast layer whose amplitude depends on the ensemble mean
     def f(x, y, mu):
         y = np.atleast_2d(y)
         scale = 1.0 + (0.2 * float(mu.mean()[0]) if mu is not None else 0.0)
@@ -185,29 +164,70 @@ def test_mu_dependent_route_uses_fingerprint_cache():
     def sigma(x, y, mu):
         return np.sqrt(2.0) * np.eye(1)
 
-    coeffs = FastCoefficients(dim=1, f=f, sigma=sigma, mu_dependent=True)
+    return FastCoefficients(dim=1, f=f, sigma=sigma, mu_dependent=True)
+
+
+def test_x_dependent_route_consistent_with_direct_solves():
+    coeffs = _x_dependent_coeffs()
     model = homogenize(coeffs, scheme="spectral", n=64)
+    xs = np.array([[-0.5], [0.8]])
+    drift, diffusion = model.drift_and_diffusion(xs, None)
+    for x, got in zip(xs, diffusion):
+        direct = averaged_coefficients(solve_cell(coeffs, x=x, scheme="spectral", n=64))
+        assert np.abs(got - direct.diffusion).max() < 1e-10
+    # the joint evaluation gives the separate calls' bits
+    assert np.array_equal(drift, model.drift_batch(xs, None))
+    assert np.array_equal(diffusion, model.diffusion_batch(xs, None))
+
+
+def test_x_derivative_solves_are_finite_and_centered():
+    coeffs = _x_dependent_coeffs()
+    cell, (grad_x, mixed) = solve_with_x_derivatives(
+        coeffs, np.array([0.3]), scheme="spectral", n=64)
+    assert np.all(np.isfinite(grad_x))
+    assert np.all(np.isfinite(mixed))
+    avg = averaged_coefficients(cell, (grad_x, mixed), True)
+    assert np.all(np.isfinite(avg.drift))
+    assert np.linalg.eigvalsh(avg.diffusion).min() > 0
+
+
+def test_mu_dependent_route_reads_the_measure():
+    model = homogenize(_mu_dependent_coeffs(), scheme="spectral", n=64)
     mu_a = EmpiricalMeasure(np.full((5, 1), 0.5))
     mu_b = EmpiricalMeasure(np.full((5, 1), -0.5))
     xs = np.zeros((3, 1))
     da = model.diffusion_batch(xs, mu_a)[0]
     db = model.diffusion_batch(xs, mu_b)[0]
     assert abs(da[0, 0] - db[0, 0]) > 1e-4
-    assert model.averaged_at(None, mu_a) is model.averaged_at(None, mu_a)
+    # the same measure with its atoms permuted is solved to the same bits
+    atoms = np.random.default_rng(1).normal(size=(7, 1))
+    got = model.drift_and_diffusion(xs, EmpiricalMeasure(atoms))
+    want = model.drift_and_diffusion(xs, EmpiricalMeasure(atoms[::-1]))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
-def test_mu_dependent_route_refuses_a_measure_without_fingerprint():
-    coeffs = FastCoefficients(
-        dim=1, f=lambda x, y, mu: np.zeros_like(np.atleast_2d(y)),
-        sigma=lambda x, y, mu: np.eye(1), mu_dependent=True)
-    model = homogenize(coeffs, scheme="spectral", n=16)
-
-    class BareMeasure:
-        def mean(self):
-            return np.zeros(1)
-
-    with pytest.raises(ValidationError, match="BareMeasure has no fingerprint method"):
-        model.drift_batch(np.zeros((2, 1)), BareMeasure())
+def test_cell_routes_solve_each_slow_state_once_per_evaluation(monkeypatch):
+    solves = []
+    solve = effective.solve_cell
+    monkeypatch.setattr(effective, "solve_cell",
+                        lambda *args, **kw: solves.append(1) or solve(*args, **kw))
+    n = 40
+    x0 = np.linspace(-1.0, 1.0, n)[:, None]
+    model = homogenize(_x_dependent_coeffs(), scheme="spectral", n=64)
+    one_step = SimConfig(n_particles=n, dt=0.01, t_end=0.01)
+    simulate_lanes([averaged_lane(model, x0, one_step)])
+    assert len(solves) == 3 * n        # x and x +/- X_STEP, once per particle
+    solves.clear()
+    times = np.linspace(0.0, 0.2, 3)
+    path = MeasurePath(times, [EmpiricalMeasure(x0[::8] + t) for t in times])
+    evaluate_jdg(path, model, dictionary_for_path(path, 3))
+    assert len(solves) == 3 * 5 * len(times)
+    solves.clear()
+    model = homogenize(_mu_dependent_coeffs(), scheme="spectral", n=64)
+    five_steps = SimConfig(n_particles=n, dt=0.01, t_end=0.05)
+    simulate_lanes([averaged_lane(model, x0, five_steps)])
+    assert len(solves) == 5
 
 
 def test_gamma_separable_quadrature_converges():
@@ -229,19 +249,3 @@ def test_separable_model_without_slow_drift_has_zero_drift():
     model = separable_model(sc.potential)
     xs = np.random.default_rng(0).normal(size=(6, 2))
     assert np.abs(model.drift_batch(xs, None)).max() == 0.0
-
-
-def test_cell_cache_evicts_the_least_recently_used_key():
-    cache = _CellCache(maxsize=2)
-    computed = []
-
-    def get(key):
-        return cache.get_or_compute(key, lambda: computed.append(key) or key.upper())
-
-    for key in "abac":
-        get(key)
-    assert computed == ["a", "b", "c"]
-    assert (get("a"), get("c")) == ("A", "C")   # both survive: no new solve
-    assert computed == ["a", "b", "c"]
-    get("b")                                     # evicted, solved again
-    assert computed == ["a", "b", "c", "b"]

@@ -57,6 +57,13 @@ def test_trajectory_csv_roundtrip(tmp_path):
         assert np.array_equal(m.atoms, rec.positions[k])
 
 
+def test_an_empty_trajectory_file_is_refused(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValidationError, match="empty"):
+        load_trajectory_csv(path)
+
+
 def test_summary_json_contents(tmp_path):
     sc = get_scenario("free_brownian")
     cfg = SimConfig(n_particles=40, dt=0.05, t_end=0.5, seed=2)
@@ -121,6 +128,11 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SimConfig(n_particles=10, dt=0.1, t_end=1.0,
                   snapshot_times=np.array([0.0, 0.1001, 0.1002]))  # collides
+
+
+def test_an_empty_snapshot_grid_is_refused_up_front():
+    with pytest.raises(ValidationError, match="snapshot_times is empty"):
+        SimConfig(n_particles=10, dt=0.1, t_end=1.0, snapshot_times=np.array([]))
 
 
 def test_constant_control_shifts_mean_and_costs_exactly():

@@ -1,9 +1,10 @@
-"""Every name a package module imports is used by that module.
+"""Every name a package or benchmark module imports is used by that module.
 
 No linter runs on the package, so this scans each module's syntax tree:
 an imported name must appear as a name somewhere in the module, counting
 names inside quoted annotations.  ``__init__.py`` is left out, since it
-imports names in order to re-export them.
+imports names in order to re-export them.  Package modules are named by
+file name, benchmark modules as ``bench/<file>``.
 """
 import ast
 from pathlib import Path
@@ -12,8 +13,14 @@ import pytest
 
 import mvhomog
 
-MODULES = sorted(p for p in Path(mvhomog.__file__).parent.glob("*.py")
+PACKAGE = Path(mvhomog.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODULES = sorted(p for p in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]
                  if p.name != "__init__.py")
+
+
+def _module_id(path: Path) -> str:
+    return path.name if path.parent == PACKAGE else f"bench/{path.name}"
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -53,13 +60,14 @@ def _referenced(tree: ast.Module) -> set:
 
 
 def test_the_scan_sees_the_package():
-    assert {p.name for p in MODULES} >= {"config.py", "simulate.py", "experiments.py"}
+    assert {_module_id(p) for p in MODULES} >= {
+        "config.py", "simulate.py", "experiments.py", "bench/run.py", "bench/workloads.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _referenced(tree)
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
                     if name not in used)
-    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+    assert not unused, f"{_module_id(path)} imports names it never uses: {', '.join(unused)}"
