@@ -312,30 +312,33 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # registry
 
-def _scaled_wave(wave, scale: float, y) -> np.ndarray:
-    """scale * wave(2 pi y) for an array y, in one new array updated in place."""
-    out = np.multiply(TWO_PI, y)
-    wave(out, out=out)
-    out *= scale
-    return out
-
-
 def _cos_component(amplitude: float = 1.0):
+    """q = a cos(2 pi y) and dq = -2 pi a sin(2 pi y).
+
+    ``dq`` is the fast drift the stepper evaluates every step and the cell
+    solver once per solve, so its sine comes from the vectorized tangent
+    of ``rng._wave_2pi``; ``q`` (densities, validation) keeps numpy's.
+    """
     def q(y):
         return amplitude * np.cos(TWO_PI * np.asarray(y))
 
     def dq(y):
-        return _scaled_wave(np.sin, -amplitude * TWO_PI, y)
+        out = rng._wave_2pi(y)
+        out *= -amplitude * TWO_PI
+        return out
 
     return q, dq
 
 
 def _sin_component(amplitude: float = 1.0):
+    """q = a sin(2 pi y) and dq = 2 pi a cos(2 pi y), the cosine as in ``_cos_component``."""
     def q(y):
         return amplitude * np.sin(TWO_PI * np.asarray(y))
 
     def dq(y):
-        return _scaled_wave(np.cos, amplitude * TWO_PI, y)
+        out = rng._wave_2pi(y, cosine=True)
+        out *= amplitude * TWO_PI
+        return out
 
     return q, dq
 
@@ -470,10 +473,13 @@ def _skew_fast_drift(x, y, mu):
 
     The skew part is divergence-free against exp(-U), so the stationary
     density keeps the product Gibbs form even though no potential generates
-    the full drift.
+    the full drift.  The gradient's sine and cosine come from
+    ``rng._wave_2pi``, as in ``_cos_component``.
     """
-    du1 = _scaled_wave(np.sin, -TWO_PI, y[:, 0])
-    du2 = _scaled_wave(np.cos, TWO_PI, y[:, 1])
+    du1 = rng._wave_2pi(y[:, 0])
+    du1 *= -TWO_PI
+    du2 = rng._wave_2pi(y[:, 1], cosine=True)
+    du2 *= TWO_PI
     half_a = 0.5 * _SKEW_SIGMA2
     out = np.empty((len(y), 2))
     # f1 = -a/2 du1 - c du2 and f2 = -a/2 du2 + c du1, column by column

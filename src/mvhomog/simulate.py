@@ -44,8 +44,13 @@ particle-step of each N = 4000 run of the benchmark's ``ladder_1d`` plan
 (1-d ``dawson_rough``, eps = 0.05, 4000 steps) timed alone, one BLAS thread,
 2-CPU x86-64 VM, medians of ten alternating runs: 61 ns multiscale and
 42 ns pre-averaged, against 79 and 58 ns before that work was cut, and
-38 ns for each run of a coupled pair (53 ns before).  The noise draw and
-the fast-drift sine are about 70 % of a multiscale step.
+38 ns for each run of a coupled pair (53 ns before).  The noise draw's
+Box-Muller cosine and the fast-drift sine then went through scalar libm;
+they now go through numpy's vectorized tangent (``rng._wave_2pi``).
+Measured the same way on a host about twice as slow: 80 ns multiscale,
+64 ns pre-averaged and 54 ns coupled, against 127, 98 and 83 ns with
+libm.  Measured apart, the noise draw (27 ns per draw) and the fast drift
+(9 ns per particle) are now under half of a multiscale step.
 """
 from __future__ import annotations
 
@@ -280,12 +285,21 @@ def load_trajectory_csv(path) -> MeasurePath:
             raise ValidationError(f"unrecognized trajectory header {header}")
         current = None
         for row in reader:
-            t = float(row[0])
+            if len(row) != dim + 2:
+                raise ValidationError(
+                    f"trajectory file {path}, line {reader.line_num}: "
+                    f"{len(row)} fields, the header has {dim + 2}")
+            try:
+                t = float(row[0])
+                pos = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise ValidationError(
+                    f"trajectory file {path}, line {reader.line_num}: {exc}") from None
             if current is None or t != current:
                 times.append(t)
                 frames.append([])
                 current = t
-            frames[-1].append([float(v) for v in row[2:]])
+            frames[-1].append(pos)
     positions = [np.asarray(f) for f in frames]
     return MeasurePath(np.asarray(times), [EmpiricalMeasure(p) for p in positions])
 

@@ -152,6 +152,14 @@ def test_an_empty_trajectory_file_exits_2(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["0.0,0,abc", "0.0,1"])
+def test_a_malformed_trajectory_row_exits_2(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,particle_id,x0\r\n{row}\r\n")
+    assert main(["rate", "--scenario", "free_brownian", "--trajectory", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: trajectory file {path}, line 2: ")
+
+
 def test_ladder_runs_plan_and_honors_exit_codes(tmp_path, capsys):
     plan = {"scenario": "free_brownian",
             "rungs": [{"n_particles": 40, "epsilon": 0.5, "dt": 0.02}],

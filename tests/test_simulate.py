@@ -64,6 +64,17 @@ def test_an_empty_trajectory_file_is_refused(tmp_path):
         load_trajectory_csv(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0.0,0,abc", "could not convert"),
+    ("0.0,1", "2 fields, the header has 3"),
+])
+def test_a_malformed_trajectory_row_is_refused_with_its_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,particle_id,x0\r\n0.0,0,0.5\r\n{row}\r\n")
+    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}, line 3: .*{message}"):
+        load_trajectory_csv(path)
+
+
 def test_summary_json_contents(tmp_path):
     sc = get_scenario("free_brownian")
     cfg = SimConfig(n_particles=40, dt=0.05, t_end=0.5, seed=2)
@@ -485,10 +496,22 @@ def _dawson_slow_reference(x, mu):
     return (-(v * v * v - v) - DAWSON_KAPPA * (v - m))[:, None]
 
 
+def _sin_2pi(y):
+    """sin(2 pi y) = -2t / (1 + t^2) with t = tan(pi (y - 1/2)), as the scenarios define it."""
+    t = np.tan(np.pi * (y - 0.5))
+    return -2.0 * t / (t * t + 1.0)
+
+
+def _cos_2pi(y):
+    """cos(2 pi y) = (t^2 - 1) / (t^2 + 1) with t = tan(pi (y - 1/2))."""
+    t = np.tan(np.pi * (y - 0.5))
+    return (t * t - 1.0) / (t * t + 1.0)
+
+
 def _dawson_multiscale_reference(eps):
     def drift(x, mu):
         y = np.mod(x / eps, 1.0)
-        dq = -_DAWSON_FAST_AMP * TWO_PI * np.sin(TWO_PI * y[:, 0])
+        dq = -_DAWSON_FAST_AMP * TWO_PI * _sin_2pi(y[:, 0])
         fast = np.stack([-dq], axis=1)
         return fast / eps + _dawson_slow_reference(x, mu)
     return drift
@@ -497,8 +520,8 @@ def _dawson_multiscale_reference(eps):
 def _skew_multiscale_reference(eps):
     def drift(x, mu):
         y = np.mod(x / eps, 1.0)
-        du1 = -TWO_PI * np.sin(TWO_PI * y[:, 0])
-        du2 = TWO_PI * np.cos(TWO_PI * y[:, 1])
+        du1 = -TWO_PI * _sin_2pi(y[:, 0])
+        du2 = TWO_PI * _cos_2pi(y[:, 1])
         half_a = 0.5 * _SKEW_SIGMA2
         fast = np.stack([-half_a * du1 - _SKEW_C * du2,
                          -half_a * du2 + _SKEW_C * du1], axis=1)
