@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_plan
+from .effective import QUAD_POINTS
 from .errors import NumericalError, ValidationError
 from .experiments import (gamma_table_rows, run_experiment, write_effective_table,
                           write_gamma_table)
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="closed-form homogenization factors")
     add_scenario(p)
-    p.add_argument("--quad-points", type=int, default=512)
+    p.add_argument("--quad-points", type=int, default=QUAD_POINTS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gamma)
 

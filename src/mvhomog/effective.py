@@ -32,6 +32,8 @@ from .torus import CellSolution, FastCoefficients, apply_axis_derivative, solve_
 PSD_CLIP_TOL = 1e-10
 # slow-state step of the centered x-derivative cell solves
 X_STEP = 1e-4
+# midpoint nodes of the separable route's normalizer quadrature
+QUAD_POINTS = 512
 
 
 def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -207,7 +209,7 @@ class SeparablePotential:
     def dim(self) -> int:
         return len(self.components)
 
-    def z_factors(self, quad_points: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    def z_factors(self, quad_points: int = QUAD_POINTS) -> tuple[np.ndarray, np.ndarray]:
         """Normalizers (Z_k, Zhat_k) by midpoint quadrature on the circle."""
         if quad_points < 1:
             raise ValidationError(f"quadrature needs at least 1 point, got {quad_points}")
@@ -220,7 +222,7 @@ class SeparablePotential:
             zhat[k] = np.exp(vals).mean()
         return z, zhat
 
-    def gibbs_density(self, y: np.ndarray, quad_points: int = 512) -> np.ndarray:
+    def gibbs_density(self, y: np.ndarray, quad_points: int = QUAD_POINTS) -> np.ndarray:
         """Product Gibbs density exp(-2 V2 / sigma^2) / Z at points (M, dim)."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         z, _ = self.z_factors(quad_points)
@@ -251,7 +253,7 @@ class SeparablePotential:
                                 noise_dim=self.dim)
 
 
-def gamma_separable(potential: SeparablePotential, quad_points: int = 512) -> np.ndarray:
+def gamma_separable(potential: SeparablePotential, quad_points: int = QUAD_POINTS) -> np.ndarray:
     """Diagonal homogenization factor Gamma for a separable gradient system."""
     z, zhat = potential.z_factors(quad_points)
     return np.diag(1.0 / (z * zhat))
@@ -370,14 +372,13 @@ def _generator(drift: np.ndarray, diff: np.ndarray, grad_vals: np.ndarray,
 
 def separable_model(potential: SeparablePotential,
                     slow_drift: Callable | None = None,
-                    quad_points: int = 512,
                     description: str = "") -> EffectiveModel:
     """Closed-form homogenized model for a separable gradient system.
 
     ``slow_drift(X, mu)`` is the uncorrected slow drift b; the homogenized
     drift is Gamma b and the diffusion sigma^2 Gamma.
     """
-    gamma = gamma_separable(potential, quad_points)
+    gamma = gamma_separable(potential)
     dim = potential.dim
 
     if slow_drift is None:
@@ -389,7 +390,7 @@ def separable_model(potential: SeparablePotential,
 
     model = EffectiveModel(
         dim=dim, drift_fn=drift_fn, diffusion=potential.sigma ** 2 * gamma,
-        provenance={"route": "separable", "quad_points": quad_points,
+        provenance={"route": "separable", "quad_points": QUAD_POINTS,
                     "gamma_diagonal": np.diag(gamma).tolist()},
         description=description or "separable gradient system, closed-form route")
     model.gamma = gamma

@@ -14,7 +14,9 @@ kernels by CPU; see the README).
 
 The plan's particle runs are independent, so they run as jobs in a pool
 of forked worker processes, up to one per usable CPU (see
-``run_experiment``).  Fork hands the workers the job table and the
+``run_experiment``).  A job is the lanes it steps, from
+``Scenario.ladder_lanes``, which refuses a twin pair of two noise widths
+before any run starts.  Fork hands the workers the job table and the
 effective model, whose coefficients are closures that cannot be pickled;
 the rung actions evaluated there later get only picklable inputs
 (snapshot times, positions and the test dictionary).  Fork also shares,
@@ -41,23 +43,22 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .config import ExperimentPlan
-from .effective import gamma_separable
+from .effective import QUAD_POINTS, gamma_separable
 from .errors import SimulationError
 from .measures import MeasurePath, wasserstein2
 from .noise_ring import NoiseRing, RingSide
 from .rate import dictionary_for_path, evaluate_jdg
 from .scenarios import Scenario, get_scenario
-from .simulate import Lane, noise_block, simulate_lanes
+from .simulate import noise_block, simulate_lanes
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -76,17 +77,21 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def state_grid(dim: int, span: float = 2.0, count: int = 41) -> np.ndarray:
+# coefficient tables: about GRID_COUNT states on [-GRID_SPAN, GRID_SPAN]^dim
+GRID_SPAN, GRID_COUNT = 2.0, 41
+
+
+def state_grid(dim: int) -> np.ndarray:
     """Evaluation states for coefficient tables: a line (1-d) or a mesh."""
     if dim == 1:
-        return np.linspace(-span, span, count)[:, None]
-    per_axis = max(int(round(count ** (1.0 / dim))), 3)
-    axis = np.linspace(-span, span, per_axis)
+        return np.linspace(-GRID_SPAN, GRID_SPAN, GRID_COUNT)[:, None]
+    per_axis = max(int(round(GRID_COUNT ** (1.0 / dim))), 3)
+    axis = np.linspace(-GRID_SPAN, GRID_SPAN, per_axis)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def gamma_table_rows(scenario: Scenario, quad_points: int = 512) -> list:
+def gamma_table_rows(scenario: Scenario, quad_points: int = QUAD_POINTS) -> list:
     """Per-axis normalizers and homogenization factors, with references."""
     if scenario.potential is None:
         raise ValueError(
@@ -104,7 +109,7 @@ def gamma_table_rows(scenario: Scenario, quad_points: int = 512) -> list:
     return rows
 
 
-def write_gamma_table(scenario: Scenario, path, quad_points: int = 512) -> None:
+def write_gamma_table(scenario: Scenario, path, quad_points: int = QUAD_POINTS) -> None:
     rows = gamma_table_rows(scenario, quad_points)
     header = ["axis", "z", "z_hat", "gamma"]
     if rows and len(rows[0]) == 6:
@@ -112,15 +117,14 @@ def write_gamma_table(scenario: Scenario, path, quad_points: int = 512) -> None:
     _write_csv(Path(path), header, rows)
 
 
-def write_effective_table(scenario: Scenario, model, path,
-                          span: float = 2.0, count: int = 41) -> None:
+def write_effective_table(scenario: Scenario, model, path) -> None:
     """Homogenized drift and diffusion sampled over a state grid.
 
     The mean-field argument is passed as None, which scenarios read as a
     centered ensemble; the table shows the state dependence of the
     coefficients alone.
     """
-    xs = state_grid(scenario.dim, span, count)
+    xs = state_grid(scenario.dim)
     drift = model.drift_batch(xs, None)
     diff = np.atleast_2d(model.diffusion())
     d = scenario.dim
@@ -155,21 +159,30 @@ def _json_scalar(value: float):
 class _Job:
     """One independent particle run of a plan, or a coupled pair of them.
 
-    ``run()`` returns one record per entry of ``stems``, the artifact names;
-    ``key`` is the runtime entry the job adds to; ``size`` is particles
+    The job steps its ``lanes`` together, drawing their noise through the
+    ring ``side`` when it has one.  ``key`` is the runtime entry it adds
+    to, ``stems`` its records' artifact names, and ``size`` its particles
     times steps, by which jobs are ranked.
     """
 
     key: str
-    stems: tuple
-    size: int
-    run: Callable
+    lanes: tuple
+    side: RingSide | None = None
+
+    @property
+    def stems(self) -> tuple:
+        return tuple(f"{self.key}_{lane.mode}" for lane in self.lanes)
+
+    @property
+    def size(self) -> int:
+        return sum(lane.config.n_particles * lane.config.n_steps for lane in self.lanes)
 
 
 def _execute(job: _Job, base: Path) -> tuple:
     """Run a job and write its CSVs and summaries; (records, seconds)."""
     t0 = time.perf_counter()
-    records = list(job.run())
+    with job.side if job.side is not None else nullcontext():
+        records = simulate_lanes(list(job.lanes), draw=job.side)
     for rec, stem in zip(records, job.stems):
         rec.save_csv(base / f"{stem}.csv")
         rec.save_summary_json(base / f"{stem}.summary.json")
@@ -251,45 +264,26 @@ def _run_jobs(jobs: list, base: Path, workers: int, model):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _run_lane(lane: Lane, side: RingSide | None) -> list:
-    """One lane's record, drawing its noise through a ring side if it has one."""
-    if side is None:
-        return simulate_lanes([lane])
-    with side:
-        return simulate_lanes([lane], draw=side)
-
-
 def _plan_jobs(configs: tuple, scenario: Scenario, model, coupled: bool) -> tuple:
     """(jobs, rings): the runs of ``configs``, ``plan.run_configs()``, in plan order.
 
     A coupled rung/seed is one job stepping its multiscale run and its
-    pre-averaged twin on shared noise; otherwise each is a job of its own,
-    and when the two draw noise of one width they draw it through a
-    :class:`NoiseRing`, one per rung/seed tag in ``rings``.  Either way the
-    records are the same bit for bit.
+    pre-averaged twin on one noise; otherwise each is a job of its own,
+    drawing that noise through a :class:`NoiseRing`, one per rung/seed tag
+    in ``rings``.  Either way the records are the same bit for bit.
     """
     ref_cfg, rung_cfgs = configs
-    jobs = [_Job("reference", ("reference_averaged",),
-                 ref_cfg.n_particles * ref_cfg.n_steps,
-                 lambda: [scenario.run_averaged(ref_cfg, model=model)])]
+    jobs = [_Job("reference", scenario.ladder_lanes(ref_cfg, model))]
     rings = {}
     for i, cfg in rung_cfgs:
         tag = f"rung{i}_seed{cfg.seed}"
-        size = cfg.n_particles * cfg.n_steps
-        if coupled:
-            jobs.append(_Job(tag, (f"{tag}_multiscale", f"{tag}_pre_averaged"),
-                             2 * size,
-                             lambda cfg=cfg: scenario.run_coupled(cfg, model=model)))
-            continue
         lanes = scenario.ladder_lanes(cfg, model)
-        sides = (None, None)
-        width = lanes[0].noise_dim
-        if lanes[1].noise_dim == width:
-            n = cfg.n_particles
-            rings[tag] = NoiseRing(n, width, noise_block(n, width), cfg.n_steps)
-            sides = rings[tag].sides()
-        jobs += [_Job(tag, (f"{tag}_{lane.mode}",), size, partial(_run_lane, lane, side))
-                 for lane, side in zip(lanes, sides)]
+        if coupled:
+            jobs.append(_Job(tag, lanes))
+            continue
+        n, width = cfg.n_particles, lanes[0].noise_dim
+        rings[tag] = ring = NoiseRing(n, width, noise_block(n, width), cfg.n_steps)
+        jobs += [_Job(tag, (lane,), side) for lane, side in zip(lanes, ring.sides())]
     return jobs, rings
 
 
@@ -406,36 +400,36 @@ def _reemit(caught: list) -> None:
 def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     """Execute a plan; returns the report dict (also written to report.json).
 
-    The particle runs are jobs: the reference run, and for each rung and
-    seed either one coupled job stepping its multiscale run and its
-    pre-averaged twin together on shared noise, or one job for each of the
-    two.  The rule is to couple when the plan has at least as many seeds
-    as there are workers.  Each rung holds one pair per seed, and in a
-    ladder the top rung does most of the work.  With a top-rung pair for
-    every worker, coupling keeps the workers busy and saves a noise draw
-    per step; with fewer, only split runs spread the top rung over the
-    workers.  On 2 CPUs the standard ladder took a median 2.9 s split
-    against 3.4 s coupled with one seed, 4.4 s coupled against 5.1 s split
-    with two, and 6.7 s coupled against 7.2 s split with three.
+    The particle runs are jobs of :meth:`Scenario.ladder_lanes`: the
+    reference run, and for each rung and seed either one coupled job
+    stepping its multiscale run and its pre-averaged twin together on one
+    noise, or one job for each of the two.  The rule is to couple when the
+    plan has at least as many seeds as there are workers.  Each rung holds
+    one pair per seed, and in a ladder the top rung does most of the work.
+    With fewer top-rung pairs than workers, only split runs spread the top
+    rung over the workers; with a pair for every worker, coupled jobs keep
+    them as busy and need no ring.  On 2 CPUs (one BLAS thread, alternating runs) the default
+    ladder took a median 1.40 s split against 2.03 s coupled with one seed
+    (5 pairs), 2.64 s coupled against 2.72 s split with two, and 3.87 s
+    coupled against 3.89 s split with three (10 pairs each).
 
     With one usable CPU (``os.sched_getaffinity``), or in a daemonic
     process, the jobs run inline, in plan order.  Otherwise they run in a
     pool of forked workers, one per CPU or per job, whichever is fewer,
     longest job (particles times steps) first.  Every job writes its own
     CSV and summary, and the results are collected in plan order.  The two
-    runs of a split pair draw the same noise, so when their noise widths
-    match they draw it through one shared ring: whichever reaches a block
-    first draws it, the other reads it, and every block is drawn once.  On
-    the benchmark's ``ladder_1d`` plan the top pair's two jobs then end
-    together, at a median 1.02 s against 1.32 and 1.61 s drawing
-    separately (2-CPU VM, five alternating runs).  Once
-    the runs are done, each rung and seed's action goes to the still-open
-    pool while this process evaluates the reference's.  The distances,
-    actions, tables, report and manifest are computed from the same arrays
-    by the same functions, and read in plan order: a worker's exception is
-    raised with its type and message, and a warning it raised is raised
-    again here.  So every artifact byte, and every error a run or an action
-    raises, is the same at any worker count.
+    runs of a split pair draw the same noise, so they draw it through one
+    shared ring: whichever reaches a block first draws it, the other reads
+    it, and every block is drawn once.  On the benchmark's ``ladder_1d``
+    plan the top pair's two jobs then end together, at a median 1.02 s
+    against 1.32 and 1.61 s drawing separately (2-CPU VM, five alternating
+    runs).  Once the runs are done, each rung and seed's action goes to the
+    still-open pool while this process evaluates the reference's.  The
+    distances, actions, tables, report and manifest are computed from the
+    same arrays by the same functions, and read in plan order: a worker's
+    exception is raised with its type and message, and a warning it raised
+    is raised again here.  So every artifact byte, and every error a run or
+    an action raises, is the same at any worker count.
 
     The returned ``runtimes`` (seconds, never written to disk) cover the
     reference run with its artifacts, each rung and seed with both of its
@@ -444,7 +438,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     distances meanwhile, so the parts sum to at most the worker count plus
     one times the total, and to at most the total with one worker.  The
     returned ``noise_sharing`` (never written either, as it depends on the
-    schedule) holds, for each split pair with a ring, its block count and,
+    schedule) holds, for each split pair, its ring's block count and,
     for each run, how many blocks it drew, drew ahead, read from the ring
     and drew locally; see :meth:`NoiseRing.counts`.
     """

@@ -13,6 +13,8 @@ import numpy as np
 from . import rng
 from .errors import ValidationError
 
+N_PROJECTIONS = 64   # directions of the sliced W2 surrogate (whole frames above 2-d)
+
 
 def _sorted_sum(values: np.ndarray) -> float:
     """Order-independent sum (sort, then pairwise sum).
@@ -175,20 +177,19 @@ def _projection_directions(dim: int, count: int, seed: int) -> np.ndarray:
     return np.concatenate(frames, axis=1).T
 
 
-def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure, *,
-                 n_projections: int = 64, seed: int = 0) -> float:
+def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure, *, seed: int = 0) -> float:
     """Wasserstein-2 distance between empirical measures.
 
     Exact in dimension one (sorted quantile coupling).  In higher dimension
-    a sliced surrogate is used: project onto unit directions, take the exact
-    1-D distance per slice, and return sqrt(d * mean of squared slice
-    distances); the d-factor makes the estimate exact for point masses.
+    a sliced surrogate is used: project onto N_PROJECTIONS directions, take
+    the exact 1-D distance per slice, and return sqrt(d * mean of squared
+    slice distances); the d-factor makes the estimate exact for point masses.
     """
     if a.dim != b.dim:
         raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim == 1:
         return np.sqrt(_w2_1d(a.atoms[:, 0], a.weights, b.atoms[:, 0], b.weights))
-    dirs = _projection_directions(a.dim, n_projections, seed)
+    dirs = _projection_directions(a.dim, N_PROJECTIONS, seed)
     pa = a.atoms @ dirs.T  # (N, K)
     pb = b.atoms @ dirs.T
     sq = [_w2_1d(pa[:, k], a.weights, pb[:, k], b.weights)

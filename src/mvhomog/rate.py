@@ -49,6 +49,8 @@ from .measures import EmpiricalMeasure, MeasurePath, wasserstein2
 
 # Gram eigenvalues below this fraction of the largest are treated as null
 GRAM_CUTOFF = 1e-9
+# a path starting further than this from nu0 (W2) has action +infinity
+NU0_TOL = 0.05
 # most functions a Hermite dictionary may hold (per_axis ** dim), which also
 # bounds a plan's rate_basis ** dim
 MAX_BASIS = 64
@@ -161,9 +163,8 @@ class TestDictionary:
                                           "disagrees with finite differences")
 
 
-def hermite_dictionary(dim: int, per_axis: int = 6, center=0.0, scale=1.0,
-                       verify: bool = True) -> TestDictionary:
-    """Tensor-product Hermite-function dictionary, per_axis functions per axis."""
+def hermite_dictionary(dim: int, per_axis: int = 6, center=0.0, scale=1.0) -> TestDictionary:
+    """Tensor Hermite dictionary, per_axis functions per axis, derivatives checked."""
     if per_axis < 2:
         raise ValidationError("per_axis must be at least 2")
     if per_axis ** dim > MAX_BASIS:
@@ -174,13 +175,11 @@ def hermite_dictionary(dim: int, per_axis: int = 6, center=0.0, scale=1.0,
     orders = sorted(itertools.product(range(per_axis), repeat=dim),
                     key=lambda o: (sum(o), o))
     d = TestDictionary(orders, center, scale)
-    if verify:
-        d.verify_derivatives()
+    d.verify_derivatives()
     return d
 
 
-def dictionary_for_path(path: MeasurePath, per_axis: int = 6,
-                        verify: bool = True) -> TestDictionary:
+def dictionary_for_path(path: MeasurePath, per_axis: int = 6) -> TestDictionary:
     """Hermite dictionary centered and scaled by the path's pooled moments."""
     means = np.stack([m.mean() for m in path.measures])
     stds = np.stack([np.sqrt(np.diag(m.cov())) for m in path.measures])
@@ -188,7 +187,7 @@ def dictionary_for_path(path: MeasurePath, per_axis: int = 6,
     # cover both the spread within snapshots and the drift of the means
     scale = np.sqrt(stds.mean(axis=0) ** 2 + means.var(axis=0)) * 1.5
     scale = np.maximum(scale, 1e-6)
-    return hermite_dictionary(path.dim, per_axis, center, scale, verify=verify)
+    return hermite_dictionary(path.dim, per_axis, center, scale)
 
 
 @dataclass
@@ -224,15 +223,14 @@ class RateReport:
 
 
 def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDictionary,
-                 *, nu0: EmpiricalMeasure | None = None, nu0_tol: float = 0.05,
+                 *, nu0: EmpiricalMeasure | None = None,
                  cutoff: float = GRAM_CUTOFF) -> RateReport:
     """Finite-dictionary evaluation of the path action (a certified lower bound).
 
     ``nu0`` optionally pins the required initial condition: when the path
-    starts further than ``nu0_tol`` from it in Wasserstein-2, the action is
-    +infinity by definition and no integration is attempted.
-    ``dictionary`` needs only
-    ``size`` and ``evaluate(x)``, as on ``TestDictionary``.
+    starts further than ``NU0_TOL`` from it in Wasserstein-2, the action is
+    +infinity by definition and no integration is attempted.  ``dictionary``
+    needs only ``size`` and ``evaluate(x)``, as on ``TestDictionary``.
     """
     if len(path) < 3:
         raise ValidationError("rate evaluation needs at least 3 snapshots")
@@ -242,7 +240,7 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
     init_dist = None
     if nu0 is not None:
         init_dist = wasserstein2(path.measures[0], nu0)
-        if init_dist > nu0_tol:
+        if init_dist > NU0_TOL:
             return RateReport(
                 times=times, integrand=np.zeros(len(times)), total=np.inf,
                 basis_size=nbasis, gram_condition=np.full(len(times), np.nan),
@@ -306,14 +304,14 @@ class CostBoundReport:
 
 def control_cost_bound(path: MeasurePath, cost: float, model: EffectiveModel,
                        dictionary: TestDictionary, *, slack: float = 0.15,
-                       abs_tol: float = 0.05, **jdg_kwargs) -> CostBoundReport:
+                       abs_tol: float = 0.05) -> CostBoundReport:
     """Check J(path) <= (1 + slack) * cost, the variational upper bound.
 
     Any admissible control that realizes the path bounds the rate from
     above by its quadratic cost; ``abs_tol`` absorbs the discretization
     floor when the cost itself is near zero.
     """
-    report = evaluate_jdg(path, model, dictionary, **jdg_kwargs)
+    report = evaluate_jdg(path, model, dictionary)
     bound = max((1.0 + slack) * cost, abs_tol)
     margin = bound - report.total
     return CostBoundReport(passed=bool(report.total <= bound),

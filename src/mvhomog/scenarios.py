@@ -207,33 +207,39 @@ class Scenario:
                                  streams=streams)
 
     def ladder_lanes(self, config: SimConfig,
-                     model: EffectiveModel | None = None) -> tuple[Lane, Lane]:
-        """The lanes of a multiscale run and its pre-averaged twin.
+                     model: EffectiveModel | None = None) -> tuple[Lane, ...]:
+        """A ladder job's lanes: the twin pair with epsilon, the averaged run without.
 
-        Both start from the same positions with the same seed and dt, so
-        with the same streams their noise is identical.  Stepped by
-        :func:`simulate_lanes`, alone or together, they give
-        ``(multiscale, pre_averaged)``, bit for bit the records of
-        ``run_multiscale(config)`` and of ``run_averaged`` on ``config``
-        without epsilon in ``pre_averaged`` mode.
+        The multiscale run and its pre-averaged twin start from the same
+        positions with the same seed and dt and share one noise, so a pair
+        whose widths, the scenario's ``noise_dim`` and the model's ``dim``,
+        differ is refused.  Stepped by :func:`simulate_lanes`, alone or
+        together, they give ``(multiscale, pre_averaged)``, bit for bit the
+        records of ``run_multiscale(config)`` and of ``run_averaged`` on
+        ``config`` without epsilon in ``pre_averaged`` mode.
         """
         if model is None:
             model = self.effective_model()
         x0 = self.initial_positions(config.n_particles, config.seed)
-        return (
-            multiscale_lane(*self._multiscale_terms(), x0, config,
-                            moment_cap=self.moment_cap, scenario_name=self.name),
-            averaged_lane(model, x0, replace(config, epsilon=None),
-                          moment_cap=self.moment_cap, scenario_name=self.name,
-                          mode="pre_averaged"),
-        )
+        shared = {"moment_cap": self.moment_cap, "scenario_name": self.name}
+        if config.epsilon is None:
+            return (averaged_lane(model, x0, config, **shared),)
+        if self.noise_dim != model.dim:
+            raise ValidationError(
+                f"scenario {self.name!r}: a twin pair shares one noise, but the multiscale "
+                f"run has noise width {self.noise_dim} and its pre-averaged twin {model.dim}")
+        return (multiscale_lane(*self._multiscale_terms(), x0, config, **shared),
+                averaged_lane(model, x0, replace(config, epsilon=None),
+                              mode="pre_averaged", **shared))
 
     def run_coupled(self, config: SimConfig, model: EffectiveModel | None = None,
                     streams=None) -> tuple[TrajectoryRecord, TrajectoryRecord]:
         """A multiscale run and its pre-averaged twin, stepped in lockstep.
 
-        The two :meth:`ladder_lanes` share their noise, which is drawn once.
+        The two :meth:`ladder_lanes` share one noise, drawn once; a config
+        without epsilon, or a pair of two noise widths, is refused.
         """
+        config.require_stiffness("multiscale")
         return tuple(simulate_lanes(list(self.ladder_lanes(config, model)), streams))
 
     # -- validation ----------------------------------------------------------

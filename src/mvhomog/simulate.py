@@ -18,20 +18,21 @@ through the noise matrix (sigma u dt, or noise u dt in averaged modes) and
 their quadratic cost is accumulated with the trapezoidal rule along the
 path.
 
-The driver steps a list of lanes, one run each, in lockstep.  Lanes with
-the same particle count, dt, horizon, seed, streams and snapshot grid draw
-the same noise, so the driver draws it once per step and noise width, for
-blocks of steps at a time, and each lane's record equals its run alone bit
-for bit.  ``simulate_multiscale`` and ``simulate_averaged`` are one-lane
-calls; ``Scenario.run_coupled`` steps a multiscale run and its
-pre-averaged twin together.  Each step is whole-array numpy work on one
-thread; splitting the particles over a thread pool made the coupled
-ladder slower (see the README's Performance section).  Parallelism is over
-whole runs instead: ``run_experiment`` runs a plan's runs in forked worker
-processes, a rung and seed's two runs coupled when the plan has a seed for
-every worker and one lane each when it has fewer.  Two such lanes still
-draw each noise block once: :func:`simulate_lanes` takes its blocks from a
-``draw`` function, for them one side each of a shared
+:func:`simulate_lanes` steps a list of lanes, one run each, in lockstep on
+one noise: lanes with the same noise width, particle count, dt, horizon,
+seed, streams and snapshot grid draw the same noise, so it is drawn once
+per step, for blocks of steps at a time, and each lane's record equals its
+run alone bit for bit.  Lanes of different noise widths are refused.
+``simulate_multiscale`` and ``simulate_averaged`` are one-lane calls;
+``Scenario.run_coupled`` steps a multiscale run and its pre-averaged twin
+together.  Each step is whole-array numpy work on one thread; splitting
+the particles over a thread pool made the coupled ladder slower (see the
+README's Performance section).  Parallelism is over whole runs instead:
+``run_experiment`` runs a plan's runs in forked worker processes, a rung
+and seed's two runs coupled when the plan has a seed for every worker and
+one lane each when it has fewer.  Two such lanes still draw each noise
+block once: :func:`simulate_lanes` takes its blocks from a ``draw``
+function, for them one side each of a shared
 :class:`~mvhomog.noise_ring.NoiseRing`.
 
 Every step is bit for bit the plain Euler-Maruyama step, with less work
@@ -475,24 +476,24 @@ class _LaneRun:
         )
 
 
-def _shared_geometry(config: SimConfig) -> tuple:
-    return (config.n_particles, config.dt, config.n_steps, config.seed,
-            tuple(config.snapshot_steps().tolist()))
+def _shared_geometry(lane: Lane) -> tuple:
+    c = lane.config
+    return (lane.noise_dim, c.n_particles, c.dt, c.n_steps, c.seed, tuple(c.snapshot_steps()))
 
 
 def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
                    draw: Callable | None = None) -> list[TrajectoryRecord]:
-    """Step several runs in lockstep on shared noise; one record per lane.
+    """Step several runs in lockstep on one noise; one record per lane.
 
-    The lanes share particle count, dt, horizon, seed and snapshot grid,
-    and ``streams``, the per-particle noise keys.  Each step draws xi once
-    per distinct noise width and applies it to every lane of that width, so
+    The lanes share noise width (mixed widths are refused, naming both),
+    particle count, dt, horizon, seed, snapshot grid and ``streams``, the
+    per-particle noise keys.  Each step draws xi once for every lane, so
     each record equals bit for bit the run of its lane alone.  The noise is
     drawn for blocks of consecutive steps, about _NOISE_BLOCK draws at a
     time; the block length does not change a single bit.  ``draw(keys,
     step, steps, width)`` supplies each block, which needs to stay valid
     only until the next call; by default :func:`rng.normal_block` draws it
-    here, into one buffer per width that every block reuses.  Any other
+    here, into one buffer that every block reuses.  Any other
     supplier must return the bits that call would, as a side of a
     :class:`~mvhomog.noise_ring.NoiseRing` does.  The step is
     X + drift dt + sigma xi sqrt(dt) + sigma u dt; permuting ``streams``
@@ -503,12 +504,13 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
     raised.  So the error, like each record, is the one its lane raises
     alone, whichever lanes share the call.
     """
-    config = lanes[0].config
-    geometry = _shared_geometry(config)
+    config, width = lanes[0].config, lanes[0].noise_dim
+    geometry = _shared_geometry(lanes[0])
     for lane in lanes[1:]:
-        if _shared_geometry(lane.config) != geometry:
+        if _shared_geometry(lane) != geometry:
             raise ValidationError(
-                "lanes must share n_particles, dt, t_end, seed and snapshots")
+                f"lanes must share one noise, of one width (got {width} and "
+                f"{lane.noise_dim}), and n_particles, dt, t_end, seed and snapshots")
     n = config.n_particles
     if streams is None:
         streams = np.arange(n, dtype=np.uint64)
@@ -521,16 +523,14 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
     snap_steps = set(int(s) for s in config.snapshot_steps())
     k_total = config.n_steps
     dt = config.dt
-    widths = sorted({lane.noise_dim for lane in lanes})
-    block = noise_block(n, widths[-1])
+    block = noise_block(n, width)
     if draw is None:
-        # one block buffer per width and one scratch, reused every block
-        buffers = {m: np.empty((block, n, m)) for m in widths}
-        scratch = np.empty(2 * block * n * widths[-1], dtype=np.uint64)
+        # one block buffer and one scratch, reused every block
+        buffer = np.empty((block, n, width))
+        scratch = np.empty(2 * block * n * width, dtype=np.uint64)
 
         def draw(keys, step, steps, m):
-            return rng.normal_block(keys, step, steps, m, buffers[m][:steps], scratch)
-    noise = {}   # width -> (steps, N, width) block
+            return rng.normal_block(keys, step, steps, m, buffer[:steps], scratch)
     errors: list = [None] * len(runs)   # the SimulationError that stopped each lane
     for i, run in enumerate(runs):
         try:
@@ -544,14 +544,12 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
         t = k * dt
         j = k % block
         if j == 0:
-            steps = min(block, k_total - k)
-            for m in widths:
-                noise[m] = draw(keys, k, steps, m)
+            noise = draw(keys, k, min(block, k_total - k), width)   # (steps, N, width)
         for i in live:
             run = runs[i]
             try:
                 run.freeze(t)
-                run.step(t, noise[run.lane.noise_dim][j])
+                run.step(t, noise[j])
                 run.check(k + 1, snap_steps)
             except SimulationError as exc:
                 errors[i] = exc

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import i0
@@ -7,6 +9,7 @@ from mvhomog.effective import (SeparablePotential, _sandwich, averaged_coefficie
                                gamma_separable, homogenize, matrix_sqrt_psd,
                                separable_model, solve_with_x_derivatives)
 from mvhomog.errors import SolverError, ValidationError
+from mvhomog.experiments import state_grid
 from mvhomog.measures import EmpiricalMeasure, MeasurePath
 from mvhomog.rate import dictionary_for_path, evaluate_jdg
 from mvhomog.scenarios import DAWSON_KAPPA, get_scenario
@@ -108,13 +111,42 @@ def test_stacked_matrix_sqrt_matches_one_call_per_matrix(dim):
 
 
 def test_separable_route_matches_cell_route():
-    for name in ("cos_rough_1d", "separable_2d"):
+    # dawson_rough adds a slow drift: the cell route's C b against Gamma b
+    for name in ("cos_rough_1d", "separable_2d", "dawson_rough"):
         sc = get_scenario(name)
         closed = sc.effective_model(route="separable")
         solved = sc.effective_model(route="cell")
         gap = np.abs(np.atleast_2d(closed.diffusion())
                      - np.atleast_2d(solved.diffusion())).max()
         assert gap <= 1e-6
+        xs = state_grid(sc.dim)
+        want = closed.drift_batch(xs, None)
+        gap = np.abs(solved.drift_batch(xs, None) - want).max()
+        assert gap <= 1e-6 * max(np.abs(want).max(), 1.0)
+
+
+def test_cell_routes_correct_a_slow_drift_by_the_averaged_corrector():
+    # a non-symmetric linear slow drift b = A x on a non-gradient layer,
+    # where C = pi-average of (I + grad phi) is far from symmetric: the
+    # constant, mu-only and x routes must all give C b, not C^T b
+    coeffs = get_scenario("nongradient_2d").fast_coefficients()
+    a_mat = np.array([[-1.0, 0.7], [0.2, -0.5]])
+
+    def slow(xs, mu):
+        return xs @ a_mat.T
+
+    cell = solve_cell(coeffs, scheme="spectral", n=32)
+    corr = cell.pi_average(np.eye(2)[None] + cell.grad_phi)
+    assert np.abs(corr - corr.T).max() > 0.25
+    xs = np.array([[0.5, -1.0], [1.5, 0.3], [-0.7, 0.9]])
+    b = slow(xs, None)
+    want = b @ corr.T
+    assert np.abs(b @ corr - want).max() > 0.1
+    mu = EmpiricalMeasure(xs)
+    for flags in ({}, {"mu_dependent": True}, {"x_dependent": True}):
+        model = homogenize(dataclasses.replace(coeffs, **flags), slow,
+                           scheme="spectral", n=32)
+        assert np.abs(model.drift_batch(xs, mu) - want).max() <= 1e-12
 
 
 def test_dawson_drift_closed_form():

@@ -359,10 +359,9 @@ def test_a_built_plan_with_colliding_snapshots_writes_no_file(tmp_path):
 
 def test_state_grid_shapes():
     assert state_grid(1).shape == (41, 1)
-    g2 = state_grid(2, count=41)
+    g2 = state_grid(2)
     assert g2.shape == (36, 2)
-    g3 = state_grid(3, count=27)
-    assert g3.shape == (27, 3)
+    assert state_grid(3).shape == (27, 3)
     assert np.max(np.abs(g2)) == pytest.approx(2.0)
 
 

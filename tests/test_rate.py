@@ -38,11 +38,14 @@ def heat_model() -> EffectiveModel:
     return EffectiveModel(1, lambda xs, mu: np.zeros_like(xs), np.eye(1))
 
 
-def test_dictionary_derivatives_verified():
-    # construction with verify=True runs the finite-difference cross-check
-    d = hermite_dictionary(2, per_axis=3, verify=True)
-    assert d.size == 9
-    d.verify_derivatives(seed=5)
+def test_dictionary_derivatives_verified(monkeypatch):
+    # construction always runs the finite-difference cross-check
+    checked, real = [], TestDictionary.verify_derivatives
+    monkeypatch.setattr(TestDictionary, "verify_derivatives",
+                        lambda self: checked.append(self) or real(self))
+    d = hermite_dictionary(2, per_axis=3)
+    assert checked == [d] and d.size == 9
+    real(d, seed=5)
 
 
 def test_dictionary_heads_are_nested():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -11,7 +12,7 @@ from mvhomog.errors import SimulationError, ValidationError
 from mvhomog.measures import EmpiricalMeasure, radial_moment
 from mvhomog.scenarios import (_DAWSON_FAST_AMP, _SKEW_C, _SKEW_SIGMA2, DAWSON_KAPPA,
                                TWO_PI, get_scenario)
-from mvhomog import rng
+from mvhomog import experiments, rng
 from mvhomog.simulate import (FeedbackControl, Lane, SimConfig, TrajectoryRecord,
                               _apply_noise, _monitor, _wrap_unit, averaged_lane,
                               constant_control, load_trajectory_csv, multiscale_lane,
@@ -347,21 +348,29 @@ def test_lane_with_a_control_matches_its_separate_run():
     assert ms.position_hash() == sc.run_multiscale(cfg).position_hash()
 
 
-def test_lanes_of_different_noise_widths_draw_their_own_noise():
-    sc = get_scenario("dawson_rough")
+def test_a_twin_pair_of_different_noise_widths_is_refused():
+    # a public-API scenario whose 1x2 sigma (same diffusion as its potential)
+    # gives its multiscale run two noise components per particle, and its
+    # pre-averaged twin one: the two cannot share one noise
+    base = get_scenario("dawson_rough")
+    mixing = base.potential.sigma * np.array([[0.6, 0.8]])
+    sc = dataclasses.replace(base, fast_sigma=mixing, noise_dim=2)
+    model = sc.effective_model()
     cfg = _dawson_cfg(n=90)
-    x0 = sc.initial_positions(90, cfg.seed)
-    mixing = np.array([[0.6, 0.8]])
-
-    def two_component(t, xs, mu):
-        return -xs, mixing
-
-    wide = Lane(two_component, 1, 2, x0, cfg)
-    narrow = multiscale_lane(sc.fast_drift, sc._sigma_fn(), sc.slow_drift, 1, 1, x0, cfg,
-                             moment_cap=sc.moment_cap)
-    both = simulate_lanes([wide, narrow])
-    assert both[0].position_hash() == simulate_lanes([wide])[0].position_hash()
-    assert both[1].position_hash() == sc.run_multiscale(cfg).position_hash()
+    for twins in (lambda: sc.ladder_lanes(cfg, model),
+                  lambda: sc.run_coupled(cfg, model=model),
+                  lambda: experiments._plan_jobs((_pre_cfg(cfg), [(0, cfg)]), sc, model,
+                                                 coupled=False)):
+        with pytest.raises(ValidationError, match="multiscale run has noise width 2 "
+                           "and its pre-averaged twin 1"):
+            twins()
+    # the run without epsilon is one lane, and lanes of two widths built
+    # apart are refused by simulate_lanes, naming both widths
+    (alone,) = sc.ladder_lanes(_pre_cfg(cfg), model)
+    wide = multiscale_lane(*sc._multiscale_terms(), alone.x0, cfg, moment_cap=sc.moment_cap)
+    with pytest.raises(ValidationError, match=r"one noise, of one width \(got 2 and 1\)"):
+        simulate_lanes([wide, alone])
+    assert simulate_lanes([wide])[0].position_hash() == sc.run_multiscale(cfg).position_hash()
 
 
 def test_driver_noise_blocks_equal_per_step_draws():
@@ -381,22 +390,22 @@ def test_driver_noise_blocks_equal_per_step_draws():
 
 
 def test_the_driver_reuses_its_noise_buffers(monkeypatch):
-    # widths 2 and 1 at N=200: 16 blocks of 81 steps, the width-2 block
-    # 259 kB.  Once each width has drawn a block, no block may add that
-    # much to the traced peak (numpy reports its buffers to tracemalloc).
+    # two width-2 lanes at N=200: 16 blocks of 81 steps, each 259 kB.  Once
+    # the first block is drawn, no block may add that much to the traced
+    # peak (numpy reports its buffers to tracemalloc).
     n, dt, n_steps = 200, 0.01, 16 * 81
     cfg = SimConfig(n_particles=n, dt=dt, t_end=n_steps * dt, seed=5,
                     snapshot_times=np.array([0.0, n_steps * dt]))
     x0 = np.linspace(-1.0, 1.0, n)[:, None]
     mixing = np.array([[0.6, 0.8]])
     lanes = [Lane(lambda t, xs, mu: (-xs, mixing), 1, 2, x0, cfg),
-             Lane(lambda t, xs, mu: (-xs, np.ones((1, 1))), 1, 1, x0, cfg)]
+             Lane(lambda t, xs, mu: (-0.5 * xs, 2.0 * mixing), 1, 2, x0, cfg)]
     real, widths, held = rng.normal_block, [], []
 
     def traced(*args):
         block = real(*args)
         widths.append(args[3])
-        if len(widths) == 2:
+        if len(widths) == 1:
             held.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
         return block
@@ -408,7 +417,7 @@ def test_the_driver_reuses_its_noise_buffers(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert widths == [1, 2] * 16
+    assert widths == [2] * 16
     assert peak - held[0] < 81 * n * 2 * 8
     monkeypatch.setattr(rng, "normal_block", real)
     assert [r.position_hash() for r in records] == [
