@@ -26,6 +26,7 @@ from .errors import NumericalError, ValidationError
 from .experiments import (gamma_table_rows, run_experiment, write_effective_table,
                           write_gamma_table)
 from .rate import dictionary_for_path, evaluate_jdg
+from .rng import SEED_LIMIT
 from .scenarios import get_scenario, scenario_names
 from .simulate import SimConfig, constant_control, load_trajectory_csv
 from .torus import solve_cell
@@ -131,6 +132,8 @@ def cmd_effective(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = get_scenario(args.scenario)
     scenario.validate()
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ValidationError(f"--seed: must be in [0, 2**64), got {args.seed}")
     config = SimConfig(n_particles=args.n_particles, dt=args.dt,
                        t_end=args.t_end, seed=args.seed, epsilon=args.epsilon)
     if args.snapshots is not None:

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .rate import MAX_BASIS
+from .rng import SEED_LIMIT
 from .scenarios import get_scenario, scenario_names
 from .simulate import SimConfig, stiffness_limit
 
@@ -54,11 +55,14 @@ def _reject_unknown(mapping: dict, allowed, path: str):
             f"{path}.{unknown[0]}: unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str, minimum: int | None = None,
+            maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{path}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -184,7 +188,7 @@ def _parse_reference(raw) -> dict:
     if "dt" in raw:
         out["dt"] = _as_float(raw["dt"], f"{path}.dt")
     if "seed" in raw:
-        out["seed"] = _as_int(raw["seed"], f"{path}.seed", 0)
+        out["seed"] = _as_int(raw["seed"], f"{path}.seed", 0, SEED_LIMIT - 1)
     return out
 
 
@@ -227,7 +231,7 @@ def parse_plan(raw: dict) -> ExperimentPlan:
         if not isinstance(raw["seeds"], list) or not raw["seeds"]:
             raise ValidationError(
                 f"plan.seeds: expected a non-empty list, got {raw['seeds']!r}")
-        seeds = tuple(_as_int(s, f"plan.seeds[{i}]", minimum=0)
+        seeds = tuple(_as_int(s, f"plan.seeds[{i}]", 0, SEED_LIMIT - 1)
                       for i, s in enumerate(raw["seeds"]))
         if len(set(seeds)) != len(seeds):
             raise ValidationError("plan.seeds: seeds must be distinct")

@@ -16,10 +16,9 @@ The plan's particle runs are independent, so they run as jobs in a pool
 of forked worker processes, up to one per usable CPU (see
 ``run_experiment``).  A job is the lanes it steps, from
 ``Scenario.ladder_lanes``, which refuses a twin pair of two noise widths
-before any run starts.  Fork hands the workers the job table and the
-effective model, whose coefficients are closures that cannot be pickled;
-the rung actions evaluated there later get only picklable inputs
-(snapshot times, positions and the test dictionary).  Fork also shares,
+before any run starts.  Fork hands the workers the job table, whose
+lanes hold the effective model's coefficients, closures that cannot be
+pickled; the pool closes once the jobs are done.  Fork also shares,
 on purpose, memory and locks: each split rung/seed pair has a
 :class:`~mvhomog.noise_ring.NoiseRing`, two anonymous shared mappings, a
 lock and two semaphores made before the fork, through which its two jobs
@@ -40,12 +39,10 @@ import json
 import multiprocessing
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +51,7 @@ from . import __version__
 from .config import ExperimentPlan
 from .effective import QUAD_POINTS, gamma_separable
 from .errors import SimulationError
-from .measures import MeasurePath, wasserstein2
+from .measures import wasserstein2
 from .noise_ring import NoiseRing, RingSide
 from .rate import dictionary_for_path, evaluate_jdg
 from .scenarios import Scenario, get_scenario
@@ -189,35 +186,17 @@ def _execute(job: _Job, base: Path) -> tuple:
     return records, time.perf_counter() - t0
 
 
-_WORKER_TABLE: tuple = ()   # (jobs, base, model), set in each forked worker
+_WORKER_TABLE: tuple = ()   # (jobs, base), set in each forked worker
 
 
-def _adopt_table(jobs: list, base: Path, model) -> None:
+def _adopt_table(jobs: list, base: Path) -> None:
     global _WORKER_TABLE
-    _WORKER_TABLE = (jobs, base, model)
+    _WORKER_TABLE = (jobs, base)
 
 
 def _execute_in_worker(index: int) -> tuple:
-    jobs, base, _ = _WORKER_TABLE
+    jobs, base = _WORKER_TABLE
     return _execute(jobs[index], base)
-
-
-def _action(path: MeasurePath, model, dictionary) -> tuple:
-    """``evaluate_jdg`` on a path: (report, seconds, warnings).
-
-    The warnings it raised come back as (category, message) pairs, for the
-    caller to re-emit, so that one from a worker reaches the caller too.
-    """
-    t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = evaluate_jdg(path, model, dictionary)
-    return rep, time.perf_counter() - t0, [(w.category, str(w.message)) for w in caught]
-
-
-def _action_in_worker(times: np.ndarray, positions: np.ndarray, dictionary) -> tuple:
-    return _action(MeasurePath.from_arrays(times, positions), _WORKER_TABLE[2],
-                   dictionary)
 
 
 def _usable_cpus() -> int:
@@ -227,21 +206,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _run_jobs(jobs: list, base: Path, workers: int, model):
-    """Run the jobs; yields (each job's (records, seconds) in job order, pool).
+def _run_jobs(jobs: list, base: Path, workers: int) -> list:
+    """Run the jobs; each job's (records, seconds), in job order.
 
-    One worker runs the jobs inline, in order, and the pool is None.  More
-    run them in a pool of that many forked processes, longest job first;
-    the results are read in job order, so the first failing job in that
-    order raises, as inline.  The pool, whose workers also hold ``model``,
-    stays open inside the ``with`` block for the plan's actions.
+    One worker runs the jobs inline, in order.  More run them in a pool of
+    that many forked processes, longest job first, and close it; the
+    results are read in job order, so the first failing job in that order
+    raises, as inline.
     """
     if workers == 1:
-        yield [_execute(job, base) for job in jobs], None
-        return
+        return [_execute(job, base) for job in jobs]
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_adopt_table, initargs=(jobs, base, model))
+                               initializer=_adopt_table, initargs=(jobs, base))
     try:
         by_size = sorted(range(len(jobs)), key=lambda k: -jobs[k].size)
         futures = {k: pool.submit(_execute_in_worker, k) for k in by_size}
@@ -259,7 +235,7 @@ def _run_jobs(jobs: list, base: Path, workers: int, model):
                 raise SimulationError(
                     "a worker process died; these runs did not finish: "
                     + ", ".join(lost)) from exc
-        yield results, pool
+        return results
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -302,99 +278,70 @@ def _ladder(plan: ExperimentPlan, configs: tuple, scenario: Scenario, model, bas
             artifacts: list, runtimes: dict, say) -> tuple:
     """The plan's runs, distances and actions: (ladder rows, rate rows, noise sharing).
 
-    After the runs, each rung and seed's action is submitted to the
-    still-open pool while this process evaluates the reference's, and the
-    results are read in plan order.
+    The runs are done first; then the distances and actions are computed
+    here, in plan order.
     """
     workers = 1 if multiprocessing.current_process().daemon else _usable_cpus()
     # a pair is split only when there are fewer seeds than workers, so a
     # ring is only ever made for a plan that runs in the pool
     jobs, rings = _plan_jobs(configs, scenario, model, coupled=len(plan.seeds) >= workers)
     workers = min(workers, len(jobs))
-    runs: dict[str, tuple] = {}   # runtime key -> (records, seconds)
-    ladder_rows, rate_rows = [], []
     try:
-        with _run_jobs(jobs, base, workers, model) as (results, pool):
-            for job, (records, seconds) in zip(jobs, results):
-                done, spent = runs.get(job.key, ([], 0.0))
-                runs[job.key] = (done + records, spent + seconds)
-                for stem in job.stems:
-                    artifacts += [base / f"{stem}.csv", base / f"{stem}.summary.json"]
-            sharing = {}
-            for tag, ring in rings.items():
-                ms, pre = ring.counts()
-                sharing[tag] = {"blocks": ring.n_blocks, "multiscale": ms,
-                                "pre_averaged": pre}
-                say(f"{tag}: {ring.n_blocks} noise blocks; multiscale "
-                    f"{_counted(ms)}; pre-averaged {_counted(pre)}")
-
-            (reference_rec,), runtimes["reference"] = runs["reference"]
-            say(f"reference ensemble: N={plan.reference['n_particles']} "
-                f"({runtimes['reference']:.1f}s)")
-            ref_terminal = reference_rec.terminal_measure()
-            actions = {}
-            if "jdg" in plan.metrics:
-                ref_path = reference_rec.measure_path()
-                dictionary = dictionary_for_path(ref_path, plan.rate_basis)
-                for tag, (records, _) in runs.items():
-                    if tag == "reference":
-                        continue
-                    rec = records[0]
-                    if pool is None:
-                        actions[tag] = partial(_action, rec.measure_path(), model,
-                                               dictionary)
-                    else:
-                        future = pool.submit(_action_in_worker, rec.times,
-                                             rec.positions, dictionary)
-                        actions[tag] = partial(_collect_action, tag, future)
-                rep, _, caught = _action(ref_path, model, dictionary)
-                _reemit(caught)
-                rate_rows.append(_rate_row("reference_averaged", rep))
-                p = base / "rate_reference.json"
-                rep.save_json(p)
-                artifacts.append(p)
-                say(f"rate functional on the reference path: {rep.total:.4g}")
-
-            for i, rung in enumerate(plan.rungs):
-                for seed in plan.seeds:
-                    tag = f"rung{i}_seed{seed}"
-                    t0 = time.perf_counter()
-                    (rec_ms, rec_pre), seconds = runs[tag]
-                    w2_ref = wasserstein2(rec_ms.terminal_measure(), ref_terminal)
-                    w2_pre = wasserstein2(rec_ms.terminal_measure(),
-                                          rec_pre.terminal_measure())
-                    ladder_rows.append([i, rung.n_particles, rung.epsilon, rung.dt,
-                                        seed, w2_ref, w2_pre])
-                    seconds += time.perf_counter() - t0
-                    if tag in actions:
-                        rep, spent, caught = actions[tag]()
-                        _reemit(caught)
-                        rate_rows.append(_rate_row(tag, rep))
-                        seconds += spent
-                    runtimes[tag] = seconds
-                    say(f"{tag}: W2 to reference {w2_ref:.4f}, "
-                        f"to pre-averaged {w2_pre:.4f} ({runtimes[tag]:.1f}s)")
+        results = _run_jobs(jobs, base, workers)
+        sharing = {}
+        for tag, ring in rings.items():
+            ms, pre = ring.counts()
+            sharing[tag] = {"blocks": ring.n_blocks, "multiscale": ms,
+                            "pre_averaged": pre}
+            say(f"{tag}: {ring.n_blocks} noise blocks; multiscale "
+                f"{_counted(ms)}; pre-averaged {_counted(pre)}")
     finally:
         for ring in rings.values():
             ring.close()
+
+    runs: dict[str, tuple] = {}   # runtime key -> (records, seconds)
+    for job, (records, seconds) in zip(jobs, results):
+        done, spent = runs.get(job.key, ([], 0.0))
+        runs[job.key] = (done + records, spent + seconds)
+        for stem in job.stems:
+            artifacts += [base / f"{stem}.csv", base / f"{stem}.summary.json"]
+
+    (reference_rec,), runtimes["reference"] = runs["reference"]
+    say(f"reference ensemble: N={plan.reference['n_particles']} "
+        f"({runtimes['reference']:.1f}s)")
+    ref_terminal = reference_rec.terminal_measure()
+    ladder_rows, rate_rows = [], []
+    jdg = "jdg" in plan.metrics
+    if jdg:
+        ref_path = reference_rec.measure_path()
+        dictionary = dictionary_for_path(ref_path, plan.rate_basis)
+        rep = evaluate_jdg(ref_path, model, dictionary)
+        rate_rows.append(_rate_row("reference_averaged", rep))
+        p = base / "rate_reference.json"
+        rep.save_json(p)
+        artifacts.append(p)
+        say(f"rate functional on the reference path: {rep.total:.4g}")
+
+    for i, rung in enumerate(plan.rungs):
+        for seed in plan.seeds:
+            tag = f"rung{i}_seed{seed}"
+            t0 = time.perf_counter()
+            (rec_ms, rec_pre), seconds = runs[tag]
+            w2_ref = wasserstein2(rec_ms.terminal_measure(), ref_terminal)
+            w2_pre = wasserstein2(rec_ms.terminal_measure(), rec_pre.terminal_measure())
+            ladder_rows.append([i, rung.n_particles, rung.epsilon, rung.dt,
+                                seed, w2_ref, w2_pre])
+            if jdg:
+                rep = evaluate_jdg(rec_ms.measure_path(), model, dictionary)
+                rate_rows.append(_rate_row(tag, rep))
+            runtimes[tag] = seconds + time.perf_counter() - t0
+            say(f"{tag}: W2 to reference {w2_ref:.4f}, "
+                f"to pre-averaged {w2_pre:.4f} ({runtimes[tag]:.1f}s)")
     return ladder_rows, rate_rows, sharing
-
-
-def _collect_action(tag: str, future) -> tuple:
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        raise SimulationError(
-            f"a worker process died; the action of {tag} did not finish") from exc
 
 
 def _counted(counts: dict) -> str:
     return ", ".join(f"{what} {n}" for what, n in counts.items())
-
-
-def _reemit(caught: list) -> None:
-    for category, message in caught:
-        warnings.warn(message, category, stacklevel=3)
 
 
 def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
@@ -423,20 +370,17 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     it, and every block is drawn once.  On the benchmark's ``ladder_1d``
     plan the top pair's two jobs then end together, at a median 1.02 s
     against 1.32 and 1.61 s drawing separately (2-CPU VM, five alternating
-    runs).  Once the runs are done, each rung and seed's action goes to the
-    still-open pool while this process evaluates the reference's.  The
-    distances, actions, tables, report and manifest are computed from the
-    same arrays by the same functions, and read in plan order: a worker's
-    exception is raised with its type and message, and a warning it raised
-    is raised again here.  So every artifact byte, and every error a run or
-    an action raises, is the same at any worker count.
+    runs).  Once the runs are done and the pool is closed, this process
+    computes the distances and actions in plan order, from the same arrays
+    by the same functions at any worker count; a worker's exception is
+    raised with its type and message.  So every artifact byte, and every
+    error a run or an action raises, is the same at any worker count.
 
     The returned ``runtimes`` (seconds, never written to disk) cover the
     reference run with its artifacts, each rung and seed with both of its
-    runs, artifacts, distances and action, and the ``total`` call.  Jobs and
-    actions in different workers overlap, and this process computes
-    distances meanwhile, so the parts sum to at most the worker count plus
-    one times the total, and to at most the total with one worker.  The
+    runs, artifacts, distances and action, and the ``total`` call.  Jobs in
+    different workers overlap, so the parts sum to at most the worker count
+    times the total, and to at most the total with one worker.  The
     returned ``noise_sharing`` (never written either, as it depends on the
     schedule) holds, for each split pair, its ring's block count and,
     for each run, how many blocks it drew, drew ahead, read from the ring

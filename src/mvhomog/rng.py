@@ -52,6 +52,9 @@ _TAG_UNIFORM = np.uint64(0x632BE59BD9B4E019)
 
 _INV53 = 2.0 ** -53
 
+# a seed is one uint64 hash key: 0 <= seed < SEED_LIMIT
+SEED_LIMIT = 2 ** 64
+
 
 def _wave_2pi(y, cosine: bool = False, out: np.ndarray | None = None,
               scratch: np.ndarray | None = None) -> np.ndarray:

@@ -109,8 +109,10 @@ class SimConfig:
             raise ValidationError(
                 f"dt={self.dt!r} does not divide the horizon t_end={self.t_end!r} "
                 f"into whole steps (t_end/dt = {steps!r})")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        if self.epsilon is not None and not (self.epsilon > 0 and np.isfinite(self.epsilon)):
+            raise ValidationError(f"epsilon must be a positive float, got {self.epsilon}")
+        if not 0 <= self.seed < rng.SEED_LIMIT:
+            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.snapshot_times is not None:
             self.snapshot_steps()
 
@@ -180,6 +182,8 @@ class FeedbackControl:
 def constant_control(value, noise_dim: int) -> FeedbackControl:
     """Control that applies the same deterministic push to every particle."""
     value = np.broadcast_to(np.asarray(value, dtype=float), (noise_dim,))
+    if not np.all(np.isfinite(value)):
+        raise ValidationError(f"control value must be finite, got {value.tolist()}")
 
     def func(t, positions, mu):
         return np.broadcast_to(value, (len(positions), noise_dim))

@@ -120,6 +120,23 @@ def test_stiffness_violation_exits_2(capsys):
     assert "fast scale" in err and "suggested" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epsilon", "nan", "epsilon must be a positive float, got nan"),
+    ("--epsilon", "inf", "epsilon must be a positive float, got inf"),
+    ("--seed", "-1", "--seed: must be in [0, 2**64), got -1"),
+    ("--seed", str(2 ** 64), f"--seed: must be in [0, 2**64), got {2 ** 64}"),
+    ("--tilt", "nan", "control value must be finite, got [nan]"),
+    ("--tilt", "inf", "control value must be finite, got [inf]"),
+])
+def test_simulate_refuses_a_bad_value_before_the_run(flag, value, message, capsys):
+    code = main(["simulate", "--scenario", "cos_rough_1d", "--n-particles", "20",
+                 "--t-end", "0.02", "--dt", "0.001", "--epsilon", "0.1", flag, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "terminal" not in captured.out
+
+
 @pytest.mark.parametrize("count, message", [
     ("0", "must be >= 2, got 0"),
     ("1", "must be >= 2, got 1"),

@@ -80,6 +80,17 @@ def test_seeds_must_be_distinct_ints():
         parse_plan({**base, "seeds": []})
 
 
+def test_seeds_must_fit_the_uint64_hash_key():
+    base = {"scenario": "free_brownian"}
+    with pytest.raises(ValidationError, match=r"^plan\.seeds\[1\]: must be <= 18446744073709551615"):
+        parse_plan({**base, "seeds": [1, 2 ** 64]})
+    with pytest.raises(ValidationError, match=r"^plan\.seeds\[0\]: must be >= 0"):
+        parse_plan({**base, "seeds": [-1]})
+    with pytest.raises(ValidationError, match=r"^plan\.reference\.seed: must be <= "):
+        parse_plan({**base, "reference": {"seed": 2 ** 64}})
+    assert parse_plan({**base, "seeds": [2 ** 64 - 1]}).seeds == (2 ** 64 - 1,)
+
+
 def test_booleans_are_not_integers():
     with pytest.raises(ValidationError, match=r"plan\.snapshots"):
         parse_plan({"scenario": "free_brownian", "snapshots": True})

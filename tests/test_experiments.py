@@ -215,6 +215,20 @@ def test_an_action_warning_in_a_worker_reaches_the_caller(tmp_path, monkeypatch)
             "degenerate at N=200", "degenerate at N=60", "degenerate at N=60"]
 
 
+def test_every_action_runs_in_the_calling_process(tmp_path, monkeypatch):
+    pids = []
+
+    def evaluate(path, model, dictionary, **kw):
+        pids.append(os.getpid())
+        return original(path, model, dictionary, **kw)
+
+    original = experiments.evaluate_jdg
+    monkeypatch.setattr(experiments, "evaluate_jdg", evaluate)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    run_experiment(parse_plan(TINY_PLAN), out_dir=tmp_path)
+    assert pids == [os.getpid()] * 3
+
+
 def _failing_jdg(original):
     def evaluate(path, model, dictionary, **kw):
         if path.measures[0].size == 60:

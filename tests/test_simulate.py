@@ -142,6 +142,21 @@ def test_config_validation():
                   snapshot_times=np.array([0.0, 0.1001, 0.1002]))  # collides
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -0.1])
+def test_epsilon_must_be_positive_and_finite(eps):
+    # an infinite epsilon would pass the stiffness rule (its limit is inf)
+    # and run the multiscale mode with the fast variable frozen
+    with pytest.raises(ValidationError, match=f"epsilon must be a positive float, got {eps}"):
+        SimConfig(n_particles=10, dt=0.1, t_end=1.0, epsilon=eps)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_a_seed_must_fit_the_uint64_hash_key(seed):
+    with pytest.raises(ValidationError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+        SimConfig(n_particles=10, dt=0.1, t_end=1.0, seed=seed)
+    assert SimConfig(n_particles=10, dt=0.1, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
 def test_an_empty_snapshot_grid_is_refused_up_front():
     with pytest.raises(ValidationError, match="snapshot_times is empty"):
         SimConfig(n_particles=10, dt=0.1, t_end=1.0, snapshot_times=np.array([]))
