@@ -118,10 +118,10 @@ def cmd_effective(args) -> int:
     if args.scheme != "auto":
         overrides["scheme"] = args.scheme
     model = scenario.effective_model(route=args.route, **overrides)
-    _print_matrix("effective diffusion:", model.diffusion())
-    xs = np.zeros((1, scenario.dim))
-    _print_matrix("drift at the origin (centered ensemble):",
-                  model.drift_batch(xs, None))
+    d = scenario.dim
+    drift, diffusion, _ = model.coefficients(np.zeros((1, d)), None)
+    _print_matrix("effective diffusion at the origin:", diffusion.reshape(-1, d, d)[0])
+    _print_matrix("drift at the origin (centered ensemble):", drift)
     if args.out:
         out = _ensure_dir(args.out) / f"effective_{scenario.name}.csv"
         write_effective_table(scenario, model, out)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -135,12 +136,13 @@ class ExperimentPlan:
         then the times on each run.
         """
         ref = self.reference
-        reference = _run_config("plan.reference", n_particles=ref["n_particles"],
-                                dt=ref["dt"], t_end=self.t_end, seed=ref["seed"])
-        rungs = [(i, _run_config(f"plan.rungs[{i}]", n_particles=rung.n_particles,
-                                 dt=rung.dt, t_end=self.t_end, seed=seed,
-                                 epsilon=rung.epsilon))
-                 for i, rung in enumerate(self.rungs) for seed in self.seeds]
+        reference = _run_config("plan.reference", "plan.reference.seed",
+                                n_particles=ref["n_particles"], dt=ref["dt"],
+                                t_end=self.t_end, seed=ref["seed"])
+        rungs = [(i, _run_config(f"plan.rungs[{i}]", f"plan.seeds[{j}]",
+                                 n_particles=rung.n_particles, dt=rung.dt,
+                                 t_end=self.t_end, seed=seed, epsilon=rung.epsilon))
+                 for i, rung in enumerate(self.rungs) for j, seed in enumerate(self.seeds)]
         shortest = min([reference] + [config for _, config in rungs],
                        key=lambda config: config.n_steps)
         try:
@@ -153,14 +155,21 @@ class ExperimentPlan:
         return reference, rungs
 
 
-def _run_config(path: str, **geometry) -> SimConfig:
-    """A run's SimConfig without snapshots; a refusal is named ``{path}.dt``."""
+def _run_config(path: str, seed_path: str, **geometry) -> SimConfig:
+    """A run's SimConfig without snapshots; a refusal names its plan field.
+
+    SimConfig's refusals begin with the field they refuse: ``t_end`` is
+    ``plan.t_end``, ``seed`` is ``seed_path`` and any other is
+    ``{path}.{field}``.
+    """
     try:
         config = SimConfig(**geometry)
         if config.epsilon is not None:
             config.require_stiffness("multiscale")
     except ValidationError as exc:
-        raise ValidationError(f"{path}.dt: {exc}") from None
+        name = re.match(r"[a-z_]+", str(exc)).group()
+        where = {"t_end": "plan.t_end", "seed": seed_path}.get(name, f"{path}.{name}")
+        raise ValidationError(f"{where}: {exc}") from None
     return config
 
 

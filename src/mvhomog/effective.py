@@ -17,6 +17,11 @@ and constant scalar noise) everything collapses to the diagonal matrix
                                    Zhat_k = int exp(+2 Q_k / s^2),
 
 with homogenized drift Gamma b(x, mu) and diffusion s^2 Gamma.
+
+Either route gives an :class:`EffectiveModel`, read in one way:
+``model.coefficients(X, mu)`` returns the drift, the diffusion and its PSD
+square root (the noise) at the rows of X.  The averaged particle lane, the
+action, the effective table and the CLI all read the model through it.
 """
 from __future__ import annotations
 
@@ -76,16 +81,16 @@ def _times_transpose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # corrected local fields and their averages
 
-def local_coefficients(cell: CellSolution, x_derivatives: tuple | None = None,
-                       x_dependent: bool = False):
+def local_coefficients(cell: CellSolution, x_derivatives: tuple | None = None):
     """Pointwise corrected fields (beta, D, Dt) on the cell grid.
 
     beta holds the fast terms only (zero unless the fast coefficients depend
     on the slow variable); a y-independent slow drift b enters the
     homogenized drift as (pi-average of (I + grad phi)) b, see
     :func:`homogenize`.  ``x_derivatives``: pair (grad_x_phi, mixed_xy_phi)
-    with shapes (size, l, j) and (size, l, j, k); required when the fast
-    coefficients depend on the slow variable, meaningless otherwise.
+    with shapes (size, l, j) and (size, l, j, k), given exactly when the fast
+    coefficients depend on the slow variable (see
+    :func:`solve_with_x_derivatives`).
     """
     g = cell.grad_phi                      # (n, l, k)
     a = cell.a_vals
@@ -94,16 +99,10 @@ def local_coefficients(cell: CellSolution, x_derivatives: tuple | None = None,
     corr = eye[None, :, :] + g
 
     beta = np.zeros((cell.grid.size, cell.grid.dim))
-    if x_dependent:
-        if x_derivatives is None:
-            raise ValidationError(
-                "fast coefficients depend on the slow variable; "
-                "slow-gradient corrector terms are required (see solve_with_x_derivatives)")
+    if x_derivatives is not None:
         grad_x_phi, mixed = x_derivatives
         beta = beta + np.einsum("nlj,nj->nl", grad_x_phi, f)
         beta = beta + np.einsum("njk,nljk->nl", a, mixed)
-    elif x_derivatives is not None:
-        raise ValidationError("x_derivatives supplied for x-independent coefficients")
 
     ga = np.einsum("nlk,nkm->nlm", g, a)
     fphi = f[:, :, None] * cell.phi[:, None, :]
@@ -154,14 +153,14 @@ class AveragedCoefficients:
     form_gap: float            # sup |diffusion - diffusion_raw|
 
 
-def averaged_coefficients(cell: CellSolution, x_derivatives: tuple | None = None,
-                          x_dependent: bool = False) -> AveragedCoefficients:
+def averaged_coefficients(cell: CellSolution,
+                          x_derivatives: tuple | None = None) -> AveragedCoefficients:
     """Average the corrected fields against the invariant measure.
 
     The PSD form is the primary diffusion; the raw form must agree with it
     up to quadrature error, which ``form_gap`` reports.
     """
-    beta, big_d, d_tilde = local_coefficients(cell, x_derivatives, x_dependent)
+    beta, big_d, d_tilde = local_coefficients(cell, x_derivatives)
     drift = cell.pi_average(beta)
     diffusion = cell.pi_average(d_tilde)
     diffusion_raw = cell.pi_average(big_d)
@@ -263,111 +262,69 @@ def gamma_separable(potential: SeparablePotential, quad_points: int = QUAD_POINT
 # the homogenized model
 
 class EffectiveModel:
-    """Homogenized slow dynamics: drift(x, mu), diffusion(x, mu), noise(x, mu).
+    """Homogenized slow dynamics, read through :meth:`coefficients`.
 
-    ``drift_fn(X, mu)`` must be vectorized over rows of X (shape (N, dim)).
-    ``diffusion`` is either a constant (dim, dim) matrix or a callable with
-    the same batch signature returning (N, dim, dim).  ``noise`` is the
-    symmetric PSD square root of the diffusion.  :meth:`drift_and_diffusion`
-    gives both coefficients from one evaluation; the stepper and the action
-    call it once per step or snapshot, so a model whose coefficients come
-    from cell solves at each slow state (see :func:`homogenize`) solves each
-    state once.
+    ``drift_fn(X, mu)`` is vectorized over the rows of X (shape (N, dim)).
+    With a constant (dim, dim) ``diffusion`` it returns the drift (N, dim),
+    and the noise, the symmetric PSD square root of the diffusion, is
+    computed once, here.  With ``diffusion=None`` it returns the pair
+    (drift, diffusion of shape (N, dim, dim)) from one evaluation, as the
+    cell routes of :func:`homogenize` do from one cell solve per slow state.
     """
 
-    def __init__(self, dim: int, drift_fn: Callable,
-                 diffusion: np.ndarray | Callable,
+    def __init__(self, dim: int, drift_fn: Callable, diffusion: np.ndarray | None,
                  provenance: dict | None = None, description: str = ""):
         self.dim = dim
         self._drift_fn = drift_fn
         self.description = description
         self.provenance = dict(provenance or {})
-        if callable(diffusion):
-            self._diffusion_fn = diffusion
-            self._const_diff = None
-            self._const_noise = None
-        else:
-            self._const_diff = np.asarray(diffusion, dtype=float)
-            if self._const_diff.shape != (dim, dim):
+        self._diffusion = self._noise = None
+        if diffusion is not None:
+            self._diffusion = np.array(diffusion, dtype=float)
+            if self._diffusion.shape != (dim, dim):
                 raise ValidationError(
-                    f"constant diffusion has shape {self._const_diff.shape}, "
+                    f"constant diffusion has shape {self._diffusion.shape}, "
                     f"expected {(dim, dim)}")
-            self._diffusion_fn = None
-            self._const_noise = matrix_sqrt_psd(self._const_diff)
+            self._noise = matrix_sqrt_psd(self._diffusion)
+            self._diffusion.flags.writeable = self._noise.flags.writeable = False
 
-    @property
-    def constant_diffusion(self) -> bool:
-        return self._const_diff is not None
+    def coefficients(self, xs: np.ndarray, mu=None) -> tuple:
+        """(drift, diffusion, noise) at the rows of xs under the measure mu.
 
-    def drift_batch(self, xs: np.ndarray, mu=None) -> np.ndarray:
+        The drift is (N, dim).  A constant model returns its one read-only
+        (dim, dim) diffusion and noise; any other returns (N, dim, dim) for
+        each, the noise from one batched :func:`matrix_sqrt_psd`.
+        """
         xs = np.asarray(xs, dtype=float)
-        out = np.asarray(self._drift_fn(xs, mu), dtype=float)
-        if out.shape != xs.shape:
-            raise ValidationError(
-                f"drift returned shape {out.shape}, expected {xs.shape}")
-        return out
-
-    def diffusion(self, x=None, mu=None) -> np.ndarray:
-        if self._const_diff is not None:
-            return self._const_diff
-        return self.diffusion_batch(np.atleast_2d(np.asarray(x, dtype=float)), mu)[0]
-
-    def diffusion_batch(self, xs: np.ndarray, mu=None) -> np.ndarray:
-        if self._const_diff is not None:
-            return np.broadcast_to(self._const_diff, (len(xs), self.dim, self.dim))
-        return np.asarray(self._diffusion_fn(xs, mu), dtype=float)
-
-    def drift_and_diffusion(self, xs: np.ndarray, mu=None) -> tuple:
-        """(drift_batch, diffusion_batch) at xs, from one evaluation."""
-        return self.drift_batch(xs, mu), self.diffusion_batch(xs, mu)
-
-    def noise(self, x=None, mu=None) -> np.ndarray:
-        if self._const_noise is not None:
-            return self._const_noise
-        return matrix_sqrt_psd(self.diffusion(x, mu))
-
-    def noise_batch(self, xs: np.ndarray, mu=None) -> np.ndarray:
-        if self._const_noise is not None:
-            return np.broadcast_to(self._const_noise, (len(xs), self.dim, self.dim))
-        return matrix_sqrt_psd(self.diffusion_batch(xs, mu))
+        if self._diffusion is None:
+            drift, diffusion = self._drift_fn(xs, mu)
+            diffusion = np.asarray(diffusion, dtype=float)
+            noise = matrix_sqrt_psd(diffusion)
+        else:
+            drift, diffusion, noise = self._drift_fn(xs, mu), self._diffusion, self._noise
+        drift = np.asarray(drift, dtype=float)
+        if drift.shape != xs.shape:
+            raise ValidationError(f"drift returned shape {drift.shape}, expected {xs.shape}")
+        return drift, diffusion, noise
 
     def generator_apply(self, grad_vals: np.ndarray, hess_vals: np.ndarray,
                         xs: np.ndarray, mu=None) -> np.ndarray:
         """Apply the limiting generator to test functions given their
         gradients (N, ..., dim) and Hessians (N, ..., dim, dim) at the
         points xs; the result has shape (N, ...)."""
-        return _generator(*self.drift_and_diffusion(xs, mu), grad_vals, hess_vals)
-
-    def generator_and_noise(self, grad_vals: np.ndarray, hess_vals: np.ndarray,
-                            xs: np.ndarray, mu=None) -> tuple:
-        """(generator_apply, noise_batch) at xs, the coefficients evaluated once."""
-        drift, diff = self.drift_and_diffusion(xs, mu)
-        if self._const_noise is not None:
-            noise = np.broadcast_to(self._const_noise, diff.shape)
-        else:
-            noise = matrix_sqrt_psd(diff)
-        return _generator(drift, diff, grad_vals, hess_vals), noise
+        drift, diffusion, _ = self.coefficients(xs, mu)
+        return _generator(drift, diffusion, grad_vals, hess_vals)
 
 
-class _SlowStateModel(EffectiveModel):
-    """Model whose ``coefficients(X, mu)`` returns the drift (N, dim) and the
-    diffusion (N, dim, dim) together, from one cell solve per slow state."""
-
-    def __init__(self, dim: int, coefficients: Callable, provenance: dict,
-                 description: str):
-        super().__init__(dim, lambda xs, mu: coefficients(xs, mu)[0],
-                         lambda xs, mu: coefficients(xs, mu)[1], provenance, description)
-        self._coefficients = coefficients
-
-    def drift_and_diffusion(self, xs: np.ndarray, mu=None) -> tuple:
-        return self._coefficients(np.asarray(xs, dtype=float), mu)
-
-
-def _generator(drift: np.ndarray, diff: np.ndarray, grad_vals: np.ndarray,
+def _generator(drift: np.ndarray, diffusion: np.ndarray, grad_vals: np.ndarray,
                hess_vals: np.ndarray) -> np.ndarray:
-    """b . grad + 1/2 D : hess of test functions, from the coefficient values."""
+    """b . grad + 1/2 D : hess of test functions, from the coefficient values.
+
+    A shared (dim, dim) diffusion is broadcast over the points.
+    """
+    diffusion = np.broadcast_to(diffusion, drift.shape + drift.shape[-1:])
     return np.einsum("ni,n...i->n...", drift, grad_vals) \
-        + 0.5 * np.einsum("nij,n...ij->n...", diff, hess_vals)
+        + 0.5 * np.einsum("nij,n...ij->n...", diffusion, hess_vals)
 
 
 def separable_model(potential: SeparablePotential,
@@ -410,8 +367,8 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
     evaluation: once per measure when the fast layer reads only mu, and
     once per particle when it reads x, with 2 dim centered x-derivative
     solves for the extra drift terms.  Nothing is cached:
-    :meth:`EffectiveModel.drift_and_diffusion` gets both coefficients of a
-    slow state from one solve, and the measure changes every step.
+    :meth:`EffectiveModel.coefficients` gets both coefficients of a slow
+    state from one solve, and the measure changes every step.
     """
     dim = coeffs.dim
 
@@ -421,7 +378,7 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
             cell, derivs = solve_with_x_derivatives(coeffs, x, mu=mu, scheme=scheme, n=n)
         else:
             cell, derivs = solve_cell(coeffs, x=None, mu=mu, scheme=scheme, n=n), None
-        avg = averaged_coefficients(cell, derivs, coeffs.x_dependent)
+        avg = averaged_coefficients(cell, derivs)
         return cell, avg, cell.pi_average(np.eye(dim)[None] + cell.grad_phi)
 
     def drift_of(avg, corr, xs, mu):
@@ -451,7 +408,7 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
                       "mu_dependent": coeffs.mu_dependent, "scheme": scheme, "n": n}
         if coeffs.x_dependent:
             provenance["x_step"] = X_STEP
-        return _SlowStateModel(dim, coefficients, provenance, description)
+        return EffectiveModel(dim, coefficients, None, provenance, description)
 
     cell, avg, corr = averaged_at(None, None)
     model = EffectiveModel(

@@ -115,23 +115,21 @@ def write_gamma_table(scenario: Scenario, path, quad_points: int = QUAD_POINTS) 
 
 
 def write_effective_table(scenario: Scenario, model, path) -> None:
-    """Homogenized drift and diffusion sampled over a state grid.
+    """Homogenized drift and diffusion at each state of a state grid.
 
     The mean-field argument is passed as None, which scenarios read as a
     centered ensemble; the table shows the state dependence of the
-    coefficients alone.
+    coefficients alone.  A constant model's one diffusion fills every row.
     """
-    xs = state_grid(scenario.dim)
-    drift = model.drift_batch(xs, None)
-    diff = np.atleast_2d(model.diffusion())
     d = scenario.dim
+    xs = state_grid(d)
+    drift, diffusion, _ = model.coefficients(xs, None)
+    diffusion = np.broadcast_to(diffusion, (len(xs), d, d))
     header = ([f"x{k+1}" for k in range(d)]
               + [f"drift{k+1}" for k in range(d)]
               + [f"diffusion{i+1}{j+1}" for i in range(d) for j in range(i, d)])
-    rows = []
-    for x, b in zip(xs, drift):
-        rows.append(list(x) + list(b) + [diff[i, j] for i in range(d)
-                                         for j in range(i, d)])
+    rows = [list(x) + list(b) + [diff[i, j] for i in range(d) for j in range(i, d)]
+            for x, b, diff in zip(xs, drift, diffusion)]
     _write_csv(Path(path), header, rows)
 
 

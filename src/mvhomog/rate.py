@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .effective import EffectiveModel
+from .effective import EffectiveModel, _generator
 from .errors import ValidationError
 from .measures import EmpiricalMeasure, MeasurePath, wasserstein2
 
@@ -257,9 +257,12 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
         mu = EmpiricalMeasure._trusted(atoms, w)
         values, grads, hessians = dictionary.evaluate(atoms)
         paired[i] = w @ values
-        generated, noise = model.generator_and_noise(grads, hessians, atoms, mu)
+        drift, diffusion, noise = model.coefficients(atoms, mu)
+        generated = _generator(drift, diffusion, grads, hessians)
         lbar[i] = w @ generated
         del generated  # free before the Gram rows, which are as large
+        # a constant model's one noise matrix, broadcast over the atoms
+        noise = np.broadcast_to(noise, drift.shape + drift.shape[-1:])
         rows = np.einsum("nbd,nde->neb", grads, noise)
         rows = (rows * np.sqrt(w)[:, None, None]).reshape(-1, nbasis)
         grams[i] = rows.T @ rows

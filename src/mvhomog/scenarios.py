@@ -183,16 +183,11 @@ class Scenario:
             return mean + std * draw
         raise ValidationError(f"unknown initial-condition kind {kind!r}")
 
-    def _multiscale_terms(self) -> tuple:
-        """(fast_drift, fast_sigma, slow_drift, dim, noise_dim) of the prelimit system."""
-        return (self.fast_drift, self._sigma_fn(), self.slow_drift, self.dim,
-                self.noise_dim)
-
     def run_multiscale(self, config: SimConfig, control=None,
                        streams=None) -> TrajectoryRecord:
         x0 = self.initial_positions(config.n_particles, config.seed)
         return simulate_multiscale(
-            *self._multiscale_terms(), x0, config, control,
+            self.fast_coefficients(), self.slow_drift, x0, config, control,
             moment_cap=self.moment_cap, scenario_name=self.name, streams=streams)
 
     def run_averaged(self, config: SimConfig, control=None,
@@ -228,7 +223,8 @@ class Scenario:
             raise ValidationError(
                 f"scenario {self.name!r}: a twin pair shares one noise, but the multiscale "
                 f"run has noise width {self.noise_dim} and its pre-averaged twin {model.dim}")
-        return (multiscale_lane(*self._multiscale_terms(), x0, config, **shared),
+        return (multiscale_lane(self.fast_coefficients(), self.slow_drift, x0, config,
+                                **shared),
                 averaged_lane(model, x0, replace(config, epsilon=None),
                               mode="pre_averaged", **shared))
 

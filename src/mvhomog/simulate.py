@@ -23,7 +23,10 @@ one noise: lanes with the same noise width, particle count, dt, horizon,
 seed, streams and snapshot grid draw the same noise, so it is drawn once
 per step, for blocks of steps at a time, and each lane's record equals its
 run alone bit for bit.  Lanes of different noise widths are refused.
-``simulate_multiscale`` and ``simulate_averaged`` are one-lane calls;
+``simulate_multiscale`` and ``simulate_averaged`` are one-lane calls of
+:func:`multiscale_lane`, which reads the fast layer from one
+``FastCoefficients``, and :func:`averaged_lane`, which reads the model's
+drift and noise from ``EffectiveModel.coefficients``;
 ``Scenario.run_coupled`` steps a multiscale run and its pre-averaged twin
 together.  Each step is whole-array numpy work on one thread; splitting
 the particles over a thread pool made the coupled ladder slower (see the
@@ -65,10 +68,11 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, rng
-from .effective import EffectiveModel, _times_transpose, matrix_sqrt_psd
+from .effective import EffectiveModel, _times_transpose
 from .errors import SimulationError, ValidationError
 from .measures import (EmpiricalMeasure, MeasurePath, _moment_terms, _sorted_sum,
                        radial_moment, wasserstein2)
+from .torus import FastCoefficients
 
 
 # dt <= STIFFNESS_FACTOR * epsilon^2 resolves the fast scale
@@ -87,7 +91,8 @@ class SimConfig:
     """Run geometry: particle count, step size, horizon, seed, snapshots.
 
     The one home of the run-geometry rules: whole steps, distinct snapshot
-    steps, and the stiffness rule of ``require_stiffness``.
+    steps, and the stiffness rule of ``require_stiffness``.  A refusal of a
+    geometry field begins with the field's name, which a plan's checks read.
     """
 
     n_particles: int
@@ -563,14 +568,17 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
     return [run.finish() for run in runs]
 
 
-def multiscale_lane(fast_drift: Callable, fast_sigma: Callable,
-                    slow_drift: Callable | None, dim: int, noise_dim: int,
+def multiscale_lane(fast: FastCoefficients, slow_drift: Callable | None,
                     x0: np.ndarray, config: SimConfig,
                     control: FeedbackControl | None = None,
                     moment_cap=None, scenario_name: str = "custom") -> Lane:
-    """Lane of the prelimit system; checks that dt resolves the fast scale."""
+    """Lane of the prelimit system; checks that dt resolves the fast scale.
+
+    The lane's width is ``fast.dim`` and its noise width ``fast.noise_dim``.
+    """
     config.require_stiffness("multiscale")
     eps = config.epsilon
+    fast_drift, fast_sigma = fast.f, fast.sigma
 
     def coefficients(t, xs, mu):
         ys = _wrap_unit(xs / eps)
@@ -579,7 +587,7 @@ def multiscale_lane(fast_drift: Callable, fast_sigma: Callable,
             drift += slow_drift(xs, mu)
         return drift, np.asarray(fast_sigma(xs, ys, mu), dtype=float)
 
-    return Lane(coefficients, dim, noise_dim, x0, config, control, moment_cap,
+    return Lane(coefficients, fast.dim, fast.noise_dim, x0, config, control, moment_cap,
                 scenario_name, "multiscale")
 
 
@@ -590,35 +598,28 @@ def averaged_lane(model: EffectiveModel, x0: np.ndarray, config: SimConfig,
     if mode not in ("averaged", "pre_averaged"):
         raise ValidationError(f"unknown averaged-mode label {mode!r}")
 
-    if model.constant_diffusion:
-        b_mat = model.noise()
-
-        def coefficients(t, xs, mu):
-            return model.drift_batch(xs, mu), b_mat
-    else:
-        def coefficients(t, xs, mu):
-            drift, diffusion = model.drift_and_diffusion(xs, mu)
-            return drift, matrix_sqrt_psd(diffusion)
+    def coefficients(t, xs, mu):
+        drift, _, noise = model.coefficients(xs, mu)
+        return drift, noise
 
     return Lane(coefficients, model.dim, model.dim, x0, config, control, moment_cap,
                 scenario_name, mode)
 
 
-def simulate_multiscale(fast_drift: Callable, fast_sigma: Callable,
-                        slow_drift: Callable | None, dim: int, noise_dim: int,
+def simulate_multiscale(fast: FastCoefficients, slow_drift: Callable | None,
                         x0: np.ndarray, config: SimConfig,
                         control: FeedbackControl | None = None,
                         moment_cap=None, scenario_name: str = "custom",
                         streams: np.ndarray | None = None) -> TrajectoryRecord:
     """Prelimit system: dX = [f(X, X/eps, mu)/eps + b(X, mu)] dt + sigma (dW + u dt).
 
-    ``fast_drift(X, Y, mu)`` and ``fast_sigma(X, Y, mu)`` are evaluated at
-    the wrapped fast variable Y = X/eps mod 1, computed once per step; sigma
-    may return a constant (dim, noise_dim) matrix or per-particle
-    (N, dim, noise_dim).
+    The fast layer's ``fast.f(X, Y, mu)`` and ``fast.sigma(X, Y, mu)`` are
+    evaluated at the particles' rows X and the wrapped fast variable
+    Y = X/eps mod 1, computed once per step; sigma may return a constant
+    (dim, noise_dim) matrix or per-particle (N, dim, noise_dim).
     """
-    lane = multiscale_lane(fast_drift, fast_sigma, slow_drift, dim, noise_dim,
-                           x0, config, control, moment_cap, scenario_name)
+    lane = multiscale_lane(fast, slow_drift, x0, config, control, moment_cap,
+                           scenario_name)
     return simulate_lanes([lane], streams)[0]
 
 

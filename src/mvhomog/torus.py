@@ -218,13 +218,16 @@ class FastCoefficients:
         """Evaluate (f, A) on the grid; A = sigma sigma^T, symmetrized.
 
         A constant sigma (one matrix) gives one A, broadcast over the nodes
-        as a read-only field of stride 0.
+        as a read-only field of stride 0.  Non-finite values in either field
+        are refused, naming the field: the solver's gates compare against
+        them and would let NaN through.
         """
         y = grid.nodes
         fv = np.asarray(self.f(x, y, mu), dtype=float)
         if fv.shape != (grid.size, self.dim):
             raise ValidationError(
                 f"fast drift returned shape {fv.shape}, expected {(grid.size, self.dim)}")
+        _require_finite(fv, "fast drift f")
         sv = np.asarray(self.sigma(x, y, mu), dtype=float)
         constant = sv.ndim == 2
         want = (self.dim, self.noise_dim) if constant else (grid.size, self.dim, self.noise_dim)
@@ -234,7 +237,15 @@ class FastCoefficients:
             sv = sv[None]
         a = np.einsum("nik,njk->nij", sv, sv)
         a = 0.5 * (a + np.swapaxes(a, 1, 2))
+        _require_finite(a, "fast diffusion A = sigma sigma^T")
         return fv, np.broadcast_to(a, (grid.size, self.dim, self.dim)) if constant else a
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValidationError(
+            f"{name} has {int(bad.sum())} non-finite values on the cell grid")
 
 
 def ellipticity_floor(a_vals: np.ndarray) -> float:

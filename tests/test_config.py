@@ -1,4 +1,5 @@
 """Plan parsing: strict keys, field-path diagnostics, stiffness gate."""
+import dataclasses
 import time
 
 import numpy as np
@@ -146,6 +147,28 @@ def test_an_oversized_snapshot_count_is_refused_before_the_times_are_built():
                        match=r"^plan\.snapshots: .*1000000000 times on 250 steps"):
         parse_plan({"scenario": "dawson_rough", "snapshots": 10 ** 9})
     assert time.perf_counter() - start < 0.5
+
+
+def test_run_config_refusals_name_their_plan_field():
+    # a plan built around parse_plan is still refused, naming the field
+    plan = parse_plan({"scenario": "dawson_rough", "seeds": [5, 6]})
+    cases = [
+        ({"seeds": (5, -1)}, r"plan\.seeds\[1\]: seed must be in \[0, 2\*\*64\)"),
+        ({"reference": dict(plan.reference, n_particles=0)},
+         r"plan\.reference\.n_particles: n_particles must be positive"),
+        ({"reference": dict(plan.reference, seed=2 ** 64)}, r"plan\.reference\.seed: seed"),
+        ({"reference": dict(plan.reference, dt=0.3)}, r"plan\.reference\.dt: dt=0\.3 does"),
+        ({"t_end": -1.0}, r"plan\.t_end: t_end must be a positive float"),
+        ({"rungs": [dataclasses.replace(plan.rungs[0], n_particles=0)]},
+         r"plan\.rungs\[0\]\.n_particles: n_particles must"),
+        ({"rungs": [dataclasses.replace(plan.rungs[0], epsilon=float("nan"))]},
+         r"plan\.rungs\[0\]\.epsilon: epsilon must be a positive float"),
+        ({"rungs": [dataclasses.replace(plan.rungs[0], dt=0.02)]},
+         r"plan\.rungs\[0\]\.dt: dt=0\.02 does not resolve the fast scale"),
+    ]
+    for change, message in cases:
+        with pytest.raises(ValidationError, match="^" + message):
+            dataclasses.replace(plan, **change).run_configs()
 
 
 def test_plan_configs_are_the_runs_configs():

@@ -9,7 +9,7 @@ from mvhomog.effective import (SeparablePotential, _sandwich, averaged_coefficie
                                gamma_separable, homogenize, matrix_sqrt_psd,
                                separable_model, solve_with_x_derivatives)
 from mvhomog.errors import SolverError, ValidationError
-from mvhomog.experiments import state_grid
+from mvhomog.experiments import state_grid, write_effective_table
 from mvhomog.measures import EmpiricalMeasure, MeasurePath
 from mvhomog.rate import dictionary_for_path, evaluate_jdg
 from mvhomog.scenarios import DAWSON_KAPPA, get_scenario
@@ -82,7 +82,7 @@ def test_sqrt_reconstruction():
     for name in ("cos_rough_1d", "separable_2d", "nongradient_2d"):
         sc = get_scenario(name)
         model = sc.effective_model()
-        d_bar = np.atleast_2d(model.diffusion())
+        d_bar = model.coefficients(np.zeros((1, sc.dim)))[1]
         b_bar = matrix_sqrt_psd(d_bar)
         resid = np.linalg.norm(b_bar @ b_bar.T - d_bar)
         assert resid <= 1e-8 * np.linalg.norm(d_bar)
@@ -116,12 +116,11 @@ def test_separable_route_matches_cell_route():
         sc = get_scenario(name)
         closed = sc.effective_model(route="separable")
         solved = sc.effective_model(route="cell")
-        gap = np.abs(np.atleast_2d(closed.diffusion())
-                     - np.atleast_2d(solved.diffusion())).max()
-        assert gap <= 1e-6
         xs = state_grid(sc.dim)
-        want = closed.drift_batch(xs, None)
-        gap = np.abs(solved.drift_batch(xs, None) - want).max()
+        want, closed_diffusion, _ = closed.coefficients(xs, None)
+        drift, diffusion, _ = solved.coefficients(xs, None)
+        assert np.abs(closed_diffusion - diffusion).max() <= 1e-6
+        gap = np.abs(drift - want).max()
         assert gap <= 1e-6 * max(np.abs(want).max(), 1.0)
 
 
@@ -146,7 +145,7 @@ def test_cell_routes_correct_a_slow_drift_by_the_averaged_corrector():
     for flags in ({}, {"mu_dependent": True}, {"x_dependent": True}):
         model = homogenize(dataclasses.replace(coeffs, **flags), slow,
                            scheme="spectral", n=32)
-        assert np.abs(model.drift_batch(xs, mu) - want).max() <= 1e-12
+        assert np.abs(model.coefficients(xs, mu)[0] - want).max() <= 1e-12
 
 
 def test_dawson_drift_closed_form():
@@ -155,7 +154,7 @@ def test_dawson_drift_closed_form():
     gamma = float(model.gamma[0, 0])
     xs = np.linspace(-2, 2, 21)[:, None]
     mu = EmpiricalMeasure(np.full((10, 1), 0.3))
-    got = model.drift_batch(xs, mu)[:, 0]
+    got = model.coefficients(xs, mu)[0][:, 0]
     v = xs[:, 0]
     want = gamma * (-(v ** 3 - v) - DAWSON_KAPPA * (v - 0.3))
     assert np.abs(got - want).max() < 1e-12
@@ -166,7 +165,7 @@ def test_drift_slope_bounded_on_box():
     model = sc.effective_model()
     xs = np.linspace(-2, 2, 401)[:, None]
     mu = EmpiricalMeasure(np.zeros((4, 1)))
-    drift = model.drift_batch(xs, mu)[:, 0]
+    drift = model.coefficients(xs, mu)[0][:, 0]
     slope = np.abs(np.diff(drift) / np.diff(xs[:, 0])).max()
     assert slope < 20.0
 
@@ -203,13 +202,31 @@ def test_x_dependent_route_consistent_with_direct_solves():
     coeffs = _x_dependent_coeffs()
     model = homogenize(coeffs, scheme="spectral", n=64)
     xs = np.array([[-0.5], [0.8]])
-    drift, diffusion = model.drift_and_diffusion(xs, None)
+    drift, diffusion, noise = model.coefficients(xs, None)
+    assert drift.shape == (2, 1) and diffusion.shape == noise.shape == (2, 1, 1)
     for x, got in zip(xs, diffusion):
         direct = averaged_coefficients(solve_cell(coeffs, x=x, scheme="spectral", n=64))
         assert np.abs(got - direct.diffusion).max() < 1e-10
-    # the joint evaluation gives the separate calls' bits
-    assert np.array_equal(drift, model.drift_batch(xs, None))
-    assert np.array_equal(diffusion, model.diffusion_batch(xs, None))
+    # the noise is each state's PSD root, from one batched call
+    assert np.array_equal(noise, matrix_sqrt_psd(diffusion))
+
+
+def test_effective_table_writes_each_states_diffusion(tmp_path):
+    coeffs = _x_dependent_coeffs()
+    model = homogenize(coeffs, scheme="spectral", n=64)
+    path = tmp_path / "effective.csv"
+    write_effective_table(get_scenario("cos_rough_1d"), model, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    xs = state_grid(1)
+    assert np.array_equal(rows[:, 0], xs[:, 0])
+    drift, diffusion, _ = model.coefficients(xs, None)
+    assert np.array_equal(rows[:, 1], drift[:, 0])
+    assert np.array_equal(rows[:, 2], diffusion[:, 0, 0])
+    # each state's own diffusion, as a solve at that state gives it
+    for i in (0, len(xs) // 2, -1):
+        direct = averaged_coefficients(solve_cell(coeffs, x=xs[i], scheme="spectral", n=64))
+        assert abs(rows[i, 2] - direct.diffusion[0, 0]) < 1e-10
+    assert xs[0, 0] == -2.0 and abs(rows[0, 2] - 1.514) < 5e-4
 
 
 def test_x_derivative_solves_are_finite_and_centered():
@@ -218,7 +235,7 @@ def test_x_derivative_solves_are_finite_and_centered():
         coeffs, np.array([0.3]), scheme="spectral", n=64)
     assert np.all(np.isfinite(grad_x))
     assert np.all(np.isfinite(mixed))
-    avg = averaged_coefficients(cell, (grad_x, mixed), True)
+    avg = averaged_coefficients(cell, (grad_x, mixed))
     assert np.all(np.isfinite(avg.drift))
     assert np.linalg.eigvalsh(avg.diffusion).min() > 0
 
@@ -228,13 +245,13 @@ def test_mu_dependent_route_reads_the_measure():
     mu_a = EmpiricalMeasure(np.full((5, 1), 0.5))
     mu_b = EmpiricalMeasure(np.full((5, 1), -0.5))
     xs = np.zeros((3, 1))
-    da = model.diffusion_batch(xs, mu_a)[0]
-    db = model.diffusion_batch(xs, mu_b)[0]
+    da = model.coefficients(xs, mu_a)[1][0]
+    db = model.coefficients(xs, mu_b)[1][0]
     assert abs(da[0, 0] - db[0, 0]) > 1e-4
     # the same measure with its atoms permuted is solved to the same bits
     atoms = np.random.default_rng(1).normal(size=(7, 1))
-    got = model.drift_and_diffusion(xs, EmpiricalMeasure(atoms))
-    want = model.drift_and_diffusion(xs, EmpiricalMeasure(atoms[::-1]))
+    got = model.coefficients(xs, EmpiricalMeasure(atoms))
+    want = model.coefficients(xs, EmpiricalMeasure(atoms[::-1]))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -280,4 +297,4 @@ def test_separable_model_without_slow_drift_has_zero_drift():
     sc = get_scenario("separable_2d")
     model = separable_model(sc.potential)
     xs = np.random.default_rng(0).normal(size=(6, 2))
-    assert np.abs(model.drift_batch(xs, None)).max() == 0.0
+    assert np.abs(model.coefficients(xs, None)[0]).max() == 0.0

@@ -22,6 +22,7 @@ from mvhomog import (
     evaluate_jdg,
     get_scenario,
     hermite_dictionary,
+    matrix_sqrt_psd,
 )
 
 
@@ -143,18 +144,19 @@ def test_apply_generator_matches_direct_formula():
     assert np.array_equal(whole[:, 1], gen)
 
 
-def _tilted_diffusion(calls):
-    """An x-dependent 2x2 diffusion that records the atoms it is called on."""
-    def diffusion(xs, mu):
+def _tilted_coefficients(calls, drift):
+    """A drift and an x-dependent 2x2 diffusion, recording the atoms they are
+    evaluated on."""
+    def coefficients(xs, mu):
         calls.append(len(xs))
         scale = 1.0 + 0.2 * np.tanh(xs[:, 0])
-        return scale[:, None, None] * np.array([[1.0, 0.3], [0.3, 0.8]])
-    return diffusion
+        return drift(xs), scale[:, None, None] * np.array([[1.0, 0.3], [0.3, 0.8]])
+    return coefficients
 
 
 def test_action_evaluates_the_diffusion_once_per_snapshot():
     calls = []
-    model = EffectiveModel(2, lambda xs, mu: -0.5 * xs, _tilted_diffusion(calls))
+    model = EffectiveModel(2, _tilted_coefficients(calls, lambda xs: -0.5 * xs), None)
     rs = np.random.default_rng(3)
     times = np.linspace(0.0, 1.0, 5)
     path = MeasurePath(times, [EmpiricalMeasure(rs.normal(size=(50, 2)) * (1.0 + t))
@@ -165,14 +167,29 @@ def test_action_evaluates_the_diffusion_once_per_snapshot():
 
 
 @pytest.mark.parametrize("constant", [True, False])
-def test_generator_and_noise_are_the_separate_calls_bits(constant):
-    diffusion = np.array([[1.0, 0.3], [0.3, 0.8]]) if constant else _tilted_diffusion([])
-    model = EffectiveModel(2, lambda xs, mu: np.sin(xs), diffusion)
+def test_coefficients_give_the_generator_and_the_noise(constant):
+    matrix = np.array([[1.0, 0.3], [0.3, 0.8]])
+    if constant:
+        model = EffectiveModel(2, lambda xs, mu: np.sin(xs), matrix)
+    else:
+        model = EffectiveModel(2, _tilted_coefficients([], np.sin), None)
     xs = np.random.default_rng(4).normal(size=(40, 2))
+    drift, diffusion, noise = model.coefficients(xs, None)
+    assert np.array_equal(drift, np.sin(xs))
+    if constant:
+        # one shared, read-only matrix each, the noise computed once
+        assert np.array_equal(diffusion, matrix) and diffusion.shape == (2, 2)
+        assert noise is model.coefficients(xs[:3], None)[2]
+        assert not diffusion.flags.writeable and not noise.flags.writeable
+    else:
+        assert diffusion.shape == noise.shape == (40, 2, 2)
+    assert np.array_equal(noise, matrix_sqrt_psd(diffusion))
     _, grads, hessians = TestDictionary([[0, 1], [2, 0], [1, 2]], 0.0, 1.0).evaluate(xs)
-    generated, noise = model.generator_and_noise(grads, hessians, xs, None)
-    assert np.array_equal(generated, model.generator_apply(grads, hessians, xs, None))
-    assert np.array_equal(noise, model.noise_batch(xs, None))
+    shared = np.broadcast_to(diffusion, (40, 2, 2))
+    want = (np.einsum("ni,nbi->nb", drift, grads)
+            + 0.5 * np.einsum("nij,nbij->nb", shared, hessians))
+    got = model.generator_apply(grads, hessians, xs, None)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_gaussian_shift_action_matches_half_v_squared():

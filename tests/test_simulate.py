@@ -33,7 +33,7 @@ def test_exchangeability_under_stream_permutation():
 
     from mvhomog.simulate import simulate_multiscale
     permuted = simulate_multiscale(
-        sc.fast_drift, sc._sigma_fn(), sc.slow_drift, sc.dim, sc.noise_dim,
+        sc.fast_coefficients(), sc.slow_drift,
         x0[perm], cfg, moment_cap=sc.moment_cap, scenario_name=sc.name,
         streams=perm.astype(np.uint64))
     assert np.array_equal(permuted.positions[-1], base.positions[-1][perm])
@@ -181,8 +181,9 @@ def test_cost_accumulator_matches_logged_controls():
     x0 = sc.initial_positions(60, cfg.seed)
     control = FeedbackControl(lambda t, xs, mu: -0.3 * xs + 0.1 * np.sin(t), 1,
                               label="pullback")
-    ref, cost, ulog = _reference_run(x0, cfg, model.drift_batch, model.noise(),
-                                     sc.moment_cap, control=control)
+    ref, cost, ulog = _reference_run(x0, cfg, lambda xs, mu: model.coefficients(xs, mu)[0],
+                                     model.coefficients(x0)[2], sc.moment_cap,
+                                     control=control)
     rec = sc.run_averaged(cfg, control, model=model)
     assert rec.position_hash() == _hash(cfg, ref)
     assert np.array_equal(rec.cost_per_particle, cost)
@@ -349,7 +350,7 @@ def test_lane_with_a_control_matches_its_separate_run():
     cfg = _dawson_cfg(n=120)
     x0 = sc.initial_positions(120, cfg.seed)
     coupled_control = constant_control([0.4], 1)
-    lanes = [multiscale_lane(sc.fast_drift, sc._sigma_fn(), sc.slow_drift, 1, 1, x0, cfg,
+    lanes = [multiscale_lane(sc.fast_coefficients(), sc.slow_drift, x0, cfg,
                              moment_cap=sc.moment_cap),
              averaged_lane(model, x0, cfg, control=coupled_control,
                            moment_cap=sc.moment_cap)]
@@ -382,7 +383,8 @@ def test_a_twin_pair_of_different_noise_widths_is_refused():
     # the run without epsilon is one lane, and lanes of two widths built
     # apart are refused by simulate_lanes, naming both widths
     (alone,) = sc.ladder_lanes(_pre_cfg(cfg), model)
-    wide = multiscale_lane(*sc._multiscale_terms(), alone.x0, cfg, moment_cap=sc.moment_cap)
+    wide = multiscale_lane(sc.fast_coefficients(), sc.slow_drift, alone.x0, cfg,
+                           moment_cap=sc.moment_cap)
     with pytest.raises(ValidationError, match=r"one noise, of one width \(got 2 and 1\)"):
         simulate_lanes([wide, alone])
     assert simulate_lanes([wide])[0].position_hash() == sc.run_multiscale(cfg).position_hash()
@@ -396,11 +398,11 @@ def test_driver_noise_blocks_equal_per_step_draws():
                     snapshot_times=np.array([0.0, 157 * dt]))
     x0 = np.linspace(-1.0, 1.0, n)[:, None]
     rec = simulate_averaged(model, x0, cfg)
-    b_mat, sqrt_dt = model.noise(), np.sqrt(dt)
+    b_mat, sqrt_dt = model.coefficients(x0)[2], np.sqrt(dt)
     x = x0.copy()
     for k in range(cfg.n_steps):
         xi = rng.normals(seed, np.arange(n), k, 1)
-        x = x + model.drift_batch(x, None) * dt + (xi @ b_mat.T) * sqrt_dt
+        x = x + model.coefficients(x)[0] * dt + (xi @ b_mat.T) * sqrt_dt
     assert np.array_equal(rec.positions[-1], x)
 
 
@@ -574,7 +576,7 @@ def test_dawson_runs_equal_their_plain_reference_steps():
     ms_ref, _, _ = _reference_run(x0, cfg, _dawson_multiscale_reference(cfg.epsilon),
                                   sigma_ms, sc.moment_cap)
     pre_ref, _, _ = _reference_run(x0, pre_cfg, _dawson_pre_averaged_reference(model),
-                                   model.noise(), sc.moment_cap)
+                                   model.coefficients(x0)[2], sc.moment_cap)
     ms_hash, pre_hash = _hash(cfg, ms_ref), _hash(cfg, pre_ref)
     assert sc.run_multiscale(cfg).position_hash() == ms_hash
     assert sc.run_averaged(pre_cfg, mode="pre_averaged", model=model).position_hash() == pre_hash
@@ -599,7 +601,7 @@ def test_controlled_run_equals_its_plain_reference_step():
     x0 = sc.initial_positions(150, cfg.seed)
     control = constant_control([0.4], 1)
     ref, cost, _ = _reference_run(x0, cfg, _dawson_pre_averaged_reference(model),
-                                  model.noise(), sc.moment_cap, control=control)
+                                  model.coefficients(x0)[2], sc.moment_cap, control=control)
     rec = sc.run_averaged(cfg, control, model=model)
     assert rec.position_hash() == _hash(cfg, ref)
     assert np.array_equal(rec.cost_per_particle, cost)
@@ -613,13 +615,14 @@ def test_moment_cap_boundary_decides_as_the_sorted_moment():
     drift = _dawson_pre_averaged_reference(model)
     every_step = SimConfig(n_particles=200, dt=0.01, t_end=0.5, seed=2,
                            snapshot_times=np.arange(51) * 0.01)
-    frames, _, _ = _reference_run(x0, every_step, drift, model.noise(), None)
+    noise = model.coefficients(x0)[2]
+    frames, _, _ = _reference_run(x0, every_step, drift, noise, None)
     moments = [radial_moment(p, np.full(200, 1.0 / 200), 4) for p in frames]
     peak = max(moments)
     step = moments.index(peak)
     assert step > 0
     below = (4, float(np.nextafter(peak, -np.inf)))
-    want = _reference_run(x0, cfg, drift, model.noise(), below)
+    want = _reference_run(x0, cfg, drift, noise, below)
     assert want.startswith(f"empirical moment of order 4 hit {peak:.3g} > cap")
     assert f"at step {step} " in want
     perm = np.random.default_rng(9).permutation(200)

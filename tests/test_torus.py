@@ -138,6 +138,32 @@ def test_ellipticity_gate():
         solve_cell(FastCoefficients(dim=1, f=f, sigma=sigma), n=64)
 
 
+def test_non_finite_fields_are_refused_by_name():
+    # every cell gate compares against NaN as False, so NaN must stop at the fields
+    def nan_drift(x, y, mu):
+        return np.full((len(y), 1), np.nan)
+
+    def finite_drift(x, y, mu):
+        return np.zeros((len(y), 1))
+
+    def unit(x, y, mu):
+        return np.eye(1)
+
+    def nan_sigma(x, y, mu):
+        return np.full((1, 1), np.nan)
+
+    def huge_sigma(x, y, mu):
+        # finite, but A = sigma sigma^T overflows
+        return np.full((len(y), 1, 1), 1e200)
+
+    with pytest.raises(ValidationError, match="^fast drift f has 64 non-finite values"):
+        solve_cell(FastCoefficients(dim=1, f=nan_drift, sigma=unit), n=64)
+    for sigma, count in ((nan_sigma, 1), (huge_sigma, 64)):
+        with pytest.raises(ValidationError,
+                           match=rf"^fast diffusion A = sigma sigma\^T has {count} non-finite"):
+            solve_cell(FastCoefficients(dim=1, f=finite_drift, sigma=sigma), n=64)
+
+
 def test_grid_validation():
     with pytest.raises(ValidationError):
         TorusGrid(4)
