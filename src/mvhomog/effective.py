@@ -273,10 +273,9 @@ class EffectiveModel:
     """
 
     def __init__(self, dim: int, drift_fn: Callable, diffusion: np.ndarray | None,
-                 provenance: dict | None = None, description: str = ""):
+                 provenance: dict | None = None):
         self.dim = dim
         self._drift_fn = drift_fn
-        self.description = description
         self.provenance = dict(provenance or {})
         self._diffusion = self._noise = None
         if diffusion is not None:
@@ -291,11 +290,15 @@ class EffectiveModel:
     def coefficients(self, xs: np.ndarray, mu=None) -> tuple:
         """(drift, diffusion, noise) at the rows of xs under the measure mu.
 
+        States of another width than (N, dim) are refused, naming both.
         The drift is (N, dim).  A constant model returns its one read-only
         (dim, dim) diffusion and noise; any other returns (N, dim, dim) for
         each, the noise from one batched :func:`matrix_sqrt_psd`.
         """
         xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValidationError(
+                f"states have shape {xs.shape}, but the model has dim {self.dim}")
         if self._diffusion is None:
             drift, diffusion = self._drift_fn(xs, mu)
             diffusion = np.asarray(diffusion, dtype=float)
@@ -328,8 +331,7 @@ def _generator(drift: np.ndarray, diffusion: np.ndarray, grad_vals: np.ndarray,
 
 
 def separable_model(potential: SeparablePotential,
-                    slow_drift: Callable | None = None,
-                    description: str = "") -> EffectiveModel:
+                    slow_drift: Callable | None = None) -> EffectiveModel:
     """Closed-form homogenized model for a separable gradient system.
 
     ``slow_drift(X, mu)`` is the uncorrected slow drift b; the homogenized
@@ -348,15 +350,13 @@ def separable_model(potential: SeparablePotential,
     model = EffectiveModel(
         dim=dim, drift_fn=drift_fn, diffusion=potential.sigma ** 2 * gamma,
         provenance={"route": "separable", "quad_points": QUAD_POINTS,
-                    "gamma_diagonal": np.diag(gamma).tolist()},
-        description=description or "separable gradient system, closed-form route")
+                    "gamma_diagonal": np.diag(gamma).tolist()})
     model.gamma = gamma
     return model
 
 
 def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
-               scheme: str = "auto", n: int | None = None,
-               description: str = "") -> EffectiveModel:
+               scheme: str = "auto", n: int | None = None) -> EffectiveModel:
     """Homogenized model via cell solves of the fast generator.
 
     ``slow_drift(X, mu)`` is the y-independent slow drift b (the common
@@ -408,13 +408,12 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
                       "mu_dependent": coeffs.mu_dependent, "scheme": scheme, "n": n}
         if coeffs.x_dependent:
             provenance["x_step"] = X_STEP
-        return EffectiveModel(dim, coefficients, None, provenance, description)
+        return EffectiveModel(dim, coefficients, None, provenance)
 
     cell, avg, corr = averaged_at(None, None)
     model = EffectiveModel(
         dim, lambda xs, mu: drift_of(avg, corr, xs, mu), avg.diffusion,
         provenance={"route": "cell", "scheme": cell.scheme, "n": cell.grid.n,
-                    "form_gap": avg.form_gap, **cell.provenance},
-        description=description)
+                    "form_gap": avg.form_gap, **cell.provenance})
     model.cell = cell
     return model

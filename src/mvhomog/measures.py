@@ -75,7 +75,7 @@ class EmpiricalMeasure:
                 raise ValidationError(f"weights shape {weights.shape} does not match {n} atoms")
             if np.any(weights < 0) or not np.all(np.isfinite(weights)):
                 raise ValidationError("weights must be finite and nonnegative")
-            total = weights.sum()
+            total = float(weights.sum())
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError(f"weights sum to {total!r}, expected 1 within 1e-12")
         self.atoms = atoms
@@ -119,10 +119,6 @@ class EmpiricalMeasure:
             for j in range(i, self.dim):
                 c[i, j] = c[j, i] = _sorted_sum(self.weights * centered[:, i] * centered[:, j])
         return c
-
-    def moment(self, order: int) -> float:
-        """int |x|^order dmu."""
-        return radial_moment(self.atoms, self.weights, order)
 
     def canonical_order(self) -> np.ndarray:
         """Atom indices sorted by coordinates, ties by weight: the same

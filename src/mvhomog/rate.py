@@ -54,6 +54,11 @@ NU0_TOL = 0.05
 # most functions a Hermite dictionary may hold (per_axis ** dim), which also
 # bounds a plan's rate_basis ** dim
 MAX_BASIS = 64
+# the derivative check: seed and count of its N(0, 1.5^2) points, and its
+# relative tolerance (times 10 for gradients, 100 for Hessians)
+CHECK_SEED = 0
+CHECK_POINTS = 16
+CHECK_REL_TOL = 1e-6
 
 
 def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
@@ -85,7 +90,10 @@ class TestDictionary:
 
     def __post_init__(self):
         self.orders = np.array(self.orders, dtype=np.intp, ndmin=2)
-        if self.orders.ndim != 2 or len(self.orders) < 2:
+        if self.orders.ndim != 2:
+            raise ValidationError(
+                f"orders must be a (functions, dim) array, got shape {self.orders.shape}")
+        if len(self.orders) < 2:
             raise ValidationError("a test dictionary needs at least 2 functions")
         if np.any(self.orders < 0):
             raise ValidationError(f"negative Hermite order in {self.orders.tolist()}")
@@ -140,23 +148,23 @@ class TestDictionary:
         """Nested sub-dictionary with the first ``size`` functions."""
         return TestDictionary(self.orders[:size], self.center, self.scale)
 
-    def verify_derivatives(self, seed: int = 0, points: int = 16,
-                           rel_tol: float = 1e-6) -> None:
-        """Spot-check analytic gradients/Hessians against central differences."""
-        rs = np.random.default_rng(seed)
-        x = rs.normal(scale=1.5, size=(points, self.dim))
+    def verify_derivatives(self) -> None:
+        """Spot-check analytic gradients/Hessians against central differences
+        at CHECK_POINTS seeded normal points."""
+        rs = np.random.default_rng(CHECK_SEED)
+        x = rs.normal(scale=1.5, size=(CHECK_POINTS, self.dim))
         h = 1e-5
         _, grads, hessians = self.evaluate(x)
-        # per-function scales, as each function is checked on its own
-        scale_g = np.maximum(np.abs(grads).max(axis=(0, 2)), 1e-10)
-        scale_h = np.maximum(np.abs(hessians).max(axis=(0, 2, 3)), 1e-10)
+        # per-function tolerances, as each function is checked on its own
+        tol_g = 10 * CHECK_REL_TOL * np.maximum(np.abs(grads).max(axis=(0, 2)), 1e-10)
+        tol_h = 100 * CHECK_REL_TOL * np.maximum(np.abs(hessians).max(axis=(0, 2, 3)), 1e-10)
         for a in range(self.dim):
             e = h * np.eye(self.dim)[a]
             (v_up, g_up, _), (v_down, g_down, _) = self.evaluate(x + e), self.evaluate(x - e)
             for what, diff, exact, tol in (
-                    ("gradient", v_up - v_down, grads[:, :, a], 10 * rel_tol * scale_g),
-                    ("Hessian", g_up - g_down, hessians[:, :, a], 100 * rel_tol * scale_h)):
-                err = np.abs(diff / (2 * h) - exact).reshape(points, self.size, -1)
+                    ("gradient", v_up - v_down, grads[:, :, a], tol_g),
+                    ("Hessian", g_up - g_down, hessians[:, :, a], tol_h)):
+                err = np.abs(diff / (2 * h) - exact).reshape(CHECK_POINTS, self.size, -1)
                 bad = err.max(axis=(0, 2)) > tol
                 if np.any(bad):
                     raise ValidationError(f"{what} of {self.labels[np.argmax(bad)]} "
@@ -223,14 +231,15 @@ class RateReport:
 
 
 def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDictionary,
-                 *, nu0: EmpiricalMeasure | None = None,
-                 cutoff: float = GRAM_CUTOFF) -> RateReport:
+                 *, nu0: EmpiricalMeasure | None = None) -> RateReport:
     """Finite-dictionary evaluation of the path action (a certified lower bound).
 
-    ``nu0`` optionally pins the required initial condition: when the path
-    starts further than ``NU0_TOL`` from it in Wasserstein-2, the action is
-    +infinity by definition and no integration is attempted.  ``dictionary``
-    needs only ``size`` and ``evaluate(x)``, as on ``TestDictionary``.
+    Gram eigen-directions below GRAM_CUTOFF times the largest eigenvalue
+    are dropped from each snapshot's quotient.  ``nu0`` optionally pins the
+    required initial condition: when the path starts further than
+    ``NU0_TOL`` from it in Wasserstein-2, the action is +infinity by
+    definition and no integration is attempted.  ``dictionary`` needs only
+    ``size`` and ``evaluate(x)``, as on ``TestDictionary``.
     """
     if len(path) < 3:
         raise ValidationError("rate evaluation needs at least 3 snapshots")
@@ -273,7 +282,7 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
     degenerate = []
     for i, (a, gram) in enumerate(zip(a_all, grams)):
         lam, vec = np.linalg.eigh(gram)
-        keep = lam > cutoff * max(lam[-1], 0.0)
+        keep = lam > GRAM_CUTOFF * max(lam[-1], 0.0)
         if not np.any(keep):
             degenerate.append(float(times[i]))
             integrand[i] = 0.0

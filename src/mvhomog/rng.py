@@ -16,15 +16,14 @@ two properties that matter here:
   exchangeability tests can be made bit-exact.
 
 A run hashes the step-independent (seed, stream) prefix once with
-:func:`stream_keys`.  :func:`counter_hash` then hashes a whole range of
+:func:`stream_keys`.  :func:`normal_block` then hashes a whole range of
 counters, a block of consecutive steps, in one call with in-place uint64
-operations, and :func:`normal_block` hashes a block the same way and
-turns it into normals, in buffers the caller may own; that is the only
-hash path, and :func:`keyed_normals`, :func:`normals` and
-:func:`uniforms` are its one-step cases.  A block is a pure function of
-its keys and steps, so any process can draw it for another, into any
-buffer: ``noise_ring`` shares the blocks of two runs on the same noise
-between the two processes that step them.  Timed as ``rng.ns_per_draw``
+operations and turns it into normals, in buffers the caller may own.
+:func:`normals` is its one-step case, and :func:`uniforms` hashes one
+step's counters the same way under its own tag.  A block is a pure
+function of its keys and steps, so any process can draw it for another,
+into any buffer: ``noise_ring`` shares the blocks of two runs on the
+same noise between the two processes that step them.  Timed as ``rng.ns_per_draw``
 (span time over draws) on the benchmark's traced ``ladder_1d`` workload
 (N from 250 to 8000, one component, one BLAS thread, 2-CPU x86-64 VM), with
 the tracer pointed at the function that draws: 51 ns per draw in the
@@ -131,18 +130,6 @@ def _keyed_counters(keys, step: int, steps: int, ncomp: int, out=None) -> np.nda
     return out
 
 
-def counter_hash(keys: np.ndarray, step: int, steps: int, ncomp: int) -> np.ndarray:
-    """Hashes of counters ``step*ncomp`` to ``(step+steps)*ncomp - 1`` per key.
-
-    Returns a uint64 array of shape ``(steps, len(keys), ncomp)``; entry
-    (j, i, c) is the hash of key i at counter ``(step+j)*ncomp + c``, the
-    same whatever range a call covers.  Every draw of this module hashes
-    its counters this way.
-    """
-    h = _keyed_counters(keys, step, steps, ncomp)
-    return _mix_into(h, np.empty_like(h))
-
-
 def normal_block(keys: np.ndarray, step: int, steps: int, ncomp: int,
                  out: np.ndarray | None = None,
                  scratch: np.ndarray | None = None) -> np.ndarray:
@@ -191,23 +178,18 @@ def normal_block(keys: np.ndarray, step: int, steps: int, ncomp: int,
     return radius
 
 
-def keyed_normals(keys: np.ndarray, step: int, ncomp: int) -> np.ndarray:
-    """Standard normals of shape ``(len(keys), ncomp)`` from :func:`stream_keys`."""
-    return normal_block(keys, step, 1, ncomp)[0]
-
-
 def normals(seed: int, streams, step: int, ncomp: int) -> np.ndarray:
     """Standard normal increments for the given particle streams at one step.
 
     Returns an array of shape ``(len(streams), ncomp)``.  The draw for
     (stream, step, component) is the same no matter how the call is batched.
     """
-    return keyed_normals(stream_keys(seed, streams), step, ncomp)
+    return normal_block(stream_keys(seed, streams), step, 1, ncomp)[0]
 
 
 def uniforms(seed: int, streams, step: int, ncomp: int) -> np.ndarray:
     """Uniform(0,1) draws with the same keying scheme as :func:`normals`."""
-    h = counter_hash(stream_keys(seed, streams), step, 1, ncomp)[0]
+    h = _mix(_keyed_counters(stream_keys(seed, streams), step, 1, ncomp)[0])
     h ^= _TAG_UNIFORM
     _mix_into(h, np.empty_like(h))
     h >>= np.uint64(11)

@@ -144,14 +144,13 @@ class Scenario:
             if self.potential is None:
                 raise ValidationError(
                     f"scenario {self.name!r} has no separable potential")
-            return separable_model(self.potential, self.slow_drift,
-                                   description=self.name)
+            return separable_model(self.potential, self.slow_drift)
         if route == "cell":
             opts = dict(self.solver)
             opts.update(overrides)
             return homogenize(self.fast_coefficients(), self.slow_drift,
                               scheme=opts.get("scheme", "auto"),
-                              n=opts.get("n"), description=self.name)
+                              n=opts.get("n"))
         raise ValidationError(f"unknown homogenization route {route!r}")
 
     # -- initial conditions and runs ----------------------------------------
@@ -183,23 +182,21 @@ class Scenario:
             return mean + std * draw
         raise ValidationError(f"unknown initial-condition kind {kind!r}")
 
-    def run_multiscale(self, config: SimConfig, control=None,
-                       streams=None) -> TrajectoryRecord:
+    def run_multiscale(self, config: SimConfig, control=None) -> TrajectoryRecord:
         x0 = self.initial_positions(config.n_particles, config.seed)
         return simulate_multiscale(
             self.fast_coefficients(), self.slow_drift, x0, config, control,
-            moment_cap=self.moment_cap, scenario_name=self.name, streams=streams)
+            moment_cap=self.moment_cap, scenario_name=self.name)
 
     def run_averaged(self, config: SimConfig, control=None,
-                     mode: str = "averaged", model: EffectiveModel | None = None,
-                     streams=None) -> TrajectoryRecord:
+                     mode: str = "averaged",
+                     model: EffectiveModel | None = None) -> TrajectoryRecord:
         if model is None:
             model = self.effective_model()
         x0 = self.initial_positions(config.n_particles, config.seed)
         return simulate_averaged(model, x0, config, control,
                                  moment_cap=self.moment_cap,
-                                 scenario_name=self.name, mode=mode,
-                                 streams=streams)
+                                 scenario_name=self.name, mode=mode)
 
     def ladder_lanes(self, config: SimConfig,
                      model: EffectiveModel | None = None) -> tuple[Lane, ...]:
@@ -228,15 +225,15 @@ class Scenario:
                 averaged_lane(model, x0, replace(config, epsilon=None),
                               mode="pre_averaged", **shared))
 
-    def run_coupled(self, config: SimConfig, model: EffectiveModel | None = None,
-                    streams=None) -> tuple[TrajectoryRecord, TrajectoryRecord]:
+    def run_coupled(self, config: SimConfig, model: EffectiveModel | None = None
+                    ) -> tuple[TrajectoryRecord, TrajectoryRecord]:
         """A multiscale run and its pre-averaged twin, stepped in lockstep.
 
         The two :meth:`ladder_lanes` share one noise, drawn once; a config
         without epsilon, or a pair of two noise widths, is refused.
         """
         config.require_stiffness("multiscale")
-        return tuple(simulate_lanes(list(self.ladder_lanes(config, model)), streams))
+        return tuple(simulate_lanes(list(self.ladder_lanes(config, model))))
 
     # -- validation ----------------------------------------------------------
 

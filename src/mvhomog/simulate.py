@@ -79,6 +79,10 @@ from .torus import FastCoefficients
 STIFFNESS_FACTOR = 0.1
 # largest miss of t_end / dt from a whole number of steps
 STEP_TOL = 1e-6
+# most steps a run may take.  The stepper costs about 20 us a step even for
+# one particle (2-CPU x86-64 VM), so this is over half an hour of stepping;
+# the longest run of the tests, the bench, CI and the README takes 10^4 steps
+MAX_STEPS = 10 ** 8
 
 
 def stiffness_limit(epsilon: float) -> float:
@@ -110,6 +114,10 @@ class SimConfig:
         if not (self.t_end > 0 and np.isfinite(self.t_end)):
             raise ValidationError(f"t_end must be a positive float, got {self.t_end}")
         steps = self.t_end / self.dt
+        if steps > MAX_STEPS:
+            raise ValidationError(
+                f"dt={self.dt!r} cuts the horizon t_end={self.t_end!r} into {steps:.3g} "
+                f"steps, more than MAX_STEPS={MAX_STEPS}")
         if abs(steps - round(steps)) > STEP_TOL:
             raise ValidationError(
                 f"dt={self.dt!r} does not divide the horizon t_end={self.t_end!r} "
@@ -609,8 +617,7 @@ def averaged_lane(model: EffectiveModel, x0: np.ndarray, config: SimConfig,
 def simulate_multiscale(fast: FastCoefficients, slow_drift: Callable | None,
                         x0: np.ndarray, config: SimConfig,
                         control: FeedbackControl | None = None,
-                        moment_cap=None, scenario_name: str = "custom",
-                        streams: np.ndarray | None = None) -> TrajectoryRecord:
+                        moment_cap=None, scenario_name: str = "custom") -> TrajectoryRecord:
     """Prelimit system: dX = [f(X, X/eps, mu)/eps + b(X, mu)] dt + sigma (dW + u dt).
 
     The fast layer's ``fast.f(X, Y, mu)`` and ``fast.sigma(X, Y, mu)`` are
@@ -620,14 +627,13 @@ def simulate_multiscale(fast: FastCoefficients, slow_drift: Callable | None,
     """
     lane = multiscale_lane(fast, slow_drift, x0, config, control, moment_cap,
                            scenario_name)
-    return simulate_lanes([lane], streams)[0]
+    return simulate_lanes([lane])[0]
 
 
 def simulate_averaged(model: EffectiveModel, x0: np.ndarray, config: SimConfig,
                       control: FeedbackControl | None = None,
                       moment_cap=None, scenario_name: str = "custom",
-                      mode: str = "averaged",
-                      streams: np.ndarray | None = None) -> TrajectoryRecord:
+                      mode: str = "averaged") -> TrajectoryRecord:
     """Averaged dynamics dX = drift(X, mu) dt + noise(X, mu)(dW + u dt)."""
     lane = averaged_lane(model, x0, config, control, moment_cap, scenario_name, mode)
-    return simulate_lanes([lane], streams)[0]
+    return simulate_lanes([lane])[0]

@@ -53,7 +53,7 @@ RESIDUAL_TOL = 1e-8
 KRYLOV_MARGIN = 1e-6
 # most unknowns whose GMRES basis (RESTART + 1 vectors) fits in 128 MiB
 MAX_UNKNOWNS = 128 * 2 ** 20 // (8 * (RESTART + 1))
-# largest operator that toarray() materializes (a 32 MiB matrix)
+# largest operator that np.asarray materializes (a 32 MiB matrix)
 MAX_DENSE_UNKNOWNS = 2048
 
 
@@ -173,20 +173,10 @@ def _derivative(v: np.ndarray, axis: int, order: int, scheme: str) -> np.ndarray
     return _axis_derivatives(v, axis, (order,), scheme)[0]
 
 
-def d1_matrix(n: int, scheme: str) -> np.ndarray:
-    """First-derivative matrix on n periodic nodes of [0,1)."""
-    return _derivative(np.eye(n), 0, 1, scheme)
-
-
-def d2_matrix(n: int, scheme: str) -> np.ndarray:
-    """Second-derivative matrix on n periodic nodes of [0,1)."""
-    return _derivative(np.eye(n), 0, 2, scheme)
-
-
 def apply_axis_derivative(values: np.ndarray, grid: TorusGrid, axis: int,
-                          scheme: str, order: int = 1) -> np.ndarray:
-    """Apply the 1-D derivative along one torus axis of nodal values."""
-    return _derivative(grid.reshape(values), axis, order, scheme).reshape(values.shape)
+                          scheme: str) -> np.ndarray:
+    """d/dy along one torus axis of nodal values."""
+    return _derivative(grid.reshape(values), axis, 1, scheme).reshape(values.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +347,13 @@ class GeneratorOperator:
         target = KRYLOV_MARGIN * RESIDUAL_TOL * self.abs_max() * size
         return gmres(self.__matmul__, self.precondition, b, target)
 
-    def toarray(self) -> np.ndarray:
+    def __array__(self, dtype=None, copy=None):
         """Dense matrix, column by column from the matvec; small grids only."""
         if self.grid.size > MAX_DENSE_UNKNOWNS:
-            raise ValidationError(f"toarray() refused: {self.grid.size} unknowns exceed "
+            raise ValidationError(f"dense matrix refused: {self.grid.size} unknowns exceed "
                                   f"MAX_DENSE_UNKNOWNS={MAX_DENSE_UNKNOWNS}")
-        return np.column_stack([self @ col for col in np.eye(self.grid.size)])
-
-    def __array__(self, dtype=None, copy=None):
-        return self.toarray().astype(dtype or float, copy=False)
+        dense = np.column_stack([self @ col for col in np.eye(self.grid.size)])
+        return dense.astype(dtype or float, copy=False)
 
 
 def assemble_generator(grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray,
@@ -456,7 +444,6 @@ class CellSolution:
     centering: np.ndarray     # (dim,)
     residual_pi: float
     residual_phi: np.ndarray
-    x: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     def pi_average(self, values: np.ndarray) -> np.ndarray:
@@ -474,16 +461,6 @@ class CellSolution:
             w.writerows([repr(float(v)) for v in row] for row in rows)
 
 
-def load_cell_csv(path):
-    """Read back (nodes, pi, phi) from a cell-solution CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = sum(1 for name in header if name.startswith("y"))
-        data = np.array([[float(v) for v in row] for row in reader])
-    return data[:, :dim], data[:, dim], data[:, dim + 1:]
-
-
 def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
                n: int | None = None) -> CellSolution:
     """Full frozen-cell workflow: operator, stationary measure, corrector, gradient."""
@@ -499,7 +476,6 @@ def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
         grid=grid, scheme=scheme, pi=pi, phi=phi, grad_phi=grad_phi,
         f_vals=f_vals, a_vals=a_vals, centering=defect,
         residual_pi=resid_pi, residual_phi=resid_phi,
-        x=None if x is None else np.asarray(x, dtype=float),
         provenance={"n": grid.n, "scheme": scheme,
                     "centering_tol": CENTERING_TOL, "residual_tol": RESIDUAL_TOL,
                     "krylov_iterations": dict(L.krylov), "residual_pi": resid_pi,

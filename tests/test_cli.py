@@ -93,6 +93,23 @@ def test_simulate_then_rate_round_trip(tmp_path, capsys):
     assert float(report["total"]) < 0.1  # uncontrolled path, small action
 
 
+@pytest.mark.parametrize("made, read, shape, dim", [
+    ("separable_2d", "free_brownian", "(200, 2)", 1),
+    ("separable_2d", "cos_rough_1d", "(200, 2)", 1),
+    ("free_brownian", "separable_2d", "(200, 1)", 2),
+])
+def test_rate_refuses_a_path_of_another_dimension(tmp_path, capsys, made, read, shape, dim):
+    assert main(["simulate", "--scenario", made, "--mode", "averaged", "--n-particles", "200",
+                 "--dt", "0.01", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = main(["rate", "--scenario", read,
+                 "--trajectory", str(tmp_path / f"{made}_averaged_seed0.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"error: states have shape {shape}, but the model has dim {dim}" in captured.err
+    assert "action lower bound" not in captured.out
+
+
 def test_simulate_reports_control_cost(capsys):
     code = main(["simulate", "--scenario", "free_brownian",
                  "--mode", "averaged", "--n-particles", "50",
@@ -127,6 +144,10 @@ def test_stiffness_violation_exits_2(capsys):
     ("--seed", str(2 ** 64), f"--seed: must be in [0, 2**64), got {2 ** 64}"),
     ("--tilt", "nan", "control value must be finite, got [nan]"),
     ("--tilt", "inf", "control value must be finite, got [inf]"),
+    ("--t-end", "1e308",
+     "dt=0.001 cuts the horizon t_end=1e+308 into inf steps, more than MAX_STEPS=100000000"),
+    ("--dt", "1e-300",
+     "dt=1e-300 cuts the horizon t_end=0.02 into 2e+298 steps, more than MAX_STEPS=100000000"),
 ])
 def test_simulate_refuses_a_bad_value_before_the_run(flag, value, message, capsys):
     code = main(["simulate", "--scenario", "cos_rough_1d", "--n-particles", "20",

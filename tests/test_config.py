@@ -132,6 +132,17 @@ def test_step_tolerance_is_the_runs_own():
     assert parse_plan(raw).rungs[0].dt == 1e-4
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"t_end": 1e308}, r"plan\.reference\.dt: dt=0\.0025 cuts the horizon t_end=1e\+308 "
+                       r"into inf steps, more than MAX_STEPS=100000000"),
+    ({"rungs": [{"n_particles": 10, "epsilon": 0.5, "dt": 1e-300}]},
+     r"plan\.rungs\[0\]\.dt: dt=1e-300 cuts the horizon t_end=1\.0 into 1e\+300 steps"),
+], ids=["t_end", "rung_dt"])
+def test_a_step_count_above_max_steps_is_refused_before_rounding(raw, message):
+    with pytest.raises(ValidationError, match="^" + message):
+        parse_plan({"scenario": "free_brownian", **raw})
+
+
 def test_snapshot_collisions_are_refused_by_the_plan():
     # 300 snapshots cannot land on distinct steps of the 250-step eps = 0.2 rung
     with pytest.raises(ValidationError,

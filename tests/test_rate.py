@@ -9,6 +9,7 @@ import pytest
 from numpy.polynomial import hermite_e
 from scipy.special import ndtri
 
+from mvhomog import rate
 from mvhomog import (
     EffectiveModel,
     EmpiricalMeasure,
@@ -46,7 +47,8 @@ def test_dictionary_derivatives_verified(monkeypatch):
                         lambda self: checked.append(self) or real(self))
     d = hermite_dictionary(2, per_axis=3)
     assert checked == [d] and d.size == 9
-    real(d, seed=5)
+    monkeypatch.setattr(rate, "CHECK_SEED", 5)
+    real(d)
 
 
 def test_dictionary_heads_are_nested():
@@ -238,12 +240,14 @@ def test_nested_dictionaries_give_monotone_values():
         assert small <= large + 1e-8
 
 
-def test_cutoff_sweep_changes_value_below_one_percent():
+def test_cutoff_sweep_changes_value_below_one_percent(monkeypatch):
     path = gaussian_shift_path(v=1.0, n=256, snapshots=11)
     d = dictionary_for_path(path, per_axis=6)
     model = heat_model()
-    r1 = evaluate_jdg(path, model, d, cutoff=1e-8)
-    r2 = evaluate_jdg(path, model, d, cutoff=1e-10)
+    monkeypatch.setattr(rate, "GRAM_CUTOFF", 1e-8)
+    r1 = evaluate_jdg(path, model, d)
+    monkeypatch.setattr(rate, "GRAM_CUTOFF", 1e-10)
+    r2 = evaluate_jdg(path, model, d)
     assert abs(r1.total - r2.total) <= 0.01 * max(abs(r2.total), 1e-12)
 
 

@@ -117,7 +117,7 @@ def test_cached_keys_reproduce_normals(seed, step, ncomp, lo, width, perm_seed):
     streams = np.random.default_rng(perm_seed).permutation(97).astype(np.uint64)
     keys = rng.stream_keys(seed, streams)
     hi = min(lo + width, 97)
-    chunk = rng.keyed_normals(keys[lo:hi], step, ncomp)
+    chunk = rng.normal_block(keys[lo:hi], step, 1, ncomp)[0]
     assert chunk.shape == (hi - lo, ncomp)
     assert np.array_equal(chunk, rng.normals(seed, streams[lo:hi], step, ncomp))
     assert np.array_equal(chunk, _seed_formula_normals(seed, streams[lo:hi], step, ncomp))
@@ -133,12 +133,10 @@ def test_block_rows_equal_per_step_draws(seed, step, steps, ncomp, n, perm_seed)
     streams = np.random.default_rng(perm_seed).permutation(max(n, 1))[:n].astype(np.uint64)
     keys = rng.stream_keys(seed, streams)
     block = rng.normal_block(keys, step, steps, ncomp)
-    hashes = rng.counter_hash(keys, step, steps, ncomp)
-    assert block.shape == hashes.shape == (steps, n, ncomp)
+    assert block.shape == (steps, n, ncomp)
     for j in range(steps):
-        assert np.array_equal(block[j], rng.keyed_normals(keys, step + j, ncomp))
+        assert np.array_equal(block[j], rng.normal_block(keys, step + j, 1, ncomp)[0])
         assert np.array_equal(block[j], _seed_formula_normals(seed, streams, step + j, ncomp))
-        assert np.array_equal(hashes[j], _seed_formula_hash(seed, streams, step + j, ncomp))
         assert np.array_equal(rng.uniforms(seed, streams, step + j, ncomp),
                               _seed_formula_uniforms(seed, streams, step + j, ncomp))
 

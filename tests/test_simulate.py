@@ -31,11 +31,9 @@ def test_exchangeability_under_stream_permutation():
     base = sc.run_multiscale(cfg)
     x0 = sc.initial_positions(64, cfg.seed)
 
-    from mvhomog.simulate import simulate_multiscale
-    permuted = simulate_multiscale(
-        sc.fast_coefficients(), sc.slow_drift,
-        x0[perm], cfg, moment_cap=sc.moment_cap, scenario_name=sc.name,
-        streams=perm.astype(np.uint64))
+    lane = multiscale_lane(sc.fast_coefficients(), sc.slow_drift, x0[perm], cfg,
+                           moment_cap=sc.moment_cap, scenario_name=sc.name)
+    permuted = simulate_lanes([lane], perm.astype(np.uint64))[0]
     assert np.array_equal(permuted.positions[-1], base.positions[-1][perm])
 
 
@@ -310,12 +308,11 @@ def _pre_cfg(cfg):
                      seed=cfg.seed, snapshot_times=cfg.snapshot_times)
 
 
-def _assert_coupled_equals_separate(sc, cfg, streams=None):
+def _assert_coupled_equals_separate(sc, cfg):
     model = sc.effective_model()
-    ms, pre = sc.run_coupled(cfg, model=model, streams=streams)
-    alone_ms = sc.run_multiscale(cfg, streams=streams)
-    alone_pre = sc.run_averaged(_pre_cfg(cfg), mode="pre_averaged", model=model,
-                                streams=streams)
+    ms, pre = sc.run_coupled(cfg, model=model)
+    alone_ms = sc.run_multiscale(cfg)
+    alone_pre = sc.run_averaged(_pre_cfg(cfg), mode="pre_averaged", model=model)
     assert ms.position_hash() == alone_ms.position_hash()
     assert pre.position_hash() == alone_pre.position_hash()
     assert ms.summary() == alone_ms.summary()
@@ -339,9 +336,15 @@ def test_coupled_run_matches_separate_runs_two_noise_components():
 
 def test_coupled_run_matches_separate_runs_under_permuted_streams():
     sc = get_scenario("dawson_rough")
+    cfg = _dawson_cfg()
     perm = np.random.default_rng(3).permutation(300).astype(np.uint64)
-    ms, _ = _assert_coupled_equals_separate(sc, _dawson_cfg(), streams=perm)
-    assert ms.position_hash() != sc.run_multiscale(_dawson_cfg()).position_hash()
+    lanes = sc.ladder_lanes(cfg, sc.effective_model())
+    coupled = simulate_lanes(list(lanes), perm)
+    for rec, lane in zip(coupled, lanes):
+        alone = simulate_lanes([lane], perm)[0]
+        assert rec.position_hash() == alone.position_hash()
+        assert rec.summary() == alone.summary()
+    assert coupled[0].position_hash() != sc.run_multiscale(cfg).position_hash()
 
 
 def test_lane_with_a_control_matches_its_separate_run():
