@@ -41,7 +41,7 @@ from .errors import ValidationError
 from .rate import MAX_BASIS
 from .rng import SEED_LIMIT
 from .scenarios import get_scenario, scenario_names
-from .simulate import SimConfig, stiffness_limit
+from .simulate import MAX_STEPS, SimConfig, stiffness_limit
 
 DEFAULT_LADDER = ((250, 0.2), (1000, 0.1), (4000, 0.05))
 DEFAULT_SEEDS = (101, 211, 307)
@@ -136,10 +136,12 @@ class ExperimentPlan:
         then the times on each run.
         """
         ref = self.reference
-        reference = _run_config("plan.reference", "plan.reference.seed",
+        coarsest = max([ref["dt"]] + [rung.dt for rung in self.rungs])
+        too_long = coarsest > 0 and self.t_end / coarsest > MAX_STEPS
+        reference = _run_config("plan.reference", "plan.reference.seed", too_long,
                                 n_particles=ref["n_particles"], dt=ref["dt"],
                                 t_end=self.t_end, seed=ref["seed"])
-        rungs = [(i, _run_config(f"plan.rungs[{i}]", f"plan.seeds[{j}]",
+        rungs = [(i, _run_config(f"plan.rungs[{i}]", f"plan.seeds[{j}]", too_long,
                                  n_particles=rung.n_particles, dt=rung.dt,
                                  t_end=self.t_end, seed=seed, epsilon=rung.epsilon))
                  for i, rung in enumerate(self.rungs) for j, seed in enumerate(self.seeds)]
@@ -155,12 +157,14 @@ class ExperimentPlan:
         return reference, rungs
 
 
-def _run_config(path: str, seed_path: str, **geometry) -> SimConfig:
+def _run_config(path: str, seed_path: str, too_long: bool, **geometry) -> SimConfig:
     """A run's SimConfig without snapshots; a refusal names its plan field.
 
     SimConfig's refusals begin with the field they refuse: ``t_end`` is
     ``plan.t_end``, ``seed`` is ``seed_path`` and any other is
-    ``{path}.{field}``.
+    ``{path}.{field}``.  A positive dt's refusal is a step count above
+    MAX_STEPS, which is the horizon's fault when ``too_long``, that is
+    when even the plan's coarsest step cuts it into too many steps.
     """
     try:
         config = SimConfig(**geometry)
@@ -168,6 +172,8 @@ def _run_config(path: str, seed_path: str, **geometry) -> SimConfig:
             config.require_stiffness("multiscale")
     except ValidationError as exc:
         name = re.match(r"[a-z_]+", str(exc)).group()
+        if name == "dt" and too_long and geometry["dt"] > 0:
+            name = "t_end"
         where = {"t_end": "plan.t_end", "seed": seed_path}.get(name, f"{path}.{name}")
         raise ValidationError(f"{where}: {exc}") from None
     return config

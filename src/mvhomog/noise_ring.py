@@ -42,8 +42,8 @@ A side that needs block b records its progress, then looks at slot
 
 Blocks are drawn in place: a side draws a claimed block straight into its
 slot, and a local block into a block buffer of its own, both through the
-two uint64 scratch words it keeps for the run, so no draw allocates
-block-sized memory.  Each side makes these three buffers in its own
+uint64 scratch it keeps for the run, so no draw allocates block-sized
+memory.  Each side makes these three buffers in its own
 process on its first draw.  A side that allocated its Box-Muller
 temporaries per block and copied the result into the slot faulted fresh
 pages in block after block, as if the freed heap were trimmed: in a fresh
@@ -300,7 +300,7 @@ class RingSide:
         """The side's scratch and local block, made in its own process on first use."""
         if self._scratch is None:
             shape = self.ring.shape
-            self._scratch = np.empty(2 * int(np.prod(shape)), dtype=np.uint64)
+            self._scratch = np.empty(rng.scratch_words(*shape), dtype=np.uint64)
             self._local = np.empty(shape)
         return self._scratch, self._local
 

@@ -2,13 +2,13 @@
 
 Every random draw is a pure function of ``(seed, stream, counter)``, where
 ``stream`` identifies a particle and ``counter`` encodes (step, component).
-Draws are produced by hashing the key with a 64-bit finalizer and feeding the
-resulting uniforms through Box-Muller: from two tagged words per counter,
-u1 in (0, 1] and u2 in [0, 1) on the 2^-53 lattice, the normal is
-sqrt(-2 log u1) cos(2 pi u2), with the cosine taken as (t^2 - 1) / (t^2 + 1)
-for t = tan(pi (u2 - 1/2)) (Box and Muller, Ann. Math. Statist. 29, 1958;
-:func:`_wave_2pi`).  There is no sequential generator state, which buys
-two properties that matter here:
+Normals come in pairs: counters 2k and 2k + 1 of a stream are keyed by the
+pair index k, which is hashed with a 64-bit finalizer into two tagged
+words, u1 in (0, 1] and u2 in [0, 1) on the 2^-53 lattice.  Box-Muller
+gives the even counter r cos(2 pi u2) and the odd one r sin(2 pi u2), with
+r = sqrt(-2 log u1) and both from one t = tan(pi (u2 - 1/2)) (Box and
+Muller, Ann. Math. Statist. 29, 1958; :func:`_wave_2pi`).  There is no
+sequential generator state, which buys two properties that matter here:
 
 * reproducibility is independent of chunking and block length, because the
   value of draw (i, k) never depends on which draws were made before it;
@@ -16,24 +16,24 @@ two properties that matter here:
   exchangeability tests can be made bit-exact.
 
 A run hashes the step-independent (seed, stream) prefix once with
-:func:`stream_keys`.  :func:`normal_block` then hashes a whole range of
-counters, a block of consecutive steps, in one call with in-place uint64
-operations and turns it into normals, in buffers the caller may own.
-:func:`normals` is its one-step case, and :func:`uniforms` hashes one
-step's counters the same way under its own tag.  A block is a pure
-function of its keys and steps, so any process can draw it for another,
-into any buffer: ``noise_ring`` shares the blocks of two runs on the
-same noise between the two processes that step them.  Timed as ``rng.ns_per_draw``
-(span time over draws) on the benchmark's traced ``ladder_1d`` workload
-(N from 250 to 8000, one component, one BLAS thread, 2-CPU x86-64 VM), with
-the tracer pointed at the function that draws: 51 ns per draw in the
-simulator's blocks of about 32k draws, against 68 ns drawn one step at a
-time from cached keys and 89 ns when every step rehashed the prefix.
-The angle's cosine then cost about 25-30 ns of a draw, because numpy 2.4
-sends float64 ``cos`` to scalar libm; through the vectorized ``tan`` it
-takes 5-6 ns.  On a host about twice as slow as those figures', a block
-at N = 4000 (8 steps) takes 27-28 ns per draw against 41-45 ns with
-libm's cosine; the three hash rounds are now about half of it.
+:func:`stream_keys`.  :func:`normal_block` then hashes the pairs of a
+whole range of counters, a block of consecutive steps, in one call with
+in-place uint64 operations and turns them into normals, in buffers the
+caller may own.  :func:`normals` is its one-step case, and
+:func:`uniforms` hashes one step's counters, one hash each, under its own
+tag.  A block is a pure function of its keys and steps, so any process can
+draw it for another, into any buffer: ``noise_ring`` shares the blocks of
+two runs on the same noise between the two processes that step them.
+
+Cost, 2-CPU x86-64 VM, numpy 2.4 with its AVX-512 ``tan``, one CPU: a block
+at N = 4000 in the stepper's 8 steps takes 16-21 ns per draw, against
+23-31 ns when every counter took three hash rounds, a log, a sqrt and a
+tangent of its own; three hash rounds per pair are now about 40 % of it.
+Earlier, on the benchmark's traced ``ladder_1d`` (a faster host), blocks
+of about 32k draws had taken 51 ns per draw against 68 ns drawn one step
+at a time and 89 ns when every step rehashed the prefix, and the
+Box-Muller cosine through libm 25-30 ns of a draw against 5-6 ns through
+the vectorized ``tan``.
 """
 from __future__ import annotations
 
@@ -115,19 +115,77 @@ def stream_keys(seed: int, streams) -> np.ndarray:
         return _mix(_mix(np.uint64(seed)) ^ np.asarray(streams, dtype=np.uint64))
 
 
-def _keyed_counters(keys, step: int, steps: int, ncomp: int, out=None) -> np.ndarray:
-    """Counters ``step*ncomp`` on, xor each key, shape ``(steps, len(keys), ncomp)``."""
-    keys = np.asarray(keys, dtype=np.uint64)
+def _keyed_counters(keys, step: int, steps: int, ncomp: int, out=None,
+                    spare=None) -> np.ndarray:
+    """Counters ``step*ncomp`` on, xor each key, shape ``(steps, len(keys), ncomp)``.
+
+    ``out`` receives them and ``spare``, a uint64 array of the same shape,
+    is overwritten; either is allocated when not given.  The keys and the
+    counters are broadcast by two copies and xored whole: a ufunc on the
+    two broadcast operands takes numpy's buffered path, which allocated
+    129 kB and took 21-23 us per call at (16, 1000) and (66, 250).
+    """
     with np.errstate(over="ignore"):
         c = np.uint64(step) * np.uint64(ncomp) + np.arange(steps * ncomp, dtype=np.uint64)
-    c = c.reshape(steps, ncomp)
+    shape = (steps, len(keys), ncomp)
     if out is None:
-        out = np.empty((steps, len(keys), ncomp), dtype=np.uint64)
-    # one 2-d broadcast per component: a 3-d one takes numpy's buffered
-    # path, up to four times slower at two or three components
-    for comp in range(ncomp):
-        np.bitwise_xor(c[:, comp, None], keys, out=out[:, :, comp])
-    return out
+        out = np.empty(shape, dtype=np.uint64)
+    if spare is None:
+        spare = np.empty(shape, dtype=np.uint64)
+    np.copyto(out, np.asarray(keys, dtype=np.uint64)[:, None])
+    np.copyto(spare, c.reshape(steps, 1, ncomp))
+    return np.bitwise_xor(out, spare, out=out)
+
+
+def scratch_words(steps: int, n: int, ncomp: int) -> int:
+    """Length of the uint64 scratch :func:`normal_block` needs for a block."""
+    return 5 * n * (steps * ncomp // 2 + 1)
+
+
+def _pairs_into(keys, start: int, rows: int, cols: int, even, odd,
+                scratch: np.ndarray) -> None:
+    """Box-Muller on the counter pairs ``start*cols`` on, one hash per pair.
+
+    Pair k of a key is hashed once into two tagged words, u1 in (0, 1] and
+    u2 in [0, 1) on the 2^-53 lattice; with r = sqrt(-2 log u1),
+    t = tan(pi (u2 - 1/2)) and s = r / (t^2 + 1), counter 2k gets
+    r cos(2 pi u2) = r - 2s and counter 2k + 1 gets
+    r sin(2 pi u2) = (-2t) s (:func:`_wave_2pi`'s identities).  ``even``
+    and ``odd``, float64 arrays (or views) of the pairs' shape
+    ``(rows, len(keys), cols)``, receive them; the three uint64 words of
+    each pair are worked in place in ``scratch``.
+    """
+    shape = (rows, len(keys), cols)
+    size = rows * len(keys) * cols
+    h, w, tmp = (scratch[i * size:(i + 1) * size].reshape(shape) for i in range(3))
+    _mix_into(_keyed_counters(keys, start, rows, cols, h, tmp), tmp)
+    _mix_into(np.bitwise_xor(h, _TAG_A, out=w), tmp)
+    _mix_into(np.bitwise_xor(h, _TAG_B, out=h), tmp)
+    w >>= np.uint64(11)
+    h >>= np.uint64(11)
+    # words to floats by copyto, which casts in place; a ufunc that casts
+    # allocates a 64 kB buffer per call
+    r = tmp.view(np.float64)
+    np.copyto(r, w)
+    r += 1.0
+    r *= _INV53                                     # u1 in (0, 1]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t = w.view(np.float64)
+    np.copyto(t, h)
+    t *= _INV53                                     # u2 in [0, 1)
+    t -= 0.5
+    t *= np.pi
+    np.tan(t, out=t)
+    s = h.view(np.float64)
+    np.multiply(t, t, out=s)
+    s += 1.0
+    np.divide(r, s, out=s)
+    t *= -2.0
+    np.multiply(t, s, out=odd)
+    s *= 2.0
+    np.subtract(r, s, out=even)
 
 
 def normal_block(keys: np.ndarray, step: int, steps: int, ncomp: int,
@@ -136,46 +194,42 @@ def normal_block(keys: np.ndarray, step: int, steps: int, ncomp: int,
     """Standard normals for ``steps`` consecutive steps from :func:`stream_keys`.
 
     Returns shape ``(steps, len(keys), ncomp)``; row j is the draw of step
-    ``step + j``, bit for bit.  Box-Muller runs on two tagged words per
-    counter in two uint64 buffers of the block's size, reused in place,
-    and the output's bytes serve as the mixer's shift scratch.
+    ``step + j``, bit for bit.  Counter ``step*ncomp + comp`` of a key
+    belongs to pair ``counter // 2``, and one Box-Muller transform gives
+    both of a pair's normals (:func:`_pairs_into`): width-1 noise pairs
+    consecutive steps of a particle, width-2 noise the two components of
+    a step.  At even widths a pair is two neighbouring entries of ``out``
+    and is drawn into it.  At odd widths the block's whole pairs are drawn
+    into scratch and its counters copied out, the half of an edge pair
+    outside the block dropped.  For width 1 that costs no more than
+    drawing into ``out`` where its pairs are views of it; a width-2 block
+    copied so took 22.6 against 16.9 ns per draw at N = 200.
 
     ``out``, a C-contiguous float64 array of the block's shape, receives
     the normals and is returned; ``scratch``, a 1-d uint64 array of at
-    least twice the block's size, holds the two words.  A caller that
-    draws block after block passes the same buffers each time, so no call
-    allocates block-sized memory; the bits are those of a call without
-    them, which allocates all three.
+    least :func:`scratch_words` words, holds the hash words.  A caller
+    that draws block after block passes the same buffers each time, so no
+    call allocates block-sized memory (numpy may take one 64 kB iteration
+    buffer for the strided writes); the bits are those of a call without
+    them, which allocates both.
     """
-    shape = (steps, len(keys), ncomp)
-    size = steps * len(keys) * ncomp
+    n = len(keys)
     if out is None:
-        out = np.empty(shape)
+        out = np.empty((steps, n, ncomp))
     if scratch is None:
-        scratch = np.empty(2 * size, dtype=np.uint64)
-    h = scratch[:size].reshape(shape)
-    w = scratch[size:2 * size].reshape(shape)
-    tmp = out.view(np.uint64)
-    _mix_into(_keyed_counters(keys, step, steps, ncomp, h), tmp)
-    _mix_into(np.bitwise_xor(h, _TAG_A, out=w), tmp)
-    _mix_into(np.bitwise_xor(h, _TAG_B, out=h), tmp)
-    w >>= np.uint64(11)
-    h >>= np.uint64(11)
-    # words to floats by copyto, which casts in place; a ufunc that casts
-    # allocates a 64 kB buffer per call
-    radius = out
-    np.copyto(radius, w)
-    radius += 1.0
-    radius *= _INV53                                # u1 in (0, 1]
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle = w.view(np.float64)
-    np.copyto(angle, h)
-    angle *= _INV53                                 # u2 in [0, 1)
-    _wave_2pi(angle, cosine=True, out=angle, scratch=h.view(np.float64))
-    radius *= angle
-    return radius
+        scratch = np.empty(scratch_words(steps, n, ncomp), dtype=np.uint64)
+    if ncomp % 2 == 0:
+        pairs = out.reshape(steps, n, ncomp // 2, 2)
+        _pairs_into(keys, step, steps, ncomp // 2, pairs[..., 0], pairs[..., 1], scratch)
+    else:
+        first, count = step * ncomp, steps * ncomp          # the block's counters
+        k0 = first // 2
+        rows = (first + count + 1) // 2 - k0
+        full = scratch[3 * rows * n:5 * rows * n].view(np.float64).reshape(rows, 2, n, 1)
+        _pairs_into(keys, k0, rows, 1, full[:, 0], full[:, 1], scratch)
+        counters = full.reshape(2 * rows, n)[first - 2 * k0:first - 2 * k0 + count]
+        np.copyto(out, counters.reshape(steps, ncomp, n).transpose(0, 2, 1))
+    return out
 
 
 def normals(seed: int, streams, step: int, ncomp: int) -> np.ndarray:

@@ -10,10 +10,11 @@ Three modes share one driver, :func:`simulate_lanes`:
   where the scale separation was removed before the particle limit, so they
   are compared against the prelimit system at matched particle count.
 
-The empirical measure is frozen at the start of every step.  Noise comes
-from the counter-based generator keyed (seed, particle stream, step), so
-trajectories are reproducible bit for bit however the draws are blocked
-and permute exactly with the particle streams.  Feedback controls enter
+The empirical measure is frozen at the start of every step; its mean is
+one plain sum over the particles, which the driver holds in stream order.
+Noise comes from the counter-based generator keyed (seed, particle stream,
+step), so trajectories are reproducible bit for bit however the draws are
+blocked and permute exactly with the particle streams.  Feedback controls enter
 through the noise matrix (sigma u dt, or noise u dt in averaged modes) and
 their quadratic cost is accumulated with the trapezoidal rule along the
 path.
@@ -40,7 +41,8 @@ function, for them one side each of a shared
 
 Every step is bit for bit the plain Euler-Maruyama step, with less work
 around the numerics: the measure is frozen without re-checking positions the
-monitor has just checked, the moment cap is certified by an unsorted sum
+monitor has just checked, its mean is a plain sum in stream order instead
+of a sorted sum, the moment cap is certified by an unsorted sum
 and a rounding bound (sorting only when the bound cannot decide), a
 single-column noise matrix multiplies by broadcast, and the wrap, the
 drifts and the update run in place in their operation order.  Cost per
@@ -53,8 +55,11 @@ Box-Muller cosine and the fast-drift sine then went through scalar libm;
 they now go through numpy's vectorized tangent (``rng._wave_2pi``).
 Measured the same way on a host about twice as slow: 80 ns multiscale,
 64 ns pre-averaged and 54 ns coupled, against 127, 98 and 83 ns with
-libm.  Measured apart, the noise draw (27 ns per draw) and the fast drift
-(9 ns per particle) are now under half of a multiscale step.
+libm.  Since then each noise hash serves two normals (``rng``), and the
+frozen mean dropped its sort: at N = 4000 in 8-step blocks the draw takes
+16-21 against 23-31 ns, the mean about 7 against 31 us a step, and the
+benchmark's coupled top pair (N = 4000, eps = 0.05, 4000 steps) timed
+alone on one CPU 1.23 against 1.69 s (medians of six runs each).
 """
 from __future__ import annotations
 
@@ -71,7 +76,7 @@ from . import __version__, rng
 from .effective import EffectiveModel, _times_transpose
 from .errors import SimulationError, ValidationError
 from .measures import (EmpiricalMeasure, MeasurePath, _moment_terms, _sorted_sum,
-                       radial_moment, wasserstein2)
+                       _StreamOrderMeasure, radial_moment, wasserstein2)
 from .torus import FastCoefficients
 
 
@@ -419,15 +424,24 @@ class Lane:
 
 
 class _LaneRun:
-    """Mutable state of one lane while the driver steps it."""
+    """Mutable state of one lane while the driver steps it.
 
-    def __init__(self, lane: Lane):
+    ``order``, when given, is the permutation that puts the particles in
+    stream order: the run steps ``x0[order]`` and records its frames and
+    costs back in the caller's order.
+    """
+
+    def __init__(self, lane: Lane, order: np.ndarray | None = None):
         n = lane.config.n_particles
         self.lane = lane
         self.x = np.array(lane.x0, dtype=float)
         if self.x.shape != (n, lane.dim):
             raise ValidationError(
                 f"initial positions have shape {self.x.shape}, expected {(n, lane.dim)}")
+        self.unsort = None
+        if order is not None:
+            self.x = self.x[order]
+            self.unsort = np.argsort(order)
         self.sqrt_dt = np.sqrt(lane.config.dt)
         self.weights = np.full(n, 1.0 / n)
         self.weights.flags.writeable = False
@@ -440,9 +454,10 @@ class _LaneRun:
         """Freeze the measure and evaluate the control at the start of a step.
 
         The positions passed the monitor at the end of the last step, so the
-        measure is built without re-checking them.
+        measure is built without re-checking them; its mean is a plain sum
+        over the particles in stream order.
         """
-        self.mu = EmpiricalMeasure._trusted(self.x, self.weights)
+        self.mu = _StreamOrderMeasure._trusted(self.x, self.weights)
         control = self.lane.control
         if control is None:
             return
@@ -478,7 +493,11 @@ class _LaneRun:
         _monitor(self.x, step, t, self.lane.moment_cap)
         if step in snap_steps:
             self.times.append(t)
-            self.frames.append(self.x.copy())
+            self.frames.append(self._caller_order(self.x))
+
+    def _caller_order(self, values: np.ndarray) -> np.ndarray:
+        """A copy of per-particle ``values`` in the order of ``x0``."""
+        return values.copy() if self.unsort is None else values[self.unsort]
 
     def finish(self) -> TrajectoryRecord:
         lane = self.lane
@@ -488,7 +507,7 @@ class _LaneRun:
         return TrajectoryRecord(
             scenario=lane.scenario_name, mode=lane.mode, config=lane.config,
             times=np.asarray(self.times), positions=np.stack(self.frames),
-            cost_per_particle=self.cost,
+            cost_per_particle=None if self.cost is None else self._caller_order(self.cost),
             control_label=None if lane.control is None else lane.control.label,
         )
 
@@ -513,8 +532,13 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
     here, into one buffer that every block reuses.  Any other
     supplier must return the bits that call would, as a side of a
     :class:`~mvhomog.noise_ring.NoiseRing` does.  The step is
-    X + drift dt + sigma xi sqrt(dt) + sigma u dt; permuting ``streams``
-    together with the initial positions permutes the trajectories exactly.
+    X + drift dt + sigma xi sqrt(dt) + sigma u dt.  The particles are
+    stepped in increasing stream order: when ``streams`` is not
+    increasing, they and the initial positions are put in that order once
+    at the start, and each recorded frame is put back.  So the frozen
+    measure's plain-sum mean, and with it every trajectory, permutes
+    exactly when ``streams`` and the initial positions are permuted
+    together.
 
     A lane whose monitor raises ``SimulationError`` stops while the others
     go on; at the end the error of the first failed lane, in list order, is
@@ -529,13 +553,19 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
                 f"lanes must share one noise, of one width (got {width} and "
                 f"{lane.noise_dim}), and n_particles, dt, t_end, seed and snapshots")
     n = config.n_particles
+    order = None
     if streams is None:
         streams = np.arange(n, dtype=np.uint64)
     else:
         streams = np.asarray(streams, dtype=np.uint64)
         if streams.shape != (n,):
             raise ValidationError(f"streams shape {streams.shape} does not match {n} particles")
-    runs = [_LaneRun(lane) for lane in lanes]
+        if np.any(streams[1:] <= streams[:-1]):
+            # once, not per step: a gather of every step's positions
+            # cost 16 us at N = 4000
+            order = np.argsort(streams, kind="stable")
+            streams = streams[order]
+    runs = [_LaneRun(lane, order) for lane in lanes]
     keys = rng.stream_keys(config.seed, streams)
     snap_steps = set(int(s) for s in config.snapshot_steps())
     k_total = config.n_steps
@@ -544,7 +574,7 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
     if draw is None:
         # one block buffer and one scratch, reused every block
         buffer = np.empty((block, n, width))
-        scratch = np.empty(2 * block * n * width, dtype=np.uint64)
+        scratch = np.empty(rng.scratch_words(block, n, width), dtype=np.uint64)
 
         def draw(keys, step, steps, m):
             return rng.normal_block(keys, step, steps, m, buffer[:steps], scratch)

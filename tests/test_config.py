@@ -133,7 +133,7 @@ def test_step_tolerance_is_the_runs_own():
 
 
 @pytest.mark.parametrize("raw, message", [
-    ({"t_end": 1e308}, r"plan\.reference\.dt: dt=0\.0025 cuts the horizon t_end=1e\+308 "
+    ({"t_end": 1e308}, r"plan\.t_end: dt=0\.0025 cuts the horizon t_end=1e\+308 "
                        r"into inf steps, more than MAX_STEPS=100000000"),
     ({"rungs": [{"n_particles": 10, "epsilon": 0.5, "dt": 1e-300}]},
      r"plan\.rungs\[0\]\.dt: dt=1e-300 cuts the horizon t_end=1\.0 into 1e\+300 steps"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -75,31 +77,40 @@ def _splitmix(z):
     return z ^ (z >> np.uint64(31))
 
 
-def _seed_formula_hash(seed, streams, step, ncomp):
-    """One hash of (seed, stream, counter) per call, shape (len(streams), ncomp)."""
+def _seed_formula_hash(seed, streams, counters):
+    """One hash of (seed, stream, counter), shape (len(streams), len(counters))."""
     with np.errstate(over="ignore"):
         s = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
-        c = np.uint64(step) * np.uint64(ncomp) + np.arange(ncomp, dtype=np.uint64)
-        return _splitmix(_splitmix(_splitmix(np.uint64(seed)) ^ s) ^ c[None, :])
+        return _splitmix(_splitmix(_splitmix(np.uint64(seed)) ^ s) ^ counters[None, :])
+
+
+def _step_counters(step, ncomp):
+    with np.errstate(over="ignore"):
+        return np.uint64(step) * np.uint64(ncomp) + np.arange(ncomp, dtype=np.uint64)
 
 
 def _seed_formula_normals(seed, streams, step, ncomp):
-    """The draws as specified: Box-Muller on two tagged words per counter.
+    """The draws as specified: Box-Muller on two tagged words per counter pair.
 
-    The angle's cosine is cos(2 pi u2) = (t^2 - 1) / (t^2 + 1) with
-    t = tan(pi (u2 - 1/2)).
+    Counter c belongs to pair c // 2, which is hashed as the counter.  With
+    r = sqrt(-2 log u1), t = tan(pi (u2 - 1/2)) and s = r / (t^2 + 1), the
+    even counter takes r cos(2 pi u2) = r - 2s and the odd one
+    r sin(2 pi u2) = (-2t) s.
     """
-    h = _seed_formula_hash(seed, streams, step, ncomp)
+    c = _step_counters(step, ncomp)
+    h = _seed_formula_hash(seed, streams, c // np.uint64(2))
     w1 = _splitmix(h ^ rng._TAG_A)
     w2 = _splitmix(h ^ rng._TAG_B)
     u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
     u2 = (w2 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u1))
     t = np.tan(np.pi * (u2 - 0.5))
-    return np.sqrt(-2.0 * np.log(u1)) * ((t * t - 1.0) / (t * t + 1.0))
+    s = r / (t * t + 1.0)
+    return np.where(c % np.uint64(2) == 0, r - 2.0 * s, (-2.0 * t) * s)
 
 
 def _seed_formula_uniforms(seed, streams, step, ncomp):
-    h = _seed_formula_hash(seed, streams, step, ncomp)
+    h = _seed_formula_hash(seed, streams, _step_counters(step, ncomp))
     return (_splitmix(h ^ rng._TAG_UNIFORM) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
@@ -161,7 +172,7 @@ def test_blocks_into_owned_buffers_equal_allocating_draws(ncomp):
     n, block, n_steps, first = 70, 9, 40, 2 ** 33 - 20
     keys = rng.stream_keys(77, np.arange(n, dtype=np.uint64)[::-1])
     out = np.full((block, n, ncomp), np.nan)
-    scratch = np.full(2 * block * n * ncomp, 0xFFFF, dtype=np.uint64)
+    scratch = np.full(rng.scratch_words(block, n, ncomp), 0xFFFF, dtype=np.uint64)
     for k in range(0, n_steps, block):
         steps = min(block, n_steps - k)
         got = rng.normal_block(keys, first + k, steps, ncomp, out[:steps], scratch)
@@ -212,3 +223,79 @@ def test_wave_of_a_strided_column_equals_its_contiguous_copy():
         strided = rng._wave_2pi(y[:, 1], cosine)
         contiguous = rng._wave_2pi(np.ascontiguousarray(y[:, 1]), cosine)
         assert np.array_equal(strided.view(np.int64), contiguous.view(np.int64))
+
+
+@pytest.mark.parametrize("ncomp", [1, 2, 3, 4])
+@pytest.mark.parametrize("step, steps", [(6, 4), (6, 5), (7, 4), (7, 5), (0, 1), (9, 1)])
+def test_every_block_layout_equals_the_formula(ncomp, step, steps):
+    # pairs drawn straight into the block (even widths) and through scratch
+    # (odd widths), from and to either half of a pair
+    n = 33
+    streams = np.arange(n, dtype=np.uint64)[::-1]
+    keys = rng.stream_keys(314, streams)
+    out = np.full((steps, n, ncomp), np.nan)
+    scratch = np.full(rng.scratch_words(steps, n, ncomp), 0xFFFF, dtype=np.uint64)
+    got = rng.normal_block(keys, step, steps, ncomp, out, scratch)
+    want = np.stack([_seed_formula_normals(314, streams, step + j, ncomp) for j in range(steps)])
+    assert got.tobytes() == want.tobytes()
+
+
+def _drawn_in_odd_blocks(ncomp, n, first, n_steps, block=131):
+    """Normals of steps first.. in blocks of ``block`` steps, (n_steps, n, ncomp)."""
+    keys = rng.stream_keys(2027, np.arange(n, dtype=np.uint64))
+    return np.concatenate([rng.normal_block(keys, first + k, min(block, n_steps - k), ncomp)
+                           for k in range(0, n_steps, block)])
+
+
+def _pair_halves(ncomp):
+    """The two normals of 10^6 pairs, drawn in blocks that start and end
+    inside a pair: width 1 pairs steps (2k, 2k+1), width 2 the components."""
+    if ncomp == 1:
+        x = _drawn_in_odd_blocks(1, 2000, 131, 1001)[1:, :, 0]   # from step 132
+        pairs = x.reshape(500, 2, 2000)
+        return pairs[:, 0].ravel(), pairs[:, 1].ravel()
+    x = _drawn_in_odd_blocks(2, 2000, 131, 500)
+    return x[..., 0].ravel(), x[..., 1].ravel()
+
+
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_paired_normals_are_standard_and_uncorrelated(ncomp):
+    from scipy import stats
+
+    first, second = _pair_halves(ncomp)
+    pairs = len(first)
+    assert pairs == 10 ** 6
+    x = np.concatenate([first, second])
+    n = len(x)
+    # five standard errors of each moment of N(0, 1) at n draws
+    assert abs(x.mean()) < 5 / np.sqrt(n)
+    assert abs(np.mean(x ** 2) - 1.0) < 5 * np.sqrt(2 / n)
+    assert abs(np.mean(x ** 3)) < 5 * np.sqrt(15 / n)
+    assert abs(np.mean(x ** 4) - 3.0) < 5 * np.sqrt(96 / n)
+    assert abs(np.corrcoef(first, second)[0, 1]) < 5 / np.sqrt(pairs)
+    assert stats.kstest(x, "norm").pvalue > 1e-3
+
+
+def _peak_bytes(call):
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("steps, n", [(32, 1000), (131, 250), (8, 4000)])
+def test_a_block_into_owned_buffers_allocates_no_block_sized_memory(steps, n):
+    # the counter broadcast took numpy's buffered path at the lower rungs'
+    # shapes: 129 kB per call; the block itself is 256 kB
+    keys = rng.stream_keys(5, np.arange(n, dtype=np.uint64))
+    rows = steps // 2 + 1
+    h, spare = (np.empty((rows, n, 1), dtype=np.uint64) for _ in range(2))
+    assert _peak_bytes(lambda: rng._keyed_counters(keys, 131, rows, 1, h, spare)) < 4096
+    out = np.empty((steps, n, 1))
+    scratch = np.empty(rng.scratch_words(steps, n, 1), dtype=np.uint64)
+    for step in (steps, steps + 1):
+        peak = _peak_bytes(lambda: rng.normal_block(keys, step, steps, 1, out, scratch))
+        assert peak < out.nbytes // 3

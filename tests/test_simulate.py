@@ -37,6 +37,45 @@ def test_exchangeability_under_stream_permutation():
     assert np.array_equal(permuted.positions[-1], base.positions[-1][perm])
 
 
+def test_frozen_mean_is_bitwise_invariant_under_stream_permutation():
+    # the positions alone do not show a mean that depends on the order the
+    # particles are listed in: a one-ulp change in it is lost in kappa dt
+    sc = get_scenario("dawson_rough")
+    cfg = _dawson_cfg(n=300)
+    x0 = sc.initial_positions(300, cfg.seed)
+    perm = np.random.default_rng(1).permutation(300)
+    seen = []
+    for streams, start in ((None, x0), (perm.astype(np.uint64), x0[perm])):
+        means = []
+
+        def spy(xs, mu):
+            means.append(mu.mean().copy())
+            return sc.slow_drift(xs, mu)
+
+        lane = multiscale_lane(sc.fast_coefficients(), spy, start, cfg,
+                               moment_cap=sc.moment_cap)
+        rec = simulate_lanes([lane], streams)[0]
+        seen.append((np.array(means), rec.positions))
+    (means, frames), (permuted_means, permuted_frames) = seen
+    assert means.shape == (cfg.n_steps, 1)
+    assert means.tobytes() == permuted_means.tobytes()
+    assert permuted_frames.tobytes() == frames[:, perm].tobytes()
+
+
+def test_a_controlled_run_permutes_its_costs_with_the_streams():
+    sc = get_scenario("dawson_rough")
+    model = sc.effective_model()
+    cfg = SimConfig(n_particles=80, dt=0.01, t_end=0.2, seed=5)
+    x0 = sc.initial_positions(80, cfg.seed)
+    perm = np.random.default_rng(2).permutation(80)
+    control = FeedbackControl(lambda t, xs, mu: np.sin(xs - mu.mean()), 1)
+    base = simulate_lanes([averaged_lane(model, x0, cfg, control)])[0]
+    permuted = simulate_lanes([averaged_lane(model, x0[perm], cfg, control)],
+                              perm.astype(np.uint64))[0]
+    assert permuted.positions.tobytes() == base.positions[:, perm].tobytes()
+    assert permuted.cost_per_particle.tobytes() == base.cost_per_particle[perm].tobytes()
+
+
 def test_first_snapshot_is_initial_condition():
     sc = get_scenario("cos_rough_1d")
     cfg = _dawson_cfg(n=100, eps=0.2, t_end=0.1, seed=9)
@@ -479,9 +518,23 @@ def test_a_failed_lane_stops_alone_and_the_first_failure_is_raised():
 # ---------------------------------------------------------------------------
 # simulate_lanes against its step written out plainly
 
+class _StreamSumMeasure(EmpiricalMeasure):
+    """A validated measure whose mean is the stepper's, as specified: the
+    plain numpy sum of x_i / n over the particles in increasing stream order."""
+
+    def __init__(self, atoms, streams):
+        super().__init__(atoms)
+        self.in_stream_order = self.atoms[np.argsort(streams, kind="stable")]
+
+    def mean(self):
+        x = self.in_stream_order
+        return np.array([np.sum(x[:, k] * (1.0 / len(x))) for k in range(self.dim)])
+
+
 def _reference_run(x0, cfg, drift, sigma, moment_cap, control=None, streams=None):
-    """Euler-Maruyama as first written: a validated measure and the sorted
-    moment every step, one noise draw per step, and ``vec @ sigma.T``.
+    """Euler-Maruyama as first written: a validated measure with the
+    stream-order mean and the sorted moment every step, one noise draw per
+    step, and ``vec @ sigma.T``.
 
     Returns (positions at the snapshot steps, cost, control log), or the
     SimulationError message that stops the run.
@@ -500,7 +553,7 @@ def _reference_run(x0, cfg, drift, sigma, moment_cap, control=None, streams=None
                         f"at step {k} (t={t:g})")
         if k in snaps:
             frames.append(x.copy())
-        mu = EmpiricalMeasure(x)
+        mu = _StreamSumMeasure(x, streams)
         u = None
         if control is not None:
             u = np.asarray(control.func(t, x, mu), dtype=float)
