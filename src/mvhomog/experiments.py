@@ -18,18 +18,10 @@ of forked worker processes, up to one per usable CPU (see
 ``Scenario.ladder_lanes``, which refuses a twin pair of two noise widths
 before any run starts.  Fork hands the workers the job table, whose
 lanes hold the effective model's coefficients, closures that cannot be
-pickled; the pool closes once the jobs are done.  Fork also shares,
-on purpose, memory and locks: each split rung/seed pair has a
-:class:`~mvhomog.noise_ring.NoiseRing`, two anonymous shared mappings, a
-lock and two semaphores made before the fork, through which its two jobs
-draw every noise block once.  This process never takes a ring's lock,
-and the workers take it with a timeout.  Fork copies only the calling
-thread, so a lock that another thread holds at that moment stays held in
-the child; Python 3.12 and later warn at every fork from a process with
-other threads.  The package starts no threads of its own, but numpy's
-BLAS may keep a pool and a caller may run threads beside the plan; the
-jobs take no lock of theirs but the rings'.  A daemonic process, which
-may not have children, runs its plans inline.
+pickled; the pool closes once the jobs are done.  The two jobs of a split
+pair share nothing: each draws its own noise, which the counter-based
+generator makes the same bits.  A daemonic process, which may not have
+children, runs its plans inline.
 """
 from __future__ import annotations
 
@@ -41,7 +33,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,10 +43,9 @@ from .config import ExperimentPlan
 from .effective import QUAD_POINTS, gamma_separable
 from .errors import SimulationError
 from .measures import wasserstein2
-from .noise_ring import NoiseRing, RingSide
 from .rate import dictionary_for_path, evaluate_jdg
 from .scenarios import Scenario, get_scenario
-from .simulate import noise_block, simulate_lanes
+from .simulate import simulate_lanes
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -154,15 +144,13 @@ def _json_scalar(value: float):
 class _Job:
     """One independent particle run of a plan, or a coupled pair of them.
 
-    The job steps its ``lanes`` together, drawing their noise through the
-    ring ``side`` when it has one.  ``key`` is the runtime entry it adds
-    to, ``stems`` its records' artifact names, and ``size`` its particles
-    times steps, by which jobs are ranked.
+    The job steps its ``lanes`` together on one noise.  ``key`` is the
+    runtime entry it adds to, ``stems`` its records' artifact names, and
+    ``size`` its particles times steps, by which jobs are ranked.
     """
 
     key: str
     lanes: tuple
-    side: RingSide | None = None
 
     @property
     def stems(self) -> tuple:
@@ -176,8 +164,7 @@ class _Job:
 def _execute(job: _Job, base: Path) -> tuple:
     """Run a job and write its CSVs and summaries; (records, seconds)."""
     t0 = time.perf_counter()
-    with job.side if job.side is not None else nullcontext():
-        records = simulate_lanes(list(job.lanes), draw=job.side)
+    records = simulate_lanes(list(job.lanes))
     for rec, stem in zip(records, job.stems):
         rec.save_csv(base / f"{stem}.csv")
         rec.save_summary_json(base / f"{stem}.summary.json")
@@ -238,27 +225,21 @@ def _run_jobs(jobs: list, base: Path, workers: int) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _plan_jobs(configs: tuple, scenario: Scenario, model, coupled: bool) -> tuple:
-    """(jobs, rings): the runs of ``configs``, ``plan.run_configs()``, in plan order.
+def _plan_jobs(configs: tuple, scenario: Scenario, model, coupled: bool) -> list:
+    """The jobs of ``configs``, ``plan.run_configs()``, in plan order.
 
     A coupled rung/seed is one job stepping its multiscale run and its
-    pre-averaged twin on one noise; otherwise each is a job of its own,
-    drawing that noise through a :class:`NoiseRing`, one per rung/seed tag
-    in ``rings``.  Either way the records are the same bit for bit.
+    pre-averaged twin on one noise; otherwise each is a job of its own that
+    draws that noise itself.  Either way the records are the same bit for
+    bit.
     """
     ref_cfg, rung_cfgs = configs
     jobs = [_Job("reference", scenario.ladder_lanes(ref_cfg, model))]
-    rings = {}
     for i, cfg in rung_cfgs:
         tag = f"rung{i}_seed{cfg.seed}"
         lanes = scenario.ladder_lanes(cfg, model)
-        if coupled:
-            jobs.append(_Job(tag, lanes))
-            continue
-        n, width = cfg.n_particles, lanes[0].noise_dim
-        rings[tag] = ring = NoiseRing(n, width, noise_block(n, width), cfg.n_steps)
-        jobs += [_Job(tag, (lane,), side) for lane, side in zip(lanes, ring.sides())]
-    return jobs, rings
+        jobs += [_Job(tag, lanes)] if coupled else [_Job(tag, (lane,)) for lane in lanes]
+    return jobs
 
 
 def _rate_row(run: str, rep) -> list:
@@ -274,28 +255,15 @@ def _rate_row(run: str, rep) -> list:
 
 def _ladder(plan: ExperimentPlan, configs: tuple, scenario: Scenario, model, base: Path,
             artifacts: list, runtimes: dict, say) -> tuple:
-    """The plan's runs, distances and actions: (ladder rows, rate rows, noise sharing).
+    """The plan's runs, distances and actions: (ladder rows, rate rows).
 
     The runs are done first; then the distances and actions are computed
     here, in plan order.
     """
     workers = 1 if multiprocessing.current_process().daemon else _usable_cpus()
-    # a pair is split only when there are fewer seeds than workers, so a
-    # ring is only ever made for a plan that runs in the pool
-    jobs, rings = _plan_jobs(configs, scenario, model, coupled=len(plan.seeds) >= workers)
+    jobs = _plan_jobs(configs, scenario, model, coupled=len(plan.seeds) >= workers)
     workers = min(workers, len(jobs))
-    try:
-        results = _run_jobs(jobs, base, workers)
-        sharing = {}
-        for tag, ring in rings.items():
-            ms, pre = ring.counts()
-            sharing[tag] = {"blocks": ring.n_blocks, "multiscale": ms,
-                            "pre_averaged": pre}
-            say(f"{tag}: {ring.n_blocks} noise blocks; multiscale "
-                f"{_counted(ms)}; pre-averaged {_counted(pre)}")
-    finally:
-        for ring in rings.values():
-            ring.close()
+    results = _run_jobs(jobs, base, workers)
 
     runs: dict[str, tuple] = {}   # runtime key -> (records, seconds)
     for job, (records, seconds) in zip(jobs, results):
@@ -335,11 +303,7 @@ def _ladder(plan: ExperimentPlan, configs: tuple, scenario: Scenario, model, bas
             runtimes[tag] = seconds + time.perf_counter() - t0
             say(f"{tag}: W2 to reference {w2_ref:.4f}, "
                 f"to pre-averaged {w2_pre:.4f} ({runtimes[tag]:.1f}s)")
-    return ladder_rows, rate_rows, sharing
-
-
-def _counted(counts: dict) -> str:
-    return ", ".join(f"{what} {n}" for what, n in counts.items())
+    return ladder_rows, rate_rows
 
 
 def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
@@ -353,23 +317,24 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     one pair per seed, and in a ladder the top rung does most of the work.
     With fewer top-rung pairs than workers, only split runs spread the top
     rung over the workers; with a pair for every worker, coupled jobs keep
-    them as busy and need no ring.  On 2 CPUs (one BLAS thread, alternating runs) the default
-    ladder took a median 1.40 s split against 2.03 s coupled with one seed
-    (5 pairs), 2.64 s coupled against 2.72 s split with two, and 3.87 s
-    coupled against 3.89 s split with three (10 pairs each).
+    them as busy and draw each noise block once.  On 2 CPUs (one BLAS
+    thread, alternating runs, split pairs then sharing their noise) the
+    default ladder took a median 1.40 s split against 2.03 s coupled with
+    one seed (5 pairs), 2.64 s coupled against 2.72 s split with two, and
+    3.87 s coupled against 3.89 s split with three (10 pairs each).
 
     With one usable CPU (``os.sched_getaffinity``), or in a daemonic
     process, the jobs run inline, in plan order.  Otherwise they run in a
     pool of forked workers, one per CPU or per job, whichever is fewer,
     longest job (particles times steps) first.  Every job writes its own
     CSV and summary, and the results are collected in plan order.  The two
-    runs of a split pair draw the same noise, so they draw it through one
-    shared ring: whichever reaches a block first draws it, the other reads
-    it, and every block is drawn once.  On the benchmark's ``ladder_1d``
-    plan the top pair's two jobs then end together, at a median 1.02 s
-    against 1.32 and 1.61 s drawing separately (2-CPU VM, five alternating
-    runs).  Once the runs are done and the pool is closed, this process
-    computes the distances and actions in plan order, from the same arrays
+    runs of a split pair draw the same noise, each on its own: the
+    generator is counter-based, so each draws the same bits.  On the
+    benchmark's one-seed ``ladder_1d`` plan that costs about a tenth of
+    the wall time against two jobs that shared each block through shared
+    memory: medians 1.29 against 1.18 s and 0.87 against 0.79 s (2-CPU
+    VM, 12 and 10 alternating pairs, ``BENCH_23.json``).  Once the runs
+    are done and the pool is closed, this process computes the distances and actions in plan order, from the same arrays
     by the same functions at any worker count; a worker's exception is
     raised with its type and message.  So every artifact byte, and every
     error a run or an action raises, is the same at any worker count.
@@ -378,11 +343,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     reference run with its artifacts, each rung and seed with both of its
     runs, artifacts, distances and action, and the ``total`` call.  Jobs in
     different workers overlap, so the parts sum to at most the worker count
-    times the total, and to at most the total with one worker.  The
-    returned ``noise_sharing`` (never written either, as it depends on the
-    schedule) holds, for each split pair, its ring's block count and,
-    for each run, how many blocks it drew, drew ahead, read from the ring
-    and drew locally; see :meth:`NoiseRing.counts`.
+    times the total, and to at most the total with one worker.
     """
     t_start = time.perf_counter()
     say = echo if echo is not None else (lambda msg: None)
@@ -413,10 +374,10 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
         artifacts.append(p)
         say(f"wrote {p.name}")
 
-    ladder_rows, rate_rows, sharing = [], [], {}
+    ladder_rows, rate_rows = [], []
     if plan.rungs and set(plan.metrics) & {"w2_ladder", "jdg"}:
-        ladder_rows, rate_rows, sharing = _ladder(plan, configs, scenario, model, base,
-                                                  artifacts, runtimes, say)
+        ladder_rows, rate_rows = _ladder(plan, configs, scenario, model, base,
+                                         artifacts, runtimes, say)
 
     if ladder_rows:
         p = base / "ladder.csv"
@@ -461,6 +422,5 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
 
     runtimes["total"] = time.perf_counter() - t_start
     report["runtimes"] = runtimes
-    report["noise_sharing"] = sharing
     report["out_dir"] = str(base)
     return report

@@ -21,9 +21,10 @@ whole range of counters, a block of consecutive steps, in one call with
 in-place uint64 operations and turns them into normals, in buffers the
 caller may own.  :func:`normals` is its one-step case, and
 :func:`uniforms` hashes one step's counters, one hash each, under its own
-tag.  A block is a pure function of its keys and steps, so any process can
-draw it for another, into any buffer: ``noise_ring`` shares the blocks of
-two runs on the same noise between the two processes that step them.
+tag.  A block is a pure function of its keys and steps, so any process
+may redraw any block, bit for bit, into any buffer: two runs on the same
+noise in two processes (a split twin pair) each draw it and need share
+nothing.
 
 Cost, 2-CPU x86-64 VM, numpy 2.4 with its AVX-512 ``tan``, one CPU: a block
 at N = 4000 in the stepper's 8 steps takes 16-21 ns per draw, against
@@ -40,6 +41,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+
+from .errors import ValidationError
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -214,10 +217,16 @@ def normal_block(keys: np.ndarray, step: int, steps: int, ncomp: int,
     them, which allocates both.
     """
     n = len(keys)
+    shape, words = (steps, n, ncomp), scratch_words(steps, n, ncomp)
     if out is None:
-        out = np.empty((steps, n, ncomp))
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValidationError(f"normal_block out has shape {out.shape}, expected {shape}")
     if scratch is None:
-        scratch = np.empty(scratch_words(steps, n, ncomp), dtype=np.uint64)
+        scratch = np.empty(words, dtype=np.uint64)
+    elif scratch.size < words:
+        raise ValidationError(f"normal_block scratch has {scratch.size} words, "
+                              f"needs scratch_words{shape} = {words}")
     if ncomp % 2 == 0:
         pairs = out.reshape(steps, n, ncomp // 2, 2)
         _pairs_into(keys, step, steps, ncomp // 2, pairs[..., 0], pairs[..., 1], scratch)

@@ -34,10 +34,9 @@ the particles over a thread pool made the coupled ladder slower (see the
 README's Performance section).  Parallelism is over whole runs instead:
 ``run_experiment`` runs a plan's runs in forked worker processes, a rung
 and seed's two runs coupled when the plan has a seed for every worker and
-one lane each when it has fewer.  Two such lanes still draw each noise
-block once: :func:`simulate_lanes` takes its blocks from a ``draw``
-function, for them one side each of a shared
-:class:`~mvhomog.noise_ring.NoiseRing`.
+one lane each when it has fewer.  Two such lanes each draw the noise
+themselves: a block is a pure function of its keys and steps, so both
+get the same bits.
 
 Every step is bit for bit the plain Euler-Maruyama step, with less work
 around the numerics: the measure is frozen without re-checking positions the
@@ -335,11 +334,6 @@ def load_trajectory_csv(path) -> MeasurePath:
 _NOISE_BLOCK = 1 << 15
 
 
-def noise_block(n_particles: int, width: int) -> int:
-    """Steps per noise block of a run: about _NOISE_BLOCK draws, at least one step."""
-    return max(1, _NOISE_BLOCK // (n_particles * width))
-
-
 # unit roundoff of float64
 _U = 2.0 ** -53
 
@@ -517,8 +511,8 @@ def _shared_geometry(lane: Lane) -> tuple:
     return (lane.noise_dim, c.n_particles, c.dt, c.n_steps, c.seed, tuple(c.snapshot_steps()))
 
 
-def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
-                   draw: Callable | None = None) -> list[TrajectoryRecord]:
+def simulate_lanes(lanes: list[Lane],
+                   streams: np.ndarray | None = None) -> list[TrajectoryRecord]:
     """Step several runs in lockstep on one noise; one record per lane.
 
     The lanes share noise width (mixed widths are refused, naming both),
@@ -526,12 +520,8 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
     per-particle noise keys.  Each step draws xi once for every lane, so
     each record equals bit for bit the run of its lane alone.  The noise is
     drawn for blocks of consecutive steps, about _NOISE_BLOCK draws at a
-    time; the block length does not change a single bit.  ``draw(keys,
-    step, steps, width)`` supplies each block, which needs to stay valid
-    only until the next call; by default :func:`rng.normal_block` draws it
-    here, into one buffer that every block reuses.  Any other
-    supplier must return the bits that call would, as a side of a
-    :class:`~mvhomog.noise_ring.NoiseRing` does.  The step is
+    time by :func:`rng.normal_block` into one buffer that every block
+    reuses; the block length does not change a single bit.  The step is
     X + drift dt + sigma xi sqrt(dt) + sigma u dt.  The particles are
     stepped in increasing stream order: when ``streams`` is not
     increasing, they and the initial positions are put in that order once
@@ -570,14 +560,10 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
     snap_steps = set(int(s) for s in config.snapshot_steps())
     k_total = config.n_steps
     dt = config.dt
-    block = noise_block(n, width)
-    if draw is None:
-        # one block buffer and one scratch, reused every block
-        buffer = np.empty((block, n, width))
-        scratch = np.empty(rng.scratch_words(block, n, width), dtype=np.uint64)
-
-        def draw(keys, step, steps, m):
-            return rng.normal_block(keys, step, steps, m, buffer[:steps], scratch)
+    block = max(1, _NOISE_BLOCK // (n * width))   # steps per block, at least one
+    # one block buffer and one scratch, reused every block
+    buffer = np.empty((block, n, width))
+    scratch = np.empty(rng.scratch_words(block, n, width), dtype=np.uint64)
     errors: list = [None] * len(runs)   # the SimulationError that stopped each lane
     for i, run in enumerate(runs):
         try:
@@ -591,7 +577,8 @@ def simulate_lanes(lanes: list[Lane], streams: np.ndarray | None = None,
         t = k * dt
         j = k % block
         if j == 0:
-            noise = draw(keys, k, min(block, k_total - k), width)   # (steps, N, width)
+            steps = min(block, k_total - k)
+            noise = rng.normal_block(keys, k, steps, width, buffer[:steps], scratch)
         for i in live:
             run = runs[i]
             try:

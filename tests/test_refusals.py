@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from mvhomog import rng
 from mvhomog.effective import EffectiveModel
 from mvhomog.errors import ValidationError
 from mvhomog.measures import EmpiricalMeasure, MeasurePath, wasserstein2
@@ -24,6 +25,11 @@ def _lanes(width=1, control=None):
     """One four-particle lane of the 1-d heat model, started at width ``width``."""
     config = SimConfig(n_particles=4, dt=0.1, t_end=0.2)
     return [averaged_lane(_heat(1), np.zeros((4, width)), config, control)]
+
+
+def _block(**buffers):
+    """Two width-1 steps of four particles' noise, into the given buffers."""
+    return rng.normal_block(rng.stream_keys(0, np.arange(4)), 0, 2, 1, **buffers)
 
 
 def _path(count, *dims):
@@ -46,6 +52,10 @@ REFUSALS = [
      lambda: simulate_lanes(_lanes(control=FeedbackControl(
          lambda t, x, mu: np.zeros((len(x), 2)), 1))),
      "control returned shape (4, 2), expected (4, 1)"),
+    ("normal_block scratch", lambda: _block(scratch=np.empty(16, dtype=np.uint64)),
+     "normal_block scratch has 16 words, needs scratch_words(2, 4, 1) = 40"),
+    ("normal_block out", lambda: _block(out=np.empty((2, 4, 2))),
+     "normal_block out has shape (2, 4, 2), expected (2, 4, 1)"),
     ("TorusGrid nodes", lambda: TorusGrid(1, 4), "need at least 8 nodes per axis, got 4"),
     ("TorusGrid dimension", lambda: TorusGrid(4, 8),
      "torus dimension must be 1, 2 or 3, got 4"),
