@@ -3,38 +3,49 @@
 Every random draw is a pure function of ``(seed, stream, counter)``, where
 ``stream`` identifies a particle and ``counter`` encodes (step, component).
 Normals come in pairs: counters 2k and 2k + 1 of a stream are keyed by the
-pair index k, which is hashed with a 64-bit finalizer into two tagged
-words, u1 in (0, 1] and u2 in [0, 1) on the 2^-53 lattice.  Box-Muller
-gives the even counter r cos(2 pi u2) and the odd one r sin(2 pi u2), with
-r = sqrt(-2 log u1) and both from one t = tan(pi (u2 - 1/2)) (Box and
-Muller, Ann. Math. Statist. 29, 1958; :func:`_wave_2pi`).  There is no
-sequential generator state, which buys two properties that matter here:
+pair index k under a normal-draw tag, and one SplitMix64 finalizer round
+(Steele, Lea and Flood, OOPSLA 2014) hashes it into one 64-bit word h, in
+the counter-based manner of Salmon et al. (SC 2011).  The high half of h
+gives u1 = (hi + 1) 2^-32 in (0, 1] and the low half u2 = lo 2^-32 in
+[0, 1).  Box-Muller gives the even counter r cos(2 pi u2) and the odd one
+r sin(2 pi u2), with r = sqrt(-2 log u1) and both from one
+t = tan(pi (u2 - 1/2)) (Box and Muller, Ann. Math. Statist. 29, 1958;
+:func:`_wave_2pi`).  There is no sequential generator state, which buys
+two properties that matter here:
 
 * reproducibility is independent of chunking and block length, because the
   value of draw (i, k) never depends on which draws were made before it;
 * permuting particle stream ids permutes their noise paths exactly, so
   exchangeability tests can be made bit-exact.
 
+The uniforms u1 and u2 lie on the 2^-32 lattice.  The smallest u1 is
+2^-32, so no normal exceeds sqrt(64 ln 2) = 6.66 in absolute value: the
+tail beyond it has probability 2.7e-11 per draw, about 0.001 draws in
+each run of the benchmark's ``ladder_1d`` plan (37 M draws).  The
+lattice's angles are 2^-32 of a turn apart.
+
 A run hashes the step-independent (seed, stream) prefix once with
 :func:`stream_keys`.  :func:`normal_block` then hashes the pairs of a
 whole range of counters, a block of consecutive steps, in one call with
 in-place uint64 operations and turns them into normals, in buffers the
 caller may own.  :func:`normals` is its one-step case, and
-:func:`uniforms` hashes one step's counters, one hash each, under its own
-tag.  A block is a pure function of its keys and steps, so any process
-may redraw any block, bit for bit, into any buffer: two runs on the same
-noise in two processes (a split twin pair) each draw it and need share
-nothing.
+:func:`uniforms` hashes one step's counters, two rounds each, under its
+own tag, so its words are not the normals'.  A block is a pure function
+of its keys and steps, so any process may redraw any block, bit for bit,
+into any buffer: two runs on the same noise in two processes (a split
+twin pair) each draw it and need share nothing.
 
-Cost, 2-CPU x86-64 VM, numpy 2.4 with its AVX-512 ``tan``, one CPU: a block
-at N = 4000 in the stepper's 8 steps takes 16-21 ns per draw, against
-23-31 ns when every counter took three hash rounds, a log, a sqrt and a
-tangent of its own; three hash rounds per pair are now about 40 % of it.
-Earlier, on the benchmark's traced ``ladder_1d`` (a faster host), blocks
-of about 32k draws had taken 51 ns per draw against 68 ns drawn one step
-at a time and 89 ns when every step rehashed the prefix, and the
-Box-Muller cosine through libm 25-30 ns of a draw against 5-6 ns through
-the vectorized ``tan``.
+Cost, 2-CPU x86-64 VM, numpy 2.4 with its AVX-512 ``tan``, one CPU: a
+block at N = 4000 in the stepper's 8 steps takes 9-13 ns per draw at
+width 1 and 7.5-9 ns at width 2, against 14-18 and 13-16 ns when each
+pair took three hash rounds for two 53-bit uniforms (medians of three
+alternating rounds of fresh processes, ``BENCH_25.json``).  Before pairs
+shared a hash, each counter's own three rounds, log, sqrt and tangent
+took 23-31 ns.  Earlier, on the benchmark's traced ``ladder_1d`` (a
+faster host), blocks of about 32k draws had taken 51 ns per draw against
+68 ns drawn one step at a time and 89 ns when every step rehashed the
+prefix, and the Box-Muller cosine through libm 25-30 ns of a draw against
+5-6 ns through the vectorized ``tan``.
 """
 from __future__ import annotations
 
@@ -47,12 +58,17 @@ from .errors import ValidationError
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-# distinct tags decorrelate the two words drawn per key and the two domains
-_TAG_A = np.uint64(0xD6E8FEB86659FD93)
-_TAG_B = np.uint64(0xA5A5A5A5A5A5A5A5)
+# distinct tags keep the normals' words apart from those of the uniforms
+_TAG_NORMAL = np.uint64(0xD6E8FEB86659FD93)
 _TAG_UNIFORM = np.uint64(0x632BE59BD9B4E019)
 
 _INV53 = 2.0 ** -53
+# a 32-bit half word h or-ed into _EXP20, the bits of 2^20, reads
+# 2^20 + h 2^-32; subtracting these leaves (h + 1) 2^-32 and h 2^-32 - 1/2
+_EXP20 = np.uint64(0x4130000000000000)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U1_SHIFT = 2.0 ** 20 - 2.0 ** -32
+_U2_SHIFT = 2.0 ** 20 + 0.5
 
 # a seed is one uint64 hash key: 0 <= seed < SEED_LIMIT
 SEED_LIMIT = 2 ** 64
@@ -119,17 +135,20 @@ def stream_keys(seed: int, streams) -> np.ndarray:
 
 
 def _keyed_counters(keys, step: int, steps: int, ncomp: int, out=None,
-                    spare=None) -> np.ndarray:
-    """Counters ``step*ncomp`` on, xor each key, shape ``(steps, len(keys), ncomp)``.
+                    spare=None, tag=np.uint64(0)) -> np.ndarray:
+    """Counters ``step*ncomp`` on, xor ``tag``, xor each key: ``(steps, len(keys), ncomp)``.
 
-    ``out`` receives them and ``spare``, a uint64 array of the same shape,
-    is overwritten; either is allocated when not given.  The keys and the
-    counters are broadcast by two copies and xored whole: a ufunc on the
-    two broadcast operands takes numpy's buffered path, which allocated
-    129 kB and took 21-23 us per call at (16, 1000) and (66, 250).
+    The tag goes into the counters, one word per counter, before they meet
+    the keys.  ``out`` receives the result and ``spare``, a uint64 array
+    of the same shape, is overwritten; either is allocated when not given.
+    The keys and the counters are broadcast by two copies and xored
+    whole: a ufunc on the two broadcast operands takes numpy's buffered
+    path, which allocated 129 kB and took 21-23 us per call at (16, 1000)
+    and (66, 250).
     """
     with np.errstate(over="ignore"):
         c = np.uint64(step) * np.uint64(ncomp) + np.arange(steps * ncomp, dtype=np.uint64)
+    c ^= tag
     shape = (steps, len(keys), ncomp)
     if out is None:
         out = np.empty(shape, dtype=np.uint64)
@@ -147,48 +166,46 @@ def scratch_words(steps: int, n: int, ncomp: int) -> int:
 
 def _pairs_into(keys, start: int, rows: int, cols: int, even, odd,
                 scratch: np.ndarray) -> None:
-    """Box-Muller on the counter pairs ``start*cols`` on, one hash per pair.
+    """Box-Muller on the counter pairs ``start*cols`` on, one hash round per pair.
 
-    Pair k of a key is hashed once into two tagged words, u1 in (0, 1] and
-    u2 in [0, 1) on the 2^-53 lattice; with r = sqrt(-2 log u1),
-    t = tan(pi (u2 - 1/2)) and s = r / (t^2 + 1), counter 2k gets
-    r cos(2 pi u2) = r - 2s and counter 2k + 1 gets
-    r sin(2 pi u2) = (-2t) s (:func:`_wave_2pi`'s identities).  ``even``
-    and ``odd``, float64 arrays (or views) of the pairs' shape
+    Pair k of a key, xored with the normal draws' tag, is hashed into one
+    word h by one finalizer round.  Its high half gives
+    u1 = (hi + 1) 2^-32 in (0, 1] and its low half u2 = lo 2^-32 in [0, 1).
+    With r = sqrt(-2 log u1), t = tan(pi (u2 - 1/2)) and
+    m = -2r / (t^2 + 1), counter 2k gets r cos(2 pi u2) = r + m and counter
+    2k + 1 gets r sin(2 pi u2) = t m (:func:`_wave_2pi`'s identities).
+    ``even`` and ``odd``, float64 arrays (or views) of the pairs' shape
     ``(rows, len(keys), cols)``, receive them; the three uint64 words of
     each pair are worked in place in ``scratch``.
+
+    A half word becomes a float without a cast: or-ed under the exponent
+    bits of 2^20 it reads 2^20 + half 2^-32, and one exact subtraction
+    leaves u1, or u2 - 1/2.
     """
     shape = (rows, len(keys), cols)
     size = rows * len(keys) * cols
-    h, w, tmp = (scratch[i * size:(i + 1) * size].reshape(shape) for i in range(3))
-    _mix_into(_keyed_counters(keys, start, rows, cols, h, tmp), tmp)
-    _mix_into(np.bitwise_xor(h, _TAG_A, out=w), tmp)
-    _mix_into(np.bitwise_xor(h, _TAG_B, out=h), tmp)
-    w >>= np.uint64(11)
-    h >>= np.uint64(11)
-    # words to floats by copyto, which casts in place; a ufunc that casts
-    # allocates a 64 kB buffer per call
-    r = tmp.view(np.float64)
-    np.copyto(r, w)
-    r += 1.0
-    r *= _INV53                                     # u1 in (0, 1]
+    h, w, s = (scratch[i * size:(i + 1) * size].reshape(shape) for i in range(3))
+    _mix_into(_keyed_counters(keys, start, rows, cols, h, w, _TAG_NORMAL), w)
+    np.right_shift(h, np.uint64(32), out=w)
+    w |= _EXP20
+    r = w.view(np.float64)
+    r -= _U1_SHIFT                                  # u1 in (0, 1]
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    t = w.view(np.float64)
-    np.copyto(t, h)
-    t *= _INV53                                     # u2 in [0, 1)
-    t -= 0.5
+    h &= _LOW32
+    h |= _EXP20
+    t = h.view(np.float64)
+    t -= _U2_SHIFT                                  # u2 - 1/2 in [-1/2, 1/2)
     t *= np.pi
     np.tan(t, out=t)
-    s = h.view(np.float64)
-    np.multiply(t, t, out=s)
-    s += 1.0
-    np.divide(r, s, out=s)
-    t *= -2.0
-    np.multiply(t, s, out=odd)
-    s *= 2.0
-    np.subtract(r, s, out=even)
+    m = s.view(np.float64)
+    np.multiply(t, t, out=m)
+    m += 1.0
+    np.divide(r, m, out=m)
+    m *= -2.0
+    np.multiply(t, m, out=odd)
+    np.add(r, m, out=even)
 
 
 def normal_block(keys: np.ndarray, step: int, steps: int, ncomp: int,
@@ -214,16 +231,21 @@ def normal_block(keys: np.ndarray, step: int, steps: int, ncomp: int,
     that draws block after block passes the same buffers each time, so no
     call allocates block-sized memory (numpy may take one 64 kB iteration
     buffer for the strided writes); the bits are those of a call without
-    them, which allocates both.
+    them, which allocates both.  A buffer of another dtype, an ``out`` of
+    another shape or a shorter scratch is refused, naming it.
     """
     n = len(keys)
     shape, words = (steps, n, ncomp), scratch_words(steps, n, ncomp)
     if out is None:
         out = np.empty(shape)
+    elif out.dtype != np.float64:
+        raise ValidationError(f"normal_block out has dtype {out.dtype}, needs float64")
     elif out.shape != shape:
         raise ValidationError(f"normal_block out has shape {out.shape}, expected {shape}")
     if scratch is None:
         scratch = np.empty(words, dtype=np.uint64)
+    elif scratch.dtype != np.uint64:
+        raise ValidationError(f"normal_block scratch has dtype {scratch.dtype}, needs uint64")
     elif scratch.size < words:
         raise ValidationError(f"normal_block scratch has {scratch.size} words, "
                               f"needs scratch_words{shape} = {words}")

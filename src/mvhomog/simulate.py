@@ -41,13 +41,14 @@ get the same bits.
 Every step is bit for bit the plain Euler-Maruyama step, with less work
 around the numerics: the measure is frozen without re-checking positions the
 monitor has just checked, its mean is a plain sum in stream order instead
-of a sorted sum, the moment cap is certified by an unsorted sum
-and a rounding bound (sorting only when the bound cannot decide), a
-single-column noise matrix multiplies by broadcast, and the wrap, the
-drifts and the update run in place in their operation order.  Cost per
-particle-step of each N = 4000 run of the benchmark's ``ladder_1d`` plan
-(1-d ``dawson_rough``, eps = 0.05, 4000 steps) timed alone, one BLAS thread,
-2-CPU x86-64 VM, medians of ten alternating runs: 61 ns multiscale and
+of a sorted sum, the moment cap is certified by the positions' two
+extremes and a rounding bound (sorting only when that bound cannot
+decide), a single-column noise matrix multiplies by broadcast, and the
+wrap, the drifts and the update run in place in their operation order.
+Cost per particle-step of each N = 4000 run of the benchmark's
+``ladder_1d`` plan (1-d ``dawson_rough``, eps = 0.05, 4000 steps) timed
+alone, one BLAS thread, 2-CPU x86-64 VM, medians of ten alternating
+runs: 61 ns multiscale and
 42 ns pre-averaged, against 79 and 58 ns before that work was cut, and
 38 ns for each run of a coupled pair (53 ns before).  The noise draw's
 Box-Muller cosine and the fast-drift sine then went through scalar libm;
@@ -58,7 +59,13 @@ libm.  Since then each noise hash serves two normals (``rng``), and the
 frozen mean dropped its sort: at N = 4000 in 8-step blocks the draw takes
 16-21 against 23-31 ns, the mean about 7 against 31 us a step, and the
 benchmark's coupled top pair (N = 4000, eps = 0.05, 4000 steps) timed
-alone on one CPU 1.23 against 1.69 s (medians of six runs each).
+alone on one CPU 1.23 against 1.69 s (medians of six runs each).  Then
+one hash round came to serve a pair and the monitor to read the two
+extremes first: at N = 4000 in 8-step blocks the draw takes 9-13
+against 14-18 ns and the monitor 4.7-5.1 against 10-15 us a step (one
+CPU, three alternating rounds), and the benchmark's ``ladder_1d`` (2 CPUs)
+took a median 1.03 against 1.23 s over ten alternating pairs, nine won
+(``BENCH_25.json``).
 """
 from __future__ import annotations
 
@@ -74,7 +81,7 @@ import numpy as np
 from . import __version__, rng
 from .effective import EffectiveModel, _times_transpose
 from .errors import SimulationError, ValidationError
-from .measures import (EmpiricalMeasure, MeasurePath, _moment_terms, _sorted_sum,
+from .measures import (EmpiricalMeasure, MeasurePath, _sorted_sum,
                        _StreamOrderMeasure, radial_moment, wasserstein2)
 from .torus import FastCoefficients
 
@@ -334,30 +341,43 @@ def load_trajectory_csv(path) -> MeasurePath:
 _NOISE_BLOCK = 1 << 15
 
 
-# unit roundoff of float64
+# unit roundoff of float64, and a bound on what underflow adds to a moment
 _U = 2.0 ** -53
+_TINY = 2.0 ** -1000
 
 
 def _monitor(positions: np.ndarray, step: int, t: float, moment_cap) -> None:
     """Raise SimulationError on non-finite positions or a moment over the cap.
 
     The cap is checked against the sorted (order-independent) moment, as
-    ``radial_moment`` returns it, but that sort is made only when a cheap
-    bound cannot decide.  Any summation order of n nonnegative terms is
-    within gamma_{n-1} = (n-1)u / (1 - (n-1)u) of the exact sum (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, sec. 4.2), so the
-    sorted sum is at most S (1 + gamma) / (1 - gamma) = S / (1 - 2(n-1)u)
-    for the unsorted sum S; 1 + 4nu bounds that together with the rounding
-    of the product.  For order > 0 a finite S also means every position is
-    finite.  Decisions and messages are those of the sorted moment.
+    ``radial_moment`` returns it, but that moment is computed only when a
+    cheap bound cannot decide.  If the largest and the smallest position are
+    finite, so is every position, and with P = max |x_ik| the moment
+    sum_i w_i |x_i|^p is at most B = (d P^2)^(p/2).  The computed moment and
+    the computed B each carry relative rounding errors: at most
+    (1 + u)^(p (d/2 + 2) + 4) per term (the squares, their row sum, the
+    powers and the weight), (1 + u)^(n - 1) for the sorted sum, and
+    (1 + u)^(p + 4) for B itself, with u the unit roundoff.  So
+    B (1 + 2 (n + p (d + 4) + 16) u) bounds the computed moment, and an
+    absolute 2^-1000 covers what underflow in the terms may add.  A B past
+    the float range decides nothing.  Decisions and messages are those of
+    the sorted moment.
     """
     n = len(positions)
     if moment_cap is not None:
         order, cap = moment_cap
         if order > 0:
-            total = float(_moment_terms(positions, 1.0 / n, order).sum())
-            if total < np.inf and total * (1.0 + 4 * n * _U) <= cap:
-                return
+            hi = float(np.maximum.reduce(positions, axis=None))
+            lo = float(np.minimum.reduce(positions, axis=None))
+            if -np.inf < lo and hi < np.inf:       # false for a NaN
+                d = positions.shape[1]
+                peak = max(hi, -lo)
+                try:
+                    bound = (d * peak * peak) ** (order / 2)
+                except OverflowError:       # float ** raises where numpy gives inf
+                    bound = np.inf
+                if bound * (1.0 + 2 * (n + order * (d + 4) + 16) * _U) + _TINY <= cap:
+                    return
     bad = ~np.isfinite(positions)
     if bad.any():
         raise SimulationError(

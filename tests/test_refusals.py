@@ -56,6 +56,14 @@ REFUSALS = [
      "normal_block scratch has 16 words, needs scratch_words(2, 4, 1) = 40"),
     ("normal_block out", lambda: _block(out=np.empty((2, 4, 2))),
      "normal_block out has shape (2, 4, 2), expected (2, 4, 1)"),
+    ("normal_block out float32", lambda: _block(out=np.empty((2, 4, 1), dtype=np.float32)),
+     "normal_block out has dtype float32, needs float64"),
+    ("normal_block out int64", lambda: _block(out=np.empty((2, 4, 1), dtype=np.int64)),
+     "normal_block out has dtype int64, needs float64"),
+    ("normal_block scratch float64", lambda: _block(scratch=np.empty(40)),
+     "normal_block scratch has dtype float64, needs uint64"),
+    ("normal_block scratch int64", lambda: _block(scratch=np.empty(40, dtype=np.int64)),
+     "normal_block scratch has dtype int64, needs uint64"),
     ("TorusGrid nodes", lambda: TorusGrid(1, 4), "need at least 8 nodes per axis, got 4"),
     ("TorusGrid dimension", lambda: TorusGrid(4, 8),
      "torus dimension must be 1, 2 or 3, got 4"),

@@ -90,19 +90,19 @@ def _step_counters(step, ncomp):
 
 
 def _seed_formula_normals(seed, streams, step, ncomp):
-    """The draws as specified: Box-Muller on two tagged words per counter pair.
+    """The draws as specified: Box-Muller on one tagged word per counter pair.
 
-    Counter c belongs to pair c // 2, which is hashed as the counter.  With
+    Counter c belongs to pair c // 2, which is hashed as the counter under
+    the normal draws' tag, one round.  The word's high half gives
+    u1 = (hi + 1) 2^-32 and its low half u2 = lo 2^-32.  With
     r = sqrt(-2 log u1), t = tan(pi (u2 - 1/2)) and s = r / (t^2 + 1), the
     even counter takes r cos(2 pi u2) = r - 2s and the odd one
     r sin(2 pi u2) = (-2t) s.
     """
     c = _step_counters(step, ncomp)
-    h = _seed_formula_hash(seed, streams, c // np.uint64(2))
-    w1 = _splitmix(h ^ rng._TAG_A)
-    w2 = _splitmix(h ^ rng._TAG_B)
-    u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
-    u2 = (w2 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    h = _seed_formula_hash(seed, streams, (c // np.uint64(2)) ^ rng._TAG_NORMAL)
+    u1 = ((h >> np.uint64(32)).astype(np.float64) + 1.0) * 2.0 ** -32
+    u2 = (h & np.uint64(0xFFFFFFFF)).astype(np.float64) * 2.0 ** -32
     r = np.sqrt(-2.0 * np.log(u1))
     t = np.tan(np.pi * (u2 - 0.5))
     s = r / (t * t + 1.0)

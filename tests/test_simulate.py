@@ -12,7 +12,7 @@ from mvhomog.errors import SimulationError, ValidationError
 from mvhomog.measures import EmpiricalMeasure, radial_moment
 from mvhomog.scenarios import (_DAWSON_FAST_AMP, _SKEW_C, _SKEW_SIGMA2, DAWSON_KAPPA,
                                TWO_PI, get_scenario)
-from mvhomog import experiments, rng
+from mvhomog import experiments, rng, simulate
 from mvhomog.simulate import (FeedbackControl, Lane, SimConfig, TrajectoryRecord,
                               _apply_noise, _monitor, _wrap_unit, averaged_lane,
                               constant_control, load_trajectory_csv, multiscale_lane,
@@ -324,6 +324,89 @@ def test_moment_gate_is_permutation_exact():
         _monitor(xp, 1, 0.1, (4, m))
         with pytest.raises(SimulationError):
             _monitor(xp, 1, 0.1, (4, below))
+
+
+def _sorted_verdict(positions, moment_cap, step=3, t=0.3):
+    """The monitor's message (None to pass) from the sorted moment alone."""
+    bad = ~np.isfinite(positions)
+    if bad.any():
+        return (f"non-finite positions at step {step} (t={t:g}): "
+                f"{int(bad.any(axis=1).sum())} particles")
+    order, cap = moment_cap
+    m = radial_moment(positions, 1.0 / len(positions), order)
+    if m > cap:
+        return (f"empirical moment of order {order} hit {m:.3g} > cap {cap:g} "
+                f"at step {step} (t={t:g})")
+    return None
+
+
+def _monitor_verdict(positions, moment_cap):
+    try:
+        _monitor(positions, 3, 0.3, moment_cap)
+    except SimulationError as exc:
+        return str(exc)
+    return None
+
+
+def _gate_ensembles(dim):
+    """Positions for the gate: spread, tight (every |x_ik| equal, so the
+    extremes bound is the moment up to rounding), underflowing, finite but
+    with a bound or a moment past the float range, non-finite."""
+    g = np.random.default_rng(dim)
+    yield g.normal(size=(501, dim))
+    for peak in (0.7, 1.3, 2.0 ** 0.5, 3.0 + 2 ** -40):
+        yield peak * g.choice([-1.0, 1.0], size=(400, dim))
+    yield 1e-80 * g.normal(size=(300, dim))
+    for scale in (1e100, 1e200):
+        yield scale * g.normal(size=(300, dim))
+    for special in (np.nan, np.inf, -np.inf):
+        x = g.normal(size=(200, dim))
+        x[17, -1] = special
+        yield x
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("order", [4, 3])
+def test_the_extremes_bound_decides_as_the_sorted_moment(monkeypatch, dim, order):
+    calls = []
+    moment = simulate.radial_moment
+
+    def counted(*args):
+        calls.append(args)
+        return moment(*args)
+
+    monkeypatch.setattr(simulate, "radial_moment", counted)
+    decided = cases = 0
+    for x in _gate_ensembles(dim):
+        with np.errstate(invalid="ignore", over="ignore"):
+            m = radial_moment(x, 1.0 / len(x), order)
+            peak = np.max(np.abs(x)) if np.isfinite(x).all() else 1.0
+            bound = np.float64(dim * peak * peak) ** (order / 2)
+        caps = {np.nextafter(m, -np.inf), m, np.nextafter(m, np.inf), 2 * m, 50.0,
+                bound, bound * (1 + 2 ** -40), np.nextafter(bound, np.inf), 2 * bound}
+        for cap in caps:
+            if not 0 < cap < np.inf:
+                continue
+            before = len(calls)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = _monitor_verdict(x, (order, float(cap)))
+                assert got == _sorted_verdict(x, (order, float(cap))), (x[:3], cap)
+            cases += 1
+            decided += got is None and len(calls) == before
+    # the extremes decided (always a pass) at the caps above their bound,
+    # and every other case fell through to the sorted moment
+    assert 10 <= decided < cases
+
+
+def test_the_extremes_bound_decides_every_step_on_dawson_rough(monkeypatch):
+    def fallback(*args):
+        raise AssertionError("the monitor fell back to the sorted moment")
+
+    monkeypatch.setattr(simulate, "radial_moment", fallback)
+    sc = get_scenario("dawson_rough")
+    cfg = _dawson_cfg(n=2000, eps=0.2, t_end=0.5)
+    ms, pre = sc.run_coupled(cfg)
+    assert len(ms.times) == len(pre.times) == len(cfg.snapshot_steps())
 
 
 def test_wrap_unit_matches_np_mod_bit_for_bit():
