@@ -23,8 +23,8 @@ from . import __version__
 from .config import load_plan
 from .effective import QUAD_POINTS
 from .errors import NumericalError, ValidationError
-from .experiments import (gamma_table_rows, run_experiment, write_effective_table,
-                          write_gamma_table)
+from .experiments import (gamma_table_rows, run_experiment, write_cell_table,
+                          write_effective_table, write_gamma_table)
 from .rate import dictionary_for_path, evaluate_jdg
 from .rng import SEED_LIMIT
 from .scenarios import get_scenario, scenario_names
@@ -86,7 +86,7 @@ def cmd_solve_cell(args) -> int:
     _print_matrix("pi-average of (I + grad phi):", corr)
     if args.out:
         out = _ensure_dir(args.out) / f"cell_{scenario.name}.csv"
-        cell.save_csv(out)
+        write_cell_table(cell, out)
         print(f"wrote {out}")
     return 0
 

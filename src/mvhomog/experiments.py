@@ -46,6 +46,7 @@ from .measures import wasserstein2
 from .rate import dictionary_for_path, evaluate_jdg
 from .scenarios import Scenario, get_scenario
 from .simulate import simulate_lanes
+from .torus import CellSolution
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -121,6 +122,13 @@ def write_effective_table(scenario: Scenario, model, path) -> None:
     rows = [list(x) + list(b) + [diff[i, j] for i in range(d) for j in range(i, d)]
             for x, b, diff in zip(xs, drift, diffusion)]
     _write_csv(Path(path), header, rows)
+
+
+def write_cell_table(cell: CellSolution, path) -> None:
+    """A cell solution's nodes, invariant density and corrector, a row per node."""
+    dim = cell.grid.dim
+    header = [f"y{k+1}" for k in range(dim)] + ["pi"] + [f"phi{k+1}" for k in range(dim)]
+    _write_csv(Path(path), header, np.column_stack([cell.grid.nodes, cell.pi, cell.phi]))
 
 
 def ladder_inversions(values) -> int:

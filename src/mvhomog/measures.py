@@ -1,5 +1,7 @@
 """Empirical measures, Wasserstein-2 distances and measure paths.
 
+An empirical measure is (1/N) sum_i delta_{x_i}, as in the paper: every atom
+has mass 1/N, and a statistic's weight is the scalar ``1.0 / size``.
 Summations over atoms are performed in sorted order so every statistic is
 exactly invariant under permutations of the atom list.  The one exception
 is the particle stepper's frozen measure (:class:`_StreamOrderMeasure`),
@@ -29,13 +31,12 @@ def _sorted_sum(values: np.ndarray) -> float:
     return float(np.sort(values).sum())
 
 
-def _moment_terms(atoms: np.ndarray, weights, order: int) -> np.ndarray:
-    """The terms w_i |x_i|^order that :func:`radial_moment` sums, a fresh array.
+def _moment_terms(atoms: np.ndarray, order: int) -> np.ndarray:
+    """The terms |x_i|^order / N that :func:`radial_moment` sums, a fresh array.
 
-    ``weights`` is an (N,) array, or one float for uniform weights, which
-    gives the same bits.  Even integer orders multiply |x|^2 by itself
-    instead of calling pow; with one column |x|^2 is the square itself,
-    which is what the row sum of a single entry returns.
+    Even integer orders multiply |x|^2 by itself instead of calling pow;
+    with one column |x|^2 is the square itself, which is what the row sum
+    of a single entry returns.
     """
     sq = atoms * atoms
     r2 = sq[:, 0] if sq.shape[1] == 1 else np.sum(sq, axis=1)
@@ -45,23 +46,22 @@ def _moment_terms(atoms: np.ndarray, weights, order: int) -> np.ndarray:
             power = power * r2
     else:
         power = np.sqrt(r2) ** order
-    power *= weights
+    power *= 1.0 / len(atoms)
     return power
 
 
-def radial_moment(atoms: np.ndarray, weights, order: int) -> float:
-    """sum_i w_i |x_i|^order, exactly invariant under permutations of the rows."""
-    return _sorted_sum(_moment_terms(atoms, weights, order))
+def radial_moment(atoms: np.ndarray, order: int) -> float:
+    """(1/N) sum_i |x_i|^order, exactly invariant under permutations of the rows."""
+    return _sorted_sum(_moment_terms(atoms, order))
 
 
 class EmpiricalMeasure:
-    """Weighted atoms in R^d.
+    """N atoms in R^d, each of mass 1/N.
 
     Atoms of shape (N, d); 1-D input is promoted to a single column.
-    Weights default to uniform and must be nonnegative and sum to one.
     """
 
-    def __init__(self, atoms: np.ndarray, weights: np.ndarray | None = None):
+    def __init__(self, atoms: np.ndarray):
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim == 1:
             atoms = atoms[:, None]
@@ -69,34 +69,20 @@ class EmpiricalMeasure:
             raise ValidationError(f"atoms must be a nonempty (N, d) array, got shape {atoms.shape}")
         if not np.all(np.isfinite(atoms)):
             raise ValidationError("atoms contain NaN or inf")
-        n = atoms.shape[0]
-        if weights is None:
-            weights = np.full(n, 1.0 / n)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (n,):
-                raise ValidationError(f"weights shape {weights.shape} does not match {n} atoms")
-            if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-                raise ValidationError("weights must be finite and nonnegative")
-            total = float(weights.sum())
-            if abs(total - 1.0) > 1e-12:
-                raise ValidationError(f"weights sum to {total!r}, expected 1 within 1e-12")
         self.atoms = atoms
-        self.weights = weights
         self._mean: np.ndarray | None = None
 
     @classmethod
-    def _trusted(cls, atoms: np.ndarray, weights: np.ndarray) -> "EmpiricalMeasure":
-        """A measure on atoms and weights its caller has already checked.
+    def _trusted(cls, atoms: np.ndarray) -> "EmpiricalMeasure":
+        """A measure on atoms its caller has already checked.
 
-        ``atoms`` must be a finite float (N, d) array and ``weights`` valid
-        for it; neither is copied or checked.  ``simulate_lanes`` freezes
-        every step's measure this way, as a :class:`_StreamOrderMeasure`,
-        right after its monitor has checked the positions.
+        ``atoms`` must be a finite float (N, d) array; it is not copied or
+        checked.  ``simulate_lanes`` freezes every step's measure this way,
+        as a :class:`_StreamOrderMeasure`, right after its monitor has
+        checked the positions.
         """
         self = cls.__new__(cls)
         self.atoms = atoms
-        self.weights = weights
         self._mean = None
         return self
 
@@ -110,30 +96,32 @@ class EmpiricalMeasure:
 
     def mean(self) -> np.ndarray:
         if self._mean is None:
-            self._mean = np.array([_sorted_sum(self.weights * self.atoms[:, k])
+            w = 1.0 / self.size
+            self._mean = np.array([_sorted_sum(w * self.atoms[:, k])
                                    for k in range(self.dim)])
         return self._mean
 
     def cov(self) -> np.ndarray:
         m = self.mean()
+        w = 1.0 / self.size
         c = np.empty((self.dim, self.dim))
         centered = self.atoms - m
         for i in range(self.dim):
             for j in range(i, self.dim):
-                c[i, j] = c[j, i] = _sorted_sum(self.weights * centered[:, i] * centered[:, j])
+                c[i, j] = c[j, i] = _sorted_sum(w * centered[:, i] * centered[:, j])
         return c
 
     def canonical_order(self) -> np.ndarray:
-        """Atom indices sorted by coordinates, ties by weight: the same
-        sequence of (atom, weight) pairs whatever order the atoms are in."""
-        return np.lexsort(np.vstack([self.weights, self.atoms.T[::-1]]))
+        """Atom indices sorted by coordinates: the same sequence of atoms
+        whatever order they are in."""
+        return np.lexsort(self.atoms.T[::-1])
 
 
 class _StreamOrderMeasure(EmpiricalMeasure):
     """The stepper's frozen measure, atoms in particle-stream order.
 
     Built by ``_trusted`` from positions the monitor has checked.  Its mean
-    is sum_i w_i x_i summed in atom order by one ``np.add.reduce`` per
+    is sum_i x_i / N summed in atom order by one ``np.add.reduce`` per
     column (numpy's pairwise sum, no BLAS, so no dependence on the BLAS
     thread count).  ``simulate_lanes`` holds the particles in increasing
     stream order, so the mean is the same bits whatever order the caller
@@ -144,7 +132,8 @@ class _StreamOrderMeasure(EmpiricalMeasure):
 
     def mean(self) -> np.ndarray:
         if self._mean is None:
-            self._mean = np.array([np.add.reduce(self.weights * self.atoms[:, k])
+            w = 1.0 / self.size
+            self._mean = np.array([np.add.reduce(w * self.atoms[:, k])
                                    for k in range(self.dim)])
         return self._mean
 
@@ -152,22 +141,19 @@ class _StreamOrderMeasure(EmpiricalMeasure):
 # ---------------------------------------------------------------------------
 # Wasserstein-2
 
-def _w2_1d(xa: np.ndarray, wa: np.ndarray, xb: np.ndarray, wb: np.ndarray) -> float:
-    """Exact squared W2 between weighted atoms on the line (quantile coupling).
+def _w2_1d(xa: np.ndarray, xb: np.ndarray) -> float:
+    """Exact squared W2 between two empirical measures on the line (quantile coupling).
 
-    Equal counts with exactly uniform weights pair the sorted samples; the
-    sorted sequence is unique up to the order of signed zeros, whose squared
-    differences are the same, so a plain sort gives the bits of the stable
-    argsort and gather that other weights need.
+    Equal counts pair the sorted samples; unequal counts cut [0, 1] at both
+    measures' cumulative masses.  The sorted sequence is unique up to the
+    order of signed zeros, whose differences square to the same value, so a
+    plain sort gives the bits of a stable argsort and gather.
     """
-    if len(xa) == len(xb) and np.all(wa == wa[0]) and np.all(wb == wb[0]):
-        return float(np.mean((np.sort(xa) - np.sort(xb)) ** 2))
-    ia = np.argsort(xa, kind="stable")
-    ib = np.argsort(xb, kind="stable")
-    xa, wa = xa[ia], wa[ia]
-    xb, wb = xb[ib], wb[ib]
-    qa = np.cumsum(wa)
-    qb = np.cumsum(wb)
+    xa, xb = np.sort(xa), np.sort(xb)
+    if len(xa) == len(xb):
+        return float(np.mean((xa - xb) ** 2))
+    qa = np.cumsum(np.full(len(xa), 1.0 / len(xa)))
+    qb = np.cumsum(np.full(len(xb), 1.0 / len(xb)))
     edges = np.union1d(qa, qb)
     edges = edges[edges <= 1.0 + 1e-15]
     lengths = np.diff(np.concatenate(([0.0], edges)))
@@ -207,12 +193,11 @@ def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure, *, seed: int = 0) -> 
     if a.dim != b.dim:
         raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim == 1:
-        return np.sqrt(_w2_1d(a.atoms[:, 0], a.weights, b.atoms[:, 0], b.weights))
+        return np.sqrt(_w2_1d(a.atoms[:, 0], b.atoms[:, 0]))
     dirs = _projection_directions(a.dim, N_PROJECTIONS, seed)
     pa = a.atoms @ dirs.T  # (N, K)
     pb = b.atoms @ dirs.T
-    sq = [_w2_1d(pa[:, k], a.weights, pb[:, k], b.weights)
-          for k in range(len(dirs))]
+    sq = [_w2_1d(pa[:, k], pb[:, k]) for k in range(len(dirs))]
     return float(np.sqrt(a.dim * np.mean(sq)))
 
 

@@ -24,15 +24,15 @@ u = (x - center)/scale.  The recurrence He_{k+1} = u He_k - k He_{k-1} gives
 psi_k' = -psi_{k+1} and psi_k'' = psi_{k+2}, so one table of psi_k per axis
 yields all values, gradients and Hessians as products of its columns.
 
-Permutation exactness: each snapshot's atoms and weights are first put in
-one canonical order (``EmpiricalMeasure.canonical_order``), so every array
-evaluated from them has the same bits whatever the atoms' order.  Every
-weighted sum is a matrix product over rows in that order: w @ V (gemv) for
-the paired series and the generator term, and H^T H for the Gram, with rows
-H_(n,e) = sqrt(w_n) (S_n^T grad phi(x_n))_e and Dbar = S S^T.  H^T H is a
-symmetric rank-k update (syrk); it and gemv give the same bits at one and
-two OpenBLAS threads, where a general matmul does not, so manifests do not
-depend on the BLAS thread count.
+Permutation exactness: each snapshot's atoms are first put in one canonical
+order (``EmpiricalMeasure.canonical_order``), so every array evaluated from
+them has the same bits whatever the atoms' order.  Every sum against the
+atoms' masses w = (1/N, ..., 1/N) is a matrix product over rows in that
+order: w @ V (gemv) for the paired series and the generator term, and H^T H
+for the Gram, with rows H_(n,e) = sqrt(w_n) (S_n^T grad phi(x_n))_e and
+Dbar = S S^T.  H^T H is a symmetric rank-k update (syrk); it and gemv give
+the same bits at one and two OpenBLAS threads, where a general matmul does
+not, so manifests do not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -261,9 +261,9 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
     lbar = np.empty((len(times), nbasis))
     grams = np.empty((len(times), nbasis, nbasis))
     for i, m in enumerate(path.measures):
-        order = m.canonical_order()
-        atoms, w = m.atoms[order], m.weights[order]
-        mu = EmpiricalMeasure._trusted(atoms, w)
+        atoms = m.atoms[m.canonical_order()]
+        w = np.full(m.size, 1.0 / m.size)
+        mu = EmpiricalMeasure._trusted(atoms)
         values, grads, hessians = dictionary.evaluate(atoms)
         paired[i] = w @ values
         drift, diffusion, noise = model.coefficients(atoms, mu)

@@ -74,8 +74,7 @@ _U2_SHIFT = 2.0 ** 20 + 0.5
 SEED_LIMIT = 2 ** 64
 
 
-def _wave_2pi(y, cosine: bool = False, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
+def _wave_2pi(y, cosine: bool = False) -> np.ndarray:
     """sin(2 pi y), or cos(2 pi y) with ``cosine``, through one tangent.
 
     With t = tan(pi (y - 1/2)), sin(2 pi y) = -2t / (1 + t^2) and
@@ -86,18 +85,12 @@ def _wave_2pi(y, cosine: bool = False, out: np.ndarray | None = None,
     [0, 1) it is within 4.2e-16 of the exact value, where libm on the
     rounded angle 2 pi y is within 6.9e-16; on [1, 2) within 1.4e-15.  At
     y = 0 the tangent is large but finite: the cosine is 1.0 and the sine
-    1.2e-16.  ``out`` (which may be ``y``) receives the result and
-    ``scratch`` holds t^2, float64 arrays of y's shape; either is
-    allocated when not given.
+    1.2e-16.
     """
-    if out is None:
-        out = np.empty(np.shape(y))
-    if scratch is None:
-        scratch = np.empty(np.shape(y))
-    np.subtract(y, 0.5, out=out)
+    out = np.subtract(y, 0.5)
     out *= np.pi
     np.tan(out, out=out)
-    np.multiply(out, out, out=scratch)
+    scratch = out * out
     if cosine:
         np.subtract(scratch, 1.0, out=out)
     else:

@@ -94,6 +94,12 @@ STEP_TOL = 1e-6
 # one particle (2-CPU x86-64 VM), so this is over half an hour of stepping;
 # the longest run of the tests, the bench, CI and the README takes 10^4 steps
 MAX_STEPS = 10 ** 8
+# most particle-steps (particles times steps) a run may take.  A particle-step
+# costs at least about 21 ns (1-d averaged free_brownian, N = 4000 to 32000,
+# one CPU of a 2-CPU x86-64 VM), so this too is over half an hour of
+# stepping; the largest run of the tests, the bench, CI and the README takes
+# 3.2e6 (the default reference, 8000 particles by 400 steps)
+MAX_PARTICLE_STEPS = 10 ** 11
 
 
 def stiffness_limit(epsilon: float) -> float:
@@ -133,6 +139,11 @@ class SimConfig:
             raise ValidationError(
                 f"dt={self.dt!r} does not divide the horizon t_end={self.t_end!r} "
                 f"into whole steps (t_end/dt = {steps!r})")
+        work = int(self.n_particles) * self.n_steps
+        if work > MAX_PARTICLE_STEPS:
+            raise ValidationError(
+                f"n_particles={self.n_particles} over {self.n_steps} steps is {work:.3g} "
+                f"particle-steps, more than MAX_PARTICLE_STEPS={MAX_PARTICLE_STEPS}")
         if self.epsilon is not None and not (self.epsilon > 0 and np.isfinite(self.epsilon)):
             raise ValidationError(f"epsilon must be a positive float, got {self.epsilon}")
         if not 0 <= self.seed < rng.SEED_LIMIT:
@@ -353,10 +364,10 @@ def _monitor(positions: np.ndarray, step: int, t: float, moment_cap) -> None:
     ``radial_moment`` returns it, but that moment is computed only when a
     cheap bound cannot decide.  If the largest and the smallest position are
     finite, so is every position, and with P = max |x_ik| the moment
-    sum_i w_i |x_i|^p is at most B = (d P^2)^(p/2).  The computed moment and
+    (1/n) sum_i |x_i|^p is at most B = (d P^2)^(p/2).  The computed moment and
     the computed B each carry relative rounding errors: at most
     (1 + u)^(p (d/2 + 2) + 4) per term (the squares, their row sum, the
-    powers and the weight), (1 + u)^(n - 1) for the sorted sum, and
+    powers and the factor 1/n), (1 + u)^(n - 1) for the sorted sum, and
     (1 + u)^(p + 4) for B itself, with u the unit roundoff.  So
     B (1 + 2 (n + p (d + 4) + 16) u) bounds the computed moment, and an
     absolute 2^-1000 covers what underflow in the terms may add.  A B past
@@ -384,7 +395,7 @@ def _monitor(positions: np.ndarray, step: int, t: float, moment_cap) -> None:
             f"non-finite positions at step {step} (t={t:g}): "
             f"{int(bad.any(axis=1).sum())} particles")
     if moment_cap is not None:
-        m = radial_moment(positions, 1.0 / n, order)
+        m = radial_moment(positions, order)
         if m > cap:
             raise SimulationError(
                 f"empirical moment of order {order} hit {m:.3g} > cap {cap:g} "
@@ -457,8 +468,6 @@ class _LaneRun:
             self.x = self.x[order]
             self.unsort = np.argsort(order)
         self.sqrt_dt = np.sqrt(lane.config.dt)
-        self.weights = np.full(n, 1.0 / n)
-        self.weights.flags.writeable = False
         self.mu = self.u = self.prev_h = None
         self.cost = np.zeros(n) if lane.control is not None else None
         self.times: list[float] = []
@@ -471,7 +480,7 @@ class _LaneRun:
         measure is built without re-checking them; its mean is a plain sum
         over the particles in stream order.
         """
-        self.mu = _StreamOrderMeasure._trusted(self.x, self.weights)
+        self.mu = _StreamOrderMeasure._trusted(self.x)
         control = self.lane.control
         if control is None:
             return

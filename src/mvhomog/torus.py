@@ -30,7 +30,6 @@ grid.  Grids above MAX_UNKNOWNS are refused up front.
 from __future__ import annotations
 
 import copy
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -450,15 +449,6 @@ class CellSolution:
         """pi-weighted average over the torus; values indexed (size, ...)."""
         w = self.pi * self.grid.weight
         return np.tensordot(w, values, axes=(0, 0))
-
-    def save_csv(self, path) -> None:
-        dim = self.grid.dim
-        header = [f"y{k+1}" for k in range(dim)] + ["pi"] + [f"phi{k+1}" for k in range(dim)]
-        rows = np.column_stack([self.grid.nodes, self.pi, self.phi])
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([repr(float(v)) for v in row] for row in rows)
 
 
 def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from mvhomog.cli import main
+from mvhomog.scenarios import get_scenario
+from mvhomog.torus import solve_cell
 
 
 def test_list_prints_registry(capsys):
@@ -52,6 +54,23 @@ def test_solve_cell_writes_solution(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stationarity residual" in out
     assert (tmp_path / "cell_cos_rough_1d.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["cos_rough_1d", "nongradient_2d"])
+def test_solve_cell_csv_bytes(tmp_path, name):
+    # a header row, then one row per node: y, pi and phi as repr floats,
+    # every line ended by CRLF (the csv module's excel dialect)
+    assert main(["solve-cell", "--scenario", name, "--n", "16", "--out", str(tmp_path)]) == 0
+    scenario = get_scenario(name)
+    cell = solve_cell(scenario.fast_coefficients(), n=16,
+                      scheme=scenario.solver.get("scheme", "auto"))
+    dim = cell.grid.dim
+    lines = [",".join([f"y{k + 1}" for k in range(dim)] + ["pi"]
+                      + [f"phi{k + 1}" for k in range(dim)])]
+    lines += [",".join(repr(float(v)) for v in (*y, p, *phi))
+              for y, p, phi in zip(cell.grid.nodes, cell.pi, cell.phi)]
+    want = "".join(line + "\r\n" for line in lines).encode()
+    assert (tmp_path / f"cell_{name}.csv").read_bytes() == want
 
 
 def test_solve_cell_reports_gmres_iterations(capsys):

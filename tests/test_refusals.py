@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mvhomog import rng
+from mvhomog.config import parse_plan
 from mvhomog.effective import EffectiveModel
 from mvhomog.errors import ValidationError
 from mvhomog.measures import EmpiricalMeasure, MeasurePath, wasserstein2
@@ -19,6 +20,12 @@ from mvhomog.torus import FastCoefficients, TorusGrid, solve_cell
 
 def _heat(dim):
     return EffectiveModel(dim, lambda xs, mu: np.zeros_like(xs), np.eye(dim))
+
+
+def _plan(**fields):
+    """A one-rung ``dawson_rough`` plan with the given fields replaced."""
+    return parse_plan({"scenario": "dawson_rough",
+                       "rungs": [{"n_particles": 50, "epsilon": 0.2}], **fields})
 
 
 def _lanes(width=1, control=None):
@@ -44,6 +51,16 @@ def _cell(dim, n, scheme):
 
 
 REFUSALS = [
+    ("SimConfig particle-steps", lambda: SimConfig(n_particles=10 ** 8, dt=1e-4),
+     "n_particles=100000000 over 10000 steps is 1e+12 particle-steps, "
+     "more than MAX_PARTICLE_STEPS=100000000000"),
+    ("plan rung particle-steps",
+     lambda: _plan(rungs=[{"n_particles": 10 ** 8, "epsilon": 0.05}]),
+     "plan.rungs[0].n_particles: n_particles=100000000 over 4000 steps is 4e+11 "
+     "particle-steps, more than MAX_PARTICLE_STEPS=100000000000"),
+    ("plan reference particle-steps", lambda: _plan(reference={"n_particles": 10 ** 9}),
+     "plan.reference.n_particles: n_particles=1000000000 over 400 steps is 4e+11 "
+     "particle-steps, more than MAX_PARTICLE_STEPS=100000000000"),
     ("simulate_lanes streams", lambda: simulate_lanes(_lanes(), np.arange(3)),
      "streams shape (3,) does not match 4 particles"),
     ("simulate_lanes initial positions", lambda: simulate_lanes(_lanes(width=2)),
@@ -78,12 +95,6 @@ REFUSALS = [
     ("wasserstein2 dimensions",
      lambda: wasserstein2(*_path(2, 1, 1).measures[:1], *_path(2, 2, 2).measures[:1]),
      "dimension mismatch: 1 vs 2"),
-    ("EmpiricalMeasure weights shape", lambda: EmpiricalMeasure(np.zeros(4), np.ones(3) / 3),
-     "weights shape (3,) does not match 4 atoms"),
-    ("EmpiricalMeasure weights sign", lambda: EmpiricalMeasure(np.zeros(2), [1.5, -0.5]),
-     "weights must be finite and nonnegative"),
-    ("EmpiricalMeasure weights sum", lambda: EmpiricalMeasure(np.zeros(3), np.ones(3)),
-     "weights sum to 3.0, expected 1 within 1e-12"),
     ("MeasurePath lengths", lambda: MeasurePath([0.0, 1.0, 2.0], _path(2, 1, 1).measures),
      "times and measures must have equal length"),
     ("MeasurePath one snapshot", lambda: _path(1, 1),

@@ -316,11 +316,11 @@ def test_moment_gate_is_permutation_exact():
     g = np.random.default_rng(6)
     x = g.normal(size=(1001, 2)) * 10.0 ** g.integers(-4, 2, size=(1001, 1))
     n = len(x)
-    m = radial_moment(x, np.full(n, 1.0 / n), 4)
+    m = radial_moment(x, 4)
     below = np.nextafter(m, -np.inf)
     for _ in range(10):
         xp = x[g.permutation(n)]
-        assert radial_moment(xp, np.full(n, 1.0 / n), 4) == m
+        assert radial_moment(xp, 4) == m
         _monitor(xp, 1, 0.1, (4, m))
         with pytest.raises(SimulationError):
             _monitor(xp, 1, 0.1, (4, below))
@@ -333,7 +333,7 @@ def _sorted_verdict(positions, moment_cap, step=3, t=0.3):
         return (f"non-finite positions at step {step} (t={t:g}): "
                 f"{int(bad.any(axis=1).sum())} particles")
     order, cap = moment_cap
-    m = radial_moment(positions, 1.0 / len(positions), order)
+    m = radial_moment(positions, order)
     if m > cap:
         return (f"empirical moment of order {order} hit {m:.3g} > cap {cap:g} "
                 f"at step {step} (t={t:g})")
@@ -379,7 +379,7 @@ def test_the_extremes_bound_decides_as_the_sorted_moment(monkeypatch, dim, order
     decided = cases = 0
     for x in _gate_ensembles(dim):
         with np.errstate(invalid="ignore", over="ignore"):
-            m = radial_moment(x, 1.0 / len(x), order)
+            m = radial_moment(x, order)
             peak = np.max(np.abs(x)) if np.isfinite(x).all() else 1.0
             bound = np.float64(dim * peak * peak) ** (order / 2)
         caps = {np.nextafter(m, -np.inf), m, np.nextafter(m, np.inf), 2 * m, 50.0,
@@ -630,7 +630,7 @@ def _reference_run(x0, cfg, drift, sigma, moment_cap, control=None, streams=None
         t = k * dt
         if moment_cap is not None:
             order, cap = moment_cap
-            m = radial_moment(x, np.full(n, 1.0 / n), order)
+            m = radial_moment(x, order)
             if m > cap:
                 return (f"empirical moment of order {order} hit {m:.3g} > cap {cap:g} "
                         f"at step {k} (t={t:g})")
@@ -756,7 +756,7 @@ def test_moment_cap_boundary_decides_as_the_sorted_moment():
                            snapshot_times=np.arange(51) * 0.01)
     noise = model.coefficients(x0)[2]
     frames, _, _ = _reference_run(x0, every_step, drift, noise, None)
-    moments = [radial_moment(p, np.full(200, 1.0 / 200), 4) for p in frames]
+    moments = [radial_moment(p, 4) for p in frames]
     peak = max(moments)
     step = moments.index(peak)
     assert step > 0

@@ -7,6 +7,7 @@ from scipy.special import i0
 from mvhomog import krylov
 from mvhomog.effective import SeparablePotential, averaged_coefficients, gamma_separable
 from mvhomog.errors import CenteringError, EllipticityError, SolverError, ValidationError
+from mvhomog.experiments import write_cell_table
 from mvhomog.scenarios import get_scenario
 from mvhomog.torus import (DEFAULT_N, MAX_DENSE_UNKNOWNS, MAX_UNKNOWNS, FastCoefficients,
                            GeneratorOperator, TorusGrid, _derivative, apply_axis_derivative,
@@ -186,7 +187,7 @@ def test_spectral_scheme_limits():
 def test_cell_csv_roundtrip(tmp_path):
     cell = solve_cell(_coeffs_1d(), scheme="spectral", n=64)
     path = tmp_path / "cell.csv"
-    cell.save_csv(path)
+    write_cell_table(cell, path)
     assert path.read_text().splitlines()[0] == "y1,pi,phi1"
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(data[:, :1], cell.grid.nodes)
