@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -134,18 +133,19 @@ def cmd_simulate(args) -> int:
     scenario.validate()
     if not 0 <= args.seed < SEED_LIMIT:
         raise ValidationError(f"--seed: must be in [0, 2**64), got {args.seed}")
-    config = SimConfig(n_particles=args.n_particles, dt=args.dt,
-                       t_end=args.t_end, seed=args.seed, epsilon=args.epsilon)
+    geometry = dict(dt=args.dt, t_end=args.t_end, seed=args.seed, epsilon=args.epsilon)
+    times = None
     if args.snapshots is not None:
-        # the count is checked before its times are built
+        # the count is checked on the run's steps before its times are built
+        steps = SimConfig(n_particles=1, **geometry)
         try:
             if args.snapshots < 2:
                 raise ValidationError(f"must be >= 2, got {args.snapshots}")
-            config.require_snapshot_count(args.snapshots)
-            config = replace(config, snapshot_times=np.linspace(
-                0.0, args.t_end, args.snapshots))
+            steps.require_snapshot_count(args.snapshots)
         except ValidationError as exc:
             raise ValidationError(f"--snapshots: {exc}") from None
+        times = np.linspace(0.0, args.t_end, args.snapshots)
+    config = SimConfig(n_particles=args.n_particles, snapshot_times=times, **geometry)
     control = None
     if args.tilt is not None:
         control = constant_control(np.full(scenario.noise_dim, args.tilt),
@@ -176,8 +176,7 @@ def cmd_rate(args) -> int:
     model = scenario.effective_model()
     dictionary = dictionary_for_path(path, args.basis)
     report = evaluate_jdg(path, model, dictionary)
-    total = report.total if np.isfinite(report.total) else float("inf")
-    print(f"action lower bound {total:.6g} over {report.basis_size} "
+    print(f"action lower bound {report.total:.6g} over {report.basis_size} "
           f"dictionary functions")
     print(f"worst Gram condition {np.max(report.gram_condition):.3e}")
     if report.degenerate_times:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -131,40 +131,43 @@ class ExperimentPlan:
 
         Every run records on linspace(0, t_end, snapshots), and a rung's run
         must resolve the fast scale.  A refusal by SimConfig's rules names the
-        plan field it comes from.  Every step is checked first; then the
-        snapshot count against the shortest run, before the times are built;
-        then the times on each run.
+        plan field it comes from.  Every run's steps are checked first, on one
+        particle; then the snapshot count against the shortest run, before
+        the times are built; then each run whole, with its particles and its
+        record.
         """
         ref = self.reference
         coarsest = max([ref["dt"]] + [rung.dt for rung in self.rungs])
         too_long = coarsest > 0 and self.t_end / coarsest > MAX_STEPS
-        reference = _run_config("plan.reference", "plan.reference.seed", too_long,
-                                n_particles=ref["n_particles"], dt=ref["dt"],
-                                t_end=self.t_end, seed=ref["seed"])
-        rungs = [(i, _run_config(f"plan.rungs[{i}]", f"plan.seeds[{j}]", too_long,
-                                 n_particles=rung.n_particles, dt=rung.dt,
-                                 t_end=self.t_end, seed=seed, epsilon=rung.epsilon))
+        runs = [(None, "plan.reference", "plan.reference.seed", ref["n_particles"],
+                 dict(dt=ref["dt"], seed=ref["seed"]))]
+        runs += [(i, f"plan.rungs[{i}]", f"plan.seeds[{j}]", rung.n_particles,
+                  dict(dt=rung.dt, seed=seed, epsilon=rung.epsilon))
                  for i, rung in enumerate(self.rungs) for j, seed in enumerate(self.seeds)]
-        shortest = min([reference] + [config for _, config in rungs],
+        shortest = min((_run_config(path, seed_path, too_long, n_particles=1,
+                                    t_end=self.t_end, **geometry)
+                        for _, path, seed_path, _, geometry in runs),
                        key=lambda config: config.n_steps)
         try:
             shortest.require_snapshot_count(self.snapshots)
-            times = np.linspace(0.0, self.t_end, self.snapshots)
-            reference = replace(reference, snapshot_times=times)
-            rungs = [(i, replace(config, snapshot_times=times)) for i, config in rungs]
         except ValidationError as exc:
             raise ValidationError(f"plan.snapshots: {exc}") from None
-        return reference, rungs
+        times = np.linspace(0.0, self.t_end, self.snapshots)
+        configs = [(i, _run_config(path, seed_path, too_long, n_particles=n, t_end=self.t_end,
+                                   snapshot_times=times, **geometry))
+                   for i, path, seed_path, n, geometry in runs]
+        return configs[0][1], configs[1:]
 
 
 def _run_config(path: str, seed_path: str, too_long: bool, **geometry) -> SimConfig:
-    """A run's SimConfig without snapshots; a refusal names its plan field.
+    """A run's SimConfig; a refusal names its plan field.
 
     SimConfig's refusals begin with the field they refuse: ``t_end`` is
-    ``plan.t_end``, ``seed`` is ``seed_path`` and any other is
-    ``{path}.{field}``.  A positive dt's refusal is a step count above
-    MAX_STEPS, which is the horizon's fault when ``too_long``, that is
-    when even the plan's coarsest step cuts it into too many steps.
+    ``plan.t_end``, ``seed`` is ``seed_path``, a snapshot time is
+    ``plan.snapshots`` and any other is ``{path}.{field}``.  A positive dt's
+    refusal is a step count above MAX_STEPS, which is the horizon's fault
+    when ``too_long``, that is when even the plan's coarsest step cuts it
+    into too many steps.
     """
     try:
         config = SimConfig(**geometry)
@@ -174,7 +177,8 @@ def _run_config(path: str, seed_path: str, too_long: bool, **geometry) -> SimCon
         name = re.match(r"[a-z_]+", str(exc)).group()
         if name == "dt" and too_long and geometry["dt"] > 0:
             name = "t_end"
-        where = {"t_end": "plan.t_end", "seed": seed_path}.get(name, f"{path}.{name}")
+        where = {"t_end": "plan.t_end", "seed": seed_path,
+                 "snapshot": "plan.snapshots"}.get(name, f"{path}.{name}")
         raise ValidationError(f"{where}: {exc}") from None
     return config
 

@@ -242,14 +242,10 @@ class SeparablePotential:
         return out
 
     def fast_coefficients(self) -> FastCoefficients:
-        """FastCoefficients with f = -grad V2 and sigma I noise."""
-        sig_mat = self.sigma * np.eye(self.dim)
-
-        def sigma_fn(x, y, mu):
-            return sig_mat
-
-        return FastCoefficients(dim=self.dim, f=self.fast_drift, sigma=sigma_fn,
-                                noise_dim=self.dim)
+        """The fast layer f = -grad V2 with sigma I noise: the one derivation
+        of a fast layer from a potential."""
+        return FastCoefficients(dim=self.dim, f=self.fast_drift,
+                                sigma=self.sigma * np.eye(self.dim))
 
 
 def gamma_separable(potential: SeparablePotential, quad_points: int = QUAD_POINTS) -> np.ndarray:

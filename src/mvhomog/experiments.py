@@ -43,7 +43,7 @@ from .config import ExperimentPlan
 from .effective import QUAD_POINTS, gamma_separable
 from .errors import SimulationError
 from .measures import wasserstein2
-from .rate import dictionary_for_path, evaluate_jdg
+from .rate import _json_scalar, dictionary_for_path, evaluate_jdg
 from .scenarios import Scenario, get_scenario
 from .simulate import simulate_lanes
 from .torus import CellSolution
@@ -135,17 +135,6 @@ def ladder_inversions(values) -> int:
     """Count adjacent increases in a sequence meant to be nonincreasing."""
     v = np.asarray(values, dtype=float)
     return int(np.sum(v[1:] > v[:-1]))
-
-
-def _json_scalar(value: float):
-    """JSON-safe scalar: finite floats pass through, infinities become 'inf'.
-
-    NaN, which stands for no value, becomes None (null).
-    """
-    value = float(value)
-    if np.isnan(value):
-        return None
-    return value if np.isfinite(value) else "inf"
 
 
 @dataclass
@@ -412,7 +401,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
                       for r in rate_rows]
     p = base / "report.json"
     with open(p, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     artifacts.append(p)
 
@@ -424,7 +413,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
         "artifacts": {a.name: _sha256(a) for a in sorted(set(artifacts))},
     }
     with open(base / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     say(f"manifest covers {len(manifest['artifacts'])} artifacts")
 

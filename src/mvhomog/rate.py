@@ -198,6 +198,17 @@ def dictionary_for_path(path: MeasurePath, per_axis: int = 6) -> TestDictionary:
     return hermite_dictionary(path.dim, per_axis, center, scale)
 
 
+def _json_scalar(value: float):
+    """A float as artifacts write it: NaN (no value) as null, an infinity as
+    "inf" or "-inf"; their ``json.dump(allow_nan=False)`` refuses any other."""
+    value = float(value)
+    if np.isnan(value):
+        return None
+    if np.isfinite(value):
+        return value
+    return "inf" if value > 0 else "-inf"
+
+
 @dataclass
 class RateReport:
     """Evaluated action of a measure path over a finite dictionary."""
@@ -214,11 +225,10 @@ class RateReport:
     def as_dict(self) -> dict:
         return {
             "times": self.times.tolist(),
-            "integrand": self.integrand.tolist(),
-            "total": self.total if np.isfinite(self.total) else "inf",
+            "integrand": [_json_scalar(v) for v in self.integrand.tolist()],
+            "total": _json_scalar(self.total),
             "basis": self.basis_size,
-            "gram_condition": [c if np.isfinite(c) else None
-                               for c in self.gram_condition.tolist()],
+            "gram_condition": [_json_scalar(c) for c in self.gram_condition.tolist()],
             "lower_bound": self.lower_bound,
             "degenerate_times": self.degenerate_times,
             "initial_distance": self.initial_distance,
@@ -226,7 +236,7 @@ class RateReport:
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.as_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 

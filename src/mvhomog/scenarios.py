@@ -56,11 +56,6 @@ SEAM_TOL = 1e-9
 CENTERING_REL_TOL = 1e-6
 
 
-def _no_fast_drift(x, y, mu):
-    """Fast drift of a scenario with neither a potential nor a fast drift."""
-    return np.zeros_like(y)
-
-
 def _unit_grid(dim: int, per_axis: int = 13) -> np.ndarray:
     """Deterministic off-lattice sample of the unit cell, (per_axis^dim, dim)."""
     t = (np.arange(per_axis) + 0.37) / per_axis
@@ -72,24 +67,22 @@ def _unit_grid(dim: int, per_axis: int = 13) -> np.ndarray:
 class Scenario:
     """One named model: coefficients, assumptions, and run helpers.
 
-    ``fast_drift`` and ``fast_sigma`` use the solver calling convention
+    The fast layer is declared once, by exactly one of ``potential`` (a
+    :class:`SeparablePotential`, which also opens the closed-form
+    homogenization route) and ``fast`` (a :class:`FastCoefficients`).
+    :meth:`fast_coefficients` returns it, and ``dim`` and ``noise_dim`` are
+    read from it.  Its callables use the solver calling convention
     ``(x, y, mu)`` with query points ``y`` of shape (M, dim); every registry
     scenario ignores ``x``, which lets the same callables serve the frozen
-    cell problem and the particle stepper.  When ``potential`` is set the
-    fast layer is derived from it and the closed-form homogenization route
-    becomes available; with neither a potential nor a fast drift the fast
-    drift is zero.
+    cell problem and the particle stepper.
     """
 
     name: str
     description: str
-    dim: int
     flags: dict
     init: dict
     potential: SeparablePotential | None = None
-    fast_drift: Callable | None = None
-    fast_sigma: object = None
-    noise_dim: int | None = None
+    fast: FastCoefficients | None = None
     slow_drift: Callable | None = None
     known_density: Callable | None = None
     moment_cap: tuple | None = None
@@ -104,16 +97,10 @@ class Scenario:
         missing = [k for k in FLAG_NAMES if k not in self.flags]
         if missing:
             raise ValidationError(f"scenario {self.name!r} must declare flags {missing}")
-        if self.noise_dim is None:
-            self.noise_dim = self.dim
-        if self.fast_drift is None:
-            self.fast_drift = (_no_fast_drift if self.potential is None
-                               else self.potential.fast_drift)
-        if self.fast_sigma is None:
-            if self.potential is None:
-                raise ValidationError(
-                    f"scenario {self.name!r} needs fast_sigma or a potential")
-            self.fast_sigma = self.potential.sigma * np.eye(self.dim)
+        if (self.potential is None) == (self.fast is None):
+            given = "neither" if self.potential is None else "both"
+            raise ValidationError(
+                f"scenario {self.name!r} needs exactly one of potential and fast, got {given}")
         if not self.flags["bounded_slow"] and self.moment_cap is None:
             raise ValidationError(
                 f"scenario {self.name!r} declares an unbounded slow drift "
@@ -121,20 +108,17 @@ class Scenario:
 
     # -- coefficient access -------------------------------------------------
 
-    def _sigma_fn(self) -> Callable:
-        sig = self.fast_sigma
-        if callable(sig):
-            return sig
-        mat = np.asarray(sig, dtype=float)
-
-        def sigma_fn(x, y, mu):
-            return mat
-
-        return sigma_fn
-
     def fast_coefficients(self) -> FastCoefficients:
-        return FastCoefficients(dim=self.dim, f=self.fast_drift, sigma=self._sigma_fn(),
-                                noise_dim=self.noise_dim)
+        """The fast layer: ``fast``, or the one derived from ``potential``."""
+        return self.fast if self.fast is not None else self.potential.fast_coefficients()
+
+    @property
+    def dim(self) -> int:
+        return self.fast_coefficients().dim
+
+    @property
+    def noise_dim(self) -> int:
+        return self.fast_coefficients().noise_dim
 
     def effective_model(self, route: str = "auto", **overrides) -> EffectiveModel:
         """Homogenized model, closed-form when separable, cell solve otherwise."""
@@ -358,7 +342,6 @@ def _free_brownian() -> Scenario:
         name="free_brownian",
         description="no fast layer, unit noise, no slow drift; the prelimit "
                     "and the averaged dynamics coincide exactly",
-        dim=1,
         flags=dict(_FLAGS_ALL),
         init={"kind": "quantile_normal", "mean": 0.0, "std": 1.0},
         potential=pot,
@@ -377,7 +360,6 @@ def _cos_rough_1d() -> Scenario:
         name="cos_rough_1d",
         description="cosine fast potential, no slow drift; the standard "
                     "gradient testbed with Bessel closed forms",
-        dim=1,
         flags=dict(_FLAGS_ALL),
         init={"kind": "quantile_normal", "mean": 0.0, "std": 0.1},
         potential=pot,
@@ -427,7 +409,6 @@ def _dawson_rough() -> Scenario:
         name="dawson_rough",
         description="bistable mean-field slow drift over a gentle cosine fast "
                     "layer; cubic growth is gated by a fourth-moment cap",
-        dim=1,
         flags=flags,
         init={"kind": "quantile_normal", "mean": 0.0, "std": 0.25},
         potential=pot,
@@ -451,7 +432,6 @@ def _separable_2d() -> Scenario:
         description="two independent gradient fast axes (cosine and sine); "
                     "the homogenization factor is diagonal with equal Bessel "
                     "entries",
-        dim=2,
         flags=dict(_FLAGS_ALL),
         init={"kind": "iid_normal", "mean": 0.0, "std": 0.1},
         potential=pot,
@@ -501,11 +481,10 @@ def _nongradient_2d() -> Scenario:
         description="non-gradient fast drift (gradient plus rotation); the "
                     "corrector has no closed form but the cell density is "
                     "still the product Gibbs weight",
-        dim=2,
         flags=dict(_FLAGS_ALL),
         init={"kind": "iid_normal", "mean": 0.0, "std": 0.1},
-        fast_drift=_skew_fast_drift,
-        fast_sigma=float(np.sqrt(_SKEW_SIGMA2)) * np.eye(2),
+        fast=FastCoefficients(dim=2, f=_skew_fast_drift,
+                              sigma=float(np.sqrt(_SKEW_SIGMA2)) * np.eye(2)),
         known_density=_skew_density,
         second_moment_bound=8.0,
         solver={"scheme": "spectral", "n": 32},

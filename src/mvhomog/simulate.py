@@ -100,6 +100,12 @@ MAX_STEPS = 10 ** 8
 # stepping; the largest run of the tests, the bench, CI and the README takes
 # 3.2e6 (the default reference, 8000 particles by 400 steps)
 MAX_PARTICLE_STEPS = 10 ** 11
+# most particle-snapshots (particles times recorded snapshots) a run may
+# record.  By tracemalloc on a multiscale lane at N = 1000 and 4000, in 1-d
+# and 2-d, the record takes 16 d bytes a particle-snapshot and the stepper at
+# most 88 bytes a particle, so a 2-d run at this limit holds at most 1.2 GB;
+# the largest record of the tests, the bench, CI and the README is 1.7e5
+MAX_PARTICLE_SNAPSHOTS = 10 ** 7
 
 
 def stiffness_limit(epsilon: float) -> float:
@@ -112,8 +118,9 @@ class SimConfig:
     """Run geometry: particle count, step size, horizon, seed, snapshots.
 
     The one home of the run-geometry rules: whole steps, distinct snapshot
-    steps, and the stiffness rule of ``require_stiffness``.  A refusal of a
-    geometry field begins with the field's name, which a plan's checks read.
+    steps, the limits on work and on the record's size, and the stiffness
+    rule of ``require_stiffness``.  A refusal of a geometry field begins with
+    the field's name, which a plan's checks read.
     """
 
     n_particles: int
@@ -124,6 +131,9 @@ class SimConfig:
     snapshot_times: np.ndarray | None = None
 
     def __post_init__(self):
+        if isinstance(self.n_particles, bool) or not isinstance(
+                self.n_particles, (int, np.integer)):
+            raise ValidationError(f"n_particles must be an integer, got {self.n_particles!r}")
         if self.n_particles < 1:
             raise ValidationError(f"n_particles must be positive, got {self.n_particles}")
         if not (self.dt > 0 and np.isfinite(self.dt)):
@@ -148,8 +158,12 @@ class SimConfig:
             raise ValidationError(f"epsilon must be a positive float, got {self.epsilon}")
         if not 0 <= self.seed < rng.SEED_LIMIT:
             raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.snapshot_times is not None:
-            self.snapshot_steps()
+        snapshots = len(self.snapshot_steps())
+        if int(self.n_particles) * snapshots > MAX_PARTICLE_SNAPSHOTS:
+            raise ValidationError(
+                f"n_particles={self.n_particles} with {snapshots} snapshots is "
+                f"{int(self.n_particles) * snapshots:.3g} particle-snapshots, more than "
+                f"MAX_PARTICLE_SNAPSHOTS={MAX_PARTICLE_SNAPSHOTS}")
 
     @property
     def n_steps(self) -> int:
@@ -307,7 +321,7 @@ class TrajectoryRecord:
 
     def save_summary_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
+            json.dump(self.summary(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 

@@ -183,18 +183,19 @@ def apply_axis_derivative(values: np.ndarray, grid: TorusGrid, axis: int,
 
 @dataclass
 class FastCoefficients:
-    """Callable coefficients of the fast generator.
+    """The fast layer, read by the cell solver, the stepper and validation.
 
     ``f(x, y, mu)`` maps query points ``y`` of shape (M, dim) to drift values
-    (M, dim); ``sigma(x, y, mu)`` to (M, dim, noise_dim).  ``x`` is a slow
-    state of shape (dim_x,) or None, ``mu`` an empirical measure or None.
-    Flags declare which arguments the callables actually read, so solvers
-    know when a single cell solve can be reused.
+    (M, dim); ``sigma(x, y, mu)`` to (M, dim, noise_dim) or one shared
+    (dim, noise_dim) matrix, which may be given as ``sigma`` itself.  ``x``
+    is a slow state of shape (dim_x,) or None, ``mu`` an empirical measure or
+    None.  Flags declare which arguments the callables actually read, so
+    solvers know when a single cell solve can be reused.
     """
 
     dim: int
     f: Callable
-    sigma: Callable
+    sigma: Callable | np.ndarray
     noise_dim: int | None = None
     x_dependent: bool = False
     mu_dependent: bool = False
@@ -202,6 +203,9 @@ class FastCoefficients:
     def __post_init__(self):
         if self.noise_dim is None:
             self.noise_dim = self.dim
+        if not callable(self.sigma):
+            matrix = np.asarray(self.sigma, dtype=float)
+            self.sigma = lambda x, y, mu: matrix
 
     def fields(self, grid: TorusGrid, x=None, mu=None):
         """Evaluate (f, A) on the grid; A = sigma sigma^T, symmetrized.

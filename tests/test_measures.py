@@ -66,6 +66,27 @@ def test_w2_weighted_matches_replication():
         assert wasserstein2(a, b) == pytest.approx(wasserstein2(replicated, b), abs=1e-12)
 
 
+def test_w2_of_a_replication_is_exactly_zero():
+    # the cuts of the unequal-count coupling are integers, so a measure
+    # against its own replication pairs every piece with an equal atom
+    atoms = np.array([0.0, 0.0, 1.0, 3.0])
+    for copies in (2, 3):
+        assert _w2_1d(atoms, np.repeat(atoms, copies)) == 0.0
+        assert _w2_1d(np.tile(atoms, copies)[::-1], atoms) == 0.0
+
+
+def test_w2_unequal_counts_match_the_exact_coupling():
+    from fractions import Fraction
+    xa = np.random.default_rng(4).normal(size=6)
+    xb = np.random.default_rng(5).normal(size=4)
+    # the quantile coupling in exact rationals: cuts at k/6 and j/4
+    cuts = sorted({Fraction(k, 6) for k in range(7)} | {Fraction(j, 4) for j in range(5)})
+    sa, sb = np.sort(xa), np.sort(xb)
+    exact = sum((hi - lo) * Fraction(float(sa[int(lo * 6)] - sb[int(lo * 4)])) ** 2
+                for lo, hi in zip(cuts, cuts[1:]))
+    assert _w2_1d(xa, xb) == pytest.approx(float(exact), rel=1e-15)
+
+
 def test_w2_translation_multid():
     for d, tol in ((2, 1e-9), (3, 1e-3)):
         x = rng.normals(5, np.arange(400), 0, d)

@@ -309,6 +309,24 @@ def test_report_json_round_trip(tmp_path):
     assert all(c is None or c >= 1.0 for c in loaded["gram_condition"])
 
 
+def test_non_finite_values_are_written_as_null_and_inf(tmp_path):
+    # a drift that returns NaN carries NaN into the action: the report
+    # writes it as null, an infinity as "inf", and never the token NaN
+    path = gaussian_shift_path(v=1.0, n=64, snapshots=5)
+    nan_model = EffectiveModel(1, lambda xs, mu: np.full_like(xs, np.nan), np.eye(1))
+    rep = evaluate_jdg(path, nan_model, dictionary_for_path(path, per_axis=3))
+    assert np.isnan(rep.total)
+    rep.gram_condition[0] = np.inf
+    out = tmp_path / "rate.json"
+    rep.save_json(out)
+    loaded = json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(token))
+    assert loaded["total"] is None
+    assert loaded["integrand"] == [None] * len(path)
+    assert loaded["gram_condition"][0] == "inf"
+    assert [rate._json_scalar(v) for v in (np.nan, np.inf, -np.inf, 2.5)] == [
+        None, "inf", "-inf", 2.5]
+
+
 def test_control_cost_bound_on_tilted_run():
     sc = get_scenario("free_brownian")
     config = SimConfig(n_particles=2000, dt=0.02, t_end=1.0, seed=42,

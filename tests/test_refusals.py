@@ -10,10 +10,11 @@ import pytest
 
 from mvhomog import rng
 from mvhomog.config import parse_plan
-from mvhomog.effective import EffectiveModel
+from mvhomog.effective import EffectiveModel, SeparablePotential
 from mvhomog.errors import ValidationError
 from mvhomog.measures import EmpiricalMeasure, MeasurePath, wasserstein2
 from mvhomog.rate import TestDictionary
+from mvhomog.scenarios import FLAG_NAMES, Scenario
 from mvhomog.simulate import FeedbackControl, SimConfig, averaged_lane, simulate_lanes
 from mvhomog.torus import FastCoefficients, TorusGrid, solve_cell
 
@@ -44,6 +45,12 @@ def _path(count, *dims):
                        [EmpiricalMeasure(np.zeros((3, d))) for d in dims])
 
 
+def _scenario(**layer):
+    """A scenario named ``probe`` with the given fast-layer fields."""
+    return Scenario(name="probe", description="", flags=dict.fromkeys(FLAG_NAMES, True),
+                    init={"kind": "iid_normal"}, **layer)
+
+
 def _cell(dim, n, scheme):
     coeffs = FastCoefficients(dim, lambda x, y, mu: np.zeros_like(y),
                               lambda x, y, mu: np.eye(dim))
@@ -61,6 +68,22 @@ REFUSALS = [
     ("plan reference particle-steps", lambda: _plan(reference={"n_particles": 10 ** 9}),
      "plan.reference.n_particles: n_particles=1000000000 over 400 steps is 4e+11 "
      "particle-steps, more than MAX_PARTICLE_STEPS=100000000000"),
+    ("SimConfig record", lambda: SimConfig(n_particles=10 ** 8, dt=0.004, epsilon=0.2),
+     "n_particles=100000000 with 21 snapshots is 2.1e+09 particle-snapshots, "
+     "more than MAX_PARTICLE_SNAPSHOTS=10000000"),
+    ("plan rung record", lambda: _plan(rungs=[{"n_particles": 10 ** 8, "epsilon": 0.2}]),
+     "plan.rungs[0].n_particles: n_particles=100000000 with 11 snapshots is 1.1e+09 "
+     "particle-snapshots, more than MAX_PARTICLE_SNAPSHOTS=10000000"),
+    ("SimConfig float particles", lambda: SimConfig(n_particles=2.5, dt=0.1, t_end=0.2),
+     "n_particles must be an integer, got 2.5"),
+    ("SimConfig bool particles", lambda: SimConfig(n_particles=True, dt=0.1, t_end=0.2),
+     "n_particles must be an integer, got True"),
+    ("Scenario both layers",
+     lambda: _scenario(potential=SeparablePotential([(np.cos, np.sin)], 1.0),
+                       fast=FastCoefficients(1, lambda x, y, mu: 0 * y, np.eye(1))),
+     "scenario 'probe' needs exactly one of potential and fast, got both"),
+    ("Scenario neither layer", lambda: _scenario(),
+     "scenario 'probe' needs exactly one of potential and fast, got neither"),
     ("simulate_lanes streams", lambda: simulate_lanes(_lanes(), np.arange(3)),
      "streams shape (3,) does not match 4 particles"),
     ("simulate_lanes initial positions", lambda: simulate_lanes(_lanes(width=2)),

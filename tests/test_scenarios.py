@@ -5,6 +5,7 @@ import pytest
 from mvhomog import ValidationError, get_scenario, scenario_names
 from mvhomog.effective import gamma_separable
 from mvhomog.scenarios import FLAG_NAMES, Scenario
+from mvhomog.torus import FastCoefficients
 
 EXPECTED = {"free_brownian", "cos_rough_1d", "dawson_rough",
             "separable_2d", "nongradient_2d"}
@@ -67,49 +68,51 @@ def test_iid_initials_depend_on_seed_reproducibly():
     assert a.shape == (40, 2)
 
 
+def _layer(dim: int, f=None, sigma=None) -> FastCoefficients:
+    """A fast layer of unit noise and zero drift, unless given."""
+    return FastCoefficients(dim, f or (lambda x, y, mu: np.zeros_like(y)),
+                            np.eye(dim) if sigma is None else sigma)
+
+
 def test_unbounded_slow_drift_requires_moment_cap():
     flags = dict.fromkeys(FLAG_NAMES, True)
     flags["bounded_slow"] = False
     with pytest.raises(ValidationError, match="moment cap"):
-        Scenario(name="bad", description="", dim=1, flags=flags,
-                 init={"kind": "quantile_normal"},
-                 fast_sigma=np.eye(1))
+        Scenario(name="bad", description="", flags=flags,
+                 init={"kind": "quantile_normal"}, fast=_layer(1))
 
 
 def test_flag_completeness_enforced():
     flags = dict.fromkeys(FLAG_NAMES, True)
     flags["made_up_flag"] = True
     with pytest.raises(ValidationError, match="unknown assumption flags"):
-        Scenario(name="bad", description="", dim=1, flags=flags,
-                 init={"kind": "quantile_normal"}, fast_sigma=np.eye(1))
+        Scenario(name="bad", description="", flags=flags,
+                 init={"kind": "quantile_normal"}, fast=_layer(1))
     partial = {"periodic_fast": True}
     with pytest.raises(ValidationError, match="must declare flags"):
-        Scenario(name="bad", description="", dim=1, flags=partial,
-                 init={"kind": "quantile_normal"}, fast_sigma=np.eye(1))
+        Scenario(name="bad", description="", flags=partial,
+                 init={"kind": "quantile_normal"}, fast=_layer(1))
 
 
-def _plain(dim: int, **kwargs) -> Scenario:
-    base = dict(name="probe", description="", dim=dim,
-                flags=dict.fromkeys(FLAG_NAMES, True),
-                init={"kind": "iid_normal"}, fast_sigma=np.eye(dim))
-    base.update(kwargs)
-    return Scenario(**base)
+def _plain(dim: int, **layer) -> Scenario:
+    return Scenario(name="probe", description="", flags=dict.fromkeys(FLAG_NAMES, True),
+                    init={"kind": "iid_normal"}, fast=_layer(dim, **layer))
 
 
 def test_validate_catches_broken_periodicity():
-    sc = _plain(1, fast_drift=lambda x, y, mu: np.asarray(y, dtype=float))
+    sc = _plain(1, f=lambda x, y, mu: np.asarray(y, dtype=float))
     with pytest.raises(ValidationError, match="seam"):
         sc.validate()
 
 
 def test_validate_catches_missing_ellipticity():
-    sc = _plain(1, fast_sigma=np.zeros((1, 1)))
+    sc = _plain(1, sigma=np.zeros((1, 1)))
     with pytest.raises(ValidationError, match="floor"):
         sc.validate()
 
 
 def test_validate_catches_uncentered_drift():
-    sc = _plain(1, fast_drift=lambda x, y, mu: np.ones(
+    sc = _plain(1, f=lambda x, y, mu: np.ones(
         (len(np.atleast_2d(y)), 1)))
     with pytest.raises(ValidationError, match="centering"):
         sc.validate()

@@ -17,6 +17,7 @@ from mvhomog.simulate import (FeedbackControl, Lane, SimConfig, TrajectoryRecord
                               _apply_noise, _monitor, _wrap_unit, averaged_lane,
                               constant_control, load_trajectory_csv, multiscale_lane,
                               simulate_averaged, simulate_lanes)
+from mvhomog.torus import FastCoefficients
 
 
 def _dawson_cfg(n=300, eps=0.1, t_end=0.2, seed=3, **kw):
@@ -177,6 +178,24 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SimConfig(n_particles=10, dt=0.1, t_end=1.0,
                   snapshot_times=np.array([0.0, 0.1001, 0.1002]))  # collides
+
+
+def test_a_particle_count_is_an_integer_of_any_integer_type():
+    assert SimConfig(n_particles=np.int64(10), dt=0.1).n_particles == 10
+    assert SimConfig(n_particles=np.uint32(10), dt=0.1).n_particles == 10
+    for count in (10.0, np.float64(10), np.bool_(True)):
+        with pytest.raises(ValidationError, match="^n_particles must be an integer"):
+            SimConfig(n_particles=count, dt=0.1)
+
+
+def test_the_record_limit_admits_its_bound_and_counts_the_snapshots_recorded():
+    limit = simulate.MAX_PARTICLE_SNAPSHOTS
+    # 10 steps record 11 snapshots by default; 2 explicit times record 2
+    assert SimConfig(n_particles=limit // 11, dt=0.1).n_particles == limit // 11
+    with pytest.raises(ValidationError, match="^n_particles=909091 with 11 snapshots"):
+        SimConfig(n_particles=limit // 11 + 1, dt=0.1)
+    assert SimConfig(n_particles=limit // 2, dt=0.1,
+                     snapshot_times=[0.0, 1.0]).n_particles == limit // 2
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -0.1])
@@ -495,8 +514,9 @@ def test_a_twin_pair_of_different_noise_widths_is_refused():
     # pre-averaged twin one: the two cannot share one noise
     base = get_scenario("dawson_rough")
     mixing = base.potential.sigma * np.array([[0.6, 0.8]])
-    sc = dataclasses.replace(base, fast_sigma=mixing, noise_dim=2)
-    model = sc.effective_model()
+    wide_layer = FastCoefficients(1, base.potential.fast_drift, mixing, noise_dim=2)
+    sc = dataclasses.replace(base, potential=None, fast=wide_layer)
+    model = base.effective_model()
     cfg = _dawson_cfg(n=90)
     for twins in (lambda: sc.ladder_lanes(cfg, model),
                   lambda: sc.run_coupled(cfg, model=model),
@@ -711,7 +731,7 @@ def test_dawson_runs_equal_their_plain_reference_steps():
     cfg = _dawson_cfg(t_end=0.3)
     pre_cfg = _pre_cfg(cfg)
     x0 = sc.initial_positions(cfg.n_particles, cfg.seed)
-    sigma_ms = np.asarray(sc.fast_sigma, dtype=float)
+    sigma_ms = sc.fast_coefficients().sigma(None, None, None)
     ms_ref, _, _ = _reference_run(x0, cfg, _dawson_multiscale_reference(cfg.epsilon),
                                   sigma_ms, sc.moment_cap)
     pre_ref, _, _ = _reference_run(x0, pre_cfg, _dawson_pre_averaged_reference(model),
@@ -729,7 +749,7 @@ def test_nongradient_run_equals_its_plain_reference_step():
     cfg = SimConfig(n_particles=64, dt=0.004, t_end=0.2, seed=5, epsilon=0.2)
     x0 = sc.initial_positions(64, cfg.seed)
     ref, _, _ = _reference_run(x0, cfg, _skew_multiscale_reference(cfg.epsilon),
-                               np.asarray(sc.fast_sigma, dtype=float), None)
+                               sc.fast_coefficients().sigma(None, None, None), None)
     assert sc.run_multiscale(cfg).position_hash() == _hash(cfg, ref)
 
 
