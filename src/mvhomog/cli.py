@@ -74,12 +74,15 @@ def cmd_solve_cell(args) -> int:
         opts["scheme"] = args.scheme
     cell = solve_cell(scenario.fast_coefficients(),
                       scheme=opts.get("scheme", "auto"), n=opts.get("n"))
+    route = cell.provenance["cell_route"]
     print(f"scenario {scenario.name}: scheme {cell.scheme}, "
-          f"n {cell.grid.n} per axis")
-    its = cell.provenance["krylov_iterations"]
+          f"n {cell.grid.n} per axis, {route} route")
+    # one count per GMRES solve: per axis on the axis route, per component for phi
+    its = {key: ", ".join(map(str, counts))
+           for key, counts in cell.provenance["krylov_iterations"].items()}
     print(f"stationarity residual {np.max(cell.residual_pi):.3e} ({its['pi']} GMRES "
           f"iterations), corrector residual {np.max(cell.residual_phi):.3e} "
-          f"({', '.join(map(str, its['phi']))} GMRES iterations)")
+          f"({its['phi']} GMRES iterations)")
     print(f"centering defect {np.abs(cell.centering).max():.3e}")
     corr = cell.pi_average(np.eye(cell.grid.dim)[None] + cell.grad_phi)
     _print_matrix("pi-average of (I + grad phi):", corr)

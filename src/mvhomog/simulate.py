@@ -102,8 +102,9 @@ MAX_STEPS = 10 ** 8
 MAX_PARTICLE_STEPS = 10 ** 11
 # most particle-snapshots (particles times recorded snapshots) a run may
 # record.  By tracemalloc on a multiscale lane at N = 1000 and 4000, in 1-d
-# and 2-d, the record takes 16 d bytes a particle-snapshot and the stepper at
-# most 88 bytes a particle, so a 2-d run at this limit holds at most 1.2 GB;
+# and 2-d, the record, written in place, takes 8 d bytes a particle-snapshot
+# (8.0 and 16.0 at N = 4000) and the stepper at most 88 bytes a particle, so
+# a 2-d run at this limit holds at most 1.1 GB;
 # the largest record of the tests, the bench, CI and the README is 1.7e5
 MAX_PARTICLE_SNAPSHOTS = 10 ** 7
 
@@ -280,7 +281,7 @@ class TrajectoryRecord:
                 "t": float(t),
                 "mean": m.mean().tolist(),
                 "cov": m.cov().tolist(),
-                "quantiles": {str(q): np.quantile(pos, q, axis=0).tolist() for q in qs},
+                "quantiles": dict(zip(map(str, qs), np.quantile(pos, qs, axis=0).tolist())),
             })
         w2_steps = [wasserstein2(a, b) for a, b in zip(measures, measures[1:])]
         out = {
@@ -485,7 +486,8 @@ class _LaneRun:
         self.mu = self.u = self.prev_h = None
         self.cost = np.zeros(n) if lane.control is not None else None
         self.times: list[float] = []
-        self.frames: list[np.ndarray] = []
+        # the record, one (N, d) frame per snapshot, written in place
+        self.positions = np.empty((len(lane.config.snapshot_steps()), n, lane.dim))
 
     def freeze(self, t: float) -> None:
         """Freeze the measure and evaluate the control at the start of a step.
@@ -529,12 +531,18 @@ class _LaneRun:
         t = step * self.lane.config.dt
         _monitor(self.x, step, t, self.lane.moment_cap)
         if step in snap_steps:
+            self._caller_order(self.x, out=self.positions[len(self.times)])
             self.times.append(t)
-            self.frames.append(self._caller_order(self.x))
 
-    def _caller_order(self, values: np.ndarray) -> np.ndarray:
-        """A copy of per-particle ``values`` in the order of ``x0``."""
-        return values.copy() if self.unsort is None else values[self.unsort]
+    def _caller_order(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-particle ``values`` in the order of ``x0``, copied into ``out`` or a new array."""
+        out = np.empty_like(values) if out is None else out
+        if self.unsort is None:
+            np.copyto(out, values)
+        else:
+            # "clip" writes straight into out ("raise" gathers into a buffer first)
+            np.take(values, self.unsort, axis=0, out=out, mode="clip")
+        return out
 
     def finish(self) -> TrajectoryRecord:
         lane = self.lane
@@ -543,7 +551,7 @@ class _LaneRun:
             self.freeze(lane.config.n_steps * lane.config.dt)
         return TrajectoryRecord(
             scenario=lane.scenario_name, mode=lane.mode, config=lane.config,
-            times=np.asarray(self.times), positions=np.stack(self.frames),
+            times=np.asarray(self.times), positions=self.positions,
             cost_per_particle=None if self.cost is None else self._caller_order(self.cost),
             control_label=None if lane.control is None else lane.control.label,
         )

@@ -26,6 +26,15 @@ ker L = constants.  It stops on an absolute residual target, KRYLOV_MARGIN
 times the stationarity gate's form RESIDUAL_TOL |L| |x|: rounding leaves
 eps |L| |x| with |L| ~ n^2, which the target clears by a fixed factor on any
 grid.  Grids above MAX_UNKNOWNS are refused up front.
+
+A layer that splits by axis, read off the evaluated fields (d >= 2, A
+diagonal, and each f_k and A_kk reading only y_k, compared exactly on the
+grid), has L = sum_k L_k: then pi is the product of the axes' invariant
+densities and phi_l depends on y_l alone.  ``solve_cell`` solves such a
+layer as d one-dimensional cells on n nodes with the same solvers, builds
+pi and phi on the full grid, and runs every gate there against the
+full-grid L.  Any other layer, every 1-d one included, is solved on the
+full grid.
 """
 from __future__ import annotations
 
@@ -382,9 +391,19 @@ def solve_invariant_measure(L: GeneratorOperator, grid: TorusGrid):
     """
     LT = L.T
     ones = np.ones(grid.size)
-    q, L.krylov["pi"] = LT.solve(-(LT @ ones), 1.0)
-    pi = (ones + q) / grid.integrate(ones + q)
-    resid = float(np.max(np.abs(LT @ pi)))
+    q, its = LT.solve(-(LT @ ones), 1.0)
+    L.krylov["pi"] = [its]
+    return _stationarity_gates(L, (ones + q) / grid.integrate(ones + q), grid)
+
+
+def _stationarity_gates(L: GeneratorOperator, pi: np.ndarray, grid: TorusGrid):
+    """Gate a density pi of unit mass on L's grid; returns (pi, sup residual of L* pi).
+
+    Raises SolverError when L* pi fails the residual check, when pi has more
+    than roundoff-scale negative mass, or when its mass is not 1; negatives
+    at roundoff scale are clipped and the unit mass restored.
+    """
+    resid = float(np.max(np.abs(L.T @ pi)))
     scale = max(float(np.max(np.abs(pi))), 1.0)
     if resid > RESIDUAL_TOL * scale * L.abs_max():
         raise SolverError(f"stationarity residual {resid:.3e} failed the solve check")
@@ -405,14 +424,8 @@ def check_centering(f_vals: np.ndarray, pi: np.ndarray, grid: TorusGrid) -> np.n
     return grid.integrate(f_vals * pi[:, None])
 
 
-def solve_cell_problem(L: GeneratorOperator, pi: np.ndarray, f_vals: np.ndarray,
-                       grid: TorusGrid):
-    """Solve L phi_l = -f_l with pi-mean zero for each component l.
-
-    Raises CenteringError when int f pi exceeds CENTERING_TOL sup|f|; the
-    residual that remains below the gate is projected out so the discrete
-    system is exactly solvable.
-    """
+def _centering_gate(f_vals: np.ndarray, pi: np.ndarray, grid: TorusGrid):
+    """(int f pi dy, sup |f|) per component; CenteringError above CENTERING_TOL sup|f|."""
     defect = check_centering(f_vals, pi, grid)
     scale = np.maximum(np.abs(f_vals).max(axis=0), 1e-300)
     rel = np.abs(defect) / scale
@@ -422,15 +435,98 @@ def solve_cell_problem(L: GeneratorOperator, pi: np.ndarray, f_vals: np.ndarray,
             f"fast drift component {worst} has centering defect "
             f"{defect[worst]:.3e} (relative {rel[worst]:.3e} > {CENTERING_TOL:.1e}); "
             "the cell problem is not solvable for this coefficient set")
+    return defect, scale
+
+
+def _corrector_gate(L: GeneratorOperator, phi: np.ndarray, centered: np.ndarray,
+                    scale: np.ndarray) -> np.ndarray:
+    """sup |L phi_l + centered f_l| per component; SolverError above the gate."""
+    resid = np.max(np.abs(L @ phi + centered), axis=0)
+    if np.any(resid > RESIDUAL_TOL * np.maximum(scale, 1.0) * 1e3):
+        raise SolverError(f"cell residuals {resid} failed the solve check")
+    return resid
+
+
+def solve_cell_problem(L: GeneratorOperator, pi: np.ndarray, f_vals: np.ndarray,
+                       grid: TorusGrid):
+    """Solve L phi_l = -f_l with pi-mean zero for each component l.
+
+    Raises CenteringError when int f pi exceeds CENTERING_TOL sup|f|; the
+    residual that remains below the gate is projected out so the discrete
+    system is exactly solvable.
+    """
+    defect, scale = _centering_gate(f_vals, pi, grid)
     centered = f_vals - defect[None, :]  # project onto the solvable range
     # the preconditioned right-hand side gauges the size of phi_l
     cols, its = zip(*[L.solve(-c, np.abs(L.precondition(c)).max()) for c in centered.T])
     phi, L.krylov["phi"] = np.stack(cols, axis=1), list(its)
     phi -= (pi * grid.weight) @ phi  # pi-mean zero; constants span ker L
-    resid = np.max(np.abs(L @ phi + centered), axis=0)
-    if np.any(resid > RESIDUAL_TOL * np.maximum(scale, 1.0) * 1e3):
-        raise SolverError(f"cell residuals {resid} failed the solve check")
-    return phi, resid, defect
+    return phi, _corrector_gate(L, phi, centered, scale), defect
+
+
+# ---------------------------------------------------------------------------
+# fast layers that split by axis
+
+def _axis_line(values: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray | None:
+    """Nodal values along one axis when they read only y_axis, exactly; else None."""
+    v = np.moveaxis(grid.reshape(values), axis, 0).reshape(grid.n, -1)
+    line = v[:, 0]
+    return line if np.array_equal(v, np.broadcast_to(line[:, None], v.shape)) else None
+
+
+def _axis_lines(grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray) -> list | None:
+    """Each axis's (f_k, A_kk) on its own line when the layer splits by axis, else None.
+
+    It splits when d >= 2, A is diagonal and every f_k and A_kk reads only
+    y_k, all checked exactly on the grid's values.
+    """
+    if grid.dim < 2:
+        return None
+    a = a_vals[:1] if a_vals.strides[0] == 0 else a_vals
+    if np.any(a[:, ~np.eye(grid.dim, dtype=bool)]):
+        return None
+    lines = []
+    for k in range(grid.dim):
+        pair = (_axis_line(f_vals[:, k], grid, k), _axis_line(a_vals[:, k, k], grid, k))
+        if pair[0] is None or pair[1] is None:
+            return None
+        lines.append(pair)
+    return lines
+
+
+def _on_axis(line: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
+    """Flat nodal values of the function y -> line(y_axis) on the grid."""
+    shape = [1] * grid.dim
+    shape[axis] = grid.n
+    return np.broadcast_to(line.reshape(shape), grid.shape).ravel()
+
+
+def _solve_by_axis(L: GeneratorOperator, grid: TorusGrid, f_vals: np.ndarray,
+                   lines: list, scheme: str):
+    """The cell of a layer L = sum_k L_k that splits by axis, one line per axis.
+
+    pi is the product of the lines' invariant densities, renormalized on the
+    grid; phi_l(y) = phi_l(y_l) from line l, shifted to pi-mean zero, so
+    grad phi is diagonal.  The full-grid gates run on L.  Returns the line
+    operators (for their GMRES counts), pi, its residual, phi, its
+    residuals, the centering defect and grad phi.
+    """
+    line = TorusGrid(1, grid.n)
+    ops = [assemble_generator(line, f[:, None], a[:, None, None], scheme) for f, a in lines]
+    pis = [solve_invariant_measure(op, line)[0] for op in ops]
+    pi = functools.reduce(np.multiply.outer, pis).ravel()
+    pi, resid_pi = _stationarity_gates(L, pi / grid.integrate(pi), grid)
+    defect, scale = _centering_gate(f_vals, pi, grid)
+    phi = np.empty((grid.size, grid.dim))
+    grad_phi = np.zeros((grid.size, grid.dim, grid.dim))
+    for k, (op, p, (f, _)) in enumerate(zip(ops, pis, lines)):
+        phi_k = solve_cell_problem(op, p, f[:, None], line)[0]
+        phi[:, k] = _on_axis(phi_k[:, 0], grid, k)
+        grad_phi[:, k, k] = _on_axis(apply_axis_derivative(phi_k, line, 0, scheme)[:, 0],
+                                     grid, k)
+    phi -= (pi * grid.weight) @ phi
+    resid_phi = _corrector_gate(L, phi, f_vals - defect[None, :], scale)
+    return ops, pi, resid_pi, phi, resid_phi, defect, grad_phi
 
 
 @dataclass
@@ -457,21 +553,38 @@ class CellSolution:
 
 def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
                n: int | None = None) -> CellSolution:
-    """Full frozen-cell workflow: operator, stationary measure, corrector, gradient."""
+    """Full frozen-cell workflow: operator, stationary measure, corrector, gradient.
+
+    A layer that splits by axis (d >= 2, A diagonal, f_k and A_kk reading
+    only y_k) is solved as d one-dimensional cells on the grid's lines and
+    gated on the full grid; any other layer by GMRES on the full grid.
+    ``provenance["cell_route"]`` names the route ("axis" or "grid"), and
+    ``provenance["krylov_iterations"]`` lists the GMRES iterations of each
+    solve: under "pi" one per line (axis route) or one for the grid, under
+    "phi" one per component l, solved on line l on the axis route.
+    """
     if scheme == "auto":
         scheme = "spectral" if coeffs.dim <= 2 else "fd"
     grid = TorusGrid(coeffs.dim, n)
     f_vals, a_vals = coeffs.fields(grid, x, mu)
     L = assemble_generator(grid, f_vals, a_vals, scheme)
-    pi, resid_pi = solve_invariant_measure(L, grid)
-    phi, resid_phi, defect = solve_cell_problem(L, pi, f_vals, grid)
-    grad_phi = np.stack([apply_axis_derivative(phi, grid, k, scheme) for k in range(grid.dim)], 2)
+    lines = _axis_lines(grid, f_vals, a_vals)
+    if lines is None:
+        ops = [L]
+        pi, resid_pi = solve_invariant_measure(L, grid)
+        phi, resid_phi, defect = solve_cell_problem(L, pi, f_vals, grid)
+        grad_phi = np.stack([apply_axis_derivative(phi, grid, k, scheme)
+                             for k in range(grid.dim)], 2)
+    else:
+        ops, pi, resid_pi, phi, resid_phi, defect, grad_phi = _solve_by_axis(
+            L, grid, f_vals, lines, scheme)
+    krylov = {key: [its for op in ops for its in op.krylov[key]] for key in ("pi", "phi")}
     return CellSolution(
         grid=grid, scheme=scheme, pi=pi, phi=phi, grad_phi=grad_phi,
         f_vals=f_vals, a_vals=a_vals, centering=defect,
         residual_pi=resid_pi, residual_phi=resid_phi,
-        provenance={"n": grid.n, "scheme": scheme,
+        provenance={"n": grid.n, "scheme": scheme, "cell_route": "grid" if lines is None else "axis",
                     "centering_tol": CENTERING_TOL, "residual_tol": RESIDUAL_TOL,
-                    "krylov_iterations": dict(L.krylov), "residual_pi": resid_pi,
+                    "krylov_iterations": krylov, "residual_pi": resid_pi,
                     "residual_phi": resid_phi.tolist()},
     )

@@ -56,7 +56,7 @@ def test_solve_cell_writes_solution(tmp_path, capsys):
     assert (tmp_path / "cell_cos_rough_1d.csv").exists()
 
 
-@pytest.mark.parametrize("name", ["cos_rough_1d", "nongradient_2d"])
+@pytest.mark.parametrize("name", ["cos_rough_1d", "nongradient_2d", "separable_2d"])
 def test_solve_cell_csv_bytes(tmp_path, name):
     # a header row, then one row per node: y, pi and phi as repr floats,
     # every line ended by CRLF (the csv module's excel dialect)
@@ -76,7 +76,18 @@ def test_solve_cell_csv_bytes(tmp_path, name):
 def test_solve_cell_reports_gmres_iterations(capsys):
     assert main(["solve-cell", "--scenario", "nongradient_2d", "--n", "16"]) == 0
     out = capsys.readouterr().out
+    assert "n 16 per axis, grid route" in out
     assert re.search(r"stationarity residual \S+ \(\d+ GMRES iterations\)", out)
+    assert re.search(r"corrector residual \S+ \(\d+, \d+ GMRES iterations\)", out)
+
+
+def test_solve_cell_on_a_layer_that_splits_by_axis(capsys):
+    # separable_2d is solved axis by axis: one GMRES count per axis for pi,
+    # one per component (its own axis) for phi
+    assert main(["solve-cell", "--scenario", "separable_2d", "--n", "16"]) == 0
+    out = capsys.readouterr().out
+    assert "scheme spectral, n 16 per axis, axis route" in out
+    assert re.search(r"stationarity residual \S+ \(\d+, \d+ GMRES iterations\)", out)
     assert re.search(r"corrector residual \S+ \(\d+, \d+ GMRES iterations\)", out)
 
 

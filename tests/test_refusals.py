@@ -11,12 +11,13 @@ import pytest
 from mvhomog import rng
 from mvhomog.config import parse_plan
 from mvhomog.effective import EffectiveModel, SeparablePotential
-from mvhomog.errors import ValidationError
+from mvhomog.errors import CenteringError, ValidationError
 from mvhomog.measures import EmpiricalMeasure, MeasurePath, wasserstein2
 from mvhomog.rate import TestDictionary
 from mvhomog.scenarios import FLAG_NAMES, Scenario
 from mvhomog.simulate import FeedbackControl, SimConfig, averaged_lane, simulate_lanes
-from mvhomog.torus import FastCoefficients, TorusGrid, solve_cell
+from mvhomog.torus import (FastCoefficients, TorusGrid, assemble_generator, solve_cell,
+                           solve_cell_problem, solve_invariant_measure)
 
 
 def _heat(dim):
@@ -142,3 +143,23 @@ REFUSALS = [
 def test_bad_input_is_refused_by_name(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_an_uncentered_layer_that_splits_by_axis_is_refused_as_on_the_grid():
+    # f_2 = 1 reads y_2 alone and A = I, so the layer is solved axis by
+    # axis; its centering gate runs on the full grid, as the grid route's
+    # does, and names component 1 (its line alone would call it component 0)
+    def drift(x, y, mu):
+        return np.stack([np.sin(2.0 * np.pi * y[:, 0]), np.ones(len(y))], axis=1)
+
+    coeffs = FastCoefficients(2, drift, np.eye(2))
+    message = ("fast drift component 1 has centering defect 1.000e+00 (relative 1.000e+00 "
+               "> 1.0e-06); the cell problem is not solvable for this coefficient set")
+    with pytest.raises(CenteringError, match=f"^{re.escape(message)}$"):
+        solve_cell(coeffs, scheme="fd", n=16)
+    grid = TorusGrid(2, 16)
+    f_vals, a_vals = coeffs.fields(grid)
+    L = assemble_generator(grid, f_vals, a_vals, "fd")
+    pi, _ = solve_invariant_measure(L, grid)
+    with pytest.raises(CenteringError, match=f"^{re.escape(message)}$"):
+        solve_cell_problem(L, pi, f_vals, grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -11,7 +12,8 @@ from mvhomog.experiments import write_cell_table
 from mvhomog.scenarios import get_scenario
 from mvhomog.torus import (DEFAULT_N, MAX_DENSE_UNKNOWNS, MAX_UNKNOWNS, FastCoefficients,
                            GeneratorOperator, TorusGrid, _derivative, apply_axis_derivative,
-                           assemble_generator, solve_cell, solve_invariant_measure)
+                           assemble_generator, solve_cell, solve_cell_problem,
+                           solve_invariant_measure)
 
 TWO_PI = 2.0 * np.pi
 
@@ -303,8 +305,10 @@ def test_krylov_health_is_recorded():
     prov = cell.provenance
     assert prov["residual_pi"] == cell.residual_pi
     assert prov["residual_phi"] == cell.residual_phi.tolist()
+    assert prov["cell_route"] == "grid"
     its = prov["krylov_iterations"]
-    assert 0 < its["pi"] <= 60 and len(its["phi"]) == 2 and all(0 < k <= 60 for k in its["phi"])
+    assert len(its["pi"]) == 1 and len(its["phi"]) == 2
+    assert all(0 < k <= 60 for k in its["pi"] + its["phi"])
     again = solve_cell(get_scenario("nongradient_2d").fast_coefficients(), n=16)
     assert again.provenance == prov
 
@@ -469,3 +473,92 @@ def test_givens_stop_test_keeps_the_iterates_bits(name, scheme, n):
             want = _lstsq_gmres(op.__matmul__, op.precondition, b, target)
             assert got[1] == want[1]
             assert np.array_equal(got[0], want[0])
+
+
+# ---------------------------------------------------------------------------
+# layers that split by axis: d one-dimensional solves and a tensor product
+
+def _split_layer(dim):
+    """A non-gradient drift and a per-node diagonal A, axis k reading y_k alone.
+
+    f is odd and A even under y -> -y, which maps the grid to itself, so pi
+    is even and f is centered against it on any grid.
+    """
+    amps = np.array((0.6, 0.8, 0.5)[:dim])
+
+    def f(x, y, mu):
+        return TWO_PI * amps * np.sin(TWO_PI * y) * (1.0 + 0.3 * np.cos(TWO_PI * y))
+
+    def sigma(x, y, mu):
+        return (1.0 + 0.3 * np.cos(TWO_PI * y))[:, :, None] * np.eye(dim)
+
+    return FastCoefficients(dim=dim, f=f, sigma=sigma)
+
+
+def _grid_route(coeffs, scheme, n):
+    """The cell by GMRES on the full grid, from the public building blocks."""
+    grid = TorusGrid(coeffs.dim, n)
+    f_vals, a_vals = coeffs.fields(grid)
+    L = assemble_generator(grid, f_vals, a_vals, scheme)
+    pi, _ = solve_invariant_measure(L, grid)
+    phi, _, _ = solve_cell_problem(L, pi, f_vals, grid)
+    grad_phi = np.stack([apply_axis_derivative(phi, grid, k, scheme)
+                         for k in range(grid.dim)], 2)
+    return pi, phi, grad_phi
+
+
+@pytest.mark.parametrize("scheme, dim, n", [("fd", 2, 48), ("fd", 3, 12), ("spectral", 2, 32)])
+def test_axis_route_agrees_with_the_grid_route(scheme, dim, n):
+    # both routes stop GMRES at KRYLOV_MARGIN times the 1e-8 gate, so they
+    # agree to about 1e-13 of each field's size; 1e-10 is the stated tolerance
+    coeffs = _split_layer(dim)
+    cell = solve_cell(coeffs, scheme=scheme, n=n)
+    assert cell.provenance["cell_route"] == "axis"
+    its = cell.provenance["krylov_iterations"]
+    assert len(its["pi"]) == len(its["phi"]) == dim
+    pi, phi, grad_phi = _grid_route(coeffs, scheme, n)
+    for got, want in ((cell.pi, pi), (cell.phi, phi), (cell.grad_phi, grad_phi)):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    off_axis = ~np.eye(dim, dtype=bool)
+    assert not np.any(cell.grad_phi[:, off_axis])
+    grid_cell = dataclasses.replace(cell, pi=pi, phi=phi, grad_phi=grad_phi)
+    want = averaged_coefficients(grid_cell).diffusion
+    got = averaged_coefficients(cell).diffusion
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def _coupled_layer(kind):
+    """A split layer but for one coupling, odd f and even A as before: a
+    constant off-diagonal A, or f_1 reading y_2."""
+    base = _split_layer(2)
+
+    def f(x, y, mu):
+        out = base.f(x, y, mu)
+        if kind == "drift":
+            out[:, 0] += 0.2 * np.sin(TWO_PI * (y[:, 0] + y[:, 1]))
+        return out
+
+    sigma = np.array([[1.0, 0.3], [0.0, 1.0]]) if kind == "diffusion" else base.sigma
+    return FastCoefficients(dim=2, f=f, sigma=sigma)
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "drift"])
+def test_a_coupled_layer_takes_the_grid_route(kind):
+    coeffs = _coupled_layer(kind)
+    cell = solve_cell(coeffs, scheme="fd", n=16)
+    assert cell.provenance["cell_route"] == "grid"
+    assert len(cell.provenance["krylov_iterations"]["pi"]) == 1
+    pi, phi, grad_phi = _grid_route(coeffs, "fd", 16)
+    for got, want in ((cell.pi, pi), (cell.phi, phi), (cell.grad_phi, grad_phi)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, scheme, n", [("cos_rough_1d", "fd", 256),
+                                             ("dawson_rough", "spectral", 128)])
+def test_one_dimensional_cells_keep_their_bits(name, scheme, n):
+    # a 1-d cell never splits: solve_cell is the grid route, bit for bit
+    coeffs = get_scenario(name).fast_coefficients()
+    cell = solve_cell(coeffs, scheme=scheme, n=n)
+    assert cell.provenance["cell_route"] == "grid"
+    for got, want in zip((cell.pi, cell.phi, cell.grad_phi), _grid_route(coeffs, scheme, n)):
+        assert np.array_equal(got, want)
