@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .config import ExperimentPlan, Rung, load_plan, parse_plan
 from .effective import (AveragedCoefficients, EffectiveModel, SeparablePotential,
                         averaged_coefficients, gamma_separable, homogenize,
-                        local_coefficients, matrix_sqrt_psd, separable_model)
+                        local_coefficients, matrix_sqrt_psd)
 from .errors import (CenteringError, EllipticityError, NumericalError,
                      SimulationError, SolverError, ValidationError)
 from .experiments import run_experiment, write_effective_table, write_gamma_table
@@ -30,7 +30,7 @@ __all__ = [
     "evaluate_jdg", "gamma_separable", "get_scenario", "hermite_dictionary",
     "homogenize", "load_plan", "load_trajectory_csv",
     "local_coefficients", "matrix_sqrt_psd", "parse_plan",
-    "run_experiment", "scenario_names", "separable_model", "simulate_averaged",
+    "run_experiment", "scenario_names", "simulate_averaged",
     "simulate_multiscale", "solve_cell", "wasserstein2",
     "write_effective_table", "write_gamma_table",
 ]

@@ -119,7 +119,7 @@ def cmd_effective(args) -> int:
         overrides["n"] = args.n
     if args.scheme != "auto":
         overrides["scheme"] = args.scheme
-    model = scenario.effective_model(route=args.route, **overrides)
+    model = scenario.effective_model(**overrides)
     d = scenario.dim
     drift, diffusion, _ = model.coefficients(np.zeros((1, d)), None)
     _print_matrix("effective diffusion at the origin:", diffusion.reshape(-1, d, d)[0])
@@ -231,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("effective", help="homogenized drift and diffusion")
     add_scenario(p)
-    p.add_argument("--route", choices=("auto", "separable", "cell"),
-                   default="auto")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scheme", choices=("auto", "fd", "spectral"),
                    default="auto")

@@ -10,18 +10,21 @@ whose pi-averages give the homogenized drift and diffusion.  D and Dt have
 the same pi-average; Dt is pointwise PSD and is the form used to build the
 model, while D is kept as an independent cross-check of the corrector.
 
+:func:`homogenize` builds every :class:`EffectiveModel` from these cell
+solves, read in one way: ``model.coefficients(X, mu)`` returns the drift,
+the diffusion and its PSD square root (the noise) at the rows of X.  The
+averaged particle lane, the action, the effective table and the CLI all read
+the model through it.
+
 For separable gradient systems (fast drift -grad V2 with V2(y) = sum_k Q_k(y_k)
-and constant scalar noise) everything collapses to the diagonal matrix
+and constant scalar noise) the averages collapse to the diagonal matrix
 
     Gamma_kk = 1 / (Z_k Zhat_k),   Z_k = int exp(-2 Q_k / s^2),
                                    Zhat_k = int exp(+2 Q_k / s^2),
 
-with homogenized drift Gamma b(x, mu) and diffusion s^2 Gamma.
-
-Either route gives an :class:`EffectiveModel`, read in one way:
-``model.coefficients(X, mu)`` returns the drift, the diffusion and its PSD
-square root (the noise) at the rows of X.  The averaged particle lane, the
-action, the effective table and the CLI all read the model through it.
+with homogenized drift Gamma b(x, mu) and diffusion s^2 Gamma.  This closed
+form (:func:`gamma_separable`) is the independent reference the cell solves
+are checked against; no model is built from it.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .torus import CellSolution, FastCoefficients, apply_axis_derivative, solve_
 PSD_CLIP_TOL = 1e-10
 # slow-state step of the centered x-derivative cell solves
 X_STEP = 1e-4
-# midpoint nodes of the separable route's normalizer quadrature
+# midpoint nodes of the closed-form normalizer quadrature
 QUAD_POINTS = 512
 
 
@@ -265,7 +268,8 @@ class EffectiveModel:
     and the noise, the symmetric PSD square root of the diffusion, is
     computed once, here.  With ``diffusion=None`` it returns the pair
     (drift, diffusion of shape (N, dim, dim)) from one evaluation, as the
-    cell routes of :func:`homogenize` do from one cell solve per slow state.
+    models of :func:`homogenize` whose fast layer reads x or mu do from one
+    cell solve per slow state.
     """
 
     def __init__(self, dim: int, drift_fn: Callable, diffusion: np.ndarray | None,
@@ -326,31 +330,6 @@ def _generator(drift: np.ndarray, diffusion: np.ndarray, grad_vals: np.ndarray,
         + 0.5 * np.einsum("nij,n...ij->n...", diffusion, hess_vals)
 
 
-def separable_model(potential: SeparablePotential,
-                    slow_drift: Callable | None = None) -> EffectiveModel:
-    """Closed-form homogenized model for a separable gradient system.
-
-    ``slow_drift(X, mu)`` is the uncorrected slow drift b; the homogenized
-    drift is Gamma b and the diffusion sigma^2 Gamma.
-    """
-    gamma = gamma_separable(potential)
-    dim = potential.dim
-
-    if slow_drift is None:
-        def drift_fn(xs, mu):
-            return np.zeros_like(xs)
-    else:
-        def drift_fn(xs, mu):
-            return _times_transpose(np.asarray(slow_drift(xs, mu), dtype=float), gamma)
-
-    model = EffectiveModel(
-        dim=dim, drift_fn=drift_fn, diffusion=potential.sigma ** 2 * gamma,
-        provenance={"route": "separable", "quad_points": QUAD_POINTS,
-                    "gamma_diagonal": np.diag(gamma).tolist()})
-    model.gamma = gamma
-    return model
-
-
 def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
                scheme: str = "auto", n: int | None = None) -> EffectiveModel:
     """Homogenized model via cell solves of the fast generator.
@@ -377,18 +356,18 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
         avg = averaged_coefficients(cell, derivs)
         return cell, avg, cell.pi_average(np.eye(dim)[None] + cell.grad_phi)
 
-    def drift_of(avg, corr, xs, mu):
-        """Drift at the rows of xs from a cell solve that does not read x."""
-        base = np.broadcast_to(avg.drift, xs.shape)
+    def drift_of(corr, xs, mu):
+        """C b at the rows of xs from a cell solve that does not read x; its
+        fast terms are zero, since beta is zero without x-derivatives."""
         if slow_drift is None:
-            return base.copy()
-        return base + np.asarray(slow_drift(xs, mu), dtype=float) @ corr.T
+            return np.zeros_like(xs)
+        return _times_transpose(np.asarray(slow_drift(xs, mu), dtype=float), corr)
 
     if coeffs.x_dependent or coeffs.mu_dependent:
         def coefficients(xs, mu):
             if not coeffs.x_dependent:
                 _, avg, corr = averaged_at(None, mu)
-                return (drift_of(avg, corr, xs, mu),
+                return (drift_of(corr, xs, mu),
                         np.broadcast_to(avg.diffusion, (len(xs), dim, dim)))
             drift = np.empty_like(xs)
             diffusion = np.empty((len(xs), dim, dim))
@@ -400,7 +379,7 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
                 diffusion[i] = avg.diffusion
             return drift, diffusion
 
-        provenance = {"route": "cell", "x_dependent": coeffs.x_dependent,
+        provenance = {"x_dependent": coeffs.x_dependent,
                       "mu_dependent": coeffs.mu_dependent, "scheme": scheme, "n": n}
         if coeffs.x_dependent:
             provenance["x_step"] = X_STEP
@@ -408,8 +387,8 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
 
     cell, avg, corr = averaged_at(None, None)
     model = EffectiveModel(
-        dim, lambda xs, mu: drift_of(avg, corr, xs, mu), avg.diffusion,
-        provenance={"route": "cell", "scheme": cell.scheme, "n": cell.grid.n,
+        dim, lambda xs, mu: drift_of(corr, xs, mu), avg.diffusion,
+        provenance={"scheme": cell.scheme, "n": cell.grid.n,
                     "form_gap": avg.form_gap, **cell.provenance})
     model.cell = cell
     return model

@@ -314,11 +314,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     one pair per seed, and in a ladder the top rung does most of the work.
     With fewer top-rung pairs than workers, only split runs spread the top
     rung over the workers; with a pair for every worker, coupled jobs keep
-    them as busy and draw each noise block once.  On 2 CPUs (one BLAS
-    thread, alternating runs, split pairs then sharing their noise) the
-    default ladder took a median 1.40 s split against 2.03 s coupled with
-    one seed (5 pairs), 2.64 s coupled against 2.72 s split with two, and
-    3.87 s coupled against 3.89 s split with three (10 pairs each).
+    them as busy and draw each noise block once.
 
     With one usable CPU (``os.sched_getaffinity``), or in a daemonic
     process, the jobs run inline, in plan order.  Otherwise they run in a
@@ -326,15 +322,14 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     longest job (particles times steps) first.  Every job writes its own
     CSV and summary, and the results are collected in plan order.  The two
     runs of a split pair draw the same noise, each on its own: the
-    generator is counter-based, so each draws the same bits.  On the
-    benchmark's one-seed ``ladder_1d`` plan that costs about a tenth of
-    the wall time against two jobs that shared each block through shared
-    memory: medians 1.29 against 1.18 s and 0.87 against 0.79 s (2-CPU
-    VM, 12 and 10 alternating pairs, ``BENCH_23.json``).  Once the runs
-    are done and the pool is closed, this process computes the distances and actions in plan order, from the same arrays
-    by the same functions at any worker count; a worker's exception is
-    raised with its type and message.  So every artifact byte, and every
-    error a run or an action raises, is the same at any worker count.
+    generator is counter-based, so each draws the same bits and the two
+    jobs share no memory (the README's Performance section gives what the
+    split and coupled forms cost).  Once the runs are done and the pool is
+    closed, this process computes the distances and actions in plan order,
+    from the same arrays by the same functions at any worker count; a
+    worker's exception is raised with its type and message.  So every
+    artifact byte, and every error a run or an action raises, is the same
+    at any worker count.
 
     The returned ``runtimes`` (seconds, never written to disk) cover the
     reference run with its artifacts, each rung and seed with both of its

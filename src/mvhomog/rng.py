@@ -35,17 +35,11 @@ of its keys and steps, so any process may redraw any block, bit for bit,
 into any buffer: two runs on the same noise in two processes (a split
 twin pair) each draw it and need share nothing.
 
-Cost, 2-CPU x86-64 VM, numpy 2.4 with its AVX-512 ``tan``, one CPU: a
-block at N = 4000 in the stepper's 8 steps takes 9-13 ns per draw at
-width 1 and 7.5-9 ns at width 2, against 14-18 and 13-16 ns when each
-pair took three hash rounds for two 53-bit uniforms (medians of three
-alternating rounds of fresh processes, ``BENCH_25.json``).  Before pairs
-shared a hash, each counter's own three rounds, log, sqrt and tangent
-took 23-31 ns.  Earlier, on the benchmark's traced ``ladder_1d`` (a
-faster host), blocks of about 32k draws had taken 51 ns per draw against
-68 ns drawn one step at a time and 89 ns when every step rehashed the
-prefix, and the Box-Muller cosine through libm 25-30 ns of a draw against
-5-6 ns through the vectorized ``tan``.
+Three choices keep a draw cheap: a whole block of steps is hashed in one
+call rather than step by step, one hash round serves a pair of normals,
+and the Box-Muller angle goes through numpy's vectorized ``tan`` rather
+than libm's cosine.  The README's Performance section and
+``BENCH_25.json`` hold the measurements.
 """
 from __future__ import annotations
 

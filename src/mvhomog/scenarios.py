@@ -3,7 +3,7 @@
 A scenario bundles everything a run needs: the fast-layer drift and noise on
 the unit cell, the slow (possibly mean-field) drift, how to sample initial
 positions, recommended solver settings, and reference values from independent
-closed-form routes where they exist.  Scenarios also carry a dictionary of
+closed forms where they exist.  Scenarios also carry a dictionary of
 structural flags; ``validate`` re-checks the flags that are checkable
 numerically (periodicity seams, ellipticity floor, centering of the fast
 drift) and refuses scenarios whose declarations do not hold, so downstream
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import i0, ndtri
 
 from . import rng
-from .effective import EffectiveModel, SeparablePotential, homogenize, separable_model
+from .effective import EffectiveModel, SeparablePotential, homogenize
 from .errors import ValidationError
 from .simulate import (Lane, SimConfig, TrajectoryRecord, averaged_lane,
                        multiscale_lane, simulate_averaged, simulate_lanes,
@@ -68,8 +68,8 @@ class Scenario:
     """One named model: coefficients, assumptions, and run helpers.
 
     The fast layer is declared once, by exactly one of ``potential`` (a
-    :class:`SeparablePotential`, which also opens the closed-form
-    homogenization route) and ``fast`` (a :class:`FastCoefficients`).
+    :class:`SeparablePotential`, whose closed-form factors cross-check the
+    cell solve) and ``fast`` (a :class:`FastCoefficients`).
     :meth:`fast_coefficients` returns it, and ``dim`` and ``noise_dim`` are
     read from it.  Its callables use the solver calling convention
     ``(x, y, mu)`` with query points ``y`` of shape (M, dim); every registry
@@ -120,22 +120,11 @@ class Scenario:
     def noise_dim(self) -> int:
         return self.fast_coefficients().noise_dim
 
-    def effective_model(self, route: str = "auto", **overrides) -> EffectiveModel:
-        """Homogenized model, closed-form when separable, cell solve otherwise."""
-        if route == "auto":
-            route = "separable" if self.potential is not None else "cell"
-        if route == "separable":
-            if self.potential is None:
-                raise ValidationError(
-                    f"scenario {self.name!r} has no separable potential")
-            return separable_model(self.potential, self.slow_drift)
-        if route == "cell":
-            opts = dict(self.solver)
-            opts.update(overrides)
-            return homogenize(self.fast_coefficients(), self.slow_drift,
-                              scheme=opts.get("scheme", "auto"),
-                              n=opts.get("n"))
-        raise ValidationError(f"unknown homogenization route {route!r}")
+    def effective_model(self, **overrides) -> EffectiveModel:
+        """Homogenized model from the cell solve of the fast layer, with the
+        ``solver`` settings (``scheme``, ``n``) overridden by ``overrides``."""
+        return homogenize(self.fast_coefficients(), self.slow_drift,
+                          **{**self.solver, **overrides})
 
     # -- initial conditions and runs ----------------------------------------
 

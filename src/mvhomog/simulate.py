@@ -45,33 +45,17 @@ of a sorted sum, the moment cap is certified by the positions' two
 extremes and a rounding bound (sorting only when that bound cannot
 decide), a single-column noise matrix multiplies by broadcast, and the
 wrap, the drifts and the update run in place in their operation order.
-Cost per particle-step of each N = 4000 run of the benchmark's
-``ladder_1d`` plan (1-d ``dawson_rough``, eps = 0.05, 4000 steps) timed
-alone, one BLAS thread, 2-CPU x86-64 VM, medians of ten alternating
-runs: 61 ns multiscale and
-42 ns pre-averaged, against 79 and 58 ns before that work was cut, and
-38 ns for each run of a coupled pair (53 ns before).  The noise draw's
-Box-Muller cosine and the fast-drift sine then went through scalar libm;
-they now go through numpy's vectorized tangent (``rng._wave_2pi``).
-Measured the same way on a host about twice as slow: 80 ns multiscale,
-64 ns pre-averaged and 54 ns coupled, against 127, 98 and 83 ns with
-libm.  Since then each noise hash serves two normals (``rng``), and the
-frozen mean dropped its sort: at N = 4000 in 8-step blocks the draw takes
-16-21 against 23-31 ns, the mean about 7 against 31 us a step, and the
-benchmark's coupled top pair (N = 4000, eps = 0.05, 4000 steps) timed
-alone on one CPU 1.23 against 1.69 s (medians of six runs each).  Then
-one hash round came to serve a pair and the monitor to read the two
-extremes first: at N = 4000 in 8-step blocks the draw takes 9-13
-against 14-18 ns and the monitor 4.7-5.1 against 10-15 us a step (one
-CPU, three alternating rounds), and the benchmark's ``ladder_1d`` (2 CPUs)
-took a median 1.03 against 1.23 s over ten alternating pairs, nine won
-(``BENCH_25.json``).
+The noise draw's Box-Muller pair and the fast drift's sine take their
+trigonometry from numpy's vectorized tangent (``rng._wave_2pi``), not
+scalar libm.  The README's Performance section and the ``BENCH_*.json``
+files hold the measured costs.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
@@ -178,9 +162,21 @@ class SimConfig:
         times = np.asarray(times, dtype=float)
         if times.size == 0:
             raise ValidationError("snapshot_times is empty: give at least one time in [0, t_end]")
+        if not np.all(np.isfinite(times)):
+            bad = float(times[~np.isfinite(times)][0])
+            raise ValidationError(f"snapshot times must be finite, got {bad!r}")
         if np.any(times < -1e-12) or np.any(times > self.t_end + 1e-12):
             raise ValidationError("snapshot times must lie in [0, t_end]")
-        steps = np.unique(np.round(times / self.dt).astype(int))
+        # the tolerance above is absolute, so with a tiny dt a time may round
+        # to a step before the start or past the end
+        steps = np.round(times / self.dt).astype(int)
+        off = (steps < 0) | (steps > self.n_steps)
+        if np.any(off):
+            at = np.argmax(off)
+            raise ValidationError(
+                f"snapshot time {float(times[at])!r} falls on step {steps[at]}, outside the "
+                f"run's steps 0 to {self.n_steps} of dt={self.dt!r}")
+        steps = np.unique(steps)
         if len(steps) != len(times):
             raise self._collision(len(times))
         return steps
@@ -313,8 +309,6 @@ class TrajectoryRecord:
         ids = [str(i) for i in range(n)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
-            if n == 0:
-                return
             for t, pos in zip(self.times, self.positions):
                 cols = [map(repr, col) for col in pos.T.tolist()]
                 rows = zip(repeat(repr(float(t))), ids, *cols)
@@ -350,6 +344,10 @@ def load_trajectory_csv(path) -> MeasurePath:
             except ValueError as exc:
                 raise ValidationError(
                     f"trajectory file {path}, line {reader.line_num}: {exc}") from None
+            if not all(map(math.isfinite, [t, *pos])):
+                raise ValidationError(
+                    f"trajectory file {path}, line {reader.line_num}: "
+                    f"time and positions must be finite, got {row}")
             if current is None or t != current:
                 times.append(t)
                 frames.append([])

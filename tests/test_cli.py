@@ -220,7 +220,7 @@ def test_an_empty_trajectory_file_exits_2(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["0.0,0,abc", "0.0,1"])
+@pytest.mark.parametrize("row", ["0.0,0,abc", "0.0,1", "0.0,0,nan", "inf,0,0.1"])
 def test_a_malformed_trajectory_row_exits_2(tmp_path, capsys, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"t,particle_id,x0\r\n{row}\r\n")

@@ -7,12 +7,12 @@ from scipy.special import i0
 from mvhomog import effective
 from mvhomog.effective import (SeparablePotential, _sandwich, averaged_coefficients,
                                gamma_separable, homogenize, matrix_sqrt_psd,
-                               separable_model, solve_with_x_derivatives)
+                               solve_with_x_derivatives)
 from mvhomog.errors import SolverError, ValidationError
 from mvhomog.experiments import state_grid, write_effective_table
 from mvhomog.measures import EmpiricalMeasure, MeasurePath
 from mvhomog.rate import dictionary_for_path, evaluate_jdg
-from mvhomog.scenarios import DAWSON_KAPPA, get_scenario
+from mvhomog.scenarios import DAWSON_KAPPA, get_scenario, scenario_names
 from mvhomog.simulate import SimConfig, averaged_lane, simulate_lanes
 from mvhomog.torus import FastCoefficients, solve_cell
 
@@ -110,18 +110,27 @@ def test_stacked_matrix_sqrt_matches_one_call_per_matrix(dim):
         matrix_sqrt_psd(stack.reshape(4, 10, dim, dim))
 
 
-def test_separable_route_matches_cell_route():
-    # dawson_rough adds a slow drift: the cell route's C b against Gamma b
-    for name in ("cos_rough_1d", "separable_2d", "dawson_rough"):
+def test_every_separable_model_matches_its_closed_form():
+    # the cell solve against sigma^2 Gamma and Gamma b; dawson_rough's slow
+    # drift reads a nonzero ensemble mean
+    for name in scenario_names():
         sc = get_scenario(name)
-        closed = sc.effective_model(route="separable")
-        solved = sc.effective_model(route="cell")
+        if sc.potential is None:
+            continue
+        model = sc.effective_model()
+        assert model.cell.grid.dim == sc.dim
+        gamma = gamma_separable(sc.potential)
         xs = state_grid(sc.dim)
-        want, closed_diffusion, _ = closed.coefficients(xs, None)
-        drift, diffusion, _ = solved.coefficients(xs, None)
-        assert np.abs(closed_diffusion - diffusion).max() <= 1e-6
-        gap = np.abs(drift - want).max()
-        assert gap <= 1e-6 * max(np.abs(want).max(), 1.0)
+        mu = EmpiricalMeasure(np.full((10, sc.dim), 0.3))
+        drift, diffusion, _ = model.coefficients(xs, mu)
+        want = sc.potential.sigma ** 2 * gamma
+        assert np.abs(diffusion - want).max() <= 1e-12 * np.abs(want).max()
+        if sc.slow_drift is None:
+            assert np.abs(drift).max() == 0.0
+            continue
+        want = sc.slow_drift(xs, mu) @ gamma.T
+        assert np.abs(want).max() > 1.0
+        assert np.abs(drift - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_cell_routes_correct_a_slow_drift_by_the_averaged_corrector():
@@ -151,7 +160,7 @@ def test_cell_routes_correct_a_slow_drift_by_the_averaged_corrector():
 def test_dawson_drift_closed_form():
     sc = get_scenario("dawson_rough")
     model = sc.effective_model()
-    gamma = float(model.gamma[0, 0])
+    gamma = float(gamma_separable(sc.potential)[0, 0])
     xs = np.linspace(-2, 2, 21)[:, None]
     mu = EmpiricalMeasure(np.full((10, 1), 0.3))
     got = model.coefficients(xs, mu)[0][:, 0]
@@ -295,6 +304,6 @@ def test_gamma_separable_quadrature_converges():
 
 def test_separable_model_without_slow_drift_has_zero_drift():
     sc = get_scenario("separable_2d")
-    model = separable_model(sc.potential)
+    model = sc.effective_model()
     xs = np.random.default_rng(0).normal(size=(6, 2))
     assert np.abs(model.coefficients(xs, None)[0]).max() == 0.0

@@ -75,6 +75,18 @@ REFUSALS = [
     ("plan rung record", lambda: _plan(rungs=[{"n_particles": 10 ** 8, "epsilon": 0.2}]),
      "plan.rungs[0].n_particles: n_particles=100000000 with 11 snapshots is 1.1e+09 "
      "particle-snapshots, more than MAX_PARTICLE_SNAPSHOTS=10000000"),
+    ("SimConfig NaN snapshot time",
+     lambda: SimConfig(n_particles=4, dt=0.1, t_end=0.2, snapshot_times=[0.0, np.nan]),
+     "snapshot times must be finite, got nan"),
+    # inside [0, t_end] by the absolute 1e-12 tolerance, but off the step grid
+    ("SimConfig snapshot past the last step",
+     lambda: SimConfig(n_particles=1, dt=1e-14, t_end=1e-6, snapshot_times=[0, 1e-6 + 5e-13]),
+     "snapshot time 1.0000004999999999e-06 falls on step 100000050, outside the run's "
+     "steps 0 to 100000000 of dt=1e-14"),
+    ("SimConfig snapshot before the first step",
+     lambda: SimConfig(n_particles=1, dt=1e-14, t_end=1e-6, snapshot_times=[-5e-13, 1e-6]),
+     "snapshot time -5e-13 falls on step -50, outside the run's steps 0 to 100000000 "
+     "of dt=1e-14"),
     ("SimConfig float particles", lambda: SimConfig(n_particles=2.5, dt=0.1, t_end=0.2),
      "n_particles must be an integer, got 2.5"),
     ("SimConfig bool particles", lambda: SimConfig(n_particles=True, dt=0.1, t_end=0.2),

@@ -127,12 +127,19 @@ def test_validate_catches_wrong_declared_density():
 
 def test_effective_model_routes():
     sc = get_scenario("nongradient_2d")
-    with pytest.raises(ValidationError, match="no separable potential"):
-        sc.effective_model(route="separable")
-    with pytest.raises(ValidationError, match="unknown homogenization route"):
-        sc.effective_model(route="magic")
-    model = sc.effective_model()  # auto resolves to the cell route
+    model = sc.effective_model()
     assert model.dim == 2
+    # the overrides reach the cell solve of a scenario with a potential
+    sc = get_scenario("cos_rough_1d")
+    model = sc.effective_model(n=16, scheme="fd")
+    assert (model.cell.scheme, model.cell.grid.n) == ("fd", 16)
+    diffusion = model.coefficients(np.zeros((1, 1)))[1][0, 0]
+    assert abs(diffusion - 1.246587) < 5e-7
+    assert abs(sc.effective_model().coefficients(np.zeros((1, 1)))[1][0, 0]
+               - 1.247721) < 5e-7
+    # a misspelt setting is refused, not ignored
+    with pytest.raises(TypeError, match="unexpected keyword argument 'nn'"):
+        sc.effective_model(nn=16)
 
 
 def test_initial_condition_kinds_validated():

@@ -106,11 +106,14 @@ def test_an_empty_trajectory_file_is_refused(tmp_path):
 @pytest.mark.parametrize("row, message", [
     ("0.0,0,abc", "could not convert"),
     ("0.0,1", "2 fields, the header has 3"),
+    ("0.0,0,nan", "must be finite, got ['0.0', '0', 'nan']"),
+    ("inf,0,0.1", "must be finite, got ['inf', '0', '0.1']"),
 ])
 def test_a_malformed_trajectory_row_is_refused_with_its_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     path.write_text(f"t,particle_id,x0\r\n0.0,0,0.5\r\n{row}\r\n")
-    with pytest.raises(ValidationError, match=f"{re.escape(str(path))}, line 3: .*{message}"):
+    with pytest.raises(ValidationError,
+                       match=f"{re.escape(str(path))}, line 3: .*{re.escape(message)}"):
         load_trajectory_csv(path)
 
 
@@ -715,7 +718,10 @@ def _skew_multiscale_reference(eps):
 
 
 def _dawson_pre_averaged_reference(model):
-    return lambda x, mu: _dawson_slow_reference(x, mu) @ model.gamma.T
+    # C = pi-average of (I + grad phi) from the model's own cell solve
+    cell = model.cell
+    corr = cell.pi_average(np.eye(1)[None] + cell.grad_phi)
+    return lambda x, mu: _dawson_slow_reference(x, mu) @ corr.T
 
 
 def _hash(cfg, positions):
