@@ -15,7 +15,7 @@ from .rate import (RateReport, TestDictionary, control_cost_bound,
                    dictionary_for_path, evaluate_jdg, hermite_dictionary)
 from .scenarios import Scenario, get_scenario, scenario_names
 from .simulate import (FeedbackControl, SimConfig, TrajectoryRecord,
-                       constant_control, load_trajectory_csv,
+                       constant_control, load_trajectory, load_trajectory_csv,
                        simulate_averaged, simulate_multiscale)
 from .torus import CellSolution, FastCoefficients, TorusGrid, solve_cell
 
@@ -28,7 +28,7 @@ __all__ = [
     "ValidationError", "averaged_coefficients",
     "constant_control", "control_cost_bound", "dictionary_for_path",
     "evaluate_jdg", "gamma_separable", "get_scenario", "hermite_dictionary",
-    "homogenize", "load_plan", "load_trajectory_csv",
+    "homogenize", "load_plan", "load_trajectory", "load_trajectory_csv",
     "local_coefficients", "matrix_sqrt_psd", "parse_plan",
     "run_experiment", "scenario_names", "simulate_averaged",
     "simulate_multiscale", "solve_cell", "wasserstein2",

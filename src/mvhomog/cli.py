@@ -27,7 +27,7 @@ from .experiments import (gamma_table_rows, run_experiment, write_cell_table,
 from .rate import dictionary_for_path, evaluate_jdg
 from .rng import SEED_LIMIT
 from .scenarios import get_scenario, scenario_names
-from .simulate import SimConfig, constant_control, load_trajectory_csv
+from .simulate import SimConfig, constant_control, load_trajectory, load_trajectory_csv
 from .torus import solve_cell
 
 
@@ -167,15 +167,17 @@ def cmd_simulate(args) -> int:
     if args.out:
         out = _ensure_dir(args.out)
         stem = f"{scenario.name}_{args.mode}_seed{args.seed}"
-        record.save_csv(out / f"{stem}.csv")
+        record.save(out / f"{stem}.npz")
         record.save_summary_json(out / f"{stem}.summary.json")
-        print(f"wrote {out / (stem + '.csv')}")
+        print(f"wrote {out / (stem + '.npz')}")
     return 0
 
 
 def cmd_rate(args) -> int:
     scenario = get_scenario(args.scenario)
-    path = _read_input(load_trajectory_csv, args.trajectory)
+    # a record of ``simulate --out`` or a ladder; any other file is read as CSV
+    load = load_trajectory if args.trajectory.endswith(".npz") else load_trajectory_csv
+    path = _read_input(load, args.trajectory)
     model = scenario.effective_model()
     dictionary = dictionary_for_path(path, args.basis)
     report = evaluate_jdg(path, model, dictionary)
@@ -255,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="action of a recorded trajectory")
     add_scenario(p)
-    p.add_argument("--trajectory", required=True, help="trajectory CSV")
+    p.add_argument("--trajectory", required=True,
+                   help="trajectory record (.npz), or a trajectory CSV")
     p.add_argument("--basis", type=int, default=6,
                    help="dictionary functions per axis")
     p.add_argument("--out", default=None)

@@ -3,14 +3,14 @@
 ``run_experiment`` executes a validated plan end to end: it solves for the
 homogenized model once, simulates the averaged reference ensemble, walks the
 (N, epsilon, dt) ladder across the plan's seeds, and writes every artifact
-(trajectory CSVs, run summaries, metric tables, a manifest with content
-hashes) into the output directory.  All artifacts are deterministic
-functions of the plan: runs use counter-based noise keyed by the plan seeds,
-transport distances are exact in one dimension and seeded in higher ones,
-and wall-clock timings are reported to the caller but never written to
-disk, so rerunning a plan reproduces every byte on the same machine and
-numpy build (numpy picks its float64 ``log``, ``exp`` and ``tan``
-kernels by CPU; see the README).
+(trajectory records in numpy's ``.npz`` format, run summaries, metric
+tables, a manifest with content hashes) into the output directory.  All
+artifacts are deterministic functions of the plan: runs use counter-based
+noise keyed by the plan seeds, transport distances are exact in one
+dimension and seeded in higher ones, and wall-clock timings are reported
+to the caller but never written to disk, so rerunning a plan reproduces
+every byte on the same machine and numpy build (numpy picks its float64
+``log``, ``exp`` and ``tan`` kernels by CPU; see the README).
 
 The plan's particle runs are independent, so they run as jobs in a pool
 of forked worker processes, up to one per usable CPU (see
@@ -159,11 +159,11 @@ class _Job:
 
 
 def _execute(job: _Job, base: Path) -> tuple:
-    """Run a job and write its CSVs and summaries; (records, seconds)."""
+    """Run a job and write its records and summaries; (records, seconds)."""
     t0 = time.perf_counter()
     records = simulate_lanes(list(job.lanes))
     for rec, stem in zip(records, job.stems):
-        rec.save_csv(base / f"{stem}.csv")
+        rec.save(base / f"{stem}.npz")
         rec.save_summary_json(base / f"{stem}.summary.json")
     return records, time.perf_counter() - t0
 
@@ -267,7 +267,7 @@ def _ladder(plan: ExperimentPlan, configs: tuple, scenario: Scenario, model, bas
         done, spent = runs.get(job.key, ([], 0.0))
         runs[job.key] = (done + records, spent + seconds)
         for stem in job.stems:
-            artifacts += [base / f"{stem}.csv", base / f"{stem}.summary.json"]
+            artifacts += [base / f"{stem}.npz", base / f"{stem}.summary.json"]
 
     (reference_rec,), runtimes["reference"] = runs["reference"]
     say(f"reference ensemble: N={plan.reference['n_particles']} "
@@ -320,7 +320,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     process, the jobs run inline, in plan order.  Otherwise they run in a
     pool of forked workers, one per CPU or per job, whichever is fewer,
     longest job (particles times steps) first.  Every job writes its own
-    CSV and summary, and the results are collected in plan order.  The two
+    record and summary, and the results are collected in plan order.  The two
     runs of a split pair draw the same noise, each on its own: the
     generator is counter-based, so each draws the same bits and the two
     jobs share no memory (the README's Performance section gives what the

@@ -216,6 +216,9 @@ class MeasurePath:
             raise ValidationError("times and measures must have equal length")
         if len(times) < 2:
             raise ValidationError("a measure path needs at least two snapshots")
+        if not np.all(np.isfinite(times)):
+            raise ValidationError(
+                f"snapshot times must be finite, got {times[~np.isfinite(times)][0]}")
         if np.any(np.diff(times) <= 0):
             raise ValidationError("snapshot times must be strictly increasing")
         dims = {m.dim for m in measures}

@@ -49,6 +49,12 @@ The noise draw's Box-Muller pair and the fast drift's sine take their
 trigonometry from numpy's vectorized tangent (``rng._wave_2pi``), not
 scalar libm.  The README's Performance section and the ``BENCH_*.json``
 files hold the measured costs.
+
+A run's :class:`TrajectoryRecord` is saved by ``save`` as its times and
+positions, float64, in one uncompressed ``.npz`` whose bytes depend on the
+arrays alone, and :func:`load_trajectory` reads it back as a measure path.
+The text format of ``save_csv`` and :func:`load_trajectory_csv` stays for
+trajectories made outside the package.
 """
 from __future__ import annotations
 
@@ -56,6 +62,7 @@ import csv
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
@@ -299,6 +306,16 @@ class TrajectoryRecord:
             out["control"] = {"label": self.control_label, "mean_cost": self.mean_cost}
         return out
 
+    def save(self, path) -> None:
+        """``times`` (T,) and ``positions`` (T, N, d), float64, in one uncompressed ``.npz``.
+
+        ``np.savez`` appends ``.npz`` to a path without it.  Its zip members
+        carry the fixed 1980-01-01 stamp, so a record's bytes are a function
+        of its arrays alone.
+        """
+        np.savez(path, times=np.ascontiguousarray(self.times, dtype=np.float64),
+                 positions=np.ascontiguousarray(self.positions, dtype=np.float64))
+
     def save_csv(self, path) -> None:
         """One row per particle and snapshot, repr floats, CRLF line ends.
 
@@ -348,13 +365,55 @@ def load_trajectory_csv(path) -> MeasurePath:
                 raise ValidationError(
                     f"trajectory file {path}, line {reader.line_num}: "
                     f"time and positions must be finite, got {row}")
-            if current is None or t != current:
+            if current is None or t > current:
                 times.append(t)
                 frames.append([])
                 current = t
+            elif t < current:
+                raise ValidationError(
+                    f"trajectory file {path}, line {reader.line_num}: snapshot times "
+                    f"must be strictly increasing, got {t!r} after {current!r}")
             frames[-1].append(pos)
     positions = [np.asarray(f) for f in frames]
     return MeasurePath(np.asarray(times), [EmpiricalMeasure(p) for p in positions])
+
+
+# the arrays of a saved record: each one's axis count, and the axes named
+_RECORD_AXES = {"times": (1, "(snapshots,)"), "positions": (3, "(snapshots, particles, dim)")}
+
+
+def load_trajectory(path) -> MeasurePath:
+    """Read a record that :meth:`TrajectoryRecord.save` wrote back as a measure path.
+
+    ``np.load`` reads it with pickles refused.  A file that is not an
+    ``.npz`` archive, a missing array, a dtype other than float64 and a
+    wrong number of axes are refused here, and what ``MeasurePath`` refuses
+    (values that are not finite, times that do not match the snapshots or
+    do not increase strictly) is refused with the file's name.
+    """
+    where = f"trajectory file {path}"
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError  # a .npy file: one array
+        with npz:
+            arrays = {name: npz[name] for name in _RECORD_AXES if name in npz.files}
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        # numpy's own words would mislead here: it calls any file that is
+        # neither a zip nor a .npy "pickled (object) data"
+        raise ValidationError(f"{where} is not an .npz record of float64 arrays") from None
+    for name, (ndim, axes) in _RECORD_AXES.items():
+        if name not in arrays:
+            raise ValidationError(f"{where} has no {name!r} array")
+        a = arrays[name]
+        if a.dtype != np.float64:
+            raise ValidationError(f"{where}: {name} has dtype {a.dtype}, needs float64")
+        if a.ndim != ndim:
+            raise ValidationError(f"{where}: {name} has shape {a.shape}, needs axes {axes}")
+    try:
+        return MeasurePath.from_arrays(arrays["times"], arrays["positions"])
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mvhomog.cli import main
@@ -106,7 +107,7 @@ def test_simulate_then_rate_round_trip(tmp_path, capsys):
                  "--dt", "0.05", "--t-end", "1.0", "--snapshots", "11",
                  "--seed", "3", "--out", str(tmp_path)])
     assert code == 0
-    traj = tmp_path / "free_brownian_averaged_seed3.csv"
+    traj = tmp_path / "free_brownian_averaged_seed3.npz"
     assert traj.exists()
     summary = json.loads(
         (tmp_path / "free_brownian_averaged_seed3.summary.json").read_text())
@@ -133,7 +134,7 @@ def test_rate_refuses_a_path_of_another_dimension(tmp_path, capsys, made, read, 
                  "--dt", "0.01", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     code = main(["rate", "--scenario", read,
-                 "--trajectory", str(tmp_path / f"{made}_averaged_seed0.csv")])
+                 "--trajectory", str(tmp_path / f"{made}_averaged_seed0.npz")])
     assert code == 2
     captured = capsys.readouterr()
     assert f"error: states have shape {shape}, but the model has dim {dim}" in captured.err
@@ -226,6 +227,14 @@ def test_a_malformed_trajectory_row_exits_2(tmp_path, capsys, row):
     path.write_text(f"t,particle_id,x0\r\n{row}\r\n")
     assert main(["rate", "--scenario", "free_brownian", "--trajectory", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: trajectory file {path}, line 2: ")
+
+
+def test_a_bad_trajectory_record_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.npz"
+    np.savez(path, times=np.array([0.0, 1.0], dtype=np.float32), positions=np.zeros((2, 3, 1)))
+    assert main(["rate", "--scenario", "free_brownian", "--trajectory", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: trajectory file {path}: times has dtype float32, needs float64\n")
 
 
 def test_ladder_runs_plan_and_honors_exit_codes(tmp_path, capsys):

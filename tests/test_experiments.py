@@ -14,10 +14,11 @@ from mvhomog import (
     EffectiveModel,
     MeasurePath,
     TestDictionary,
+    dictionary_for_path,
     evaluate_jdg,
     experiments,
     get_scenario,
-    load_trajectory_csv,
+    load_trajectory,
     parse_plan,
     run_experiment,
     wasserstein2,
@@ -62,14 +63,14 @@ def test_expected_artifacts_exist(tiny_run):
     names = {p.name for p in out.iterdir()}
     expected = {
         "gamma_table.csv", "effective_table.csv",
-        "reference_averaged.csv", "reference_averaged.summary.json",
+        "reference_averaged.npz", "reference_averaged.summary.json",
         "rate_reference.json", "ladder.csv", "rate_table.csv",
         "report.json", "manifest.json",
     }
     for i in (0,):
         for seed in (11, 23):
             for kind in ("multiscale", "pre_averaged"):
-                expected.add(f"rung{i}_seed{seed}_{kind}.csv")
+                expected.add(f"rung{i}_seed{seed}_{kind}.npz")
                 expected.add(f"rung{i}_seed{seed}_{kind}.summary.json")
     assert expected <= names
     assert messages and any("manifest" in m for m in messages)
@@ -114,17 +115,36 @@ def test_report_matches_ladder_csv(tiny_run):
     assert report["ladder_inversions"] == 0
 
 
-def test_transport_distances_recompute_from_trajectories(tiny_run):
+def test_transport_distances_recompute_from_trajectories(tiny_run, tmp_path):
+    # the binary records give back ladder.csv bit for bit
     out, report, _ = tiny_run
-    ref_path = load_trajectory_csv(out / "reference_averaged.csv")
-    ref_terminal = ref_path.measures[-1]
-    for rung, n, eps, dt, seed, w2_ref, w2_pre in report["ladder"]:
-        ms = load_trajectory_csv(out / f"rung{rung}_seed{seed}_multiscale.csv")
-        pre = load_trajectory_csv(out / f"rung{rung}_seed{seed}_pre_averaged.csv")
-        again_ref = wasserstein2(ms.measures[-1], ref_terminal)
-        again_pre = wasserstein2(ms.measures[-1], pre.measures[-1])
-        assert again_ref == pytest.approx(w2_ref, abs=1e-12)
-        assert again_pre == pytest.approx(w2_pre, abs=1e-12)
+    ref_terminal = load_trajectory(out / "reference_averaged.npz").measures[-1]
+    rows = []
+    for rung, n, eps, dt, seed, _, _ in report["ladder"]:
+        ms = load_trajectory(out / f"rung{rung}_seed{seed}_multiscale.npz")
+        pre = load_trajectory(out / f"rung{rung}_seed{seed}_pre_averaged.npz")
+        rows.append([rung, n, eps, dt, seed, wasserstein2(ms.measures[-1], ref_terminal),
+                     wasserstein2(ms.measures[-1], pre.measures[-1])])
+    again = tmp_path / "ladder.csv"
+    experiments._write_csv(again, ["rung", "n_particles", "epsilon", "dt", "seed",
+                                   "w2_vs_reference", "w2_vs_pre_averaged"], rows)
+    assert again.read_bytes() == (out / "ladder.csv").read_bytes()
+
+
+def test_rate_table_recomputes_from_binary_records(tiny_run, tmp_path):
+    out, report, _ = tiny_run
+    model = get_scenario(TINY_PLAN["scenario"]).effective_model()
+    ref_path = load_trajectory(out / "reference_averaged.npz")
+    dictionary = dictionary_for_path(ref_path, TINY_PLAN["rate_basis"])
+    runs = {"reference_averaged": ref_path}
+    for rung, _, _, _, seed, _, _ in report["ladder"]:
+        tag = f"rung{rung}_seed{seed}"
+        runs[tag] = load_trajectory(out / f"{tag}_multiscale.npz")
+    rows = [experiments._rate_row(run, evaluate_jdg(path, model, dictionary))
+            for run, path in runs.items()]
+    again = tmp_path / "rate_table.csv"
+    experiments._write_csv(again, ["run", "jdg_total", "basis", "gram_condition"], rows)
+    assert again.read_bytes() == (out / "rate_table.csv").read_bytes()
 
 
 def test_rate_table_recomputes_from_reference_json(tiny_run):

@@ -15,7 +15,8 @@ from mvhomog.errors import CenteringError, ValidationError
 from mvhomog.measures import EmpiricalMeasure, MeasurePath, wasserstein2
 from mvhomog.rate import TestDictionary
 from mvhomog.scenarios import FLAG_NAMES, Scenario
-from mvhomog.simulate import FeedbackControl, SimConfig, averaged_lane, simulate_lanes
+from mvhomog.simulate import (FeedbackControl, SimConfig, averaged_lane, load_trajectory,
+                              load_trajectory_csv, simulate_lanes)
 from mvhomog.torus import (FastCoefficients, TorusGrid, assemble_generator, solve_cell,
                            solve_cell_problem, solve_invariant_measure)
 
@@ -137,6 +138,8 @@ REFUSALS = [
      "a measure path needs at least two snapshots"),
     ("MeasurePath times", lambda: MeasurePath([1.0, 0.0], _path(2, 1, 1).measures),
      "snapshot times must be strictly increasing"),
+    ("MeasurePath NaN time", lambda: MeasurePath([0.0, np.nan], _path(2, 1, 1).measures),
+     "snapshot times must be finite, got nan"),
     ("MeasurePath dimensions", lambda: _path(2, 1, 2), "inconsistent measure dimensions {1, 2}"),
     ("EffectiveModel diffusion shape",
      lambda: EffectiveModel(2, lambda xs, mu: xs, np.eye(1)),
@@ -155,6 +158,66 @@ REFUSALS = [
 def test_bad_input_is_refused_by_name(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _record(**arrays):
+    """A valid two-snapshot record's arrays, with the given ones replaced or, as None, dropped."""
+    good = {"times": np.array([0.0, 1.0]), "positions": np.zeros((2, 3, 1))}
+    return {k: v for k, v in {**good, **arrays}.items() if v is not None}
+
+
+# (id, file content, message with the file as {path}): a CSV's text, or the
+# arrays or raw bytes of a file named .npz
+TRAJECTORY_REFUSALS = [
+    ("CSV time steps back",
+     "t,particle_id,x1\r\n0.0,0,0.1\r\n1.0,0,0.2\r\n0.5,0,0.3\r\n",
+     "trajectory file {path}, line 4: snapshot times must be strictly increasing, "
+     "got 0.5 after 1.0"),
+    ("record of text", b"t,particle_id,x1\r\n0.0,0,0.1\r\n",
+     "trajectory file {path} is not an .npz record of float64 arrays"),
+    ("empty record", b"", "trajectory file {path} is not an .npz record of float64 arrays"),
+    ("record without times", _record(times=None), "trajectory file {path} has no 'times' array"),
+    ("record without positions", _record(positions=None),
+     "trajectory file {path} has no 'positions' array"),
+    ("record float32 positions", _record(positions=np.zeros((2, 3, 1), dtype=np.float32)),
+     "trajectory file {path}: positions has dtype float32, needs float64"),
+    ("record int64 times", _record(times=np.array([0, 1], dtype=np.int64)),
+     "trajectory file {path}: times has dtype int64, needs float64"),
+    ("record 2-axis positions", _record(positions=np.zeros((2, 3))),
+     "trajectory file {path}: positions has shape (2, 3), needs axes "
+     "(snapshots, particles, dim)"),
+    ("record 2-axis times", _record(times=np.zeros((2, 1))),
+     "trajectory file {path}: times has shape (2, 1), needs axes (snapshots,)"),
+    ("record count mismatch", _record(times=np.array([0.0, 0.5, 1.0])),
+     "trajectory file {path}: times and measures must have equal length"),
+    ("record NaN positions", _record(positions=np.full((2, 3, 1), np.nan)),
+     "trajectory file {path}: atoms contain NaN or inf"),
+    ("record infinite time", _record(times=np.array([0.0, np.inf])),
+     "trajectory file {path}: snapshot times must be finite, got inf"),
+    ("record NaN time", _record(times=np.array([0.0, np.nan])),
+     "trajectory file {path}: snapshot times must be finite, got nan"),
+    ("record time steps back",
+     _record(times=np.array([0.0, 1.0, 0.5]), positions=np.zeros((3, 3, 1))),
+     "trajectory file {path}: snapshot times must be strictly increasing"),
+    ("record repeated time", _record(times=np.array([1.0, 1.0])),
+     "trajectory file {path}: snapshot times must be strictly increasing"),
+]
+
+
+@pytest.mark.parametrize("content, message", [row[1:] for row in TRAJECTORY_REFUSALS],
+                         ids=[row[0].replace(" ", "-") for row in TRAJECTORY_REFUSALS])
+def test_a_bad_trajectory_file_is_refused_naming_it(tmp_path, content, message):
+    if isinstance(content, str):
+        path, load = tmp_path / "run.csv", load_trajectory_csv
+        path.write_text(content)
+    else:
+        path, load = tmp_path / "run.npz", load_trajectory
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            np.savez(path, **content)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message.format(path=path))}$"):
+        load(path)
 
 
 def test_an_uncentered_layer_that_splits_by_axis_is_refused_as_on_the_grid():

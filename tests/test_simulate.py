@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,8 @@ from mvhomog.scenarios import (_DAWSON_FAST_AMP, _SKEW_C, _SKEW_SIGMA2, DAWSON_K
 from mvhomog import experiments, rng, simulate
 from mvhomog.simulate import (FeedbackControl, Lane, SimConfig, TrajectoryRecord,
                               _apply_noise, _monitor, _wrap_unit, averaged_lane,
-                              constant_control, load_trajectory_csv, multiscale_lane,
+                              constant_control, load_trajectory, load_trajectory_csv,
+                              multiscale_lane,
                               simulate_averaged, simulate_lanes)
 from mvhomog.torus import FastCoefficients
 
@@ -304,6 +306,17 @@ def test_multiscale_equals_averaged_without_fast_layer():
     assert np.array_equal(a.positions, b.positions)
 
 
+def _special_record(dim):
+    """A three-snapshot record whose positions hold signed zeros and subnormals."""
+    special = [-0.0, 1e-300, 0.0, -1e-300, 5e-324, 1.0 / 3.0, -123456.789e10]
+    positions = np.random.default_rng(dim).normal(size=(3, 7, dim))
+    positions[1, :, 0] = special
+    positions[2, :, -1] = special[::-1]
+    return TrajectoryRecord(scenario="t", mode="averaged",
+                            config=SimConfig(n_particles=7, dt=0.1, t_end=0.2),
+                            times=np.array([0.0, 0.1, 0.2]), positions=positions)
+
+
 def _csv_writer_reference(rec, path):
     """The trajectory CSV as the csv module writes it."""
     dim = rec.positions.shape[2]
@@ -317,21 +330,37 @@ def _csv_writer_reference(rec, path):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_save_csv_bytes_match_csv_writer(tmp_path, dim):
-    special = [-0.0, 1e-300, 0.0, -1e-300, 5e-324, 1.0 / 3.0, -123456.789e10]
-    g = np.random.default_rng(dim)
-    positions = g.normal(size=(3, 7, dim))
-    positions[1, :, 0] = special
-    positions[2, :, -1] = special[::-1]
-    rec = TrajectoryRecord(scenario="t", mode="averaged",
-                           config=SimConfig(n_particles=7, dt=0.1, t_end=0.2),
-                           times=np.array([0.0, 0.1, 0.2]), positions=positions)
+    rec = _special_record(dim)
     rec.save_csv(tmp_path / "fast.csv")
     _csv_writer_reference(rec, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     loaded = load_trajectory_csv(tmp_path / "fast.csv")
     assert np.array_equal(np.asarray(loaded.times), rec.times)
     for k, m in enumerate(loaded.measures):
-        assert np.array_equal(m.atoms.view(np.int64), positions[k].view(np.int64))
+        assert np.array_equal(m.atoms.view(np.int64), rec.positions[k].view(np.int64))
+
+
+def test_two_saves_of_a_record_give_the_same_bytes(tmp_path, monkeypatch):
+    rec = _special_record(2)
+    rec.save(tmp_path / "first")
+    # a later clock: the zip members' stamps must not read it
+    monkeypatch.setattr(time, "time", lambda: 2.0e9)
+    rec.save(tmp_path / "second.npz")
+    first = (tmp_path / "first.npz").read_bytes()
+    assert first == (tmp_path / "second.npz").read_bytes()
+    assert first.startswith(b"PK")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_saved_record_loads_back_bit_for_bit(tmp_path, dim):
+    rec = _special_record(dim)
+    rec.save(tmp_path / "run.npz")
+    loaded = load_trajectory(tmp_path / "run.npz")
+    positions = np.stack([m.atoms for m in loaded.measures])
+    assert np.array_equal(loaded.times.view(np.int64), rec.times.view(np.int64))
+    assert np.array_equal(positions.view(np.int64), rec.positions.view(np.int64))
+    again = dataclasses.replace(rec, times=loaded.times, positions=positions)
+    assert again.position_hash() == rec.position_hash()
 
 
 def test_moment_gate_is_permutation_exact():
