@@ -95,10 +95,6 @@ def cmd_solve_cell(args) -> int:
 
 def cmd_gamma(args) -> int:
     scenario = get_scenario(args.scenario)
-    if scenario.potential is None:
-        raise ValidationError(
-            f"scenario {args.scenario!r} is not separable; "
-            "use solve-cell / effective for the general route")
     for k, z, zhat, gamma, *ref in gamma_table_rows(scenario, args.quad_points):
         line = f"axis {k}: z {z:.12f}  z_hat {zhat:.12f}  gamma {gamma:.12f}"
         if ref:

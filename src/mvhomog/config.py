@@ -22,23 +22,26 @@ Plan schema (JSON object; only ``scenario`` is required)::
       "out_dir":   "runs"
     }
 
-Omitted rungs default to the standard ladder (250, 0.2), (1000, 0.1),
+Every omitted key takes the ``ExperimentPlan`` field's default, which is
+the only copy of the schema's defaults: a plan made in code gets the same
+ones.  Omitted rungs default to the standard ladder (250, 0.2), (1000, 0.1),
 (4000, 0.05) at the stiffness limit dt = eps^2 / 10; an explicit empty list
 is allowed and means "produce the manifest and tables only, no particle
-runs".
+runs".  A plan asking for ``jdg`` needs the action's MIN_SNAPSHOTS (3)
+snapshots.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .rate import MAX_BASIS
+from .rate import MAX_BASIS, MIN_SNAPSHOTS
 from .rng import SEED_LIMIT
 from .scenarios import get_scenario, scenario_names
 from .simulate import MAX_STEPS, SimConfig, stiffness_limit
@@ -96,15 +99,14 @@ class Rung:
     epsilon: float
     dt: float
 
-    def as_dict(self) -> dict:
-        return {"n_particles": self.n_particles, "epsilon": self.epsilon,
-                "dt": self.dt}
-
 
 @dataclass
 class ExperimentPlan:
+    """A plan; its field defaults are the schema's, for parsed plans too."""
+
     scenario: str
-    rungs: list = field(default_factory=list)
+    rungs: list = field(default_factory=lambda: [Rung(n, eps, stiffness_limit(eps))
+                                                 for n, eps in DEFAULT_LADDER])
     seeds: tuple = DEFAULT_SEEDS
     reference: dict = field(default_factory=lambda: dict(DEFAULT_REFERENCE))
     metrics: tuple = ("w2_ladder",)
@@ -114,28 +116,22 @@ class ExperimentPlan:
     out_dir: str = "runs"
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "rungs": [r.as_dict() for r in self.rungs],
-            "seeds": list(self.seeds),
-            "reference": dict(self.reference),
-            "metrics": list(self.metrics),
-            "t_end": self.t_end,
-            "snapshots": self.snapshots,
-            "rate_basis": self.rate_basis,
-            "out_dir": self.out_dir,
-        }
+        return {**asdict(self), "seeds": list(self.seeds), "metrics": list(self.metrics)}
 
     def run_configs(self) -> tuple:
         """(reference config, [(rung index, config) for every rung and seed]).
 
         Every run records on linspace(0, t_end, snapshots), and a rung's run
         must resolve the fast scale.  A refusal by SimConfig's rules names the
-        plan field it comes from.  Every run's steps are checked first, on one
-        particle; then the snapshot count against the shortest run, before
+        plan field it comes from.  A ``jdg`` plan's snapshot count is checked
+        first, against the action's MIN_SNAPSHOTS; then every run's steps, on
+        one particle; then the snapshot count against the shortest run, before
         the times are built; then each run whole, with its particles and its
         record.
         """
+        if "jdg" in self.metrics and self.snapshots < MIN_SNAPSHOTS:
+            raise ValidationError(f"plan.snapshots: the jdg metric needs at least "
+                                  f"{MIN_SNAPSHOTS} snapshots, got {self.snapshots}")
         ref = self.reference
         coarsest = max([ref["dt"]] + [rung.dt for rung in self.rungs])
         too_long = coarsest > 0 and self.t_end / coarsest > MAX_STEPS
@@ -196,12 +192,12 @@ def _parse_rung(raw, idx: int) -> Rung:
     return Rung(n, eps, dt)
 
 
-def _parse_reference(raw) -> dict:
+def _parse_reference(raw, default: dict) -> dict:
     path = "plan.reference"
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected an object, got {raw!r}")
-    _reject_unknown(raw, ("n_particles", "dt", "seed"), path)
-    out = dict(DEFAULT_REFERENCE)
+    _reject_unknown(raw, default, path)
+    out = dict(default)
     if "n_particles" in raw:
         out["n_particles"] = _as_int(raw["n_particles"], f"{path}.n_particles", 1)
     if "dt" in raw:
@@ -211,22 +207,27 @@ def _parse_reference(raw) -> dict:
     return out
 
 
-_PLAN_KEYS = ("scenario", "rungs", "seeds", "reference", "metrics", "t_end",
-              "snapshots", "rate_basis", "out_dir")
+_PLAN_KEYS = tuple(f.name for f in fields(ExperimentPlan))
 
 
 def parse_plan(raw: dict) -> ExperimentPlan:
-    """Validate a decoded JSON object into an ExperimentPlan."""
+    """Validate a decoded JSON object into an ExperimentPlan.
+
+    An absent key, or reference key, is read from the ExperimentPlan
+    field's default and validated as if given.
+    """
     if not isinstance(raw, dict):
         raise ValidationError(f"plan: expected a JSON object, got {raw!r}")
     _reject_unknown(raw, _PLAN_KEYS, "plan")
     if "scenario" not in raw:
         raise ValidationError("plan.scenario: required")
     scenario = _as_str_choice(raw["scenario"], "plan.scenario", scenario_names())
+    default = ExperimentPlan(scenario).as_dict()
+    raw = {**default, **raw}
 
-    t_end = _as_float(raw.get("t_end", 1.0), "plan.t_end")
-    snapshots = _as_int(raw.get("snapshots", 11), "plan.snapshots", minimum=2)
-    rate_basis = _as_int(raw.get("rate_basis", 6), "plan.rate_basis", minimum=2)
+    t_end = _as_float(raw["t_end"], "plan.t_end")
+    snapshots = _as_int(raw["snapshots"], "plan.snapshots", minimum=2)
+    rate_basis = _as_int(raw["rate_basis"], "plan.rate_basis", minimum=2)
     dim = get_scenario(scenario).dim
     if rate_basis ** dim > MAX_BASIS:
         raise ValidationError(
@@ -234,38 +235,27 @@ def parse_plan(raw: dict) -> ExperimentPlan:
             f"for the {dim}-d scenario {scenario!r} is more than the limit of "
             f"{MAX_BASIS}; lower rate_basis")
 
-    out_dir = raw.get("out_dir", "runs")
+    out_dir = raw["out_dir"]
     if not isinstance(out_dir, str) or not out_dir:
         raise ValidationError(f"plan.out_dir: expected a non-empty string, got {out_dir!r}")
 
-    if "rungs" in raw:
-        if not isinstance(raw["rungs"], list):
-            raise ValidationError(f"plan.rungs: expected a list, got {raw['rungs']!r}")
-        rungs = [_parse_rung(r, i) for i, r in enumerate(raw["rungs"])]
-    else:
-        rungs = [_parse_rung({"n_particles": n, "epsilon": e}, i)
-                 for i, (n, e) in enumerate(DEFAULT_LADDER)]
+    if not isinstance(raw["rungs"], list):
+        raise ValidationError(f"plan.rungs: expected a list, got {raw['rungs']!r}")
+    rungs = [_parse_rung(r, i) for i, r in enumerate(raw["rungs"])]
 
-    if "seeds" in raw:
-        if not isinstance(raw["seeds"], list) or not raw["seeds"]:
-            raise ValidationError(
-                f"plan.seeds: expected a non-empty list, got {raw['seeds']!r}")
-        seeds = tuple(_as_int(s, f"plan.seeds[{i}]", 0, SEED_LIMIT - 1)
-                      for i, s in enumerate(raw["seeds"]))
-        if len(set(seeds)) != len(seeds):
-            raise ValidationError("plan.seeds: seeds must be distinct")
-    else:
-        seeds = DEFAULT_SEEDS
+    if not isinstance(raw["seeds"], list) or not raw["seeds"]:
+        raise ValidationError(f"plan.seeds: expected a non-empty list, got {raw['seeds']!r}")
+    seeds = tuple(_as_int(s, f"plan.seeds[{i}]", 0, SEED_LIMIT - 1)
+                  for i, s in enumerate(raw["seeds"]))
+    if len(set(seeds)) != len(seeds):
+        raise ValidationError("plan.seeds: seeds must be distinct")
 
-    if "metrics" in raw:
-        if not isinstance(raw["metrics"], list):
-            raise ValidationError(f"plan.metrics: expected a list, got {raw['metrics']!r}")
-        metrics = tuple(_as_str_choice(m, f"plan.metrics[{i}]", KNOWN_METRICS)
-                        for i, m in enumerate(raw["metrics"]))
-    else:
-        metrics = ("w2_ladder",)
+    if not isinstance(raw["metrics"], list):
+        raise ValidationError(f"plan.metrics: expected a list, got {raw['metrics']!r}")
+    metrics = tuple(_as_str_choice(m, f"plan.metrics[{i}]", KNOWN_METRICS)
+                    for i, m in enumerate(raw["metrics"]))
 
-    reference = _parse_reference(raw.get("reference", {}))
+    reference = _parse_reference(raw["reference"], default["reference"])
 
     plan = ExperimentPlan(scenario=scenario, rungs=rungs, seeds=seeds,
                           reference=reference, metrics=metrics, t_end=t_end,

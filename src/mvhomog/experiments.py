@@ -41,7 +41,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentPlan
 from .effective import QUAD_POINTS, gamma_separable
-from .errors import SimulationError
+from .errors import SimulationError, ValidationError
 from .measures import wasserstein2
 from .rate import _json_scalar, dictionary_for_path, evaluate_jdg
 from .scenarios import Scenario, get_scenario
@@ -80,9 +80,13 @@ def state_grid(dim: int) -> np.ndarray:
 
 
 def gamma_table_rows(scenario: Scenario, quad_points: int = QUAD_POINTS) -> list:
-    """Per-axis normalizers and homogenization factors, with references."""
+    """Per-axis normalizers and homogenization factors, with references.
+
+    A scenario without a separable potential has no closed-form table and is
+    refused.
+    """
     if scenario.potential is None:
-        raise ValueError(
+        raise ValidationError(
             f"scenario {scenario.name!r} has no separable potential; "
             "the closed-form factor table is undefined")
     z, zhat = scenario.potential.z_factors(quad_points)
@@ -350,8 +354,9 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
 
     say(f"scenario {plan.scenario}: {len(checks)} validation checks passed")
 
+    ladder = bool(plan.rungs and set(plan.metrics) & {"w2_ladder", "jdg"})
     model = None
-    if set(plan.metrics) & {"w2_ladder", "jdg", "effective_table"} or plan.rungs:
+    if ladder or "effective_table" in plan.metrics:
         model = scenario.effective_model()
 
     if "gamma_table" in plan.metrics and scenario.potential is not None:
@@ -367,7 +372,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
         say(f"wrote {p.name}")
 
     ladder_rows, rate_rows = [], []
-    if plan.rungs and set(plan.metrics) & {"w2_ladder", "jdg"}:
+    if ladder:
         ladder_rows, rate_rows = _ladder(plan, configs, scenario, model, base,
                                          artifacts, runtimes, say)
 

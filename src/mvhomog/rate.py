@@ -49,6 +49,8 @@ from .measures import EmpiricalMeasure, MeasurePath, wasserstein2
 
 # Gram eigenvalues below this fraction of the largest are treated as null
 GRAM_CUTOFF = 1e-9
+# fewest snapshots a path needs for its action, which a jdg plan must record
+MIN_SNAPSHOTS = 3
 # a path starting further than this from nu0 (W2) has action +infinity
 NU0_TOL = 0.05
 # most functions a Hermite dictionary may hold (per_axis ** dim), which also
@@ -251,8 +253,8 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
     definition and no integration is attempted.  ``dictionary`` needs only
     ``size`` and ``evaluate(x)``, as on ``TestDictionary``.
     """
-    if len(path) < 3:
-        raise ValidationError("rate evaluation needs at least 3 snapshots")
+    if len(path) < MIN_SNAPSHOTS:
+        raise ValidationError(f"rate evaluation needs at least {MIN_SNAPSHOTS} snapshots")
     nbasis = dictionary.size
     times = path.times
 

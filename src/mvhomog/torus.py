@@ -27,6 +27,12 @@ times the stationarity gate's form RESIDUAL_TOL |L| |x|: rounding leaves
 eps |L| |x| with |L| ~ n^2, which the target clears by a fixed factor on any
 grid.  Grids above MAX_UNKNOWNS are refused up front.
 
+Two gates decide whether the cell problem is posed at all, each one
+function that ``Scenario.validate`` runs too: ``ellipticity_floor`` refuses
+an A whose smallest eigenvalue on the grid is below ELLIPTICITY_TOL
+(``assemble_generator`` runs it), and ``check_centering`` refuses an f with
+a component whose int f_l pi exceeds CENTERING_TOL sup |f_l|.
+
 A layer that splits by axis, read off the evaluated fields (d >= 2, A
 diagonal, and each f_k and A_kk reading only y_k, compared exactly on the
 grid), has L = sum_k L_k: then pi is the product of the axes' invariant
@@ -52,7 +58,7 @@ from .krylov import RESTART, gmres
 DEFAULT_N = {1: 256, 2: 64, 3: 32}
 
 # ellipticity floor below which A is treated as degenerate
-ELLIPTICITY_TOL = 1e-10
+ELLIPTICITY_TOL = 1e-8
 # refuse the cell solve when |int f_l pi| exceeds this times max|f_l|
 CENTERING_TOL = 1e-6
 # post-solve residual guard, relative to the data scale
@@ -251,10 +257,18 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 
 
 def ellipticity_floor(a_vals: np.ndarray) -> float:
-    """Smallest eigenvalue of A over the grid; a field of stride 0 is one matrix."""
+    """The ellipticity gate: the smallest eigenvalue of A over the grid.
+
+    A field of stride 0 is one matrix.  Raises EllipticityError when the
+    floor is below ELLIPTICITY_TOL.
+    """
     if a_vals.strides[0] == 0:
         a_vals = a_vals[:1]
-    return float(np.linalg.eigvalsh(a_vals)[:, 0].min())
+    lam = float(np.linalg.eigvalsh(a_vals)[:, 0].min())
+    if lam < ELLIPTICITY_TOL:
+        raise EllipticityError(
+            f"diffusion matrix eigenvalue floor {lam:.3e} below {ELLIPTICITY_TOL:.1e}")
+    return lam
 
 
 def _largest_entry(grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray,
@@ -373,10 +387,7 @@ def assemble_generator(grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray,
     """Matrix-free L on the grid; raises EllipticityError when A degenerates."""
     if scheme == "spectral" and grid.dim > 2:
         raise ValidationError("spectral scheme is limited to dimensions 1 and 2")
-    lam = ellipticity_floor(a_vals)
-    if lam < ELLIPTICITY_TOL:
-        raise EllipticityError(
-            f"diffusion matrix eigenvalue floor {lam:.3e} below {ELLIPTICITY_TOL:.1e}")
+    ellipticity_floor(a_vals)
     return GeneratorOperator(grid, f_vals, a_vals, scheme)
 
 
@@ -419,30 +430,28 @@ def _stationarity_gates(L: GeneratorOperator, pi: np.ndarray, grid: TorusGrid):
     return pi, resid
 
 
-def check_centering(f_vals: np.ndarray, pi: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Centering defect int f pi dy, componentwise; must vanish for the cell problem."""
-    return grid.integrate(f_vals * pi[:, None])
+def check_centering(f_vals: np.ndarray, pi: np.ndarray, grid: TorusGrid):
+    """The centering gate: (int f pi dy, its size relative to sup |f|), per component.
 
-
-def _centering_gate(f_vals: np.ndarray, pi: np.ndarray, grid: TorusGrid):
-    """(int f pi dy, sup |f|) per component; CenteringError above CENTERING_TOL sup|f|."""
-    defect = check_centering(f_vals, pi, grid)
-    scale = np.maximum(np.abs(f_vals).max(axis=0), 1e-300)
-    rel = np.abs(defect) / scale
+    The cell problem is solvable only when the defect vanishes; raises
+    CenteringError when a component's relative defect exceeds CENTERING_TOL.
+    """
+    defect = grid.integrate(f_vals * pi[:, None])
+    rel = np.abs(defect) / np.maximum(np.abs(f_vals).max(axis=0), 1e-300)
     if np.any(rel > CENTERING_TOL):
         worst = int(np.argmax(rel))
         raise CenteringError(
             f"fast drift component {worst} has centering defect "
             f"{defect[worst]:.3e} (relative {rel[worst]:.3e} > {CENTERING_TOL:.1e}); "
             "the cell problem is not solvable for this coefficient set")
-    return defect, scale
+    return defect, rel
 
 
 def _corrector_gate(L: GeneratorOperator, phi: np.ndarray, centered: np.ndarray,
-                    scale: np.ndarray) -> np.ndarray:
+                    f_vals: np.ndarray) -> np.ndarray:
     """sup |L phi_l + centered f_l| per component; SolverError above the gate."""
     resid = np.max(np.abs(L @ phi + centered), axis=0)
-    if np.any(resid > RESIDUAL_TOL * np.maximum(scale, 1.0) * 1e3):
+    if np.any(resid > RESIDUAL_TOL * np.maximum(np.abs(f_vals).max(axis=0), 1.0) * 1e3):
         raise SolverError(f"cell residuals {resid} failed the solve check")
     return resid
 
@@ -455,13 +464,13 @@ def solve_cell_problem(L: GeneratorOperator, pi: np.ndarray, f_vals: np.ndarray,
     residual that remains below the gate is projected out so the discrete
     system is exactly solvable.
     """
-    defect, scale = _centering_gate(f_vals, pi, grid)
+    defect, _ = check_centering(f_vals, pi, grid)
     centered = f_vals - defect[None, :]  # project onto the solvable range
     # the preconditioned right-hand side gauges the size of phi_l
     cols, its = zip(*[L.solve(-c, np.abs(L.precondition(c)).max()) for c in centered.T])
     phi, L.krylov["phi"] = np.stack(cols, axis=1), list(its)
     phi -= (pi * grid.weight) @ phi  # pi-mean zero; constants span ker L
-    return phi, _corrector_gate(L, phi, centered, scale), defect
+    return phi, _corrector_gate(L, phi, centered, f_vals), defect
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +525,7 @@ def _solve_by_axis(L: GeneratorOperator, grid: TorusGrid, f_vals: np.ndarray,
     pis = [solve_invariant_measure(op, line)[0] for op in ops]
     pi = functools.reduce(np.multiply.outer, pis).ravel()
     pi, resid_pi = _stationarity_gates(L, pi / grid.integrate(pi), grid)
-    defect, scale = _centering_gate(f_vals, pi, grid)
+    defect, _ = check_centering(f_vals, pi, grid)
     phi = np.empty((grid.size, grid.dim))
     grad_phi = np.zeros((grid.size, grid.dim, grid.dim))
     for k, (op, p, (f, _)) in enumerate(zip(ops, pis, lines)):
@@ -525,7 +534,7 @@ def _solve_by_axis(L: GeneratorOperator, grid: TorusGrid, f_vals: np.ndarray,
         grad_phi[:, k, k] = _on_axis(apply_axis_derivative(phi_k, line, 0, scheme)[:, 0],
                                      grid, k)
     phi -= (pi * grid.weight) @ phi
-    resid_phi = _corrector_gate(L, phi, f_vals - defect[None, :], scale)
+    resid_phi = _corrector_gate(L, phi, f_vals - defect[None, :], f_vals)
     return ops, pi, resid_pi, phi, resid_phi, defect, grad_phi
 
 

@@ -38,7 +38,9 @@ def test_gamma_refuses_an_empty_quadrature(capsys, count):
 
 def test_gamma_rejects_nonseparable_scenario(capsys):
     assert main(["gamma", "--scenario", "nongradient_2d"]) == 2
-    assert "not separable" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: scenario 'nongradient_2d' has no separable potential; "
+        "the closed-form factor table is undefined\n")
 
 
 def test_unknown_scenario_exits_2(capsys):

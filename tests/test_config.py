@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from mvhomog import ValidationError, load_plan, parse_plan, scenario_names
+from mvhomog import ExperimentPlan, ValidationError, load_plan, parse_plan, scenario_names
 from mvhomog.config import DEFAULT_LADDER, DEFAULT_REFERENCE, DEFAULT_SEEDS
 
 
@@ -22,6 +22,12 @@ def test_minimal_plan_gets_defaults():
     assert plan.snapshots == 11
     assert plan.rate_basis == 6
     assert plan.out_dir == "runs"
+
+
+def test_a_plan_made_in_code_takes_the_parsed_defaults():
+    # the standard ladder at the stiffness limit, as parse_plan fills it in
+    built = ExperimentPlan(scenario="dawson_rough")
+    assert built.as_dict() == parse_plan({"scenario": "dawson_rough"}).as_dict()
 
 
 def test_every_registry_scenario_parses_in_a_minimal_plan():

@@ -379,6 +379,37 @@ def test_a_built_plan_with_colliding_snapshots_writes_no_file(tmp_path):
     assert not out.exists()
 
 
+def test_a_built_jdg_plan_with_two_snapshots_writes_no_file(tmp_path):
+    # bypasses parse_plan: the action needs 3 snapshots, refused before any run
+    plan = dataclasses.replace(parse_plan(TINY_PLAN), snapshots=2)
+    out = tmp_path / "runs"
+    with pytest.raises(ValidationError,
+                       match=r"^plan\.snapshots: the jdg metric needs at least 3 snapshots, "
+                             r"got 2$"):
+        run_experiment(plan, out_dir=out)
+    assert not out.exists()
+
+
+def test_a_table_only_plan_builds_no_model(tmp_path, monkeypatch):
+    from mvhomog import scenarios
+    calls = []
+    homogenize = scenarios.homogenize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return homogenize(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "homogenize", counted)
+    run_experiment(parse_plan({"scenario": "dawson_rough", "metrics": ["gamma_table"]}),
+                   out_dir=tmp_path)
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "gamma_table.csv", "manifest.json", "report.json"]
+    run_experiment(parse_plan({"scenario": "dawson_rough", "metrics": ["effective_table"]}),
+                   out_dir=tmp_path / "effective")
+    assert calls == [1]
+
+
 def test_state_grid_shapes():
     assert state_grid(1).shape == (41, 1)
     g2 = state_grid(2)
@@ -403,7 +434,7 @@ def test_gamma_table_contents():
     assert diff < 1e-12
     flat = gamma_table_rows(get_scenario("free_brownian"))
     assert flat[0][1:4] == pytest.approx([1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="no separable potential"):
+    with pytest.raises(ValidationError, match="no separable potential"):
         gamma_table_rows(get_scenario("nongradient_2d"))
 
 

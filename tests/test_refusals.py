@@ -3,6 +3,7 @@
 Refusals that another test already matches by message (the dictionary's
 scale, the action's snapshot count) are not repeated here.
 """
+import os
 import re
 
 import numpy as np
@@ -12,9 +13,10 @@ from mvhomog import rng
 from mvhomog.config import parse_plan
 from mvhomog.effective import EffectiveModel, SeparablePotential
 from mvhomog.errors import CenteringError, ValidationError
+from mvhomog.experiments import write_gamma_table
 from mvhomog.measures import EmpiricalMeasure, MeasurePath, wasserstein2
 from mvhomog.rate import TestDictionary
-from mvhomog.scenarios import FLAG_NAMES, Scenario
+from mvhomog.scenarios import FLAG_NAMES, Scenario, get_scenario
 from mvhomog.simulate import (FeedbackControl, SimConfig, averaged_lane, load_trajectory,
                               load_trajectory_csv, simulate_lanes)
 from mvhomog.torus import (FastCoefficients, TorusGrid, assemble_generator, solve_cell,
@@ -76,6 +78,12 @@ REFUSALS = [
     ("plan rung record", lambda: _plan(rungs=[{"n_particles": 10 ** 8, "epsilon": 0.2}]),
      "plan.rungs[0].n_particles: n_particles=100000000 with 11 snapshots is 1.1e+09 "
      "particle-snapshots, more than MAX_PARTICLE_SNAPSHOTS=10000000"),
+    ("plan jdg two snapshots", lambda: _plan(metrics=["w2_ladder", "jdg"], snapshots=2),
+     "plan.snapshots: the jdg metric needs at least 3 snapshots, got 2"),
+    ("gamma table non-separable",
+     lambda: write_gamma_table(get_scenario("nongradient_2d"), os.devnull),
+     "scenario 'nongradient_2d' has no separable potential; "
+     "the closed-form factor table is undefined"),
     ("SimConfig NaN snapshot time",
      lambda: SimConfig(n_particles=4, dt=0.1, t_end=0.2, snapshot_times=[0.0, np.nan]),
      "snapshot times must be finite, got nan"),

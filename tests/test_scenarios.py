@@ -1,11 +1,14 @@
 """Scenario registry: declared assumptions must survive their own checks."""
+import re
+
 import numpy as np
 import pytest
 
 from mvhomog import ValidationError, get_scenario, scenario_names
 from mvhomog.effective import gamma_separable
+from mvhomog.errors import CenteringError, EllipticityError
 from mvhomog.scenarios import FLAG_NAMES, Scenario
-from mvhomog.torus import FastCoefficients
+from mvhomog.torus import FastCoefficients, solve_cell
 
 EXPECTED = {"free_brownian", "cos_rough_1d", "dawson_rough",
             "separable_2d", "nongradient_2d"}
@@ -116,6 +119,33 @@ def test_validate_catches_uncentered_drift():
         (len(np.atleast_2d(y)), 1)))
     with pytest.raises(ValidationError, match="centering"):
         sc.validate()
+
+
+def _tilted_drift(x, y, mu):
+    """(-2 pi sin 2 pi y_1, 1e-6): the second component is a constant, never centered."""
+    return np.stack([-2.0 * np.pi * np.sin(2.0 * np.pi * y[:, 0]),
+                     np.full(len(y), 1e-6)], axis=1)
+
+
+PROBE_LAYERS = [
+    ("faint noise", 1, {"sigma": np.full((1, 1), 5e-5)}, EllipticityError,
+     "diffusion matrix eigenvalue floor 2.500e-09 below 1.0e-08"),
+    ("constant drift component", 2, {"f": _tilted_drift, "sigma": np.sqrt(2.0) * np.eye(2)},
+     CenteringError,
+     "fast drift component 1 has centering defect 1.000e-06 (relative 1.000e+00 > 1.0e-06); "
+     "the cell problem is not solvable for this coefficient set"),
+]
+
+
+@pytest.mark.parametrize("dim, layer, error, message", [row[1:] for row in PROBE_LAYERS],
+                         ids=[row[0].replace(" ", "-") for row in PROBE_LAYERS])
+def test_validate_refuses_what_the_cell_solver_refuses(dim, layer, error, message):
+    # validate runs the solver's own gates, so the two agree on every layer
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        solve_cell(_layer(dim, **layer))
+    named = f"scenario 'probe': {message}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(named)}$"):
+        _plain(dim, **layer).validate()
 
 
 def test_validate_catches_wrong_declared_density():
