@@ -7,8 +7,10 @@ the action of a recorded path (``rate``), and execute a full comparison
 ladder from a JSON plan (``ladder``).
 
 Exit codes: 0 on success, 2 for configuration and validation errors
-(unreadable input files among them), 3 for numerical failures (solver
-diagnostics, divergence gates).
+(unreadable input files and an ``--out`` directory that cannot be made
+among them), 3 for numerical failures (solver diagnostics, divergence
+gates).  A command's ``--out`` directory is made after its input is
+checked and before its run.
 """
 from __future__ import annotations
 
@@ -22,19 +24,24 @@ from . import __version__
 from .config import load_plan
 from .effective import QUAD_POINTS
 from .errors import NumericalError, ValidationError
-from .experiments import (gamma_table_rows, run_experiment, write_cell_table,
+from .experiments import (gamma_table_rows, make_out_dir, run_experiment, write_cell_table,
                           write_effective_table, write_gamma_table)
 from .rate import dictionary_for_path, evaluate_jdg
-from .rng import SEED_LIMIT
 from .scenarios import get_scenario, scenario_names
 from .simulate import SimConfig, constant_control, load_trajectory, load_trajectory_csv
-from .torus import solve_cell
 
 
-def _ensure_dir(path_str: str) -> Path:
-    path = Path(path_str)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _out_dir(args) -> Path | None:
+    """The ``--out`` directory, made before the command's run, or None."""
+    return make_out_dir(args.out) if args.out else None
+
+
+def _solver_overrides(args) -> dict:
+    """``--n`` and ``--scheme``, where given, over the scenario's solver settings."""
+    overrides = {} if args.n is None else {"n": args.n}
+    if args.scheme != "auto":
+        overrides["scheme"] = args.scheme
+    return overrides
 
 
 def _print_matrix(label: str, mat: np.ndarray) -> None:
@@ -67,13 +74,8 @@ def cmd_list(args) -> int:
 def cmd_solve_cell(args) -> int:
     scenario = get_scenario(args.scenario)
     scenario.validate()
-    opts = dict(scenario.solver)
-    if args.n is not None:
-        opts["n"] = args.n
-    if args.scheme != "auto":
-        opts["scheme"] = args.scheme
-    cell = solve_cell(scenario.fast_coefficients(),
-                      scheme=opts.get("scheme", "auto"), n=opts.get("n"))
+    out = _out_dir(args)
+    cell = scenario.effective_model(**_solver_overrides(args)).cell
     route = cell.provenance["cell_route"]
     print(f"scenario {scenario.name}: scheme {cell.scheme}, "
           f"n {cell.grid.n} per axis, {route} route")
@@ -86,8 +88,8 @@ def cmd_solve_cell(args) -> int:
     print(f"centering defect {np.abs(cell.centering).max():.3e}")
     corr = cell.pi_average(np.eye(cell.grid.dim)[None] + cell.grad_phi)
     _print_matrix("pi-average of (I + grad phi):", corr)
-    if args.out:
-        out = _ensure_dir(args.out) / f"cell_{scenario.name}.csv"
+    if out:
+        out = out / f"cell_{scenario.name}.csv"
         write_cell_table(cell, out)
         print(f"wrote {out}")
     return 0
@@ -95,13 +97,15 @@ def cmd_solve_cell(args) -> int:
 
 def cmd_gamma(args) -> int:
     scenario = get_scenario(args.scenario)
-    for k, z, zhat, gamma, *ref in gamma_table_rows(scenario, args.quad_points):
+    rows = gamma_table_rows(scenario, args.quad_points)
+    out = _out_dir(args)
+    for k, z, zhat, gamma, *ref in rows:
         line = f"axis {k}: z {z:.12f}  z_hat {zhat:.12f}  gamma {gamma:.12f}"
         if ref:
             line += f"  reference {ref[0]:.12f}  diff {ref[1]:.3e}"
         print(line)
-    if args.out:
-        out = _ensure_dir(args.out) / f"gamma_{scenario.name}.csv"
+    if out:
+        out = out / f"gamma_{scenario.name}.csv"
         write_gamma_table(scenario, out, args.quad_points)
         print(f"wrote {out}")
     return 0
@@ -110,18 +114,14 @@ def cmd_gamma(args) -> int:
 def cmd_effective(args) -> int:
     scenario = get_scenario(args.scenario)
     scenario.validate()
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.scheme != "auto":
-        overrides["scheme"] = args.scheme
-    model = scenario.effective_model(**overrides)
+    out = _out_dir(args)
+    model = scenario.effective_model(**_solver_overrides(args))
     d = scenario.dim
     drift, diffusion, _ = model.coefficients(np.zeros((1, d)), None)
     _print_matrix("effective diffusion at the origin:", diffusion.reshape(-1, d, d)[0])
     _print_matrix("drift at the origin (centered ensemble):", drift)
-    if args.out:
-        out = _ensure_dir(args.out) / f"effective_{scenario.name}.csv"
+    if out:
+        out = out / f"effective_{scenario.name}.csv"
         write_effective_table(scenario, model, out)
         print(f"wrote {out}")
     return 0
@@ -130,16 +130,12 @@ def cmd_effective(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = get_scenario(args.scenario)
     scenario.validate()
-    if not 0 <= args.seed < SEED_LIMIT:
-        raise ValidationError(f"--seed: must be in [0, 2**64), got {args.seed}")
     geometry = dict(dt=args.dt, t_end=args.t_end, seed=args.seed, epsilon=args.epsilon)
     times = None
     if args.snapshots is not None:
         # the count is checked on the run's steps before its times are built
         steps = SimConfig(n_particles=1, **geometry)
         try:
-            if args.snapshots < 2:
-                raise ValidationError(f"must be >= 2, got {args.snapshots}")
             steps.require_snapshot_count(args.snapshots)
         except ValidationError as exc:
             raise ValidationError(f"--snapshots: {exc}") from None
@@ -149,6 +145,7 @@ def cmd_simulate(args) -> int:
     if args.tilt is not None:
         control = constant_control(np.full(scenario.noise_dim, args.tilt),
                                    scenario.noise_dim)
+    out = _out_dir(args)
     if args.mode == "multiscale":
         record = scenario.run_multiscale(config, control)
     else:
@@ -160,8 +157,7 @@ def cmd_simulate(args) -> int:
           f"terminal spread {np.std(last, axis=0)}")
     if control is not None:
         print(f"mean control cost {record.mean_cost:.6f}")
-    if args.out:
-        out = _ensure_dir(args.out)
+    if out:
         stem = f"{scenario.name}_{args.mode}_seed{args.seed}"
         record.save(out / f"{stem}.npz")
         record.save_summary_json(out / f"{stem}.summary.json")
@@ -176,14 +172,15 @@ def cmd_rate(args) -> int:
     path = _read_input(load, args.trajectory)
     model = scenario.effective_model()
     dictionary = dictionary_for_path(path, args.basis)
+    out = _out_dir(args)
     report = evaluate_jdg(path, model, dictionary)
     print(f"action lower bound {report.total:.6g} over {report.basis_size} "
           f"dictionary functions")
     print(f"worst Gram condition {np.max(report.gram_condition):.3e}")
     if report.degenerate_times:
         print(f"degenerate Gram times: {report.degenerate_times}")
-    if args.out:
-        out = _ensure_dir(args.out) / "rate_report.json"
+    if out:
+        out = out / "rate_report.json"
         report.save_json(out)
         print(f"wrote {out}")
     return 0

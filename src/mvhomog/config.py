@@ -3,10 +3,21 @@
 A plan names a registry scenario and a ladder of prelimit resolutions
 (particle count, scale separation, step size), plus the reference run and
 the metrics to evaluate.  Validation is deliberately strict: unknown keys
-are rejected, every diagnostic names the offending field by its path
-(``plan.rungs[1].dt``), and every run's geometry is checked up front by
-SimConfig's own rules on the configs the runs use; a stiffness violation
-comes back with an admissible step.
+are rejected, and every diagnostic names the offending field by its path
+(``plan.rungs[1].dt``).
+
+An ``ExperimentPlan`` checks itself when it is made, so a plan made in
+code, or by ``dataclasses.replace``, is refused exactly as a parsed plan
+is, with the same message.  Its ``__post_init__`` is the plan's one
+rulebook: it checks each field's JSON type, the registry scenario, the
+metric names, the seeds and the reference's keys, and normalizes them;
+then it builds every run's config, so each run's geometry is checked by
+SimConfig's own rules on the configs the runs use, and a stiffness
+violation comes back with an admissible step.  A range rule lives where it
+is enforced, and the plan calls it under the field's path: particle
+counts, epsilon, dt, t_end and the snapshot count in ``SimConfig``, the
+seed range in ``rng.check_seed``, the dictionary's size in
+``rate.check_basis``.  ``parse_plan`` checks only what JSON alone needs.
 
 Plan schema (JSON object; only ``scenario`` is required)::
 
@@ -23,10 +34,11 @@ Plan schema (JSON object; only ``scenario`` is required)::
     }
 
 Every omitted key takes the ``ExperimentPlan`` field's default, which is
-the only copy of the schema's defaults: a plan made in code gets the same
-ones.  Omitted rungs default to the standard ladder (250, 0.2), (1000, 0.1),
-(4000, 0.05) at the stiffness limit dt = eps^2 / 10; an explicit empty list
-is allowed and means "produce the manifest and tables only, no particle
+the only copy of the schema's defaults, and a partial reference takes the
+rest of ``DEFAULT_REFERENCE``.  Omitted rungs default to the standard
+ladder (250, 0.2), (1000, 0.1), (4000, 0.05) at the stiffness limit
+dt = eps^2 / 10, as does a rung's omitted dt; an explicit empty list is
+allowed and means "produce the manifest and tables only, no particle
 runs".  A plan asking for ``jdg`` needs the action's MIN_SNAPSHOTS (3)
 snapshots.
 """
@@ -41,8 +53,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .rate import MAX_BASIS, MIN_SNAPSHOTS
-from .rng import SEED_LIMIT
+from .rate import MIN_SNAPSHOTS, check_basis
+from .rng import check_seed
 from .scenarios import get_scenario, scenario_names
 from .simulate import MAX_STEPS, SimConfig, stiffness_limit
 
@@ -59,14 +71,9 @@ def _reject_unknown(mapping: dict, allowed, path: str):
             f"{path}.{unknown[0]}: unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
-def _as_int(value, path: str, minimum: int | None = None,
-            maximum: int | None = None) -> int:
+def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{path}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValidationError(f"{path}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -74,12 +81,9 @@ def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:   # an integer beyond the float range
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise ValidationError(f"{path}: must be positive and finite, got {value}")
-    return value
+        return math.inf
 
 
 def _as_str_choice(value, path: str, choices) -> str:
@@ -88,6 +92,25 @@ def _as_str_choice(value, path: str, choices) -> str:
     if value not in choices:
         raise ValidationError(
             f"{path}: {value!r} is not one of {', '.join(sorted(choices))}")
+    return value
+
+
+def _as_list(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{path}: expected a list, got {value!r}")
+    return list(value)
+
+
+def _under(path: str, check, *args) -> None:
+    """``check(*args)``, its refusal named by the plan field ``path``."""
+    try:
+        check(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _seed(value, path: str) -> int:
+    _under(path, check_seed, _as_int(value, path))
     return value
 
 
@@ -100,9 +123,43 @@ class Rung:
     dt: float
 
 
+def _rung(raw, idx: int) -> Rung:
+    """A rung from a ``Rung`` or a JSON object, whose dt defaults to the stiffness limit."""
+    path = f"plan.rungs[{idx}]"
+    if isinstance(raw, Rung):
+        raw = asdict(raw)
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: expected an object, got {raw!r}")
+    _reject_unknown(raw, ("n_particles", "epsilon", "dt"), path)
+    if "n_particles" not in raw or "epsilon" not in raw:
+        raise ValidationError(f"{path}: needs n_particles and epsilon")
+    n = _as_int(raw["n_particles"], f"{path}.n_particles")
+    eps = _as_float(raw["epsilon"], f"{path}.epsilon")
+    dt = _as_float(raw["dt"], f"{path}.dt") if "dt" in raw else stiffness_limit(eps)
+    return Rung(n, eps, dt)
+
+
+def _reference(raw) -> dict:
+    """The reference run's keys, the absent ones from DEFAULT_REFERENCE."""
+    path = "plan.reference"
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: expected an object, got {raw!r}")
+    _reject_unknown(raw, DEFAULT_REFERENCE, path)
+    raw = {**DEFAULT_REFERENCE, **raw}
+    return {"n_particles": _as_int(raw["n_particles"], f"{path}.n_particles"),
+            "dt": _as_float(raw["dt"], f"{path}.dt"),
+            "seed": _seed(raw["seed"], f"{path}.seed")}
+
+
 @dataclass
 class ExperimentPlan:
-    """A plan; its field defaults are the schema's, for parsed plans too."""
+    """A plan, checked and normalized when it is made; its field defaults are
+    the schema's, for parsed plans too.
+
+    Rungs may be given as ``Rung``s or as JSON objects, and seeds and metrics
+    as lists or tuples; the plan holds a list of ``Rung``s, tuples and a full
+    reference.  A refusal names the field by its path, as for a parsed plan.
+    """
 
     scenario: str
     rungs: list = field(default_factory=lambda: [Rung(n, eps, stiffness_limit(eps))
@@ -115,6 +172,27 @@ class ExperimentPlan:
     rate_basis: int = 6
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        self.scenario = _as_str_choice(self.scenario, "plan.scenario", scenario_names())
+        self.t_end = _as_float(self.t_end, "plan.t_end")
+        self.snapshots = _as_int(self.snapshots, "plan.snapshots")
+        self.rate_basis = _as_int(self.rate_basis, "plan.rate_basis")
+        _under("plan.rate_basis", check_basis, self.rate_basis,
+               get_scenario(self.scenario).dim)
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ValidationError(
+                f"plan.out_dir: expected a non-empty string, got {self.out_dir!r}")
+        self.rungs = [_rung(r, i) for i, r in enumerate(_as_list(self.rungs, "plan.rungs"))]
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise ValidationError(f"plan.seeds: expected a non-empty list, got {self.seeds!r}")
+        self.seeds = tuple(_seed(s, f"plan.seeds[{i}]") for i, s in enumerate(self.seeds))
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError("plan.seeds: seeds must be distinct")
+        self.metrics = tuple(_as_str_choice(m, f"plan.metrics[{i}]", KNOWN_METRICS)
+                             for i, m in enumerate(_as_list(self.metrics, "plan.metrics")))
+        self.reference = _reference(self.reference)
+        self.run_configs()   # every run's geometry, by the rules the runs obey
+
     def as_dict(self) -> dict:
         return {**asdict(self), "seeds": list(self.seeds), "metrics": list(self.metrics)}
 
@@ -125,9 +203,10 @@ class ExperimentPlan:
         must resolve the fast scale.  A refusal by SimConfig's rules names the
         plan field it comes from.  A ``jdg`` plan's snapshot count is checked
         first, against the action's MIN_SNAPSHOTS; then every run's steps, on
-        one particle; then the snapshot count against the shortest run, before
-        the times are built; then each run whole, with its particles and its
-        record.
+        one particle; then the snapshot count against the shortest run, by
+        ``SimConfig.require_snapshot_count``, before the times are built; then
+        each run whole, with its particles and its record.  The plan runs
+        this when it is made; ``run_experiment`` calls it for the configs.
         """
         if "jdg" in self.metrics and self.snapshots < MIN_SNAPSHOTS:
             raise ValidationError(f"plan.snapshots: the jdg metric needs at least "
@@ -144,10 +223,7 @@ class ExperimentPlan:
                                     t_end=self.t_end, **geometry)
                         for _, path, seed_path, _, geometry in runs),
                        key=lambda config: config.n_steps)
-        try:
-            shortest.require_snapshot_count(self.snapshots)
-        except ValidationError as exc:
-            raise ValidationError(f"plan.snapshots: {exc}") from None
+        _under("plan.snapshots", shortest.require_snapshot_count, self.snapshots)
         times = np.linspace(0.0, self.t_end, self.snapshots)
         configs = [(i, _run_config(path, seed_path, too_long, n_particles=n, t_end=self.t_end,
                                    snapshot_times=times, **geometry))
@@ -179,90 +255,21 @@ def _run_config(path: str, seed_path: str, too_long: bool, **geometry) -> SimCon
     return config
 
 
-def _parse_rung(raw, idx: int) -> Rung:
-    path = f"plan.rungs[{idx}]"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: expected an object, got {raw!r}")
-    _reject_unknown(raw, ("n_particles", "epsilon", "dt"), path)
-    if "n_particles" not in raw or "epsilon" not in raw:
-        raise ValidationError(f"{path}: needs n_particles and epsilon")
-    n = _as_int(raw["n_particles"], f"{path}.n_particles", minimum=1)
-    eps = _as_float(raw["epsilon"], f"{path}.epsilon")
-    dt = _as_float(raw["dt"], f"{path}.dt") if "dt" in raw else stiffness_limit(eps)
-    return Rung(n, eps, dt)
-
-
-def _parse_reference(raw, default: dict) -> dict:
-    path = "plan.reference"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: expected an object, got {raw!r}")
-    _reject_unknown(raw, default, path)
-    out = dict(default)
-    if "n_particles" in raw:
-        out["n_particles"] = _as_int(raw["n_particles"], f"{path}.n_particles", 1)
-    if "dt" in raw:
-        out["dt"] = _as_float(raw["dt"], f"{path}.dt")
-    if "seed" in raw:
-        out["seed"] = _as_int(raw["seed"], f"{path}.seed", 0, SEED_LIMIT - 1)
-    return out
-
-
 _PLAN_KEYS = tuple(f.name for f in fields(ExperimentPlan))
 
 
 def parse_plan(raw: dict) -> ExperimentPlan:
-    """Validate a decoded JSON object into an ExperimentPlan.
+    """A decoded JSON object as an ExperimentPlan.
 
-    An absent key, or reference key, is read from the ExperimentPlan
-    field's default and validated as if given.
+    Only what JSON alone needs is checked here: an object, known keys and
+    ``scenario`` present.  The plan checks every field when it is made.
     """
     if not isinstance(raw, dict):
         raise ValidationError(f"plan: expected a JSON object, got {raw!r}")
     _reject_unknown(raw, _PLAN_KEYS, "plan")
     if "scenario" not in raw:
         raise ValidationError("plan.scenario: required")
-    scenario = _as_str_choice(raw["scenario"], "plan.scenario", scenario_names())
-    default = ExperimentPlan(scenario).as_dict()
-    raw = {**default, **raw}
-
-    t_end = _as_float(raw["t_end"], "plan.t_end")
-    snapshots = _as_int(raw["snapshots"], "plan.snapshots", minimum=2)
-    rate_basis = _as_int(raw["rate_basis"], "plan.rate_basis", minimum=2)
-    dim = get_scenario(scenario).dim
-    if rate_basis ** dim > MAX_BASIS:
-        raise ValidationError(
-            f"plan.rate_basis: {rate_basis}^{dim} = {rate_basis ** dim} functions "
-            f"for the {dim}-d scenario {scenario!r} is more than the limit of "
-            f"{MAX_BASIS}; lower rate_basis")
-
-    out_dir = raw["out_dir"]
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ValidationError(f"plan.out_dir: expected a non-empty string, got {out_dir!r}")
-
-    if not isinstance(raw["rungs"], list):
-        raise ValidationError(f"plan.rungs: expected a list, got {raw['rungs']!r}")
-    rungs = [_parse_rung(r, i) for i, r in enumerate(raw["rungs"])]
-
-    if not isinstance(raw["seeds"], list) or not raw["seeds"]:
-        raise ValidationError(f"plan.seeds: expected a non-empty list, got {raw['seeds']!r}")
-    seeds = tuple(_as_int(s, f"plan.seeds[{i}]", 0, SEED_LIMIT - 1)
-                  for i, s in enumerate(raw["seeds"]))
-    if len(set(seeds)) != len(seeds):
-        raise ValidationError("plan.seeds: seeds must be distinct")
-
-    if not isinstance(raw["metrics"], list):
-        raise ValidationError(f"plan.metrics: expected a list, got {raw['metrics']!r}")
-    metrics = tuple(_as_str_choice(m, f"plan.metrics[{i}]", KNOWN_METRICS)
-                    for i, m in enumerate(raw["metrics"]))
-
-    reference = _parse_reference(raw["reference"], default["reference"])
-
-    plan = ExperimentPlan(scenario=scenario, rungs=rungs, seeds=seeds,
-                          reference=reference, metrics=metrics, t_end=t_end,
-                          snapshots=snapshots, rate_basis=rate_basis,
-                          out_dir=out_dir)
-    plan.run_configs()   # every run's geometry, by the rules the runs obey
-    return plan
+    return ExperimentPlan(**raw)
 
 
 def load_plan(path) -> ExperimentPlan:

@@ -33,7 +33,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,18 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         for row in rows:
             w.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
                         else v for v in row])
+
+
+def make_out_dir(path) -> Path:
+    """``path`` as a directory, made with its parents where missing; a path
+    that cannot be one is refused as invalid input, naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot make output directory {path}: {exc.strerror or exc}") from None
+    return path
 
 
 def _sha256(path: Path) -> str:
@@ -310,6 +322,11 @@ def _ladder(plan: ExperimentPlan, configs: tuple, scenario: Scenario, model, bas
 def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     """Execute a plan; returns the report dict (also written to report.json).
 
+    The plan is made anew first, so it is checked by its own rules even
+    when a field was assigned after it was made; a refused plan or scenario
+    writes nothing, and an output directory that cannot be made is refused
+    before any run.
+
     The particle runs are jobs of :meth:`Scenario.ladder_lanes`: the
     reference run, and for each rung and seed either one coupled job
     stepping its multiscale run and its pre-averaged twin together on one
@@ -343,11 +360,11 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     """
     t_start = time.perf_counter()
     say = echo if echo is not None else (lambda msg: None)
+    plan = replace(plan)   # checked anew: a field assigned after construction too
     scenario = get_scenario(plan.scenario)
-    configs = plan.run_configs()   # a bad run geometry is refused before any file
+    configs = plan.run_configs()
     checks = scenario.validate()
-    base = Path(out_dir if out_dir is not None else plan.out_dir)
-    base.mkdir(parents=True, exist_ok=True)
+    base = make_out_dir(out_dir if out_dir is not None else plan.out_dir)
     artifacts: list[Path] = []
     runtimes: dict[str, float] = {}
     report: dict = {"scenario": plan.scenario, "version": __version__}

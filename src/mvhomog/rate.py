@@ -53,8 +53,7 @@ GRAM_CUTOFF = 1e-9
 MIN_SNAPSHOTS = 3
 # a path starting further than this from nu0 (W2) has action +infinity
 NU0_TOL = 0.05
-# most functions a Hermite dictionary may hold (per_axis ** dim), which also
-# bounds a plan's rate_basis ** dim
+# most functions a Hermite dictionary may hold (per_axis ** dim)
 MAX_BASIS = 64
 # the derivative check: seed and count of its N(0, 1.5^2) points, and its
 # relative tolerance (times 10 for gradients, 100 for Hessians)
@@ -173,14 +172,20 @@ class TestDictionary:
                                           "disagrees with finite differences")
 
 
+def check_basis(per_axis: int, dim: int) -> None:
+    """Refuse a tensor Hermite dictionary of fewer than 2 functions per axis,
+    or of more than MAX_BASIS in all."""
+    if per_axis < 2:
+        raise ValidationError(f"a Hermite dictionary needs at least 2 functions per axis, "
+                              f"got {per_axis}")
+    if per_axis ** dim > MAX_BASIS:
+        raise ValidationError(f"{per_axis}^{dim} = {per_axis ** dim} basis functions in "
+                              f"{dim}-d is more than the limit of {MAX_BASIS}")
+
+
 def hermite_dictionary(dim: int, per_axis: int = 6, center=0.0, scale=1.0) -> TestDictionary:
     """Tensor Hermite dictionary, per_axis functions per axis, derivatives checked."""
-    if per_axis < 2:
-        raise ValidationError("per_axis must be at least 2")
-    if per_axis ** dim > MAX_BASIS:
-        raise ValidationError(
-            f"{per_axis}^{dim} = {per_axis ** dim} basis functions is more than "
-            f"the limit of {MAX_BASIS}; lower per_axis")
+    check_basis(per_axis, dim)
     # sort by total degree so nested heads are refinement-ordered
     orders = sorted(itertools.product(range(per_axis), repeat=dim),
                     key=lambda o: (sum(o), o))

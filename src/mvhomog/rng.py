@@ -68,6 +68,12 @@ _U2_SHIFT = 2.0 ** 20 + 0.5
 SEED_LIMIT = 2 ** 64
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is not one uint64 hash key."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _wave_2pi(y, cosine: bool = False) -> np.ndarray:
     """sin(2 pi y), or cos(2 pi y) with ``cosine``, through one tangent.
 

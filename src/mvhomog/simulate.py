@@ -109,10 +109,13 @@ def stiffness_limit(epsilon: float) -> float:
 class SimConfig:
     """Run geometry: particle count, step size, horizon, seed, snapshots.
 
-    The one home of the run-geometry rules: whole steps, distinct snapshot
-    steps, the limits on work and on the record's size, and the stiffness
-    rule of ``require_stiffness``.  A refusal of a geometry field begins with
-    the field's name, which a plan's checks read.
+    The one home of the run-geometry rules: a positive particle count,
+    epsilon, dt and horizon (epsilon before dt, which a plan may derive
+    from it), whole steps, distinct snapshot steps and their count
+    (``require_snapshot_count``), the limits on work and on the record's
+    size, and the stiffness rule of ``require_stiffness``; the seed's range
+    is ``rng.check_seed``.  A refusal of a geometry field begins with the
+    field's name, which a plan's checks read.
     """
 
     n_particles: int
@@ -128,6 +131,8 @@ class SimConfig:
             raise ValidationError(f"n_particles must be an integer, got {self.n_particles!r}")
         if self.n_particles < 1:
             raise ValidationError(f"n_particles must be positive, got {self.n_particles}")
+        if self.epsilon is not None and not (self.epsilon > 0 and np.isfinite(self.epsilon)):
+            raise ValidationError(f"epsilon must be a positive float, got {self.epsilon}")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValidationError(f"dt must be a positive float, got {self.dt}")
         if not (self.t_end > 0 and np.isfinite(self.t_end)):
@@ -146,10 +151,7 @@ class SimConfig:
             raise ValidationError(
                 f"n_particles={self.n_particles} over {self.n_steps} steps is {work:.3g} "
                 f"particle-steps, more than MAX_PARTICLE_STEPS={MAX_PARTICLE_STEPS}")
-        if self.epsilon is not None and not (self.epsilon > 0 and np.isfinite(self.epsilon)):
-            raise ValidationError(f"epsilon must be a positive float, got {self.epsilon}")
-        if not 0 <= self.seed < rng.SEED_LIMIT:
-            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
+        rng.check_seed(self.seed)
         snapshots = len(self.snapshot_steps())
         if int(self.n_particles) * snapshots > MAX_PARTICLE_SNAPSHOTS:
             raise ValidationError(
@@ -189,8 +191,11 @@ class SimConfig:
         return steps
 
     def require_snapshot_count(self, count: int) -> None:
-        """Refuse more snapshot times than the run has steps plus one, before
-        any time is built: so many cannot land on distinct steps."""
+        """Refuse a count of snapshot times spread over the horizon, before any
+        time is built: fewer than 2, or more than the run has steps plus one,
+        which cannot land on distinct steps."""
+        if count < 2:
+            raise ValidationError(f"snapshot count must be at least 2, got {count}")
         if count > self.n_steps + 1:
             raise self._collision(count)
 

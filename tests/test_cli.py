@@ -173,8 +173,8 @@ def test_stiffness_violation_exits_2(capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--epsilon", "nan", "epsilon must be a positive float, got nan"),
     ("--epsilon", "inf", "epsilon must be a positive float, got inf"),
-    ("--seed", "-1", "--seed: must be in [0, 2**64), got -1"),
-    ("--seed", str(2 ** 64), f"--seed: must be in [0, 2**64), got {2 ** 64}"),
+    ("--seed", "-1", "seed must be in [0, 2**64), got -1"),
+    ("--seed", str(2 ** 64), f"seed must be in [0, 2**64), got {2 ** 64}"),
     ("--tilt", "nan", "control value must be finite, got [nan]"),
     ("--tilt", "inf", "control value must be finite, got [inf]"),
     ("--t-end", "1e308",
@@ -192,8 +192,8 @@ def test_simulate_refuses_a_bad_value_before_the_run(flag, value, message, capsy
 
 
 @pytest.mark.parametrize("count, message", [
-    ("0", "must be >= 2, got 0"),
-    ("1", "must be >= 2, got 1"),
+    ("0", "snapshot count must be at least 2, got 0"),
+    ("1", "snapshot count must be at least 2, got 1"),
     ("1000000", "snapshot times collide on the step grid: 1000000 times on 10 steps"),
 ])
 def test_simulate_refuses_a_bad_snapshot_count_before_the_run(count, message, capsys):
@@ -285,6 +285,29 @@ def test_run_geometry_stops_the_ladder_before_any_file(plan, field, tmp_path, ca
     assert main(["ladder", "--config", str(cfg), "--out", str(out_dir)]) == 2
     assert f"error: {field}: " in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "free_brownian", "--mode", "averaged", "--n-particles", "10",
+     "--dt", "0.1"],
+    ["solve-cell", "--scenario", "free_brownian"],
+    ["effective", "--scenario", "free_brownian"],
+    ["gamma", "--scenario", "cos_rough_1d"],
+    ["rate", "--scenario", "free_brownian", "--trajectory", "run.npz"],
+    ["ladder", "--config", "plan.json"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_out_dir_that_cannot_be_made_exits_2(argv, out, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    np.savez(tmp_path / "run.npz", times=np.array([0.0, 0.5, 1.0]),
+             positions=np.random.default_rng(0).normal(size=(3, 20, 1)))
+    (tmp_path / "plan.json").write_text('{"scenario": "free_brownian", "rungs": []}')
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"error: cannot make output directory {out}: [^\n]+\n", captured.err)
+    assert "wrote" not in captured.out and "terminal" not in captured.out
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_console_script_reports_version():

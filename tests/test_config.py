@@ -5,7 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from mvhomog import ExperimentPlan, ValidationError, load_plan, parse_plan, scenario_names
+from mvhomog import (ExperimentPlan, SimConfig, ValidationError, hermite_dictionary, load_plan,
+                     parse_plan, scenario_names)
+from mvhomog.cli import main
 from mvhomog.config import DEFAULT_LADDER, DEFAULT_REFERENCE, DEFAULT_SEEDS
 
 
@@ -89,11 +91,13 @@ def test_seeds_must_be_distinct_ints():
 
 def test_seeds_must_fit_the_uint64_hash_key():
     base = {"scenario": "free_brownian"}
-    with pytest.raises(ValidationError, match=r"^plan\.seeds\[1\]: must be <= 18446744073709551615"):
+    with pytest.raises(ValidationError, match=r"^plan\.seeds\[1\]: seed must be in \[0, 2\*\*64\), "
+                                              r"got 18446744073709551616$"):
         parse_plan({**base, "seeds": [1, 2 ** 64]})
-    with pytest.raises(ValidationError, match=r"^plan\.seeds\[0\]: must be >= 0"):
+    with pytest.raises(ValidationError,
+                       match=r"^plan\.seeds\[0\]: seed must be in \[0, 2\*\*64\), got -1$"):
         parse_plan({**base, "seeds": [-1]})
-    with pytest.raises(ValidationError, match=r"^plan\.reference\.seed: must be <= "):
+    with pytest.raises(ValidationError, match=r"^plan\.reference\.seed: seed must be in "):
         parse_plan({**base, "reference": {"seed": 2 ** 64}})
     assert parse_plan({**base, "seeds": [2 ** 64 - 1]}).seeds == (2 ** 64 - 1,)
 
@@ -104,10 +108,12 @@ def test_booleans_are_not_integers():
 
 
 def test_numbers_must_be_finite():
-    for value in (float("nan"), float("inf"), 10 ** 400):
-        with pytest.raises(ValidationError, match=r"plan\.t_end: must be positive and finite"):
+    for value, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (10 ** 400, "inf")):
+        with pytest.raises(ValidationError,
+                           match=rf"^plan\.t_end: t_end must be a positive float, got {shown}$"):
             parse_plan({"scenario": "free_brownian", "t_end": value})
-    with pytest.raises(ValidationError, match=r"plan\.rungs\[0\]\.dt: must be positive"):
+    with pytest.raises(ValidationError,
+                       match=r"^plan\.rungs\[0\]\.dt: dt must be a positive float, got nan$"):
         parse_plan({"scenario": "free_brownian",
                     "rungs": [{"n_particles": 10, "epsilon": 0.5, "dt": float("nan")}]})
 
@@ -226,7 +232,42 @@ def test_load_plan_reports_bad_json(tmp_path):
 def test_oversize_rate_basis_is_refused_up_front():
     plan = {"scenario": "separable_2d", "rate_basis": 9}
     with pytest.raises(ValidationError,
-                       match=r"plan\.rate_basis: 9\^2 = 81 .*2-d .*limit of 64"):
+                       match=r"^plan\.rate_basis: 9\^2 = 81 basis functions in 2-d is more than "
+                             r"the limit of 64$"):
         parse_plan(plan)
     assert parse_plan(dict(plan, rate_basis=8)).rate_basis == 8
     assert parse_plan({"scenario": "dawson_rough", "rate_basis": 64}).rate_basis == 64
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValidationError) as info:
+        call()
+    return str(info.value)
+
+
+def _cli_refusal(argv, capsys) -> str:
+    assert main(argv) == 2
+    return capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+
+
+def test_each_range_rule_says_one_thing_at_every_entry_point(capsys):
+    # each rule is compared in one function; an entry point only names its field
+    one_rung = {"scenario": "dawson_rough", "rungs": [{"n_particles": 50, "epsilon": 0.2}]}
+    simulate = ["simulate", "--scenario", "free_brownian", "--mode", "averaged",
+                "--n-particles", "10", "--dt", "0.1"]
+    seed = "seed must be in [0, 2**64), got -1"
+    assert _refusal(lambda: parse_plan({**one_rung, "seeds": [-1]})) == f"plan.seeds[0]: {seed}"
+    assert _refusal(lambda: ExperimentPlan("dawson_rough", seeds=(-1,))) \
+        == f"plan.seeds[0]: {seed}"
+    assert _refusal(lambda: SimConfig(n_particles=1, dt=0.1, seed=-1)) == seed
+    assert _cli_refusal(simulate + ["--seed", "-1"], capsys) == seed
+
+    basis = "9^2 = 81 basis functions in 2-d is more than the limit of 64"
+    assert _refusal(lambda: parse_plan({"scenario": "separable_2d", "rate_basis": 9})) \
+        == f"plan.rate_basis: {basis}"
+    assert _refusal(lambda: hermite_dictionary(2, per_axis=9)) == basis
+
+    count = "snapshot count must be at least 2, got 1"
+    assert _refusal(lambda: parse_plan({**one_rung, "snapshots": 1})) \
+        == f"plan.snapshots: {count}"
+    assert _cli_refusal(simulate + ["--snapshots", "1"], capsys) == f"--snapshots: {count}"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,9 @@ import pytest
 
 from mvhomog import (
     EffectiveModel,
+    ExperimentPlan,
     MeasurePath,
+    Rung,
     TestDictionary,
     dictionary_for_path,
     evaluate_jdg,
@@ -371,23 +374,69 @@ def test_a_daemonic_process_runs_its_plan_inline(tmp_path, monkeypatch):
 
 
 def test_a_built_plan_with_colliding_snapshots_writes_no_file(tmp_path):
-    # bypasses parse_plan: the run configs still refuse it before any artifact
-    plan = dataclasses.replace(parse_plan(TINY_PLAN), snapshots=100)
+    # bypasses parse_plan: the plan refuses it when it is made, before any artifact
     out = tmp_path / "runs"
     with pytest.raises(ValidationError, match=r"^plan\.snapshots: snapshot times collide"):
-        run_experiment(plan, out_dir=out)
+        run_experiment(dataclasses.replace(parse_plan(TINY_PLAN), snapshots=100), out_dir=out)
     assert not out.exists()
 
 
 def test_a_built_jdg_plan_with_two_snapshots_writes_no_file(tmp_path):
-    # bypasses parse_plan: the action needs 3 snapshots, refused before any run
-    plan = dataclasses.replace(parse_plan(TINY_PLAN), snapshots=2)
+    # bypasses parse_plan: the action needs 3 snapshots, refused when the plan is made
     out = tmp_path / "runs"
     with pytest.raises(ValidationError,
                        match=r"^plan\.snapshots: the jdg metric needs at least 3 snapshots, "
                              r"got 2$"):
+        run_experiment(dataclasses.replace(parse_plan(TINY_PLAN), snapshots=2), out_dir=out)
+    assert not out.exists()
+
+
+# one rung and a 200-particle reference, as a plan made in code
+ONE_RUNG = {"scenario": "dawson_rough", "rungs": [Rung(50, 0.2, 0.004)],
+            "reference": {"n_particles": 200}}
+
+# (id, fields over ONE_RUNG, message): a plan made in code with these fields
+# is refused when it is made, with the message parse_plan gives for them
+BUILT_PLAN_FAULTS = [
+    ("misspelt metric", {"metrics": ("w2_lader",)},
+     "plan.metrics[0]: 'w2_lader' is not one of effective_table, gamma_table, jdg, w2_ladder"),
+    ("repeated seed", {"seeds": (1, 1)}, "plan.seeds: seeds must be distinct"),
+    ("oversize basis", {"scenario": "separable_2d", "rate_basis": 9,
+                        "metrics": ("w2_ladder", "jdg")},
+     "plan.rate_basis: 9^2 = 81 basis functions in 2-d is more than the limit of 64"),
+    ("numpy seed", {"seeds": (np.int64(1),)},
+     f"plan.seeds[0]: expected an integer, got {np.int64(1)!r}"),
+]
+
+
+@pytest.mark.parametrize("fields, message", [row[1:] for row in BUILT_PLAN_FAULTS],
+                         ids=[row[0].replace(" ", "-") for row in BUILT_PLAN_FAULTS])
+def test_a_built_plan_is_refused_as_the_parsed_plan_is(fields, message, tmp_path):
+    out = tmp_path / "runs"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        run_experiment(ExperimentPlan(**{**ONE_RUNG, **fields}), out_dir=out)
+    assert not out.exists()
+    raw = {**ONE_RUNG, "rungs": [dataclasses.asdict(ONE_RUNG["rungs"][0])], **fields}
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        parse_plan({key: list(v) if isinstance(v, tuple) else v for key, v in raw.items()})
+
+
+def test_a_field_assigned_after_the_plan_is_made_is_checked_by_the_run(tmp_path):
+    plan = ExperimentPlan(**ONE_RUNG)
+    plan.metrics = ("w2_lader",)
+    out = tmp_path / "runs"
+    with pytest.raises(ValidationError, match=r"^plan\.metrics\[0\]: 'w2_lader' is not one"):
         run_experiment(plan, out_dir=out)
     assert not out.exists()
+
+
+def test_a_built_plan_takes_the_default_reference_keys_it_omits():
+    # a partial reference is completed from DEFAULT_REFERENCE, as parse_plan completes it
+    plan = ExperimentPlan(**ONE_RUNG)
+    assert plan.reference == {"n_particles": 200, "dt": 0.0025, "seed": 977}
+    assert plan.as_dict() == parse_plan(
+        {**ONE_RUNG, "rungs": [{"n_particles": 50, "epsilon": 0.2, "dt": 0.004}]}).as_dict()
+    assert plan.run_configs()[0].seed == 977
 
 
 def test_a_table_only_plan_builds_no_model(tmp_path, monkeypatch):
