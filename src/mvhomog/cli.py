@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .config import load_plan
-from .effective import QUAD_POINTS
 from .errors import NumericalError, ValidationError
 from .experiments import (gamma_table_rows, make_out_dir, run_experiment, write_cell_table,
                           write_effective_table, write_gamma_table)
@@ -97,7 +96,7 @@ def cmd_solve_cell(args) -> int:
 
 def cmd_gamma(args) -> int:
     scenario = get_scenario(args.scenario)
-    rows = gamma_table_rows(scenario, args.quad_points)
+    rows = gamma_table_rows(scenario)
     out = _out_dir(args)
     for k, z, zhat, gamma, *ref in rows:
         line = f"axis {k}: z {z:.12f}  z_hat {zhat:.12f}  gamma {gamma:.12f}"
@@ -106,7 +105,7 @@ def cmd_gamma(args) -> int:
         print(line)
     if out:
         out = out / f"gamma_{scenario.name}.csv"
-        write_gamma_table(scenario, out, args.quad_points)
+        write_gamma_table(scenario, out)
         print(f"wrote {out}")
     return 0
 
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="closed-form homogenization factors")
     add_scenario(p)
-    p.add_argument("--quad-points", type=int, default=QUAD_POINTS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gamma)
 

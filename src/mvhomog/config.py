@@ -273,8 +273,11 @@ def parse_plan(raw: dict) -> ExperimentPlan:
 
 
 def load_plan(path) -> ExperimentPlan:
-    """Read and validate a JSON plan file."""
-    text = Path(path).read_text()
+    """Read and validate a JSON plan file, which must be UTF-8 text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"plan: {path} is not UTF-8 text ({exc.reason})") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

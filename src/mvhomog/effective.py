@@ -152,8 +152,7 @@ class AveragedCoefficients:
 
     drift: np.ndarray          # (dim,)
     diffusion: np.ndarray      # (dim, dim), PSD form
-    diffusion_raw: np.ndarray  # (dim, dim), non-PSD-form average, cross-check
-    form_gap: float            # sup |diffusion - diffusion_raw|
+    form_gap: float            # sup |diffusion - raw-form average|
 
 
 def averaged_coefficients(cell: CellSolution,
@@ -166,9 +165,8 @@ def averaged_coefficients(cell: CellSolution,
     beta, big_d, d_tilde = local_coefficients(cell, x_derivatives)
     drift = cell.pi_average(beta)
     diffusion = cell.pi_average(d_tilde)
-    diffusion_raw = cell.pi_average(big_d)
-    gap = float(np.max(np.abs(diffusion - diffusion_raw)))
-    return AveragedCoefficients(drift, diffusion, diffusion_raw, gap)
+    gap = float(np.max(np.abs(diffusion - cell.pi_average(big_d))))
+    return AveragedCoefficients(drift, diffusion, gap)
 
 
 def solve_with_x_derivatives(coeffs: FastCoefficients, x, mu=None,

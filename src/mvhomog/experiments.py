@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentPlan
-from .effective import QUAD_POINTS, gamma_separable
+from .effective import gamma_separable
 from .errors import SimulationError, ValidationError
 from .measures import wasserstein2
 from .rate import _json_scalar, dictionary_for_path, evaluate_jdg
@@ -91,7 +91,7 @@ def state_grid(dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def gamma_table_rows(scenario: Scenario, quad_points: int = QUAD_POINTS) -> list:
+def gamma_table_rows(scenario: Scenario) -> list:
     """Per-axis normalizers and homogenization factors, with references.
 
     A scenario without a separable potential has no closed-form table and is
@@ -101,8 +101,8 @@ def gamma_table_rows(scenario: Scenario, quad_points: int = QUAD_POINTS) -> list
         raise ValidationError(
             f"scenario {scenario.name!r} has no separable potential; "
             "the closed-form factor table is undefined")
-    z, zhat = scenario.potential.z_factors(quad_points)
-    gamma = np.diag(gamma_separable(scenario.potential, quad_points))
+    z, zhat = scenario.potential.z_factors()
+    gamma = np.diag(gamma_separable(scenario.potential))
     ref = scenario.reference.get("gamma_diag", {}).get("value")
     rows = []
     for k in range(scenario.dim):
@@ -113,8 +113,8 @@ def gamma_table_rows(scenario: Scenario, quad_points: int = QUAD_POINTS) -> list
     return rows
 
 
-def write_gamma_table(scenario: Scenario, path, quad_points: int = QUAD_POINTS) -> None:
-    rows = gamma_table_rows(scenario, quad_points)
+def write_gamma_table(scenario: Scenario, path) -> None:
+    rows = gamma_table_rows(scenario)
     header = ["axis", "z", "z_hat", "gamma"]
     if rows and len(rows[0]) == 6:
         header += ["gamma_reference", "abs_diff"]

@@ -63,7 +63,7 @@ import hashlib
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
 
@@ -260,7 +260,6 @@ class TrajectoryRecord:
     positions: np.ndarray          # (T, N, d)
     cost_per_particle: np.ndarray | None = None
     control_label: str | None = None
-    version: str = field(default=__version__)
 
     @property
     def mean_cost(self) -> float | None:
@@ -295,7 +294,7 @@ class TrajectoryRecord:
         out = {
             "scenario": self.scenario,
             "mode": self.mode,
-            "version": f"v{self.version}",
+            "version": f"v{__version__}",
             "config": {
                 "n_particles": self.config.n_particles,
                 "dt": self.config.dt,
@@ -342,12 +341,21 @@ class TrajectoryRecord:
             fh.write("\n")
 
 
+def _utf8_lines(fh, path):
+    """The lines of a text file opened as UTF-8, with bytes that are not
+    UTF-8 refused as invalid input."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"trajectory file {path} is not UTF-8 text ({exc.reason})") from None
+
+
 def load_trajectory_csv(path) -> MeasurePath:
-    """Read a trajectory CSV back as a measure path."""
+    """Read a trajectory CSV, which must be UTF-8 text, back as a measure path."""
     times: list[float] = []
     frames: list[list[list[float]]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"trajectory file {path} is empty")

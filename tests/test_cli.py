@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from mvhomog.cli import main
 from mvhomog.scenarios import get_scenario
@@ -26,14 +27,6 @@ def test_gamma_reports_reference_agreement(capsys):
     out = capsys.readouterr().out
     assert "gamma 0.623860360432" in out
     assert "diff" in out
-
-
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_gamma_refuses_an_empty_quadrature(capsys, count):
-    assert main(["gamma", "--scenario", "cos_rough_1d", "--quad-points", count]) == 2
-    captured = capsys.readouterr()
-    assert "at least 1 point" in captured.err
-    assert "nan" not in captured.out
 
 
 def test_gamma_rejects_nonseparable_scenario(capsys):
@@ -239,6 +232,37 @@ def test_a_bad_trajectory_record_exits_2(tmp_path, capsys):
         f"error: trajectory file {path}: times has dtype float32, needs float64\n")
 
 
+@pytest.mark.parametrize("name", ["run.NPZ", "latin1.csv"])
+def test_a_trajectory_that_is_not_utf8_exits_2(tmp_path, capsys, name):
+    # a name not ending in .npz is read as CSV text, which must be UTF-8
+    path = tmp_path / name
+    if name == "run.NPZ":
+        with open(path, "wb") as fh:
+            np.savez(fh, times=np.array([0.0, 0.5, 1.0]), positions=np.zeros((3, 4, 1)))
+    else:
+        path.write_bytes("t,particle_id,\xb5\r\n0.0,0,0.1\r\n".encode("latin-1"))
+    assert main(["rate", "--scenario", "free_brownian", "--trajectory", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trajectory file {path} is not UTF-8 text (")
+    assert err.count("\n") == 1
+
+
+def test_rate_of_a_narrow_path_does_not_depend_on_where_it_sits(tmp_path, capsys):
+    # N(c, 1e-6 (1 + t)) on a 400-atom quantile lattice: its dictionary's
+    # scale is about 1.5e-3 wherever the path is centered
+    qs = ndtri((np.arange(400) + 0.5) / 400)
+    times = np.linspace(0.0, 1.0, 11)
+    lines = []
+    for center in (0.18859533164008996, 0.5):
+        path = tmp_path / f"narrow_{center}.npz"
+        np.savez(path, times=times,
+                 positions=np.stack([center + 1e-3 * np.sqrt(1.0 + t) * qs[:, None]
+                                     for t in times]))
+        assert main(["rate", "--scenario", "free_brownian", "--trajectory", str(path)]) == 0
+        lines.append(capsys.readouterr().out.splitlines()[0])
+    assert lines == ["action lower bound 86581.3 over 6 dictionary functions"] * 2
+
+
 def test_ladder_runs_plan_and_honors_exit_codes(tmp_path, capsys):
     plan = {"scenario": "free_brownian",
             "rungs": [{"n_particles": 40, "epsilon": 0.5, "dt": 0.02}],
@@ -255,6 +279,15 @@ def test_ladder_runs_plan_and_honors_exit_codes(tmp_path, capsys):
     cfg.write_text(json.dumps(bad))
     assert main(["ladder", "--config", str(cfg)]) == 2
     assert "suggested dt" in capsys.readouterr().err
+
+
+def test_a_plan_that_is_not_utf8_stops_the_ladder_before_any_file(tmp_path, capsys):
+    cfg = tmp_path / "plan.json"
+    cfg.write_bytes(b'{"scenario": "free_brownian\xff"}')
+    out_dir = tmp_path / "runs"
+    assert main(["ladder", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: plan: {cfg} is not UTF-8 text (")
+    assert not out_dir.exists()
 
 
 def test_oversize_rate_basis_stops_the_ladder_before_any_run(tmp_path, capsys):

@@ -40,22 +40,10 @@ def heat_model() -> EffectiveModel:
     return EffectiveModel(1, lambda xs, mu: np.zeros_like(xs), np.eye(1))
 
 
-def test_dictionary_derivatives_verified(monkeypatch):
-    # construction always runs the finite-difference cross-check
-    checked, real = [], TestDictionary.verify_derivatives
-    monkeypatch.setattr(TestDictionary, "verify_derivatives",
-                        lambda self: checked.append(self) or real(self))
-    d = hermite_dictionary(2, per_axis=3)
-    assert checked == [d] and d.size == 9
-    monkeypatch.setattr(rate, "CHECK_SEED", 5)
-    real(d)
-
-
 def test_dictionary_heads_are_nested():
     d = hermite_dictionary(1, per_axis=6)
     sub = d.head(3)
     assert sub.size == 3
-    assert sub.labels == d.labels[:3]
     assert np.array_equal(sub.orders, d.orders[:3])
     x = np.linspace(-2.0, 2.0, 9)[:, None]
     for part, full in zip(sub.evaluate(x), d.evaluate(x)):
@@ -77,49 +65,58 @@ def test_dictionary_validation():
         TestDictionary([[0, 1], [2, 0]], 0.0, [1.0, -1.0])
 
 
-class _WrongHessian(TestDictionary):
-    """Hermite dictionary whose Hessians are off by a factor of two."""
-
-    def evaluate(self, x):
-        values, grads, hessians = super().evaluate(x)
-        return values, grads, 2.0 * hessians
-
-
-def test_derivative_check_catches_a_wrong_hessian():
-    d = _WrongHessian([[0, 0], [1, 0], [0, 2]], 0.0, 1.0)
-    with pytest.raises(ValidationError, match="Hessian of he00"):
-        d.verify_derivatives()
-
-
 def test_dictionary_matches_hermeval_products():
+    # every dimension a dictionary is built in, one loop so the test keeps one id
+    for dim, per_axis in ((1, 6), (2, 5), (3, 4)):
+        _check_hermeval_products(dim, per_axis)
+
+
+def _check_hermeval_products(dim, per_axis):
     # reference: each function as a product of per-axis numpy Hermite series,
     # with psi' = (k He_{k-1} - u He_k) e and
     # psi'' = (k (k-1) He_{k-2} - 2 u k He_{k-1} + (u^2 - 1) He_k) e
-    center, scale = np.array([0.3, -0.5]), np.array([1.5, 0.7])
-    d = hermite_dictionary(2, per_axis=5, center=center, scale=scale)
-    x = np.random.default_rng(1).normal(scale=1.5, size=(40, 2))
+    center, scale = np.array([0.3, -0.5, 0.1])[:dim], np.array([1.5, 0.7, 1.2])[:dim]
+    d = hermite_dictionary(dim, per_axis=per_axis, center=center, scale=scale)
+    x = np.random.default_rng(1).normal(scale=1.5, size=(40, dim))
     u = (x - center) / scale
     env = np.exp(-0.5 * u * u)
 
     def he(k):
         return hermite_e.hermeval(u, np.eye(k + 1)[k]) if k >= 0 else 0.0 * u
 
+    # parts[k][hits][:, a]: psi_k on axis a, differentiated ``hits`` times
     parts = []
-    for k in range(5):
+    for k in range(per_axis):
         parts.append([he(k) * env,
                       (k * he(k - 1) - u * he(k)) * env / scale,
                       (k * (k - 1) * he(k - 2) - 2.0 * u * k * he(k - 1)
                        + (u * u - 1.0) * he(k)) * env / scale ** 2])
+    eye = np.eye(dim, dtype=int)
+
+    def product(ks, hits):
+        return np.prod([parts[k][h][:, a] for a, (k, h) in enumerate(zip(ks, hits))], axis=0)
+
     values, grads, hessians = d.evaluate(x)
-    for j, (k0, k1) in enumerate(d.orders):
-        (p0, dp0, ddp0), (p1, dp1, ddp1) = parts[k0], parts[k1]
-        expect = [p0[:, 0] * p1[:, 1],
-                  np.stack([dp0[:, 0] * p1[:, 1], p0[:, 0] * dp1[:, 1]], axis=1),
-                  np.array([[ddp0[:, 0] * p1[:, 1], dp0[:, 0] * dp1[:, 1]],
-                            [dp0[:, 0] * dp1[:, 1], p0[:, 0] * ddp1[:, 1]]]
-                           ).transpose(2, 0, 1)]
+    assert values.shape == (40, per_axis ** dim)
+    for j, ks in enumerate(d.orders):
+        expect = [product(ks, 0 * eye[0]),
+                  np.stack([product(ks, eye[a]) for a in range(dim)], axis=1),
+                  np.stack([[product(ks, eye[a] + eye[b]) for b in range(dim)]
+                            for a in range(dim)]).transpose(2, 0, 1)]
         for got, want in zip((values[:, j], grads[:, j], hessians[:, j]), expect):
-            assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max()), (
+                f"{dim}-d function with orders {ks.tolist()}")
+
+
+@pytest.mark.parametrize("scale", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_a_narrow_dictionary_is_built_at_any_center(scale):
+    # built near any point at any scale, with exact values and slopes at its center
+    center = 0.18859533164008996
+    d = hermite_dictionary(1, 6, center=center, scale=scale)
+    values, grads, hessians = d.evaluate(np.array([[center]]))
+    he_at_0 = np.array([1.0, 0.0, -1.0, 0.0, 3.0, 0.0, -15.0])  # He_k(0), k = 0..6
+    assert np.array_equal(values[0], he_at_0[:6])
+    assert np.allclose(grads[0, :, 0], -he_at_0[1:] / scale, rtol=1e-15, atol=0.0)
 
 
 def test_generator_kills_constants_exactly():
