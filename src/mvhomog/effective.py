@@ -324,8 +324,11 @@ def _generator(drift: np.ndarray, diffusion: np.ndarray, grad_vals: np.ndarray,
     A shared (dim, dim) diffusion is broadcast over the points.
     """
     diffusion = np.broadcast_to(diffusion, drift.shape + drift.shape[-1:])
-    return np.einsum("ni,n...i->n...", drift, grad_vals) \
-        + 0.5 * np.einsum("nij,n...ij->n...", diffusion, hess_vals)
+    out = np.einsum("ni,n...i->n...", drift, grad_vals)
+    second = np.einsum("nij,n...ij->n...", diffusion, hess_vals)
+    second *= 0.5
+    out += second
+    return out
 
 
 def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,

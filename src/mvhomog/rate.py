@@ -22,7 +22,7 @@ The dictionary is one tensor object: row j of an integer orders array
 (B, d) names prod_a psi_{k_a}(u_a), psi_k = He_k(u) exp(-u^2/2),
 u = (x - center)/scale.  The recurrence He_{k+1} = u He_k - k He_{k-1} gives
 psi_k' = -psi_{k+1} and psi_k'' = psi_{k+2}, so one table of psi_k per axis
-yields all values, gradients and Hessians as products of its columns.  They
+yields all values, gradients and Hessians as products of its rows.  They
 are exact by construction at any center and scale; the tests pin them to
 numpy's ``hermite_e`` series in 1-, 2- and 3-d.
 
@@ -59,14 +59,16 @@ NU0_TOL = 0.05
 MAX_BASIS = 64
 
 
-def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
-    """psi_k(u) = He_k(u) exp(-u^2/2) for k = 0..count-1 (count >= 2), (N, count)."""
-    he = np.empty((len(u), count))
-    he[:, 0] = 1.0
-    he[:, 1] = u
+def _hermite_table(u: np.ndarray, count: int) -> np.ndarray:
+    """psi_k(u) = He_k(u) exp(-u^2/2) for k = 0..count-1 (count >= 2) as rows, (count, N)."""
+    table = np.empty((count, len(u)))
+    table[0] = 1.0
+    table[1] = u
     for k in range(1, count - 1):
-        he[:, k + 1] = u * he[:, k] - k * he[:, k - 1]
-    return he * np.exp(-0.5 * u * u)[:, None]
+        np.multiply(u, table[k], out=table[k + 1])
+        table[k + 1] -= k * table[k - 1]
+    table *= np.exp(-0.5 * u * u)
+    return table
 
 
 @dataclass(eq=False)
@@ -87,14 +89,21 @@ class TestDictionary:
     scale: np.ndarray
 
     def __post_init__(self):
-        self.orders = np.array(self.orders, dtype=np.intp, ndmin=2)
-        if self.orders.ndim != 2:
+        orders = np.array(self.orders, dtype=float, ndmin=2)
+        if orders.ndim != 2:
             raise ValidationError(
-                f"orders must be a (functions, dim) array, got shape {self.orders.shape}")
-        if len(self.orders) < 2:
+                f"orders must be a (functions, dim) array, got shape {orders.shape}")
+        if len(orders) < 2:
             raise ValidationError("a test dictionary needs at least 2 functions")
-        if np.any(self.orders < 0):
-            raise ValidationError(f"negative Hermite order in {self.orders.tolist()}")
+        fractional = orders[orders != np.floor(orders)]
+        if fractional.size:
+            raise ValidationError(f"Hermite order {fractional[0]:g} is not a whole number")
+        if orders.min() < 0:
+            raise ValidationError(f"negative Hermite order {orders.min():.0f}")
+        if orders.max() > MAX_BASIS - 1:
+            raise ValidationError(f"Hermite order {orders.max():.0f} is more than the limit "
+                                  f"of {MAX_BASIS - 1}")
+        self.orders = orders.astype(np.intp)
         shape = (self.orders.shape[1],)
         self.center = np.broadcast_to(np.asarray(self.center, dtype=float), shape).copy()
         self.scale = np.broadcast_to(np.asarray(self.scale, dtype=float), shape).copy()
@@ -110,32 +119,52 @@ class TestDictionary:
         return self.orders.shape[1]
 
     def evaluate(self, x: np.ndarray):
-        """Values (N, B), gradients (N, B, d) and Hessians (N, B, d, d) at x."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """Values (N, B), gradients (N, B, d) and Hessians (N, B, d, d) at x.
+
+        x is (N, d); a 1-d dictionary also takes N points as a flat array.
+        Each output is a product over the axes of rows gathered from that
+        axis's psi_k table, multiplied into the output axis by axis.  Values
+        are F-ordered: ``w @ values`` in the action then runs the gemv kernel
+        whose bits the manifests hold.  Gradients and Hessians are C-ordered.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1 and self.dim == 1:
+            x = x[:, None]
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValidationError(f"points have shape {x.shape}, but the dictionary "
+                                  f"has dim {self.dim}")
+        n, dim = x.shape
         u = (x - self.center) / self.scale
         count = int(self.orders.max()) + 3
-        # per axis and number of derivatives taken along it: (N, B) factors
-        factors = [[], [], []]
-        for a in range(self.dim):
-            table = _hermite_functions(u[:, a], count)
-            s = self.scale[a]
-            for hits, factor in enumerate((1.0, -1.0 / s, 1.0 / (s * s))):
-                factors[hits].append((factor * table)[:, self.orders[:, a] + hits])
+        tables = [_hermite_table(u[:, a], count) for a in range(dim)]
+        # taking a derivative along an axis multiplies by -1/s and shifts the order by one
+        scales = [(1.0, -1.0 / s, 1.0 / (s * s)) for s in self.scale]
+        # the running product and, past the first axis, the next axis's factor
+        acc = np.empty((self.size, n))
+        factor = np.empty_like(acc) if dim > 1 else None
 
-        def product(hits):  # hits[c]: derivatives taken along axis c
-            out = factors[hits[0]][0]
-            for c in range(1, self.dim):
-                out = out * factors[hits[c]][c]
-            return out
+        def product(hits, out):  # hits[c]: derivatives along axis c; out is (B, N)
+            for c in range(dim):
+                dest = factor if c else acc
+                # orders are in range by construction; "clip" takes straight into dest
+                np.take(tables[c], self.orders[:, c] + hits[c], axis=0, out=dest,
+                        mode="clip")
+                dest *= scales[c][hits[c]]
+                if c:
+                    np.multiply(acc, factor, out=acc)
+            out[...] = acc
 
-        eye = np.eye(self.dim, dtype=int)
-        values = product(np.zeros(self.dim, dtype=int))
-        grads = np.empty(values.shape + (self.dim,))
-        hessians = np.empty(values.shape + (self.dim, self.dim))
-        for a in range(self.dim):
-            grads[:, :, a] = product(eye[a])
-            for b in range(a, self.dim):
-                hessians[:, :, a, b] = hessians[:, :, b, a] = product(eye[a] + eye[b])
+        eye = np.eye(dim, dtype=int)
+        values = np.empty((self.size, n)).T
+        grads = np.empty((n, self.size, dim))
+        hessians = np.empty((n, self.size, dim, dim))
+        product(np.zeros(dim, dtype=int), values.T)
+        for a in range(dim):
+            product(eye[a], grads[:, :, a].T)
+            for b in range(a, dim):
+                product(eye[a] + eye[b], hessians[:, :, a, b].T)
+                if b > a:
+                    hessians[:, :, b, a] = hessians[:, :, a, b]
         return values, grads, hessians
 
     def head(self, size: int) -> "TestDictionary":
@@ -220,6 +249,30 @@ class RateReport:
             fh.write("\n")
 
 
+def _snapshot_terms(measure: EmpiricalMeasure, model: EffectiveModel, dictionary):
+    """One snapshot's paired series <theta_t, phi_j>, generator term
+    <theta_t, Lbar phi_j> and Gram matrix, over its atoms in canonical order.
+
+    Each dictionary array is dropped once its last term is taken, and all of
+    them when this returns, before the next snapshot is evaluated.
+    """
+    atoms = measure.atoms[measure.canonical_order()]
+    w = np.full(len(atoms), 1.0 / len(atoms))
+    values, grads, hessians = dictionary.evaluate(atoms)
+    paired = w @ values
+    del values
+    drift, diffusion, noise = model.coefficients(atoms, EmpiricalMeasure._trusted(atoms))
+    lbar = w @ _generator(drift, diffusion, grads, hessians)
+    del hessians
+    # a constant model's one noise matrix, broadcast over the atoms
+    noise = np.broadcast_to(noise, drift.shape + drift.shape[-1:])
+    rows = np.einsum("nbd,nde->neb", grads, noise)
+    del grads
+    rows *= np.sqrt(w)[:, None, None]
+    rows = rows.reshape(-1, len(paired))
+    return paired, lbar, rows.T @ rows
+
+
 def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDictionary,
                  *, nu0: EmpiricalMeasure | None = None) -> RateReport:
     """Finite-dictionary evaluation of the path action (a certified lower bound).
@@ -245,26 +298,11 @@ def evaluate_jdg(path: MeasurePath, model: EffectiveModel, dictionary: TestDicti
                 basis_size=nbasis, gram_condition=np.full(len(times), np.nan),
                 initial_distance=init_dist)
 
-    # per snapshot, over atoms in canonical order: the paired series
-    # <theta_t, phi_j>, the generator term <theta_t, Lbar phi_j> and the Gram
     paired = np.empty((len(times), nbasis))
     lbar = np.empty((len(times), nbasis))
     grams = np.empty((len(times), nbasis, nbasis))
     for i, m in enumerate(path.measures):
-        atoms = m.atoms[m.canonical_order()]
-        w = np.full(m.size, 1.0 / m.size)
-        mu = EmpiricalMeasure._trusted(atoms)
-        values, grads, hessians = dictionary.evaluate(atoms)
-        paired[i] = w @ values
-        drift, diffusion, noise = model.coefficients(atoms, mu)
-        generated = _generator(drift, diffusion, grads, hessians)
-        lbar[i] = w @ generated
-        del generated  # free before the Gram rows, which are as large
-        # a constant model's one noise matrix, broadcast over the atoms
-        noise = np.broadcast_to(noise, drift.shape + drift.shape[-1:])
-        rows = np.einsum("nbd,nde->neb", grads, noise)
-        rows = (rows * np.sqrt(w)[:, None, None]).reshape(-1, nbasis)
-        grams[i] = rows.T @ rows
+        paired[i], lbar[i], grams[i] = _snapshot_terms(m, model, dictionary)
     a_all = np.gradient(paired, times, axis=0) - lbar
 
     integrand = np.empty(len(times))

@@ -128,28 +128,28 @@ def stream_keys(seed: int, streams) -> np.ndarray:
 
 
 def _keyed_counters(keys, step: int, steps: int, ncomp: int, out=None,
-                    spare=None, tag=np.uint64(0)) -> np.ndarray:
+                    tag=np.uint64(0)) -> np.ndarray:
     """Counters ``step*ncomp`` on, xor ``tag``, xor each key: ``(steps, len(keys), ncomp)``.
 
     The tag goes into the counters, one word per counter, before they meet
-    the keys.  ``out`` receives the result and ``spare``, a uint64 array
-    of the same shape, is overwritten; either is allocated when not given.
-    The keys and the counters are broadcast by two copies and xored
-    whole: a ufunc on the two broadcast operands takes numpy's buffered
-    path, which allocated 129 kB and took 21-23 us per call at (16, 1000)
-    and (66, 250).
+    the keys.  ``out`` receives the result, or it is allocated.  Keys and
+    counters meet in one broadcast xor.  At ``ncomp`` 1 its rows are whole
+    rows of keys, and numpy would gather rows shorter than its buffer into
+    two 64 kB iteration buffers (129 kB per call at 1000 keys in 16 rows or
+    250 in 66); a 16-word buffer size, which numpy 2 scopes to the
+    ``errstate`` block, keeps every row unbuffered.  That takes 10-12 us
+    per call at N = 250 to 4000, against 17-28 us for the two
+    ``np.copyto`` broadcasts it replaced (one CPU).  A wider ``ncomp``
+    keeps numpy's buffer, which lengthens its two-word inner loop.  XOR is
+    exact, so the words do not depend on the route.
     """
     with np.errstate(over="ignore"):
         c = np.uint64(step) * np.uint64(ncomp) + np.arange(steps * ncomp, dtype=np.uint64)
-    c ^= tag
-    shape = (steps, len(keys), ncomp)
-    if out is None:
-        out = np.empty(shape, dtype=np.uint64)
-    if spare is None:
-        spare = np.empty(shape, dtype=np.uint64)
-    np.copyto(out, np.asarray(keys, dtype=np.uint64)[:, None])
-    np.copyto(spare, c.reshape(steps, 1, ncomp))
-    return np.bitwise_xor(out, spare, out=out)
+        c ^= tag
+        if ncomp == 1:  # whole rows of keys: no buffer, however short they are
+            np.setbufsize(16)
+        return np.bitwise_xor(np.asarray(keys, dtype=np.uint64)[:, None],
+                              c.reshape(steps, 1, ncomp), out=out)
 
 
 def scratch_words(steps: int, n: int, ncomp: int) -> int:
@@ -178,7 +178,7 @@ def _pairs_into(keys, start: int, rows: int, cols: int, even, odd,
     shape = (rows, len(keys), cols)
     size = rows * len(keys) * cols
     h, w, s = (scratch[i * size:(i + 1) * size].reshape(shape) for i in range(3))
-    _mix_into(_keyed_counters(keys, start, rows, cols, h, w, _TAG_NORMAL), w)
+    _mix_into(_keyed_counters(keys, start, rows, cols, h, _TAG_NORMAL), w)
     np.right_shift(h, np.uint64(32), out=w)
     w |= _EXP20
     r = w.view(np.float64)

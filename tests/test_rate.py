@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,64 @@ def test_a_narrow_dictionary_is_built_at_any_center(scale):
     he_at_0 = np.array([1.0, 0.0, -1.0, 0.0, 3.0, 0.0, -15.0])  # He_k(0), k = 0..6
     assert np.array_equal(values[0], he_at_0[:6])
     assert np.allclose(grads[0, :, 0], -he_at_0[1:] / scale, rtol=1e-15, atol=0.0)
+
+
+def _columnwise_evaluate(d, x):
+    """The dictionary's arrays the way it first built them, kept as the reference.
+
+    One (N, count) table per axis, scaled whole by 1, -1/s and 1/s^2 and then
+    gathered by columns; each product formed left to right over the axes.
+    """
+    u = (x - d.center) / d.scale
+    count = int(d.orders.max()) + 3
+    factors = [[], [], []]
+    for a in range(d.dim):
+        he = np.empty((len(x), count))
+        he[:, 0] = 1.0
+        he[:, 1] = u[:, a]
+        for k in range(1, count - 1):
+            he[:, k + 1] = u[:, a] * he[:, k] - k * he[:, k - 1]
+        table = he * np.exp(-0.5 * u[:, a] * u[:, a])[:, None]
+        s = d.scale[a]
+        for hits, factor in enumerate((1.0, -1.0 / s, 1.0 / (s * s))):
+            factors[hits].append((factor * table)[:, d.orders[:, a] + hits])
+
+    def product(hits):
+        out = factors[hits[0]][0]
+        for c in range(1, d.dim):
+            out = out * factors[hits[c]][c]
+        return out
+
+    eye = np.eye(d.dim, dtype=int)
+    values = product(np.zeros(d.dim, dtype=int))
+    grads = np.empty(values.shape + (d.dim,))
+    hessians = np.empty(values.shape + (d.dim, d.dim))
+    for a in range(d.dim):
+        grads[:, :, a] = product(eye[a])
+        for b in range(a, d.dim):
+            hessians[:, :, a, b] = hessians[:, :, b, a] = product(eye[a] + eye[b])
+    return values, grads, hessians
+
+
+@pytest.mark.parametrize("dim, per_axis", [(1, 6), (2, 5), (3, 4)])
+def test_evaluation_keeps_the_bits_and_strides_of_the_columnwise_tables(dim, per_axis):
+    # values stay F-ordered: the action's w @ values then keeps its gemv kernel
+    rs = np.random.default_rng(11)
+    d = hermite_dictionary(dim, per_axis, center=rs.normal(size=dim),
+                           scale=rs.uniform(0.3, 2.0, size=dim))
+    x = rs.normal(scale=1.5, size=(301, dim))
+    for got, want in zip(d.evaluate(x), _columnwise_evaluate(d, x)):
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
+    assert d.evaluate(x)[0].flags.f_contiguous
+
+
+def test_a_flat_array_is_a_column_of_points_in_1d():
+    d = hermite_dictionary(1, 4)
+    x = np.linspace(-1.0, 1.0, 5)
+    for flat, column in zip(d.evaluate(x), d.evaluate(x[:, None])):
+        assert flat.shape[:2] == (5, 4)
+        assert np.array_equal(flat, column)
 
 
 def test_generator_kills_constants_exactly():
@@ -367,6 +426,23 @@ def test_action_is_bit_identical_under_atom_permutations(name, n):
             assert rep.total == ref.total
             assert np.array_equal(rep.integrand, ref.integrand)
             assert np.array_equal(rep.gram_condition, ref.gram_condition)
+
+
+def test_action_frees_each_snapshot_before_the_next():
+    # one snapshot's arrays at a time: its values, gradients and Hessians,
+    # one psi_k table and one gathered factor, about 47 bytes per atom and
+    # function; 88 when a snapshot's arrays outlived the next one's evaluation
+    n, basis = 8000, 6
+    path, model, d = gaussian_shift_path(0.5, n=n, snapshots=5), heat_model(), \
+        hermite_dictionary(1, basis)
+    evaluate_jdg(path, model, d)
+    tracemalloc.start()
+    try:
+        evaluate_jdg(path, model, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * n * basis, f"{peak / (n * basis):.1f} bytes per atom and function"
 
 
 _BITS_SCRIPT = """

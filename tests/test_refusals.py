@@ -15,7 +15,7 @@ from mvhomog.effective import EffectiveModel, SeparablePotential
 from mvhomog.errors import CenteringError, ValidationError
 from mvhomog.experiments import write_gamma_table
 from mvhomog.measures import EmpiricalMeasure, MeasurePath, wasserstein2
-from mvhomog.rate import TestDictionary
+from mvhomog.rate import TestDictionary, hermite_dictionary
 from mvhomog.scenarios import FLAG_NAMES, Scenario, get_scenario
 from mvhomog.simulate import (FeedbackControl, SimConfig, averaged_lane, load_trajectory,
                               load_trajectory_csv, simulate_lanes)
@@ -137,6 +137,13 @@ REFUSALS = [
      "a test dictionary needs at least 2 functions"),
     ("TestDictionary orders shape", lambda: TestDictionary([[[0, 1]], [[1, 0]]], 0.0, 1.0),
      "orders must be a (functions, dim) array, got shape (2, 1, 2)"),
+    ("TestDictionary fractional order", lambda: TestDictionary([[0], [1.7]], 0.0, 1.0),
+     "Hermite order 1.7 is not a whole number"),
+    ("TestDictionary order limit", lambda: TestDictionary([[0], [10 ** 6]], 0.0, 1.0),
+     "Hermite order 1000000 is more than the limit of 63"),
+    ("TestDictionary points width",
+     lambda: hermite_dictionary(2, 2).evaluate(np.zeros((5, 3))),
+     "points have shape (5, 3), but the dictionary has dim 2"),
     ("wasserstein2 dimensions",
      lambda: wasserstein2(*_path(2, 1, 1).measures[:1], *_path(2, 2, 2).measures[:1]),
      "dimension mismatch: 1 vs 2"),

@@ -292,8 +292,8 @@ def test_a_block_into_owned_buffers_allocates_no_block_sized_memory(steps, n):
     # shapes: 129 kB per call; the block itself is 256 kB
     keys = rng.stream_keys(5, np.arange(n, dtype=np.uint64))
     rows = steps // 2 + 1
-    h, spare = (np.empty((rows, n, 1), dtype=np.uint64) for _ in range(2))
-    assert _peak_bytes(lambda: rng._keyed_counters(keys, 131, rows, 1, h, spare)) < 4096
+    h = np.empty((rows, n, 1), dtype=np.uint64)
+    assert _peak_bytes(lambda: rng._keyed_counters(keys, 131, rows, 1, h)) < 4096
     out = np.empty((steps, n, 1))
     scratch = np.empty(rng.scratch_words(steps, n, 1), dtype=np.uint64)
     for step in (steps, steps + 1):
