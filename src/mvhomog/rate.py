@@ -90,7 +90,7 @@ class TestDictionary:
 
     def __post_init__(self):
         orders = np.array(self.orders, dtype=float, ndmin=2)
-        if orders.ndim != 2:
+        if orders.ndim != 2 or orders.shape[1] == 0:
             raise ValidationError(
                 f"orders must be a (functions, dim) array, got shape {orders.shape}")
         if len(orders) < 2:

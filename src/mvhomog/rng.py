@@ -133,23 +133,28 @@ def _keyed_counters(keys, step: int, steps: int, ncomp: int, out=None,
 
     The tag goes into the counters, one word per counter, before they meet
     the keys.  ``out`` receives the result, or it is allocated.  Keys and
-    counters meet in one broadcast xor.  At ``ncomp`` 1 its rows are whole
-    rows of keys, and numpy would gather rows shorter than its buffer into
-    two 64 kB iteration buffers (129 kB per call at 1000 keys in 16 rows or
-    250 in 66); a 16-word buffer size, which numpy 2 scopes to the
-    ``errstate`` block, keeps every row unbuffered.  That takes 10-12 us
-    per call at N = 250 to 4000, against 17-28 us for the two
-    ``np.copyto`` broadcasts it replaced (one CPU).  A wider ``ncomp``
-    keeps numpy's buffer, which lengthens its two-word inner loop.  XOR is
-    exact, so the words do not depend on the route.
+    counters meet in one broadcast xor per component, whose rows are whole
+    rows of keys.  numpy would gather rows shorter than its buffer into two
+    64 kB iteration buffers (129 kB per call at 1000 keys in 16 rows or 250
+    in 66); a 16-word buffer size, which numpy 2 scopes to the ``errstate``
+    block, keeps every row unbuffered.  At ``ncomp`` 1 that takes 11-16 us
+    per call at N = 250 to 4000, against 18-21 us for the two
+    ``np.copyto`` broadcasts it replaced; at (8, 4000, 2) it takes 44-70 us
+    against 295-484 us, and one xor over the component axis, whose inner
+    loop is two words long, took 255-290 us (one CPU).  XOR is exact, so
+    the words do not depend on the route.
     """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if out is None:
+        out = np.empty((steps, len(keys), ncomp), dtype=np.uint64)
     with np.errstate(over="ignore"):
         c = np.uint64(step) * np.uint64(ncomp) + np.arange(steps * ncomp, dtype=np.uint64)
         c ^= tag
-        if ncomp == 1:  # whole rows of keys: no buffer, however short they are
-            np.setbufsize(16)
-        return np.bitwise_xor(np.asarray(keys, dtype=np.uint64)[:, None],
-                              c.reshape(steps, 1, ncomp), out=out)
+        c = c.reshape(steps, 1, ncomp)
+        np.setbufsize(16)  # no iteration buffer, however short the rows are
+        for j in range(ncomp):
+            np.bitwise_xor(keys, c[:, :, j], out=out[:, :, j])
+    return out
 
 
 def scratch_words(steps: int, n: int, ncomp: int) -> int:

@@ -137,6 +137,8 @@ REFUSALS = [
      "a test dictionary needs at least 2 functions"),
     ("TestDictionary orders shape", lambda: TestDictionary([[[0, 1]], [[1, 0]]], 0.0, 1.0),
      "orders must be a (functions, dim) array, got shape (2, 1, 2)"),
+    ("TestDictionary empty orders", lambda: TestDictionary([[], []], 0.0, 1.0),
+     "orders must be a (functions, dim) array, got shape (2, 0)"),
     ("TestDictionary fractional order", lambda: TestDictionary([[0], [1.7]], 0.0, 1.0),
      "Hermite order 1.7 is not a whole number"),
     ("TestDictionary order limit", lambda: TestDictionary([[0], [10 ** 6]], 0.0, 1.0),

@@ -299,3 +299,16 @@ def test_a_block_into_owned_buffers_allocates_no_block_sized_memory(steps, n):
     for step in (steps, steps + 1):
         peak = _peak_bytes(lambda: rng.normal_block(keys, step, steps, 1, out, scratch))
         assert peak < out.nbytes // 3
+
+
+def test_a_two_pair_block_into_owned_buffers_allocates_no_block_sized_memory():
+    # width 4: two pairs per step, so the counters have two components; one
+    # xor over both took numpy's buffered path, 130 kB per call
+    steps, n, width = 8, 4000, 4
+    keys = rng.stream_keys(5, np.arange(n, dtype=np.uint64))
+    h = np.empty((steps, n, width // 2), dtype=np.uint64)
+    assert _peak_bytes(lambda: rng._keyed_counters(keys, 131, steps, width // 2, h)) < 4096
+    out = np.empty((steps, n, width))
+    scratch = np.empty(rng.scratch_words(steps, n, width), dtype=np.uint64)
+    peak = _peak_bytes(lambda: rng.normal_block(keys, steps, steps, width, out, scratch))
+    assert peak < out.nbytes // 3
