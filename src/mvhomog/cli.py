@@ -175,7 +175,7 @@ def cmd_rate(args) -> int:
     report = evaluate_jdg(path, model, dictionary)
     print(f"action lower bound {report.total:.6g} over {report.basis_size} "
           f"dictionary functions")
-    print(f"worst Gram condition {np.max(report.gram_condition):.3e}")
+    print(f"worst Gram condition {report.worst_condition:.3e}")
     if report.degenerate_times:
         print(f"degenerate Gram times: {report.degenerate_times}")
     if out:

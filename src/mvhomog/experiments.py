@@ -256,14 +256,8 @@ def _plan_jobs(configs: tuple, scenario: Scenario, model, coupled: bool) -> list
 
 
 def _rate_row(run: str, rep) -> list:
-    """rate_table.csv row: run, action, basis size, Gram condition.
-
-    The condition is the largest over the times whose Gram matrix is not
-    degenerate, and NaN when every one is.
-    """
-    cond = rep.gram_condition
-    peak = np.nan if np.isnan(cond).all() else float(np.nanmax(cond))
-    return [run, rep.total, rep.basis_size, peak]
+    """rate_table.csv row: run, action, basis size, worst Gram condition."""
+    return [run, rep.total, rep.basis_size, rep.worst_condition]
 
 
 def _ladder(plan: ExperimentPlan, configs: tuple, scenario: Scenario, model, base: Path,

@@ -66,7 +66,7 @@ class EmpiricalMeasure:
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim == 1:
             atoms = atoms[:, None]
-        if atoms.ndim != 2 or atoms.shape[0] == 0:
+        if atoms.ndim != 2 or atoms.size == 0:
             raise ValidationError(f"atoms must be a nonempty (N, d) array, got shape {atoms.shape}")
         if not np.all(np.isfinite(atoms)):
             raise ValidationError("atoms contain NaN or inf")

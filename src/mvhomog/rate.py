@@ -231,6 +231,13 @@ class RateReport:
     degenerate_times: list = field(default_factory=list)
     initial_distance: float | None = None
 
+    @property
+    def worst_condition(self) -> float:
+        """The largest Gram condition over the times whose Gram matrix is not
+        degenerate, and NaN when every one is."""
+        cond = self.gram_condition
+        return np.nan if np.isnan(cond).all() else float(np.nanmax(cond))
+
     def as_dict(self) -> dict:
         return {
             "times": self.times.tolist(),

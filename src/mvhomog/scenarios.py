@@ -23,11 +23,11 @@ Gibbs factor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import i0, ndtri
 
 from . import rng
 from .effective import EffectiveModel, SeparablePotential, homogenize
@@ -62,6 +62,61 @@ def _unit_grid(dim: int, per_axis: int = 13) -> np.ndarray:
     t = (np.arange(per_axis) + 0.37) / per_axis
     mesh = np.meshgrid(*([t] * dim), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the rational approximations scipy.special.ndtri evaluates.  Q0 and
+# Q1 are monic; their leading 1 is written out so one Horner loop serves all
+# (1 * x + c is x + c exactly, Cephes' p1evl).
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2, 2.00260212380060660359e2,
+             -8.20372256168333339912e1, 1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1, 2.50464946208309415979e0,
+             -1.42182922854787788574e-1, -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+def _horner(x, coefs):
+    out = coefs[0]
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _libm_log(v: np.ndarray) -> np.ndarray:
+    # libm's log, as Cephes takes it: numpy's vectorized log can differ in
+    # the last bit, and that would move the lattice
+    return np.array([math.log(t) for t in v.tolist()])
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each p in (0, 1), bit for bit Cephes ndtri.
+
+    Each operation is Cephes' own, in its order.  Only the central branch
+    and the tail branch for sqrt(-2 log min(p, 1 - p)) < 8 are ported: the
+    third needs min(p, 1 - p) <= exp(-32) ~ 1.3e-14, which the lattice
+    (k + 1/2)/N reaches only above N = 3.9e13 points.
+    """
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    central = y > _EXP_M2
+    out = np.empty_like(y)
+    c = y[central] - 0.5
+    c2 = c * c
+    out[central] = (c + c * (c2 * _horner(c2, _NDTRI_P0) / _horner(c2, _NDTRI_Q0))) * _SQRT_2PI
+    tail = ~central
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x = x - _libm_log(x) / x - z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 @dataclass
@@ -148,7 +203,7 @@ class Scenario:
         if kind == "quantile_normal":
             if self.dim != 1:
                 raise ValidationError("quantile_normal initials are 1-d only")
-            q = ndtri((np.arange(n) + 0.5) / n)
+            q = _ndtri((np.arange(n) + 0.5) / n)
             return (mean[0] + std[0] * q)[:, None]
         if kind == "iid_normal":
             draw = rng.normals(rng.derive(seed, "initial positions"),
@@ -341,7 +396,7 @@ def _cos_rough_1d() -> Scenario:
     sigma2 = 2.0
     pot = SeparablePotential(components=[_cos_component(1.0)],
                              sigma=float(np.sqrt(sigma2)))
-    gamma = 1.0 / float(i0(2.0 / sigma2)) ** 2
+    gamma = 1.0 / float(np.i0(2.0 / sigma2)) ** 2
     return Scenario(
         name="cos_rough_1d",
         description="cosine fast potential, no slow drift; the standard "
@@ -390,7 +445,7 @@ def _dawson_rough() -> Scenario:
                              sigma=float(np.sqrt(_DAWSON_SIGMA2)))
     flags = dict(_FLAGS_ALL)
     flags["bounded_slow"] = False
-    gamma = 1.0 / float(i0(2.0 * _DAWSON_FAST_AMP / _DAWSON_SIGMA2)) ** 2
+    gamma = 1.0 / float(np.i0(2.0 * _DAWSON_FAST_AMP / _DAWSON_SIGMA2)) ** 2
     return Scenario(
         name="dawson_rough",
         description="bistable mean-field slow drift over a gentle cosine fast "
@@ -412,7 +467,7 @@ def _separable_2d() -> Scenario:
     sigma2 = 2.0
     pot = SeparablePotential(components=[_cos_component(1.0), _sin_component(1.0)],
                              sigma=float(np.sqrt(sigma2)))
-    g = 1.0 / float(i0(2.0 / sigma2)) ** 2
+    g = 1.0 / float(np.i0(2.0 / sigma2)) ** 2
     return Scenario(
         name="separable_2d",
         description="two independent gradient fast axes (cosine and sine); "
@@ -458,7 +513,7 @@ def _skew_fast_drift(x, y, mu):
 def _skew_density(y: np.ndarray) -> np.ndarray:
     y = np.atleast_2d(np.asarray(y, dtype=float))
     u = np.cos(TWO_PI * y[:, 0]) + np.sin(TWO_PI * y[:, 1])
-    return np.exp(-u) / float(i0(1.0)) ** 2
+    return np.exp(-u) / float(np.i0(1.0)) ** 2
 
 
 def _nongradient_2d() -> Scenario:

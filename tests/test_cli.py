@@ -9,6 +9,7 @@ import pytest
 from scipy.special import ndtri
 
 from mvhomog.cli import main
+from mvhomog.rate import hermite_dictionary
 from mvhomog.scenarios import get_scenario
 from mvhomog.torus import solve_cell
 
@@ -261,6 +262,30 @@ def test_rate_of_a_narrow_path_does_not_depend_on_where_it_sits(tmp_path, capsys
         assert main(["rate", "--scenario", "free_brownian", "--trajectory", str(path)]) == 0
         lines.append(capsys.readouterr().out.splitlines()[0])
     assert lines == ["action lower bound 86581.3 over 6 dictionary functions"] * 2
+
+
+def test_rate_prints_the_worst_condition_of_the_times_that_are_not_degenerate(
+        tmp_path, capsys, monkeypatch):
+    # under a dictionary fixed at the origin, the snapshot 100 away has an
+    # all-zero Gram matrix; rate_table.csv reads the same condition
+    monkeypatch.setattr("mvhomog.cli.dictionary_for_path",
+                        lambda path, basis: hermite_dictionary(1, 4))
+    atoms = np.linspace(-1.0, 1.0, 50)[:, None]
+    path = tmp_path / "far.npz"
+    np.savez(path, times=np.array([0.0, 1.0, 2.0]),
+             positions=np.stack([atoms + s for s in (0.0, 0.01, 100.0)]))
+    with pytest.warns(RuntimeWarning, match="degenerate at 1 time"):
+        assert main(["rate", "--scenario", "free_brownian", "--trajectory", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["worst Gram condition 1.753e+03", "degenerate Gram times: [2.0]"]
+
+
+def test_the_cli_loads_no_scipy():
+    code = ("import sys, mvhomog.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_ladder_runs_plan_and_honors_exit_codes(tmp_path, capsys):

@@ -149,6 +149,10 @@ REFUSALS = [
     ("wasserstein2 dimensions",
      lambda: wasserstein2(*_path(2, 1, 1).measures[:1], *_path(2, 2, 2).measures[:1]),
      "dimension mismatch: 1 vs 2"),
+    ("EmpiricalMeasure no atoms", lambda: EmpiricalMeasure(np.zeros((0, 1))),
+     "atoms must be a nonempty (N, d) array, got shape (0, 1)"),
+    ("EmpiricalMeasure zero width", lambda: EmpiricalMeasure(np.zeros((4, 0))),
+     "atoms must be a nonempty (N, d) array, got shape (4, 0)"),
     ("MeasurePath lengths", lambda: MeasurePath([0.0, 1.0, 2.0], _path(2, 1, 1).measures),
      "times and measures must have equal length"),
     ("MeasurePath one snapshot", lambda: _path(1, 1),
@@ -207,6 +211,8 @@ TRAJECTORY_REFUSALS = [
      "trajectory file {path}: times has shape (2, 1), needs axes (snapshots,)"),
     ("record count mismatch", _record(times=np.array([0.0, 0.5, 1.0])),
      "trajectory file {path}: times and measures must have equal length"),
+    ("record zero-width positions", _record(positions=np.zeros((2, 3, 0))),
+     "trajectory file {path}: atoms must be a nonempty (N, d) array, got shape (3, 0)"),
     ("record NaN positions", _record(positions=np.full((2, 3, 1), np.nan)),
      "trajectory file {path}: atoms contain NaN or inf"),
     ("record infinite time", _record(times=np.array([0.0, np.inf])),

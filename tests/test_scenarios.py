@@ -3,11 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import i0, ndtri
 
 from mvhomog import ValidationError, get_scenario, scenario_names
 from mvhomog.effective import gamma_separable
 from mvhomog.errors import CenteringError, EllipticityError
-from mvhomog.scenarios import FLAG_NAMES, Scenario
+from mvhomog.scenarios import FLAG_NAMES, Scenario, _ndtri, _skew_density
 from mvhomog.torus import FastCoefficients, solve_cell
 
 EXPECTED = {"free_brownian", "cos_rough_1d", "dawson_rough",
@@ -194,3 +197,33 @@ def test_dawson_slow_drift_reads_measure_mean():
     centered = sc.slow_drift(x, None)
     want0 = (-(v ** 3 - v) - 0.5 * v)[:, None]
     assert np.max(np.abs(centered - want0)) < 1e-12
+
+
+# every size up to 1000 (each one that the tests, CI plans, the bench's smoke
+# sizes and the README run), the default plan's and the full bench's, and more
+LATTICE_SIZES = [*range(1, 1001), 2000, 4000, 8000, 16000, 20000, 32000, 100000]
+
+
+def test_the_quantile_lattice_keeps_scipys_bits():
+    for n in LATTICE_SIZES:
+        p = (np.arange(n) + 0.5) / n
+        assert np.array_equal(_ndtri(p), ndtri(p)), n
+
+
+# min(p, 1 - p) >= 2e-14 > exp(-32): the branches the port has
+@given(st.floats(min_value=2e-14, max_value=1.0 - 2e-14))
+def test_the_quantile_keeps_scipys_bits_on_both_ported_branches(p):
+    assert np.array_equal(_ndtri(np.array([p])), ndtri([p]))
+
+
+def test_the_bessel_references_keep_scipys_bits():
+    def gamma(arg):
+        return 1.0 / float(i0(arg)) ** 2
+    cos = get_scenario("cos_rough_1d").reference
+    assert cos["gamma_diag"]["value"] == [gamma(1.0)]
+    assert cos["effective_diffusion"]["value"] == [[2.0 * gamma(1.0)]]
+    assert get_scenario("dawson_rough").reference["gamma_diag"]["value"] == [
+        gamma(2.0 * 0.08 / 0.2)]
+    assert get_scenario("separable_2d").reference["gamma_diag"]["value"] == [gamma(1.0)] * 2
+    # u = cos 0 + sin 0 = 1 at the origin
+    assert _skew_density(np.zeros((1, 2))).tolist() == [np.exp(-1.0) / float(i0(1.0)) ** 2]
