@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .config import ExperimentPlan, Rung, load_plan, parse_plan
 from .effective import (AveragedCoefficients, EffectiveModel, SeparablePotential,
                         averaged_coefficients, gamma_separable, homogenize,
-                        local_coefficients, matrix_sqrt_psd)
+                        matrix_sqrt_psd)
 from .errors import (CenteringError, EllipticityError, NumericalError,
                      SimulationError, SolverError, ValidationError)
 from .experiments import run_experiment, write_effective_table, write_gamma_table
@@ -29,7 +29,7 @@ __all__ = [
     "constant_control", "control_cost_bound", "dictionary_for_path",
     "evaluate_jdg", "gamma_separable", "get_scenario", "hermite_dictionary",
     "homogenize", "load_plan", "load_trajectory", "load_trajectory_csv",
-    "local_coefficients", "matrix_sqrt_psd", "parse_plan",
+    "matrix_sqrt_psd", "parse_plan",
     "run_experiment", "scenario_names", "simulate_averaged",
     "simulate_multiscale", "solve_cell", "wasserstein2",
     "write_effective_table", "write_gamma_table",

@@ -84,35 +84,6 @@ def _times_transpose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # corrected local fields and their averages
 
-def local_coefficients(cell: CellSolution, x_derivatives: tuple | None = None):
-    """Pointwise corrected fields (beta, D, Dt) on the cell grid.
-
-    beta holds the fast terms only (zero unless the fast coefficients depend
-    on the slow variable); a y-independent slow drift b enters the
-    homogenized drift as (pi-average of (I + grad phi)) b, see
-    :func:`homogenize`.  ``x_derivatives``: pair (grad_x_phi, mixed_xy_phi)
-    with shapes (size, l, j) and (size, l, j, k), given exactly when the fast
-    coefficients depend on the slow variable (see
-    :func:`solve_with_x_derivatives`).
-    """
-    g = cell.grad_phi                      # (n, l, k)
-    a = cell.a_vals
-    f = cell.f_vals
-    eye = np.eye(cell.grid.dim)
-    corr = eye[None, :, :] + g
-
-    beta = np.zeros((cell.grid.size, cell.grid.dim))
-    if x_derivatives is not None:
-        grad_x_phi, mixed = x_derivatives
-        beta = beta + np.einsum("nlj,nj->nl", grad_x_phi, f)
-        beta = beta + np.einsum("njk,nljk->nl", a, mixed)
-
-    ga = np.einsum("nlk,nkm->nlm", g, a)
-    fphi = f[:, :, None] * cell.phi[:, None, :]
-    big_d = ga + np.swapaxes(ga, 1, 2) + fphi + np.swapaxes(fphi, 1, 2) + a
-    return beta, big_d, _sandwich(corr, a)
-
-
 def _sandwich(corr: np.ndarray, a: np.ndarray) -> np.ndarray:
     """corr A corr^T per node, (n, d, d), with the bits of the einsum.
 
@@ -157,14 +128,37 @@ class AveragedCoefficients:
 
 def averaged_coefficients(cell: CellSolution,
                           x_derivatives: tuple | None = None) -> AveragedCoefficients:
-    """Average the corrected fields against the invariant measure.
+    """Average the corrected fields beta, D and Dt against the invariant measure.
 
+    beta holds the fast terms only (zero unless the fast coefficients depend
+    on the slow variable); a y-independent slow drift b enters the
+    homogenized drift as (pi-average of (I + grad phi)) b, see
+    :func:`homogenize`.  ``x_derivatives``: pair (grad_x_phi, mixed_xy_phi)
+    with shapes (size, l, j) and (size, l, j, k), given exactly when the fast
+    coefficients depend on the slow variable (see
+    :func:`solve_with_x_derivatives`).  Each field is averaged and dropped
+    before the next is built, so at most two (size, d, d) arrays are held.
     The PSD form is the primary diffusion; the raw form must agree with it
     up to quadrature error, which ``form_gap`` reports.
     """
-    beta, big_d, d_tilde = local_coefficients(cell, x_derivatives)
-    drift = cell.pi_average(beta)
-    diffusion = cell.pi_average(d_tilde)
+    g, a, f = cell.grad_phi, cell.a_vals, cell.f_vals   # g[n, l, k] = d phi_l / d y_k
+    drift = np.zeros(cell.grid.dim)
+    if x_derivatives is not None:
+        grad_x_phi, mixed = x_derivatives
+        beta = np.zeros((cell.grid.size, cell.grid.dim))
+        beta += np.einsum("nlj,nj->nl", grad_x_phi, f)
+        beta += np.einsum("njk,nljk->nl", a, mixed)
+        drift = cell.pi_average(beta)
+        del beta
+    diffusion = cell.pi_average(_sandwich(np.eye(cell.grid.dim)[None] + g, a))
+    # D = g A + (g A)^T + f (x) phi + phi (x) f + A, added left to right in place
+    ga = np.einsum("nlk,nkm->nlm", g, a)
+    big_d = ga + np.swapaxes(ga, 1, 2)
+    fphi = np.multiply(f[:, :, None], cell.phi[:, None, :], out=ga)
+    big_d += fphi
+    big_d += np.swapaxes(fphi, 1, 2)
+    del ga, fphi
+    big_d += a
     gap = float(np.max(np.abs(diffusion - cell.pi_average(big_d))))
     return AveragedCoefficients(drift, diffusion, gap)
 

@@ -17,13 +17,16 @@ d^2/dy^2 keeping it.  L is never assembled: ``GeneratorOperator`` applies L
 and L* from the nodal coefficients.  L @ u takes the shifts (or the rfft) of
 u once per axis and shares them between the D1 and D2 terms.  A constant
 sigma gives one A, broadcast over the nodes with stride 0, so the
-ellipticity check sees one matrix; the operator's largest entry is computed
-once, when it is built.  GMRES solves L* q = -L* 1 for
-pi = 1 + q (then unit mass) and L phi_l = -(f_l - int f_l pi) (then pi-mean
-zero), preconditioned by mean(f) . grad + 1/2 mean(A) : hess inverted in
-Fourier space with its zero mode sent to zero, so iterates never meet
-ker L = constants.  It stops on an absolute residual target, KRYLOV_MARGIN
-times the stationarity gate's form RESIDUAL_TOL |L| |x|: rounding leaves
+ellipticity check and the operator's largest entry read one matrix and the
+operator's 1/2 A_kk terms stay broadcast; the largest entry is computed
+once, when the operator is built.  The corrector gate and grad phi take L
+and the axis derivatives of one component of phi at a time, so a full-grid
+pass holds grid-sized temporaries, not (size, d) ones.  GMRES solves
+L* q = -L* 1 for pi = 1 + q (then unit mass) and L phi_l = -(f_l - int f_l
+pi) (then pi-mean zero), preconditioned by mean(f) . grad + 1/2 mean(A) :
+hess inverted in Fourier space with its zero mode sent to zero, so iterates
+never meet ker L = constants.  It stops on an absolute residual target,
+KRYLOV_MARGIN times the stationarity gate's form RESIDUAL_TOL |L| |x|: rounding leaves
 eps |L| |x| with |L| ~ n^2, which the target clears by a fixed factor on any
 grid.  Grids above MAX_UNKNOWNS are refused up front.
 
@@ -75,9 +78,11 @@ class TorusGrid:
     """Regular grid on [0,1)^dim with n nodes per axis, C-ordered flat index."""
 
     def __init__(self, dim: int, n: int | None = None):
+        _require_integer(dim, "torus dimension")
         if dim not in (1, 2, 3):
             raise ValidationError(f"torus dimension must be 1, 2 or 3, got {dim}")
         n = DEFAULT_N[dim] if n is None else n
+        _require_integer(n, "torus node count")
         if n < 8:
             raise ValidationError(f"need at least 8 nodes per axis, got {n}")
         if n ** dim > MAX_UNKNOWNS:
@@ -102,6 +107,12 @@ class TorusGrid:
 
     def reshape(self, flat: np.ndarray) -> np.ndarray:
         return np.asarray(flat).reshape(self.shape + flat.shape[1:])
+
+
+def _require_integer(value, name: str) -> None:
+    """Refuse a bool, a float or a non-number where a count is wanted, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +267,18 @@ def _require_finite(values: np.ndarray, name: str) -> None:
             f"{name} has {int(bad.sum())} non-finite values on the cell grid")
 
 
+def _one_if_constant(a_vals: np.ndarray) -> np.ndarray:
+    """A field of stride 0 (a constant A) as its one matrix, (1, d, d); else itself."""
+    return a_vals[:1] if a_vals.strides[0] == 0 else a_vals
+
+
 def ellipticity_floor(a_vals: np.ndarray) -> float:
     """The ellipticity gate: the smallest eigenvalue of A over the grid.
 
     A field of stride 0 is one matrix.  Raises EllipticityError when the
     floor is below ELLIPTICITY_TOL.
     """
-    if a_vals.strides[0] == 0:
-        a_vals = a_vals[:1]
-    lam = float(np.linalg.eigvalsh(a_vals)[:, 0].min())
+    lam = float(np.linalg.eigvalsh(_one_if_constant(a_vals))[:, 0].min())
     if lam < ELLIPTICITY_TOL:
         raise EllipticityError(
             f"diffusion matrix eigenvalue floor {lam:.3e} below {ELLIPTICITY_TOL:.1e}")
@@ -280,7 +294,9 @@ def _largest_entry(grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray,
     k (offsets visited by decreasing bound) and A_kl c1[i] c1[j] off-axis.
     """
     c1, c2 = (_derivative(np.eye(grid.n, 1)[:, 0], 0, o, scheme) for o in (1, 2))
-    off_axis = np.abs(a_vals - a_vals * np.eye(grid.dim)).max() * np.abs(c1).max() ** 2
+    a_vals = _one_if_constant(a_vals)
+    off_diagonal = a_vals[:, ~np.eye(grid.dim, dtype=bool)]
+    off_axis = np.abs(off_diagonal).max(initial=0.0) * np.abs(c1).max() ** 2
     best = float(max(np.abs(np.trace(a_vals, axis1=1, axis2=2)).max() * 0.5 * abs(c2[0]),
                      off_axis))
     for f, a in zip(f_vals.T, 0.5 * np.diagonal(a_vals, axis1=1, axis2=2).T):
@@ -307,7 +323,10 @@ class GeneratorOperator:
         dim = grid.dim
         self._abs_max = _largest_entry(grid, f_vals, a_vals, scheme)
         terms = [(f_vals[:, k], ((k, 1),)) for k in range(dim)]
-        terms += [(0.5 * a_vals[:, k, k], ((k, 2),)) for k in range(dim)]
+        # a constant A keeps its 1/2 A_kk broadcast over the nodes (stride 0)
+        one = _one_if_constant(a_vals)
+        terms += [(np.broadcast_to(0.5 * one[:, k, k], (grid.size,)), ((k, 2),))
+                  for k in range(dim)]
         # the pair (k, l) carries A_kl d^2/dy_k dy_l in both orders
         terms += [(a_vals[:, k, l], ((k, 1), (l, 1)))
                   for k in range(dim) for l in range(k + 1, dim)]
@@ -449,8 +468,13 @@ def check_centering(f_vals: np.ndarray, pi: np.ndarray, grid: TorusGrid):
 
 def _corrector_gate(L: GeneratorOperator, phi: np.ndarray, centered: np.ndarray,
                     f_vals: np.ndarray) -> np.ndarray:
-    """sup |L phi_l + centered f_l| per component; SolverError above the gate."""
-    resid = np.max(np.abs(L @ phi + centered), axis=0)
+    """sup |L phi_l + centered f_l| per component; SolverError above the gate.
+
+    L applies to one component at a time: a (size, d) operand has a short
+    innermost axis, which makes each whole-grid pass slower and its
+    temporaries d times larger.
+    """
+    resid = np.array([np.abs(L @ p + c).max() for p, c in zip(phi.T, centered.T)])
     if np.any(resid > RESIDUAL_TOL * np.maximum(np.abs(f_vals).max(axis=0), 1.0) * 1e3):
         raise SolverError(f"cell residuals {resid} failed the solve check")
     return resid
@@ -491,8 +515,7 @@ def _axis_lines(grid: TorusGrid, f_vals: np.ndarray, a_vals: np.ndarray) -> list
     """
     if grid.dim < 2:
         return None
-    a = a_vals[:1] if a_vals.strides[0] == 0 else a_vals
-    if np.any(a[:, ~np.eye(grid.dim, dtype=bool)]):
+    if np.any(_one_if_constant(a_vals)[:, ~np.eye(grid.dim, dtype=bool)]):
         return None
     lines = []
     for k in range(grid.dim):
@@ -582,8 +605,9 @@ def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
         ops = [L]
         pi, resid_pi = solve_invariant_measure(L, grid)
         phi, resid_phi, defect = solve_cell_problem(L, pi, f_vals, grid)
-        grad_phi = np.stack([apply_axis_derivative(phi, grid, k, scheme)
-                             for k in range(grid.dim)], 2)
+        grad_phi = np.empty((grid.size, grid.dim, grid.dim))
+        for l, k in np.ndindex(grid.dim, grid.dim):
+            grad_phi[:, l, k] = apply_axis_derivative(phi[:, l], grid, k, scheme)
     else:
         ops, pi, resid_pi, phi, resid_phi, defect, grad_phi = _solve_by_axis(
             L, grid, f_vals, lines, scheme)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from mvhomog.measures import EmpiricalMeasure, MeasurePath
 from mvhomog.rate import dictionary_for_path, evaluate_jdg
 from mvhomog.scenarios import DAWSON_KAPPA, get_scenario, scenario_names
 from mvhomog.simulate import SimConfig, averaged_lane, simulate_lanes
-from mvhomog.torus import FastCoefficients, solve_cell
+from mvhomog.torus import (FastCoefficients, apply_axis_derivative, assemble_generator,
+                           solve_cell)
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,7 +75,7 @@ def test_two_diffusion_forms_agree_on_registry():
         cell = solve_cell(sc.fast_coefficients(), n=n)
         avg = averaged_coefficients(cell)
         assert avg.form_gap <= 1e-8
-        # re-derive the raw form independently of local_coefficients
+        # re-derive the raw form independently of averaged_coefficients
         gap = np.abs(avg.diffusion - cell.pi_average(_raw_diffusion_field(cell))).max()
         assert gap <= 1e-8
 
@@ -307,3 +309,115 @@ def test_separable_model_without_slow_drift_has_zero_drift():
     model = sc.effective_model()
     xs = np.random.default_rng(0).normal(size=(6, 2))
     assert np.abs(model.coefficients(xs, None)[0]).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the cell's full-grid passes, one component and one field at a time
+
+def _cosine_potential(amplitudes):
+    def pair(a):
+        return (lambda y: a * np.cos(TWO_PI * y), lambda y: -TWO_PI * a * np.sin(TWO_PI * y))
+
+    return SeparablePotential([pair(a) for a in amplitudes], sigma=np.sqrt(2.0))
+
+
+def _coupled_3d():
+    """Odd f with one mixed term and a constant non-diagonal A: a 3-d layer
+    that does not split by axis, centered on any grid since pi is even."""
+    def f(x, y, mu):
+        out = TWO_PI * np.sin(TWO_PI * y) * (1.0 + 0.3 * np.cos(TWO_PI * y))
+        out[:, 0] += 0.2 * np.sin(TWO_PI * (y[:, 0] + y[:, 2]))
+        return out
+
+    return FastCoefficients(dim=3, f=f, sigma=np.eye(3) + 0.3 * np.triu(np.ones((3, 3)), 1))
+
+
+def _whole_field_averages(cell, x_derivatives=None):
+    """(drift, diffusion, form gap) from the corrected fields built whole, as
+    the averages were first written: beta, D and Dt held at once."""
+    g, a, f = cell.grad_phi, cell.a_vals, cell.f_vals
+    corr = np.eye(cell.grid.dim)[None, :, :] + g
+    beta = np.zeros((cell.grid.size, cell.grid.dim))
+    if x_derivatives is not None:
+        grad_x_phi, mixed = x_derivatives
+        beta = beta + np.einsum("nlj,nj->nl", grad_x_phi, f)
+        beta = beta + np.einsum("njk,nljk->nl", a, mixed)
+    ga = np.einsum("nlk,nkm->nlm", g, a)
+    fphi = f[:, :, None] * cell.phi[:, None, :]
+    big_d = ga + np.swapaxes(ga, 1, 2) + fphi + np.swapaxes(fphi, 1, 2) + a
+    diffusion = cell.pi_average(_sandwich(corr, a))
+    gap = float(np.max(np.abs(diffusion - cell.pi_average(big_d))))
+    return cell.pi_average(beta), diffusion, gap
+
+
+# (fast layer, scheme, n, the route its cell takes): 1-, 2- and 3-d, both routes
+CELL_CASES = {
+    "cos_rough_1d fd": (lambda: get_scenario("cos_rough_1d").fast_coefficients(),
+                        "fd", 256, "grid"),
+    "dawson_rough spectral": (lambda: get_scenario("dawson_rough").fast_coefficients(),
+                              "spectral", 128, "grid"),
+    "nongradient_2d fd": (lambda: get_scenario("nongradient_2d").fast_coefficients(),
+                          "fd", 16, "grid"),
+    "nongradient_2d spectral": (lambda: get_scenario("nongradient_2d").fast_coefficients(),
+                                "spectral", 32, "grid"),
+    "separable_2d fd": (lambda: get_scenario("separable_2d").fast_coefficients(),
+                        "fd", 32, "axis"),
+    "separable_2d spectral": (lambda: get_scenario("separable_2d").fast_coefficients(),
+                              "spectral", 32, "axis"),
+    "cosine_3d fd": (lambda: _cosine_potential((0.6, 0.8, 0.5)).fast_coefficients(),
+                     "fd", 12, "axis"),
+    "coupled_3d fd": (_coupled_3d, "fd", 8, "grid"),
+}
+
+
+@pytest.mark.parametrize("case", CELL_CASES)
+def test_component_passes_keep_the_whole_array_bits(case):
+    make, scheme, n, route = CELL_CASES[case]
+    cell = solve_cell(make(), scheme=scheme, n=n)
+    grid = cell.grid
+    assert cell.provenance["cell_route"] == route
+    # the corrector gate: L applied to all components of phi at once
+    L = assemble_generator(grid, cell.f_vals, cell.a_vals, scheme)
+    want = np.max(np.abs(L @ cell.phi + (cell.f_vals - cell.centering[None, :])), axis=0)
+    assert np.array_equal(cell.residual_phi, want)
+    if route == "grid":
+        # grad phi from each axis derivative of the stacked components
+        want = np.stack([apply_axis_derivative(cell.phi, grid, k, scheme)
+                         for k in range(grid.dim)], 2)
+        assert np.array_equal(cell.grad_phi, want)
+    avg = averaged_coefficients(cell)
+    drift, diffusion, gap = _whole_field_averages(cell)
+    assert np.array_equal(avg.drift, drift) and not np.signbit(avg.drift).any()
+    assert np.array_equal(avg.diffusion, diffusion)
+    assert avg.form_gap == gap
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd"])
+def test_x_derivative_averages_keep_the_whole_array_bits(scheme):
+    cell, derivs = solve_with_x_derivatives(_x_dependent_coeffs(), np.array([0.3]),
+                                            scheme=scheme, n=64)
+    avg = averaged_coefficients(cell, derivs)
+    drift, diffusion, gap = _whole_field_averages(cell, derivs)
+    assert np.any(drift != 0.0)
+    assert np.array_equal(avg.drift, drift)
+    assert np.array_equal(avg.diffusion, diffusion)
+    assert avg.form_gap == gap
+
+
+# tracemalloc peak per node of solve_cell plus averaged_coefficients, each
+# bound about 10 % above what it read when the full-grid passes went one
+# component and one field at a time (178 and 306 B/node; 286 and 546 before)
+@pytest.mark.parametrize("case, n, bound", [("separable_2d fd", 128, 200),
+                                            ("cosine_3d fd", 32, 330)])
+def test_a_cell_and_its_averages_hold_few_bytes_per_node(case, n, bound):
+    coeffs = CELL_CASES[case][0]()
+    averaged_coefficients(solve_cell(coeffs, scheme="fd", n=n))  # first-call caches
+    tracemalloc.start()
+    try:
+        cell = solve_cell(coeffs, scheme="fd", n=n)
+        averaged_coefficients(cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cell.provenance["cell_route"] == "axis"
+    assert peak / cell.grid.size <= bound

@@ -129,6 +129,22 @@ REFUSALS = [
     ("TorusGrid nodes", lambda: TorusGrid(1, 4), "need at least 8 nodes per axis, got 4"),
     ("TorusGrid dimension", lambda: TorusGrid(4, 8),
      "torus dimension must be 1, 2 or 3, got 4"),
+    ("TorusGrid fractional nodes", lambda: TorusGrid(2, 64.7),
+     "torus node count must be an integer, got 64.7"),
+    ("solve_cell fractional nodes", lambda: _cell(1, 33.5, "fd"),
+     "torus node count must be an integer, got 33.5"),
+    ("TorusGrid whole float nodes", lambda: TorusGrid(1, 64.0),
+     "torus node count must be an integer, got 64.0"),
+    ("TorusGrid string nodes", lambda: TorusGrid(2, "64"),
+     "torus node count must be an integer, got '64'"),
+    ("TorusGrid bool nodes", lambda: TorusGrid(1, True),
+     "torus node count must be an integer, got True"),
+    ("TorusGrid float dimension", lambda: TorusGrid(2.0, 16),
+     "torus dimension must be an integer, got 2.0"),
+    ("TorusGrid bool dimension", lambda: TorusGrid(True, 16),
+     "torus dimension must be an integer, got True"),
+    ("TorusGrid string dimension", lambda: TorusGrid("2", 16),
+     "torus dimension must be an integer, got '2'"),
     ("spectral odd n", lambda: _cell(1, 9, "spectral"),
      "spectral scheme needs an even number of nodes"),
     ("spectral 3-d", lambda: _cell(3, 8, "spectral"),
