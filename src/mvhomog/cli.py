@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_plan
+from .effective import averaged_coefficients
 from .errors import NumericalError, ValidationError
 from .experiments import (gamma_table_rows, make_out_dir, run_experiment, write_cell_table,
                           write_effective_table, write_gamma_table)
@@ -85,8 +86,8 @@ def cmd_solve_cell(args) -> int:
           f"iterations), corrector residual {np.max(cell.residual_phi):.3e} "
           f"({its['phi']} GMRES iterations)")
     print(f"centering defect {np.abs(cell.centering).max():.3e}")
-    corr = cell.pi_average(np.eye(cell.grid.dim)[None] + cell.grad_phi)
-    _print_matrix("pi-average of (I + grad phi):", corr)
+    _print_matrix("pi-average of (I + grad phi):",
+                  averaged_coefficients(cell).corrector_average)
     if out:
         out = out / f"cell_{scenario.name}.csv"
         write_cell_table(cell, out)
@@ -135,10 +136,9 @@ def cmd_simulate(args) -> int:
         # the count is checked on the run's steps before its times are built
         steps = SimConfig(n_particles=1, **geometry)
         try:
-            steps.require_snapshot_count(args.snapshots)
+            times = steps.snapshot_grid(args.snapshots)
         except ValidationError as exc:
             raise ValidationError(f"--snapshots: {exc}") from None
-        times = np.linspace(0.0, args.t_end, args.snapshots)
     config = SimConfig(n_particles=args.n_particles, snapshot_times=times, **geometry)
     control = None
     if args.tilt is not None:

@@ -50,8 +50,6 @@ import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ValidationError
 from .rate import MIN_SNAPSHOTS, check_basis
 from .rng import check_seed
@@ -101,10 +99,10 @@ def _as_list(value, path: str) -> list:
     return list(value)
 
 
-def _under(path: str, check, *args) -> None:
-    """``check(*args)``, its refusal named by the plan field ``path``."""
+def _under(path: str, check, *args):
+    """``check(*args)``'s value, its refusal named by the plan field ``path``."""
     try:
-        check(*args)
+        return check(*args)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -203,8 +201,8 @@ class ExperimentPlan:
         must resolve the fast scale.  A refusal by SimConfig's rules names the
         plan field it comes from.  A ``jdg`` plan's snapshot count is checked
         first, against the action's MIN_SNAPSHOTS; then every run's steps, on
-        one particle; then the snapshot count against the shortest run, by
-        ``SimConfig.require_snapshot_count``, before the times are built; then
+        one particle; then the snapshot times, by the shortest run's
+        ``SimConfig.snapshot_grid``, which checks their count first; then
         each run whole, with its particles and its record.  The plan runs
         this when it is made; ``run_experiment`` calls it for the configs.
         """
@@ -223,8 +221,7 @@ class ExperimentPlan:
                                     t_end=self.t_end, **geometry)
                         for _, path, seed_path, _, geometry in runs),
                        key=lambda config: config.n_steps)
-        _under("plan.snapshots", shortest.require_snapshot_count, self.snapshots)
-        times = np.linspace(0.0, self.t_end, self.snapshots)
+        times = _under("plan.snapshots", shortest.snapshot_grid, self.snapshots)
         configs = [(i, _run_config(path, seed_path, too_long, n_particles=n, t_end=self.t_end,
                                    snapshot_times=times, **geometry))
                    for i, path, seed_path, n, geometry in runs]
@@ -244,7 +241,7 @@ def _run_config(path: str, seed_path: str, too_long: bool, **geometry) -> SimCon
     try:
         config = SimConfig(**geometry)
         if config.epsilon is not None:
-            config.require_stiffness("multiscale")
+            config.require_stiffness()
     except ValidationError as exc:
         name = re.match(r"[a-z_]+", str(exc)).group()
         if name == "dt" and too_long and geometry["dt"] > 0:

@@ -121,9 +121,10 @@ def _sandwich(corr: np.ndarray, a: np.ndarray) -> np.ndarray:
 class AveragedCoefficients:
     """pi-averages of the corrected fields at one frozen (x, mu)."""
 
-    drift: np.ndarray          # (dim,)
-    diffusion: np.ndarray      # (dim, dim), PSD form
-    form_gap: float            # sup |diffusion - raw-form average|
+    drift: np.ndarray              # (dim,)
+    diffusion: np.ndarray          # (dim, dim), PSD form
+    form_gap: float                # sup |diffusion - raw-form average|
+    corrector_average: np.ndarray  # (dim, dim), C = pi-average of (I + grad phi)
 
 
 def averaged_coefficients(cell: CellSolution,
@@ -132,10 +133,10 @@ def averaged_coefficients(cell: CellSolution,
 
     beta holds the fast terms only (zero unless the fast coefficients depend
     on the slow variable); a y-independent slow drift b enters the
-    homogenized drift as (pi-average of (I + grad phi)) b, see
-    :func:`homogenize`.  ``x_derivatives``: pair (grad_x_phi, mixed_xy_phi)
-    with shapes (size, l, j) and (size, l, j, k), given exactly when the fast
-    coefficients depend on the slow variable (see
+    homogenized drift as C b, with C = ``corrector_average`` the pi-average
+    of (I + grad phi), see :func:`homogenize`.  ``x_derivatives``: pair
+    (grad_x_phi, mixed_xy_phi) with shapes (size, l, j) and (size, l, j, k),
+    given exactly when the fast coefficients depend on the slow variable (see
     :func:`solve_with_x_derivatives`).  Each field is averaged and dropped
     before the next is built, so at most two (size, d, d) arrays are held.
     The PSD form is the primary diffusion; the raw form must agree with it
@@ -150,7 +151,10 @@ def averaged_coefficients(cell: CellSolution,
         beta += np.einsum("njk,nljk->nl", a, mixed)
         drift = cell.pi_average(beta)
         del beta
-    diffusion = cell.pi_average(_sandwich(np.eye(cell.grid.dim)[None] + g, a))
+    corr = np.eye(cell.grid.dim)[None] + g
+    corrector_average = cell.pi_average(corr)
+    diffusion = cell.pi_average(_sandwich(corr, a))
+    del corr
     # D = g A + (g A)^T + f (x) phi + phi (x) f + A, added left to right in place
     ga = np.einsum("nlk,nkm->nlm", g, a)
     big_d = ga + np.swapaxes(ga, 1, 2)
@@ -160,7 +164,7 @@ def averaged_coefficients(cell: CellSolution,
     del ga, fphi
     big_d += a
     gap = float(np.max(np.abs(diffusion - cell.pi_average(big_d))))
-    return AveragedCoefficients(drift, diffusion, gap)
+    return AveragedCoefficients(drift, diffusion, gap, corrector_average)
 
 
 def solve_with_x_derivatives(coeffs: FastCoefficients, x, mu=None,
@@ -343,13 +347,12 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
     dim = coeffs.dim
 
     def averaged_at(x, mu):
-        """Cell solve at one slow state, its averages and that of (I + grad phi)."""
+        """Cell solve at one slow state and its averages."""
         if coeffs.x_dependent:
             cell, derivs = solve_with_x_derivatives(coeffs, x, mu=mu, scheme=scheme, n=n)
         else:
             cell, derivs = solve_cell(coeffs, x=None, mu=mu, scheme=scheme, n=n), None
-        avg = averaged_coefficients(cell, derivs)
-        return cell, avg, cell.pi_average(np.eye(dim)[None] + cell.grad_phi)
+        return cell, averaged_coefficients(cell, derivs)
 
     def drift_of(corr, xs, mu):
         """C b at the rows of xs from a cell solve that does not read x; its
@@ -361,16 +364,16 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
     if coeffs.x_dependent or coeffs.mu_dependent:
         def coefficients(xs, mu):
             if not coeffs.x_dependent:
-                _, avg, corr = averaged_at(None, mu)
-                return (drift_of(corr, xs, mu),
+                _, avg = averaged_at(None, mu)
+                return (drift_of(avg.corrector_average, xs, mu),
                         np.broadcast_to(avg.diffusion, (len(xs), dim, dim)))
             drift = np.empty_like(xs)
             diffusion = np.empty((len(xs), dim, dim))
             for i, x in enumerate(xs):
-                _, avg, corr = averaged_at(x, mu)
+                _, avg = averaged_at(x, mu)
                 drift[i] = avg.drift
                 if slow_drift is not None:
-                    drift[i] += corr @ np.asarray(slow_drift(x[None, :], mu))[0]
+                    drift[i] += avg.corrector_average @ np.asarray(slow_drift(x[None, :], mu))[0]
                 diffusion[i] = avg.diffusion
             return drift, diffusion
 
@@ -380,9 +383,9 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
             provenance["x_step"] = X_STEP
         return EffectiveModel(dim, coefficients, None, provenance)
 
-    cell, avg, corr = averaged_at(None, None)
+    cell, avg = averaged_at(None, None)
     model = EffectiveModel(
-        dim, lambda xs, mu: drift_of(corr, xs, mu), avg.diffusion,
+        dim, lambda xs, mu: drift_of(avg.corrector_average, xs, mu), avg.diffusion,
         provenance={"scheme": cell.scheme, "n": cell.grid.n,
                     "form_gap": avg.form_gap, **cell.provenance})
     model.cell = cell

@@ -7,10 +7,11 @@ homogenized model once, simulates the averaged reference ensemble, walks the
 tables, a manifest with content hashes) into the output directory.  All
 artifacts are deterministic functions of the plan: runs use counter-based
 noise keyed by the plan seeds, transport distances are exact in one
-dimension and seeded in higher ones, and wall-clock timings are reported
-to the caller but never written to disk, so rerunning a plan reproduces
-every byte on the same machine and numpy build (numpy picks its float64
-``log``, ``exp`` and ``tan`` kernels by CPU; see the README).
+dimension and sliced along fixed directions in higher ones, and wall-clock
+timings are reported to the caller but never written to disk, so rerunning
+a plan reproduces every byte on the same machine and numpy build (numpy
+picks its float64 ``log``, ``exp`` and ``tan`` kernels by CPU; see the
+README).
 
 The plan's particle runs are independent, so they run as jobs in a pool
 of forked worker processes, up to one per usable CPU (see

@@ -166,38 +166,42 @@ def _w2_1d(xa: np.ndarray, xb: np.ndarray) -> float:
     return float(np.sum(widths * (gap * gap)) / span)
 
 
-def _projection_directions(dim: int, count: int, seed: int) -> np.ndarray:
+def _projection_directions(dim: int, count: int) -> np.ndarray:
     if dim == 2:
         # stratified angles: exact quadrature of quadratic observables over
-        # directions, so two seeds differ only through the common offset
-        offset = rng.uniforms(seed, np.array([0]), 0, 1)[0, 0]
-        angles = np.pi * (np.arange(count) + offset) / count
+        # directions, so their common offset, a fixed fraction of a stratum,
+        # moves the estimate very little
+        angles = np.pi * (np.arange(count) + 0.34966321146630985) / count
         return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    # random orthogonal frames: summing squared projections over a frame is
-    # exact, which kills most of the seed-to-seed variance of the estimate;
-    # the count is rounded up to whole frames
+    # random orthogonal frames (normals of seed 0, one step per frame):
+    # summing squared projections over a frame is exact, which kills most of
+    # the draw-to-draw variance of the estimate; the count is rounded up to
+    # whole frames
     groups = -(-count // dim)
     frames = []
     for g in range(groups):
-        z = rng.normals(seed, np.arange(dim), g, dim)
+        z = rng.normals(0, np.arange(dim), g, dim)
         q, r = np.linalg.qr(z)
         frames.append(q * np.sign(np.diag(r)))
     return np.concatenate(frames, axis=1).T
 
 
-def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure, *, seed: int = 0) -> float:
+def wasserstein2(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Wasserstein-2 distance between empirical measures.
 
     Exact in dimension one (sorted quantile coupling).  In higher dimension
-    a sliced surrogate is used: project onto N_PROJECTIONS directions, take
-    the exact 1-D distance per slice, and return sqrt(d * mean of squared
-    slice distances); the d-factor makes the estimate exact for point masses.
+    a sliced surrogate is used: project onto N_PROJECTIONS fixed directions,
+    take the exact 1-D distance per slice, and return sqrt(d * mean of
+    squared slice distances); the d-factor makes the estimate exact for
+    point masses.  The directions are stratified angles with one fixed
+    offset in 2-d and fixed orthogonal frames above, the same for every
+    call, so the surrogate is a deterministic function of the two measures.
     """
     if a.dim != b.dim:
         raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim == 1:
         return np.sqrt(_w2_1d(a.atoms[:, 0], b.atoms[:, 0]))
-    dirs = _projection_directions(a.dim, N_PROJECTIONS, seed)
+    dirs = _projection_directions(a.dim, N_PROJECTIONS)
     pa = a.atoms @ dirs.T  # (N, K)
     pb = b.atoms @ dirs.T
     sq = [_w2_1d(pa[:, k], pb[:, k]) for k in range(len(dirs))]

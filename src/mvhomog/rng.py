@@ -28,12 +28,12 @@ A run hashes the step-independent (seed, stream) prefix once with
 :func:`stream_keys`.  :func:`normal_block` then hashes the pairs of a
 whole range of counters, a block of consecutive steps, in one call with
 in-place uint64 operations and turns them into normals, in buffers the
-caller may own.  :func:`normals` is its one-step case, and
-:func:`uniforms` hashes one step's counters, two rounds each, under its
-own tag, so its words are not the normals'.  A block is a pure function
-of its keys and steps, so any process may redraw any block, bit for bit,
-into any buffer: two runs on the same noise in two processes (a split
-twin pair) each draw it and need share nothing.
+caller may own.  :func:`normals` is its one-step case.  Normals are the
+only draws: the sliced W2's frames above 2-d are normals of seed 0, and a
+seed for a sub-purpose comes from :func:`derive`.  A block is a pure function of its
+keys and steps, so any process may redraw any block, bit for bit, into
+any buffer: two runs on the same noise in two processes (a split twin
+pair) each draw it and need share nothing.
 
 Three choices keep a draw cheap: a whole block of steps is hashed in one
 call rather than step by step, one hash round serves a pair of normals,
@@ -52,11 +52,8 @@ from .errors import ValidationError
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-# distinct tags keep the normals' words apart from those of the uniforms
+# the normal draws' tag, xored into every counter before it meets the keys
 _TAG_NORMAL = np.uint64(0xD6E8FEB86659FD93)
-_TAG_UNIFORM = np.uint64(0x632BE59BD9B4E019)
-
-_INV53 = 2.0 ** -53
 # a 32-bit half word h or-ed into _EXP20, the bits of 2^20, reads
 # 2^20 + h 2^-32; subtracting these leaves (h + 1) 2^-32 and h 2^-32 - 1/2
 _EXP20 = np.uint64(0x4130000000000000)
@@ -127,29 +124,26 @@ def stream_keys(seed: int, streams) -> np.ndarray:
         return _mix(_mix(np.uint64(seed)) ^ np.asarray(streams, dtype=np.uint64))
 
 
-def _keyed_counters(keys, step: int, steps: int, ncomp: int, out=None,
-                    tag=np.uint64(0)) -> np.ndarray:
-    """Counters ``step*ncomp`` on, xor ``tag``, xor each key: ``(steps, len(keys), ncomp)``.
+def _keyed_counters(keys, step: int, steps: int, ncomp: int, out: np.ndarray) -> np.ndarray:
+    """Counters ``step*ncomp`` on, xor the normal draws' tag, xor each key.
 
     The tag goes into the counters, one word per counter, before they meet
-    the keys.  ``out`` receives the result, or it is allocated.  Keys and
-    counters meet in one broadcast xor per component, whose rows are whole
-    rows of keys.  numpy would gather rows shorter than its buffer into two
-    64 kB iteration buffers (129 kB per call at 1000 keys in 16 rows or 250
-    in 66); a 16-word buffer size, which numpy 2 scopes to the ``errstate``
-    block, keeps every row unbuffered.  At ``ncomp`` 1 that takes 11-16 us
-    per call at N = 250 to 4000, against 18-21 us for the two
-    ``np.copyto`` broadcasts it replaced; at (8, 4000, 2) it takes 44-70 us
-    against 295-484 us, and one xor over the component axis, whose inner
-    loop is two words long, took 255-290 us (one CPU).  XOR is exact, so
-    the words do not depend on the route.
+    the keys.  ``out``, of shape ``(steps, len(keys), ncomp)``, receives the
+    result.  Keys and counters meet in one broadcast xor per component,
+    whose rows are whole rows of keys.  numpy would gather rows shorter than
+    its buffer into two 64 kB iteration buffers (129 kB per call at 1000
+    keys in 16 rows or 250 in 66); a 16-word buffer size, which numpy 2
+    scopes to the ``errstate`` block, keeps every row unbuffered.  At
+    ``ncomp`` 1 that takes 11-16 us per call at N = 250 to 4000, against
+    18-21 us for the two ``np.copyto`` broadcasts it replaced; at
+    (8, 4000, 2) it takes 44-70 us against 295-484 us, and one xor over the
+    component axis, whose inner loop is two words long, took 255-290 us
+    (one CPU).  XOR is exact, so the words do not depend on the route.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    if out is None:
-        out = np.empty((steps, len(keys), ncomp), dtype=np.uint64)
     with np.errstate(over="ignore"):
         c = np.uint64(step) * np.uint64(ncomp) + np.arange(steps * ncomp, dtype=np.uint64)
-        c ^= tag
+        c ^= _TAG_NORMAL
         c = c.reshape(steps, 1, ncomp)
         np.setbufsize(16)  # no iteration buffer, however short the rows are
         for j in range(ncomp):
@@ -183,7 +177,7 @@ def _pairs_into(keys, start: int, rows: int, cols: int, even, odd,
     shape = (rows, len(keys), cols)
     size = rows * len(keys) * cols
     h, w, s = (scratch[i * size:(i + 1) * size].reshape(shape) for i in range(3))
-    _mix_into(_keyed_counters(keys, start, rows, cols, h, _TAG_NORMAL), w)
+    _mix_into(_keyed_counters(keys, start, rows, cols, h), w)
     np.right_shift(h, np.uint64(32), out=w)
     w |= _EXP20
     r = w.view(np.float64)
@@ -268,15 +262,6 @@ def normals(seed: int, streams, step: int, ncomp: int) -> np.ndarray:
     (stream, step, component) is the same no matter how the call is batched.
     """
     return normal_block(stream_keys(seed, streams), step, 1, ncomp)[0]
-
-
-def uniforms(seed: int, streams, step: int, ncomp: int) -> np.ndarray:
-    """Uniform(0,1) draws with the same keying scheme as :func:`normals`."""
-    h = _mix(_keyed_counters(stream_keys(seed, streams), step, 1, ncomp)[0])
-    h ^= _TAG_UNIFORM
-    _mix_into(h, np.empty_like(h))
-    h >>= np.uint64(11)
-    return np.multiply(h, _INV53, out=h.view(np.float64))
 
 
 def derive(seed: int, label: str) -> int:

@@ -261,7 +261,7 @@ class Scenario:
         The two :meth:`ladder_lanes` share one noise, drawn once; a config
         without epsilon, or a pair of two noise widths, is refused.
         """
-        config.require_stiffness("multiscale")
+        config.require_stiffness()
         return tuple(simulate_lanes(list(self.ladder_lanes(config, model))))
 
     # -- validation ----------------------------------------------------------
@@ -407,12 +407,8 @@ def _cos_rough_1d() -> Scenario:
         known_density=lambda y: pot.gibbs_density(y),
         second_moment_bound=3.0,
         solver={"scheme": "spectral", "n": 256},
-        reference={
-            "gamma_diag": {"value": [gamma],
-                           "source": "1 / I0(2a/sigma^2)^2 via modified Bessel"},
-            "effective_diffusion": {"value": [[sigma2 * gamma]],
-                                    "source": "sigma^2 Gamma for a gradient layer"},
-        },
+        reference={"gamma_diag": {"value": [gamma],
+                                  "source": "1 / I0(2a/sigma^2)^2 via modified Bessel"}},
     )
 
 
@@ -488,25 +484,24 @@ _SKEW_C = 0.7
 _SKEW_SIGMA2 = 2.0
 
 
+# U = cos(2 pi y1) + sin(2 pi y2), whose -grad U the skew layer reads
+_SKEW_POTENTIAL = SeparablePotential([_cos_component(1.0), _sin_component(1.0)],
+                                     sigma=float(np.sqrt(_SKEW_SIGMA2)))
+
+
 def _skew_fast_drift(x, y, mu):
     """Gradient drift of U = cos + sin plus a skew part c J grad U.
 
     The skew part is divergence-free against exp(-U), so the stationary
     density keeps the product Gibbs form even though no potential generates
-    the full drift.  The gradient's sine and cosine come from
-    ``rng._wave_2pi``, as in ``_cos_component``.
+    the full drift.  g = -grad U comes from the potential's ``fast_drift``,
+    the one derivation of a drift from a potential.
     """
-    du1 = rng._wave_2pi(y[:, 0])
-    du1 *= -TWO_PI
-    du2 = rng._wave_2pi(y[:, 1], cosine=True)
-    du2 *= TWO_PI
-    half_a = 0.5 * _SKEW_SIGMA2
-    out = np.empty((len(y), 2))
-    # f1 = -a/2 du1 - c du2 and f2 = -a/2 du2 + c du1, column by column
-    np.multiply(-half_a, du1, out=out[:, 0])
-    out[:, 0] -= _SKEW_C * du2
-    np.multiply(-half_a, du2, out=out[:, 1])
-    out[:, 1] += _SKEW_C * du1
+    g = _SKEW_POTENTIAL.fast_drift(x, y)
+    # f1 = a/2 g1 + c g2 and f2 = a/2 g2 - c g1, column by column
+    out = (0.5 * _SKEW_SIGMA2) * g
+    out[:, 0] += _SKEW_C * g[:, 1]
+    out[:, 1] -= _SKEW_C * g[:, 0]
     return out
 
 

@@ -74,7 +74,7 @@ from .effective import EffectiveModel, _times_transpose
 from .errors import SimulationError, ValidationError
 from .measures import (EmpiricalMeasure, MeasurePath, _sorted_sum,
                        _StreamOrderMeasure, radial_moment, wasserstein2)
-from .torus import FastCoefficients
+from .torus import FastCoefficients, _require_integer
 
 
 # dt <= STIFFNESS_FACTOR * epsilon^2 resolves the fast scale
@@ -112,7 +112,7 @@ class SimConfig:
     The one home of the run-geometry rules: a positive particle count,
     epsilon, dt and horizon (epsilon before dt, which a plan may derive
     from it), whole steps, distinct snapshot steps and their count
-    (``require_snapshot_count``), the limits on work and on the record's
+    (``snapshot_grid``), the limits on work and on the record's
     size, and the stiffness rule of ``require_stiffness``; the seed's range
     is ``rng.check_seed``.  A refusal of a geometry field begins with the
     field's name, which a plan's checks read.
@@ -126,9 +126,7 @@ class SimConfig:
     snapshot_times: np.ndarray | None = None
 
     def __post_init__(self):
-        if isinstance(self.n_particles, bool) or not isinstance(
-                self.n_particles, (int, np.integer)):
-            raise ValidationError(f"n_particles must be an integer, got {self.n_particles!r}")
+        _require_integer(self.n_particles, "n_particles")
         if self.n_particles < 1:
             raise ValidationError(f"n_particles must be positive, got {self.n_particles}")
         if self.epsilon is not None and not (self.epsilon > 0 and np.isfinite(self.epsilon)):
@@ -190,23 +188,27 @@ class SimConfig:
             raise self._collision(len(times))
         return steps
 
-    def require_snapshot_count(self, count: int) -> None:
-        """Refuse a count of snapshot times spread over the horizon, before any
-        time is built: fewer than 2, or more than the run has steps plus one,
-        which cannot land on distinct steps."""
+    def snapshot_grid(self, count: int) -> np.ndarray:
+        """``count`` snapshot times spread evenly over [0, t_end].
+
+        The count is refused before any time is built: fewer than 2, or more
+        than the run has steps plus one, which cannot land on distinct steps.
+        """
         if count < 2:
             raise ValidationError(f"snapshot count must be at least 2, got {count}")
         if count > self.n_steps + 1:
             raise self._collision(count)
+        return np.linspace(0.0, self.t_end, count)
 
     def _collision(self, count: int) -> ValidationError:
         return ValidationError(f"snapshot times collide on the step grid: {count} times on "
                                f"{self.n_steps} steps of dt={self.dt!r}")
 
-    def require_stiffness(self, label: str) -> None:
-        """Refuse a dt above the limit; suggest the limit to six digits, never above it."""
+    def require_stiffness(self) -> None:
+        """Refuse a multiscale run without epsilon, or with a dt above the
+        limit; suggest the limit to six digits, never above it."""
         if self.epsilon is None:
-            raise ValidationError(f"mode {label!r} needs epsilon in the config")
+            raise ValidationError("mode 'multiscale' needs epsilon in the config")
         limit = stiffness_limit(self.epsilon)
         if self.dt > limit * (1 + 1e-12):
             suggested = min(float(f"{limit:.6g}"), limit)
@@ -351,7 +353,11 @@ def _utf8_lines(fh, path):
 
 
 def load_trajectory_csv(path) -> MeasurePath:
-    """Read a trajectory CSV, which must be UTF-8 text, back as a measure path."""
+    """Read a trajectory CSV, which must be UTF-8 text, back as a measure path.
+
+    Every refusal names the file, as :func:`load_trajectory`'s do, those
+    that ``MeasurePath`` makes (fewer than two snapshots among them) too.
+    """
     times: list[float] = []
     frames: list[list[list[float]]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -361,7 +367,7 @@ def load_trajectory_csv(path) -> MeasurePath:
             raise ValidationError(f"trajectory file {path} is empty")
         dim = len(header) - 2
         if header[:2] != ["t", "particle_id"] or dim < 1:
-            raise ValidationError(f"unrecognized trajectory header {header}")
+            raise ValidationError(f"trajectory file {path}: unrecognized header {header}")
         current = None
         for row in reader:
             if len(row) != dim + 2:
@@ -387,8 +393,10 @@ def load_trajectory_csv(path) -> MeasurePath:
                     f"trajectory file {path}, line {reader.line_num}: snapshot times "
                     f"must be strictly increasing, got {t!r} after {current!r}")
             frames[-1].append(pos)
-    positions = [np.asarray(f) for f in frames]
-    return MeasurePath(np.asarray(times), [EmpiricalMeasure(p) for p in positions])
+    try:
+        return MeasurePath(np.asarray(times), [EmpiricalMeasure(np.asarray(f)) for f in frames])
+    except ValidationError as exc:
+        raise ValidationError(f"trajectory file {path}: {exc}") from None
 
 
 # the arrays of a saved record: each one's axis count, and the axes named
@@ -722,7 +730,7 @@ def multiscale_lane(fast: FastCoefficients, slow_drift: Callable | None,
 
     The lane's width is ``fast.dim`` and its noise width ``fast.noise_dim``.
     """
-    config.require_stiffness("multiscale")
+    config.require_stiffness()
     eps = config.epsilon
     fast_drift, fast_sigma = fast.f, fast.sigma
 

@@ -443,7 +443,7 @@ def _stationarity_gates(L: GeneratorOperator, pi: np.ndarray, grid: TorusGrid):
         # roundoff-scale negatives only; clip and restore exact unit mass
         pi = np.clip(pi, 0.0, None)
         pi = pi / grid.integrate(pi)
-    mass = grid.integrate(pi)
+    mass = float(grid.integrate(pi))
     if abs(mass - 1.0) > 1e-12:
         raise SolverError(f"invariant density mass {mass!r} not normalized")
     return pi, resid

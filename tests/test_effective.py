@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import i0
+from scipy.special import i0, i1
 
 from mvhomog import effective
 from mvhomog.effective import (SeparablePotential, _sandwich, averaged_coefficients,
@@ -249,6 +249,26 @@ def test_x_derivative_solves_are_finite_and_centered():
     avg = averaged_coefficients(cell, (grad_x, mixed))
     assert np.all(np.isfinite(avg.drift))
     assert np.linalg.eigvalsh(avg.diffusion).min() > 0
+
+
+def test_x_dependent_route_matches_its_closed_form():
+    # f = -d_y V with V = a(x) cos(2 pi y), a = 1 + tanh(x) / 4, and sigma^2 = 2:
+    # pi = exp(-V) / I0(a) and 1 + d_y phi = exp(V) / I0(a), so the diffusion
+    # is 2 / I0(a)^2.  The fast drift int pi (d_x phi f + A d_x d_y phi) dy
+    # is int pi d_x d_y phi dy, since pi f = pi' (by parts), and
+    # d_x d_y phi = a' (cos(2 pi y) - I1(a) / I0(a)) exp(V) / I0(a) gives
+    # -a' I1(a) / I0(a)^3.  The route's x-derivatives are centered
+    # differences of step X_STEP, whose error is of order X_STEP^2
+    model = homogenize(_x_dependent_coeffs(), scheme="spectral", n=64)
+    xs = np.array([[-2.0], [-0.5], [0.0], [0.8], [2.0]])
+    drift, diffusion, _ = model.coefficients(xs, None)
+    t = np.tanh(xs[:, 0])
+    a, da = 1.0 + 0.25 * t, 0.25 * (1.0 - t * t)
+    want = 2.0 / i0(a) ** 2
+    assert np.abs(diffusion[:, 0, 0] - want).max() <= 1e-13 * want.max()
+    assert np.abs(drift[:, 0] + da * i1(a) / i0(a) ** 3).max() <= 1e-9
+    # the fast drift at x = 0 by quadrature of the same integral: -0.0696213
+    assert abs(drift[2, 0] + 0.0696213) < 1e-7
 
 
 def test_mu_dependent_route_reads_the_measure():

@@ -96,13 +96,15 @@ def test_w2_translation_multid():
         assert wasserstein2(a, b) == pytest.approx(want, rel=tol)
 
 
-def test_sliced_seed_agreement_on_gaussian_pairs():
-    for d in (2, 3):
-        a = EmpiricalMeasure(rng.normals(100, np.arange(1000), 0, d))
-        b = EmpiricalMeasure(1.3 * rng.normals(200, np.arange(1000), 1, d) + 0.4)
-        w_one = wasserstein2(a, b, seed=1)
-        w_two = wasserstein2(a, b, seed=2)
-        assert abs(w_one - w_two) <= 0.05 * w_one
+def test_sliced_w2_reads_fixed_directions():
+    # the directions are the same on every call, so a fixed pair has a fixed
+    # estimate; the 3-d frames come from normals through numpy's tan and
+    # from a QR, whose last bits may depend on the CPU's kernels
+    g = np.random.default_rng(7)
+    for d, want in ((2, 0.7287228861332515), (3, 0.9874244766617903)):
+        a = EmpiricalMeasure(g.normal(size=(200, d)))
+        b = EmpiricalMeasure(1.3 * g.normal(size=(150, d)) + 0.4)
+        assert wasserstein2(a, b) == pytest.approx(want, rel=1e-12)
 
 
 def test_statistics_permutation_invariant():

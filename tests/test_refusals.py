@@ -19,8 +19,9 @@ from mvhomog.rate import TestDictionary, hermite_dictionary
 from mvhomog.scenarios import FLAG_NAMES, Scenario, get_scenario
 from mvhomog.simulate import (FeedbackControl, SimConfig, averaged_lane, load_trajectory,
                               load_trajectory_csv, simulate_lanes)
-from mvhomog.torus import (FastCoefficients, TorusGrid, assemble_generator, solve_cell,
-                           solve_cell_problem, solve_invariant_measure)
+from mvhomog.torus import (FastCoefficients, TorusGrid, apply_axis_derivative,
+                           assemble_generator, solve_cell, solve_cell_problem,
+                           solve_invariant_measure)
 
 
 def _heat(dim):
@@ -187,6 +188,24 @@ REFUSALS = [
      "states have shape (5, 1), but the model has dim 2"),
     ("EffectiveModel flat states", lambda: _heat(1).coefficients(np.zeros(5)),
      "states have shape (5,), but the model has dim 1"),
+    ("EffectiveModel drift shape",
+     lambda: EffectiveModel(1, lambda xs, mu: xs[:, 0], np.eye(1)).coefficients(np.zeros((5, 1))),
+     "drift returned shape (5,), expected (5, 1)"),
+    ("FastCoefficients drift shape",
+     lambda: FastCoefficients(2, lambda x, y, mu: y[:, :1], np.eye(2)).fields(TorusGrid(2, 8)),
+     "fast drift returned shape (64, 1), expected (64, 2)"),
+    ("FastCoefficients diffusion shape",
+     lambda: FastCoefficients(2, lambda x, y, mu: 0 * y, np.eye(3)).fields(TorusGrid(2, 8)),
+     "fast diffusion returned shape (3, 3), expected (2, 2)"),
+    ("derivative unknown scheme",
+     lambda: apply_axis_derivative(np.zeros(16), TorusGrid(1, 16), 0, "chebyshev"),
+     "unknown scheme 'chebyshev', expected 'fd' or 'spectral'"),
+    ("SimConfig snapshot past t_end",
+     lambda: SimConfig(n_particles=1, dt=0.1, t_end=1.0, snapshot_times=[0.0, 1.5]),
+     "snapshot times must lie in [0, t_end]"),
+    ("multiscale run without epsilon",
+     lambda: SimConfig(n_particles=1, dt=0.1).require_stiffness(),
+     "mode 'multiscale' needs epsilon in the config"),
 ]
 
 
@@ -206,6 +225,14 @@ def _record(**arrays):
 # (id, file content, message with the file as {path}): a CSV's text, or the
 # arrays or raw bytes of a file named .npz
 TRAJECTORY_REFUSALS = [
+    ("CSV one snapshot", "t,particle_id,x1\r\n0.0,0,0.1\r\n0.0,1,0.2\r\n",
+     "trajectory file {path}: a measure path needs at least two snapshots"),
+    ("CSV header only", "t,particle_id,x1\r\n",
+     "trajectory file {path}: a measure path needs at least two snapshots"),
+    ("CSV bad header", "time,id,x1\r\n0.0,0,0.1\r\n",
+     "trajectory file {path}: unrecognized header ['time', 'id', 'x1']"),
+    ("CSV no coordinate", "t,particle_id\r\n0.0,0\r\n",
+     "trajectory file {path}: unrecognized header ['t', 'particle_id']"),
     ("CSV time steps back",
      "t,particle_id,x1\r\n0.0,0,0.1\r\n1.0,0,0.2\r\n0.5,0,0.3\r\n",
      "trajectory file {path}, line 4: snapshot times must be strictly increasing, "

@@ -46,13 +46,6 @@ def test_normal_moments():
     assert np.all(np.isfinite(x))
 
 
-def test_uniforms_in_half_open_interval():
-    u = rng.uniforms(11, np.arange(100000), 0, 1).ravel()
-    assert u.min() > 0.0
-    assert u.max() <= 1.0
-    assert abs(u.mean() - 0.5) < 0.01
-
-
 def test_derive_labels_separate_domains():
     assert rng.derive(0, "alpha") != rng.derive(0, "beta")
     assert rng.derive(0, "alpha") == rng.derive(0, "alpha")
@@ -109,11 +102,6 @@ def _seed_formula_normals(seed, streams, step, ncomp):
     return np.where(c % np.uint64(2) == 0, r - 2.0 * s, (-2.0 * t) * s)
 
 
-def _seed_formula_uniforms(seed, streams, step, ncomp):
-    h = _seed_formula_hash(seed, streams, _step_counters(step, ncomp))
-    return (_splitmix(h ^ rng._TAG_UNIFORM) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
-
 _STEPS = st.one_of(st.integers(min_value=0, max_value=10 ** 6),
                    st.integers(min_value=2 ** 32 - 8, max_value=2 ** 32 + 8))
 
@@ -148,8 +136,6 @@ def test_block_rows_equal_per_step_draws(seed, step, steps, ncomp, n, perm_seed)
     for j in range(steps):
         assert np.array_equal(block[j], rng.normal_block(keys, step + j, 1, ncomp)[0])
         assert np.array_equal(block[j], _seed_formula_normals(seed, streams, step + j, ncomp))
-        assert np.array_equal(rng.uniforms(seed, streams, step + j, ncomp),
-                              _seed_formula_uniforms(seed, streams, step + j, ncomp))
 
 
 @pytest.mark.parametrize("block", [1, 4, 7, 10, 23, 40])

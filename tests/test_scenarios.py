@@ -221,7 +221,6 @@ def test_the_bessel_references_keep_scipys_bits():
         return 1.0 / float(i0(arg)) ** 2
     cos = get_scenario("cos_rough_1d").reference
     assert cos["gamma_diag"]["value"] == [gamma(1.0)]
-    assert cos["effective_diffusion"]["value"] == [[2.0 * gamma(1.0)]]
     assert get_scenario("dawson_rough").reference["gamma_diag"]["value"] == [
         gamma(2.0 * 0.08 / 0.2)]
     assert get_scenario("separable_2d").reference["gamma_diag"]["value"] == [gamma(1.0)] * 2

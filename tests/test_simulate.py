@@ -168,11 +168,11 @@ def test_suggested_step_is_admissible():
     # 0.1 * 0.12346^2 = 0.00152423716, which rounds up to 0.00152424
     eps = 0.12346
     with pytest.raises(ValidationError) as err:
-        SimConfig(n_particles=10, dt=0.01, epsilon=eps).require_stiffness("multiscale")
+        SimConfig(n_particles=10, dt=0.01, epsilon=eps).require_stiffness()
     suggested = float(re.search(r"suggested dt:? ([0-9.e+-]+)", str(err.value)).group(1))
     assert suggested <= 0.1 * eps * eps
     SimConfig(n_particles=10, dt=suggested, t_end=suggested,
-              epsilon=eps).require_stiffness("multiscale")
+              epsilon=eps).require_stiffness()
 
 
 def test_config_validation():

@@ -12,8 +12,8 @@ from mvhomog.experiments import write_cell_table
 from mvhomog.scenarios import get_scenario
 from mvhomog.torus import (DEFAULT_N, MAX_DENSE_UNKNOWNS, MAX_UNKNOWNS, FastCoefficients,
                            GeneratorOperator, TorusGrid, _derivative, apply_axis_derivative,
-                           assemble_generator, solve_cell, solve_cell_problem,
-                           solve_invariant_measure)
+                           _corrector_gate, _stationarity_gates, assemble_generator,
+                           solve_cell, solve_cell_problem, solve_invariant_measure)
 
 TWO_PI = 2.0 * np.pi
 
@@ -562,3 +562,56 @@ def test_one_dimensional_cells_keep_their_bits(name, scheme, n):
     assert cell.provenance["cell_route"] == "grid"
     for got, want in zip((cell.pi, cell.phi, cell.grad_phi), _grid_route(coeffs, scheme, n)):
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the solve gates, driven with a doctored pi or phi
+
+def _deep_cell():
+    """A 1-d fd layer whose density spans 11 decades: pi = exp(-cos(2 pi y) / 0.075) / Z.
+
+    Lowering such a pi by a constant c sup pi adds c sup pi |L* 1| to its
+    stationarity residual, far below the gate, so a doctored density can
+    reach each later gate with its residual passed.
+    """
+    grid = TorusGrid(1, 64)
+    f_vals = _coeffs_1d().f(None, grid.nodes, None)
+    L = assemble_generator(grid, f_vals, np.broadcast_to(0.15 * np.eye(1), (64, 1, 1)), "fd")
+    pi, _ = solve_invariant_measure(L, grid)
+    assert 0.0 < pi.min() < 1e-11 * pi.max()
+    return grid, f_vals, L, pi
+
+
+def test_the_stationarity_gates_refuse_a_doctored_density():
+    grid, _, L, pi = _deep_cell()
+    bump = 1e-3 * pi.max() * np.cos(TWO_PI * grid.nodes[:, 0])   # mass 0, not stationary
+    with pytest.raises(SolverError, match=r"^stationarity residual \S+ failed the solve check$"):
+        _stationarity_gates(L, pi + bump, grid)
+    # negatives of 1e-9 sup pi are more than roundoff
+    with pytest.raises(SolverError, match=r"^invariant density has negative mass -\S+$"):
+        _stationarity_gates(L, pi - 1e-9 * pi.max(), grid)
+    # the mass is printed as a plain float, not as numpy's np.float64(...)
+    with pytest.raises(SolverError, match=r"^invariant density mass 1\.00000000\d+ not normalized$"):
+        _stationarity_gates(L, pi * (1.0 + 1e-9), grid)
+
+
+def test_roundoff_negatives_are_clipped_and_the_mass_restored():
+    grid, _, L, pi = _deep_cell()
+    low = pi - 1e-11 * pi.max()
+    assert -1e-10 * pi.max() < low.min() < 0.0
+    got, resid = _stationarity_gates(L, low, grid)
+    clipped = np.clip(low, 0.0, None)
+    assert np.array_equal(got, clipped / grid.integrate(clipped))
+    assert got.min() == 0.0
+    assert abs(grid.integrate(got) - 1.0) <= 1e-12
+    assert resid == np.abs(L.T @ low).max()
+
+
+def test_the_corrector_gate_refuses_a_doctored_corrector():
+    grid, f_vals, L, pi = _deep_cell()
+    phi, resid, defect = solve_cell_problem(L, pi, f_vals, grid)
+    centered = f_vals - defect[None, :]
+    assert np.array_equal(_corrector_gate(L, phi, centered, f_vals), resid)
+    bump = 1e-3 * np.cos(TWO_PI * grid.nodes)
+    with pytest.raises(SolverError, match=r"^cell residuals \[\S+\] failed the solve check$"):
+        _corrector_gate(L, phi + bump, centered, f_vals)
