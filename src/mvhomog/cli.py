@@ -209,11 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario(p):
         p.add_argument("--scenario", required=True, help="registry name")
 
+    def add_solver(p):
+        p.add_argument("--n", type=int, default=None, help="nodes per axis")
+        p.add_argument("--scheme", choices=("auto", "fd", "spectral"), default="auto")
+
     p = sub.add_parser("solve-cell", help="solve the frozen cell problem")
     add_scenario(p)
-    p.add_argument("--n", type=int, default=None, help="nodes per axis")
-    p.add_argument("--scheme", choices=("auto", "fd", "spectral"),
-                   default="auto")
+    add_solver(p)
     p.add_argument("--out", default=None, help="directory for the solution CSV")
     p.set_defaults(func=cmd_solve_cell)
 
@@ -224,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("effective", help="homogenized drift and diffusion")
     add_scenario(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--scheme", choices=("auto", "fd", "spectral"),
-                   default="auto")
+    add_solver(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_effective)
 

@@ -386,7 +386,6 @@ def homogenize(coeffs: FastCoefficients, slow_drift: Callable | None = None,
     cell, avg = averaged_at(None, None)
     model = EffectiveModel(
         dim, lambda xs, mu: drift_of(avg.corrector_average, xs, mu), avg.diffusion,
-        provenance={"scheme": cell.scheme, "n": cell.grid.n,
-                    "form_gap": avg.form_gap, **cell.provenance})
+        provenance={"form_gap": avg.form_gap, **cell.provenance})
     model.cell = cell
     return model

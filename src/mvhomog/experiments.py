@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import multiprocessing
 import os
 import time
@@ -44,10 +43,10 @@ from .config import ExperimentPlan
 from .effective import gamma_separable
 from .errors import SimulationError, ValidationError
 from .measures import wasserstein2
-from .rate import _json_scalar, dictionary_for_path, evaluate_jdg
+from .rate import _json_scalar, dictionary_for_path, evaluate_jdg, write_json
 from .scenarios import Scenario, get_scenario
 from .simulate import simulate_lanes
-from .torus import CellSolution
+from .torus import CellSolution, product_grid
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -84,12 +83,8 @@ GRID_SPAN, GRID_COUNT = 2.0, 41
 
 def state_grid(dim: int) -> np.ndarray:
     """Evaluation states for coefficient tables: a line (1-d) or a mesh."""
-    if dim == 1:
-        return np.linspace(-GRID_SPAN, GRID_SPAN, GRID_COUNT)[:, None]
     per_axis = max(int(round(GRID_COUNT ** (1.0 / dim))), 3)
-    axis = np.linspace(-GRID_SPAN, GRID_SPAN, per_axis)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return product_grid(np.linspace(-GRID_SPAN, GRID_SPAN, per_axis), dim)
 
 
 def gamma_table_rows(scenario: Scenario) -> list:
@@ -412,9 +407,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
     report["rate"] = [[r[0], _json_scalar(r[1]), int(r[2]), _json_scalar(r[3])]
                       for r in rate_rows]
     p = base / "report.json"
-    with open(p, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(p, report)
     artifacts.append(p)
 
     manifest = {
@@ -424,9 +417,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, echo=None) -> dict:
         "validation": checks,
         "artifacts": {a.name: _sha256(a) for a in sorted(set(artifacts))},
     }
-    with open(base / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(base / "manifest.json", manifest)
     say(f"manifest covers {len(manifest['artifacts'])} artifacts")
 
     runtimes["total"] = time.perf_counter() - t_start

@@ -76,10 +76,10 @@ class TestDictionary:
     """Tensor Hermite functions He_k(u) exp(-|u|^2/2), u = (x - center)/scale.
 
     Row j of ``orders`` (B, d) holds function j's per-axis orders; center
-    and scale are (d,) or scalars broadcast to it.  Value, gradient and
-    Hessian are analytic; the Gaussian envelope keeps everything integrable
-    against heavy-tailed empirical measures, standing in for compactly
-    supported test functions.
+    and scale are finite, (d,) or scalars broadcast to it.  Value, gradient
+    and Hessian are analytic; the Gaussian envelope keeps everything
+    integrable against heavy-tailed empirical measures, standing in for
+    compactly supported test functions.
     """
 
     __test__ = False  # "test function" in the variational sense, not pytest's
@@ -109,6 +109,10 @@ class TestDictionary:
         self.scale = np.broadcast_to(np.asarray(self.scale, dtype=float), shape).copy()
         if not np.all(self.scale > 0):
             raise ValidationError("dictionary scale must be positive")
+        # a non-finite center or scale leaves every Gram matrix degenerate or NaN
+        for name, value in (("center", self.center), ("scale", self.scale)):
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"dictionary {name} must be finite, got {value.tolist()}")
 
     @property
     def size(self) -> int:
@@ -218,6 +222,13 @@ def _json_scalar(value: float):
     return "inf" if value > 0 else "-inf"
 
 
+def write_json(path, obj) -> None:
+    """The artifacts' JSON: sorted keys, indent 2, no NaN or infinity, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 @dataclass
 class RateReport:
     """Evaluated action of a measure path over a finite dictionary."""
@@ -251,9 +262,7 @@ class RateReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        write_json(path, self.as_dict())
 
 
 def _snapshot_terms(measure: EmpiricalMeasure, model: EffectiveModel, dictionary):

@@ -35,8 +35,9 @@ from .errors import NumericalError, ValidationError
 from .simulate import (Lane, SimConfig, TrajectoryRecord, averaged_lane,
                        multiscale_lane, simulate_averaged, simulate_lanes,
                        simulate_multiscale)
-from .torus import (FastCoefficients, TorusGrid, assemble_generator,
-                    check_centering, ellipticity_floor, solve_invariant_measure)
+from .torus import (FastCoefficients, TorusGrid, assemble_generator, check_centering,
+                    default_scheme, ellipticity_floor, product_grid,
+                    solve_invariant_measure)
 
 TWO_PI = 2.0 * np.pi
 
@@ -59,9 +60,7 @@ SEAM_TOL = 1e-9
 
 def _unit_grid(dim: int, per_axis: int = 13) -> np.ndarray:
     """Deterministic off-lattice sample of the unit cell, (per_axis^dim, dim)."""
-    t = (np.arange(per_axis) + 0.37) / per_axis
-    mesh = np.meshgrid(*([t] * dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return product_grid((np.arange(per_axis) + 0.37) / per_axis, dim)
 
 
 # Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
@@ -309,8 +308,7 @@ class Scenario:
                 floor = ellipticity_floor(a_vals)
                 done.append(f"diffusion eigenvalue floor {floor:.3g} over the cell")
             if self.flags["centered_fast"]:
-                L = assemble_generator(grid, f_vals, a_vals,
-                                       "spectral" if self.dim <= 2 else "fd")
+                L = assemble_generator(grid, f_vals, a_vals, default_scheme(self.dim))
                 pi, _ = solve_invariant_measure(L, grid)
                 rel = float(check_centering(f_vals, pi, grid)[1].max())
                 done.append(f"fast drift centered, relative defect {rel:.2e}")
@@ -325,9 +323,8 @@ class Scenario:
         except NumericalError as exc:
             raise ValidationError(f"scenario {self.name!r}: {exc}") from None
 
-        declarative = [k for k in ("lipschitz_slow", "moment_bounds", "smooth_cell",
-                                   "bounded_slow", "interaction_kernel")
-                       if self.flags[k]]
+        numerical = ("periodic_fast", "uniform_elliptic", "centered_fast")
+        declarative = [k for k in FLAG_NAMES if k not in numerical and self.flags[k]]
         if declarative:
             done.append("declared without numerical test: " + ", ".join(declarative))
         return done
@@ -336,32 +333,22 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # registry
 
-def _cos_component(amplitude: float = 1.0):
-    """q = a cos(2 pi y) and dq = -2 pi a sin(2 pi y).
+def _wave_component(amplitude: float, cosine: bool):
+    """q = a cos(2 pi y) and dq = -2 pi a sin(2 pi y), or with ``cosine``
+    false q = a sin(2 pi y) and dq = 2 pi a cos(2 pi y).
 
     ``dq`` is the fast drift the stepper evaluates every step and the cell
-    solver once per solve, so its sine comes from the vectorized tangent
-    of ``rng._wave_2pi``; ``q`` (densities, validation) keeps numpy's.
+    solver once per solve, so its sine or cosine comes from the vectorized
+    tangent of ``rng._wave_2pi``; ``q`` (densities, validation) keeps numpy's.
     """
+    trig, slope = (np.cos, -amplitude * TWO_PI) if cosine else (np.sin, amplitude * TWO_PI)
+
     def q(y):
-        return amplitude * np.cos(TWO_PI * np.asarray(y))
+        return amplitude * trig(TWO_PI * np.asarray(y))
 
     def dq(y):
-        out = rng._wave_2pi(y)
-        out *= -amplitude * TWO_PI
-        return out
-
-    return q, dq
-
-
-def _sin_component(amplitude: float = 1.0):
-    """q = a sin(2 pi y) and dq = 2 pi a cos(2 pi y), the cosine as in ``_cos_component``."""
-    def q(y):
-        return amplitude * np.sin(TWO_PI * np.asarray(y))
-
-    def dq(y):
-        out = rng._wave_2pi(y, cosine=True)
-        out *= amplitude * TWO_PI
+        out = rng._wave_2pi(y, cosine=not cosine)
+        out *= slope
         return out
 
     return q, dq
@@ -392,23 +379,30 @@ def _free_brownian() -> Scenario:
     )
 
 
-def _cos_rough_1d() -> Scenario:
-    sigma2 = 2.0
-    pot = SeparablePotential(components=[_cos_component(1.0)],
+def _separable_scenario(name: str, description: str, waves: list, sigma2: float,
+                        **fields) -> Scenario:
+    """A gradient layer of one wave per axis, given as (amplitude, cosine), under
+    noise sigma^2 I: its Gibbs density and its Bessel factors 1 / I0(2a/sigma^2)^2."""
+    pot = SeparablePotential([_wave_component(a, cosine) for a, cosine in waves],
                              sigma=float(np.sqrt(sigma2)))
-    gamma = 1.0 / float(np.i0(2.0 / sigma2)) ** 2
-    return Scenario(
-        name="cos_rough_1d",
-        description="cosine fast potential, no slow drift; the standard "
-                    "gradient testbed with Bessel closed forms",
+    gamma = [1.0 / float(np.i0(2.0 * a / sigma2)) ** 2 for a, _ in waves]
+    return Scenario(name=name, description=description, potential=pot,
+                    known_density=pot.gibbs_density,
+                    reference={"gamma_diag": {"value": gamma,
+                                              "source": "per-axis 1 / I0(2a/sigma^2)^2"}},
+                    **fields)
+
+
+def _cos_rough_1d() -> Scenario:
+    return _separable_scenario(
+        "cos_rough_1d",
+        "cosine fast potential, no slow drift; the standard "
+        "gradient testbed with Bessel closed forms",
+        [(1.0, True)], 2.0,
         flags=dict(_FLAGS_ALL),
         init={"kind": "quantile_normal", "mean": 0.0, "std": 0.1},
-        potential=pot,
-        known_density=lambda y: pot.gibbs_density(y),
         second_moment_bound=3.0,
         solver={"scheme": "spectral", "n": 256},
-        reference={"gamma_diag": {"value": [gamma],
-                                  "source": "1 / I0(2a/sigma^2)^2 via modified Bessel"}},
     )
 
 
@@ -437,46 +431,31 @@ def _dawson_slow(x, mu):
 
 
 def _dawson_rough() -> Scenario:
-    pot = SeparablePotential(components=[_cos_component(_DAWSON_FAST_AMP)],
-                             sigma=float(np.sqrt(_DAWSON_SIGMA2)))
-    flags = dict(_FLAGS_ALL)
-    flags["bounded_slow"] = False
-    gamma = 1.0 / float(np.i0(2.0 * _DAWSON_FAST_AMP / _DAWSON_SIGMA2)) ** 2
-    return Scenario(
-        name="dawson_rough",
-        description="bistable mean-field slow drift over a gentle cosine fast "
-                    "layer; cubic growth is gated by a fourth-moment cap",
-        flags=flags,
+    return _separable_scenario(
+        "dawson_rough",
+        "bistable mean-field slow drift over a gentle cosine fast "
+        "layer; cubic growth is gated by a fourth-moment cap",
+        [(_DAWSON_FAST_AMP, True)], _DAWSON_SIGMA2,
+        flags={**_FLAGS_ALL, "bounded_slow": False},
         init={"kind": "quantile_normal", "mean": 0.0, "std": 0.25},
-        potential=pot,
         slow_drift=_dawson_slow,
-        known_density=lambda y: pot.gibbs_density(y),
         moment_cap=(4, 50.0),
         second_moment_bound=4.0,
         solver={"scheme": "spectral", "n": 256},
-        reference={"gamma_diag": {"value": [gamma],
-                                  "source": "1 / I0(2a/sigma^2)^2 via modified Bessel"}},
     )
 
 
 def _separable_2d() -> Scenario:
-    sigma2 = 2.0
-    pot = SeparablePotential(components=[_cos_component(1.0), _sin_component(1.0)],
-                             sigma=float(np.sqrt(sigma2)))
-    g = 1.0 / float(np.i0(2.0 / sigma2)) ** 2
-    return Scenario(
-        name="separable_2d",
-        description="two independent gradient fast axes (cosine and sine); "
-                    "the homogenization factor is diagonal with equal Bessel "
-                    "entries",
+    return _separable_scenario(
+        "separable_2d",
+        "two independent gradient fast axes (cosine and sine); "
+        "the homogenization factor is diagonal with equal Bessel "
+        "entries",
+        [(1.0, True), (1.0, False)], 2.0,
         flags=dict(_FLAGS_ALL),
         init={"kind": "iid_normal", "mean": 0.0, "std": 0.1},
-        potential=pot,
-        known_density=lambda y: pot.gibbs_density(y),
         second_moment_bound=4.0,
         solver={"scheme": "spectral", "n": 32},
-        reference={"gamma_diag": {"value": [g, g],
-                                  "source": "per-axis 1 / I0(2a/sigma^2)^2"}},
     )
 
 
@@ -485,7 +464,8 @@ _SKEW_SIGMA2 = 2.0
 
 
 # U = cos(2 pi y1) + sin(2 pi y2), whose -grad U the skew layer reads
-_SKEW_POTENTIAL = SeparablePotential([_cos_component(1.0), _sin_component(1.0)],
+_SKEW_POTENTIAL = SeparablePotential([_wave_component(1.0, True),
+                                      _wave_component(1.0, False)],
                                      sigma=float(np.sqrt(_SKEW_SIGMA2)))
 
 

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import zipfile
 from dataclasses import dataclass
@@ -74,6 +73,7 @@ from .effective import EffectiveModel, _times_transpose
 from .errors import SimulationError, ValidationError
 from .measures import (EmpiricalMeasure, MeasurePath, _sorted_sum,
                        _StreamOrderMeasure, radial_moment, wasserstein2)
+from .rate import write_json
 from .torus import FastCoefficients, _require_integer
 
 
@@ -111,11 +111,11 @@ class SimConfig:
 
     The one home of the run-geometry rules: a positive particle count,
     epsilon, dt and horizon (epsilon before dt, which a plan may derive
-    from it), whole steps, distinct snapshot steps and their count
-    (``snapshot_grid``), the limits on work and on the record's
-    size, and the stiffness rule of ``require_stiffness``; the seed's range
-    is ``rng.check_seed``.  A refusal of a geometry field begins with the
-    field's name, which a plan's checks read.
+    from it), whole steps and at least one, distinct snapshot steps and
+    their count (``snapshot_grid``), the limits on work and on the
+    record's size, and the stiffness rule of ``require_stiffness``; the
+    seed's range is ``rng.check_seed``.  A refusal of a geometry field
+    begins with the field's name, which a plan's checks read.
     """
 
     n_particles: int
@@ -144,6 +144,10 @@ class SimConfig:
             raise ValidationError(
                 f"dt={self.dt!r} does not divide the horizon t_end={self.t_end!r} "
                 f"into whole steps (t_end/dt = {steps!r})")
+        if self.n_steps < 1:
+            raise ValidationError(
+                f"dt={self.dt!r} is longer than the horizon t_end={self.t_end!r}: "
+                "the run has no step")
         work = int(self.n_particles) * self.n_steps
         if work > MAX_PARTICLE_STEPS:
             raise ValidationError(
@@ -165,7 +169,7 @@ class SimConfig:
         """Step indices at which to record, snapped to the time grid."""
         times = self.snapshot_times
         if times is None:
-            times = np.linspace(0.0, self.t_end, min(20, self.n_steps) + 1)
+            times = self.snapshot_grid(min(20, self.n_steps) + 1)
         times = np.asarray(times, dtype=float)
         if times.size == 0:
             raise ValidationError("snapshot_times is empty: give at least one time in [0, t_end]")
@@ -338,9 +342,7 @@ class TrajectoryRecord:
                 fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
     def save_summary_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        write_json(path, self.summary())
 
 
 def _utf8_lines(fh, path):

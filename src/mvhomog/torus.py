@@ -13,10 +13,11 @@ Derivatives act along one grid axis: ``"fd"`` applies 4th-order centered
 stencils (d <= 3) to four shifts of the nodal array, views of one copy
 wrapped by two cells at each end; ``"spectral"`` multiplies Fourier symbols
 with ``numpy.fft`` (d <= 2), d/dy dropping the Nyquist mode of even n and
-d^2/dy^2 keeping it.  L is never assembled: ``GeneratorOperator`` applies L
-and L* from the nodal coefficients.  L @ u takes the shifts (or the rfft) of
-u once per axis and shares them between the D1 and D2 terms.  A constant
-sigma gives one A, broadcast over the nodes with stride 0, so the
+d^2/dy^2 keeping it.  ``default_scheme`` is the one "auto" choice, spectral
+up to 2-d and fd in 3-d.  L is never assembled: ``GeneratorOperator``
+applies L and L* from the nodal coefficients.  L @ u takes the shifts (or
+the rfft) of u once per axis and shares them between the D1 and D2 terms.
+A constant sigma gives one A, broadcast over the nodes with stride 0, so the
 ellipticity check and the operator's largest entry read one matrix and the
 operator's 1/2 A_kk terms stay broadcast; the largest entry is computed
 once, when the operator is built.  The corrector gate and grad phi take L
@@ -74,6 +75,17 @@ MAX_UNKNOWNS = 128 * 2 ** 20 // (8 * (RESTART + 1))
 MAX_DENSE_UNKNOWNS = 2048
 
 
+def product_grid(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The points of axis^dim as rows, (len(axis)^dim, dim), the last coordinate fastest."""
+    mesh = np.meshgrid(*[axis] * dim, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def default_scheme(dim: int) -> str:
+    """The "auto" scheme: spectral up to 2-d, fd in 3-d."""
+    return "spectral" if dim <= 2 else "fd"
+
+
 class TorusGrid:
     """Regular grid on [0,1)^dim with n nodes per axis, C-ordered flat index."""
 
@@ -93,8 +105,7 @@ class TorusGrid:
         self.h = 1.0 / self.n
         self.size = self.n ** dim
         self.shape = (self.n,) * dim
-        mesh = np.meshgrid(*[np.arange(self.n) * self.h] * dim, indexing="ij")
-        self.nodes = np.stack([m.ravel() for m in mesh], axis=1)  # (size, dim)
+        self.nodes = product_grid(np.arange(self.n) * self.h, dim)  # (size, dim)
 
     @property
     def weight(self) -> float:
@@ -596,7 +607,7 @@ def solve_cell(coeffs: FastCoefficients, x=None, mu=None, scheme: str = "auto",
     "phi" one per component l, solved on line l on the axis route.
     """
     if scheme == "auto":
-        scheme = "spectral" if coeffs.dim <= 2 else "fd"
+        scheme = default_scheme(coeffs.dim)
     grid = TorusGrid(coeffs.dim, n)
     f_vals, a_vals = coeffs.fields(grid, x, mu)
     L = assemble_generator(grid, f_vals, a_vals, scheme)

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +198,26 @@ def test_simulate_refuses_a_bad_snapshot_count_before_the_run(count, message, ca
     captured = capsys.readouterr()
     assert f"error: --snapshots: {message}" in captured.err
     assert "terminal" not in captured.out
+
+
+# a run too short for one step; a path whose spread overflows float64, so
+# that its dictionary's scale is infinite
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--scenario", "free_brownian", "--mode", "averaged", "--n-particles", "10",
+      "--dt", "1.0", "--t-end", "1e-7"],
+     "dt=1.0 is longer than the horizon t_end=1e-07: the run has no step"),
+    (["rate", "--scenario", "dawson_rough", "--trajectory", "huge.csv"],
+     "dictionary scale must be finite, got [inf]"),
+], ids=["simulate-no-step", "rate-overflowing-path"])
+def test_a_run_with_no_step_or_an_overflowing_path_exits_2_and_makes_nothing(
+        argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("huge.csv").write_text("t,particle_id,x1\r\n" + "".join(
+        f"{t},{i},{x}\r\n" for t in (0.0, 0.5, 1.0) for i, x in enumerate((-1e200, 1e200))))
+    assert main(argv + ["--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("argv", [

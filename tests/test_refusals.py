@@ -160,6 +160,12 @@ REFUSALS = [
      "Hermite order 1.7 is not a whole number"),
     ("TestDictionary order limit", lambda: TestDictionary([[0], [10 ** 6]], 0.0, 1.0),
      "Hermite order 1000000 is more than the limit of 63"),
+    ("TestDictionary NaN center", lambda: hermite_dictionary(1, 4, center=np.nan),
+     "dictionary center must be finite, got [nan]"),
+    ("TestDictionary infinite center", lambda: hermite_dictionary(1, 4, center=np.inf),
+     "dictionary center must be finite, got [inf]"),
+    ("TestDictionary infinite scale", lambda: hermite_dictionary(1, 4, scale=np.inf),
+     "dictionary scale must be finite, got [inf]"),
     ("TestDictionary points width",
      lambda: hermite_dictionary(2, 2).evaluate(np.zeros((5, 3))),
      "points have shape (5, 3), but the dictionary has dim 2"),
@@ -203,6 +209,8 @@ REFUSALS = [
     ("SimConfig snapshot past t_end",
      lambda: SimConfig(n_particles=1, dt=0.1, t_end=1.0, snapshot_times=[0.0, 1.5]),
      "snapshot times must lie in [0, t_end]"),
+    ("SimConfig no step", lambda: SimConfig(n_particles=1, dt=1.0, t_end=1e-7),
+     "dt=1.0 is longer than the horizon t_end=1e-07: the run has no step"),
     ("multiscale run without epsilon",
      lambda: SimConfig(n_particles=1, dt=0.1).require_stiffness(),
      "mode 'multiscale' needs epsilon in the config"),
